@@ -6,15 +6,21 @@
 // (single-point) messages. Absolute numbers differ from the paper's
 // Go-on-c4.xlarge measurements; the orderings (verify > prove for the
 // shuffle, ReEnc > Enc, proof costs >> plain ops) must match.
-// --smoke runs only the hand-timed hot-path section (small rep counts)
-// and writes BENCH_bench_table3_primitives.json for CI artifact upload;
-// the full google-benchmark table is skipped.
+// --smoke runs only the hand-timed sections (field rows and hot paths,
+// small rep counts) and writes BENCH_bench_table3_primitives.json for CI
+// artifact upload; the full google-benchmark table is skipped. Exits 1 when
+// the dedicated field Mul is less than kFieldMulGate times faster than the
+// generic Mont oracle.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 
 #include "bench/bench_common.h"
+#include "src/crypto/fp256.h"
+#include "src/crypto/mont.h"
 #include "src/crypto/shuffle.h"
 #include "src/crypto/sigma.h"
 #include "src/util/rng.h"
@@ -164,6 +170,93 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Minimum speedup of the dedicated F_p Mul over the generic Mont oracle.
+// Measured 1.13-1.31x on a shared 4-vCPU x86-64 host (GCC 12, -O3): a
+// chained Mul is bound by the Comba carry chain's latency, so it gains
+// least; Sqr (10 of 16 multiplies, 1.8x) and the addition-chain Inv
+// (2.3x) gain more, and whole point operations about 2x because Add/Sub
+// lost their data-dependent branches too. The gate only catches the
+// dedicated field becoming slower than the oracle.
+constexpr double kFieldMulGate = 1.0;
+
+// Nanoseconds per call of `op` applied `reps` times as a dependency chain
+// (each result feeds the next call, so calls cannot overlap or vanish).
+template <typename Op>
+double ChainNs(size_t reps, U256 x, Op op) {
+  auto t0 = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < reps; i++) {
+    x = op(x);
+  }
+  benchmark::DoNotOptimize(x);
+  return 1e9 * SecondsSince(t0) / static_cast<double>(reps);
+}
+
+// One field row: `fast` and `mont` alternate for `rounds` rounds and each
+// keeps its fastest, so a burst of host noise cannot land on one side only.
+struct FieldRow {
+  const char* op;
+  double fast_ns = 1e30, mont_ns = 1e30;
+};
+template <typename Fast, typename Slow>
+FieldRow TimeFieldOp(const char* op, size_t reps, int rounds, const U256& x0,
+                     Fast fast, Slow mont) {
+  FieldRow row{op};
+  for (int round = 0; round < rounds; round++) {
+    row.fast_ns = std::min(row.fast_ns, ChainNs(reps, x0, fast));
+    row.mont_ns = std::min(row.mont_ns, ChainNs(reps, x0, mont));
+  }
+  return row;
+}
+
+// Field rows: the dedicated P-256 coordinate field (src/crypto/fp256.h)
+// against the generic Mont over the same prime, Mul/Sqr/Inv per call.
+// Returns false when the Mul speedup misses kFieldMulGate.
+bool MeasureField(BenchJson& json, bool smoke) {
+  const Mont oracle(P256Prime());
+  Rng rng(uint64_t{0xf1e1d});
+  const U256 y = fp256::ToMont(Scalar::Random(rng).PlainValue());
+  const U256 x0 = fp256::ToMont(Scalar::Random(rng).PlainValue());
+  const size_t reps = smoke ? (size_t{1} << 16) : (size_t{1} << 19);
+  const size_t inv_reps = smoke ? 256 : 2048;
+  const int rounds = smoke ? 7 : 15;
+
+  const FieldRow rows[] = {
+      TimeFieldOp(
+          "mul", reps, rounds, x0,
+          [&](const U256& x) { return fp256::Mul(x, y); },
+          [&](const U256& x) { return oracle.Mul(x, y); }),
+      TimeFieldOp(
+          "sqr", reps, rounds, x0, [](const U256& x) { return fp256::Sqr(x); },
+          [&](const U256& x) { return oracle.Mul(x, x); }),
+      TimeFieldOp(
+          "inv", inv_reps, rounds, x0,
+          [](const U256& x) { return fp256::Inv(x); },
+          [&](const U256& x) { return oracle.Inv(x); }),
+  };
+  double mul_speedup = 0;
+  for (const FieldRow& r : rows) {
+    const double speedup = r.mont_ns / r.fast_ns;
+    std::printf("field %s: fp256 %.1f ns, Mont %.1f ns -> %.2fx\n", r.op,
+                r.fast_ns, r.mont_ns, speedup);
+    size_t row = json.Row();
+    json.RowStr(row, "field_op", r.op);
+    json.RowNum(row, "fp256_ns", r.fast_ns);
+    json.RowNum(row, "mont_ns", r.mont_ns);
+    json.RowNum(row, "speedup", speedup);
+    if (std::string_view(r.op) == "mul") {
+      mul_speedup = speedup;
+    }
+  }
+  json.Num("field_mul_speedup", mul_speedup);
+  json.Num("field_mul_gate", kFieldMulGate);
+  const bool ok = mul_speedup >= kFieldMulGate;
+  if (!ok) {
+    std::printf("FAIL: field Mul speedup %.2fx below the %.1fx gate\n",
+                mul_speedup, kFieldMulGate);
+  }
+  return ok;
+}
+
 // Hand-timed hot-path measurements (the crypto fast paths this repo layers
 // on top of the paper's primitives), recorded to the bench JSON so the
 // speedups are tracked across PRs:
@@ -279,9 +372,11 @@ int main(int argc, char** argv) {
   std::printf("Paper (Go, c4.xlarge): Enc 140us, ReEnc 335us, "
               "Shuffle(1024) 107ms,\n  EncProof 162/139us, "
               "ReEncProof 655/446us, ShufProof(1024) 757/1410ms.\n\n");
+  bool ok = true;
   {
     BenchJson json("bench_table3_primitives");
     json.Bool("smoke", smoke);
+    ok = MeasureField(json, smoke);
     MeasureHotPath(json, smoke);
   }  // write the JSON before the (skippable) google-benchmark table
   if (!smoke) {
@@ -289,5 +384,5 @@ int main(int argc, char** argv) {
     benchmark::Initialize(&bench_argc, bench_argv.data());
     benchmark::RunSpecifiedBenchmarks();
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 #include "src/crypto/mont.h"
 
-#include <vector>
+#include "src/crypto/fp256.h"
 
 namespace atom {
 namespace {
@@ -118,29 +118,6 @@ U256 Mont::Inv(const U256& a) const {
   return Pow(a, exp);
 }
 
-void Mont::BatchInv(std::span<U256> values) const {
-  if (values.empty()) {
-    return;
-  }
-  // Forward pass: prefix[i] = values[0] * ... * values[i].
-  std::vector<U256> prefix(values.size());
-  prefix[0] = values[0];
-  ATOM_CHECK(!values[0].IsZero());
-  for (size_t i = 1; i < values.size(); i++) {
-    ATOM_CHECK(!values[i].IsZero());
-    prefix[i] = Mul(prefix[i - 1], values[i]);
-  }
-  // One inversion of the total product, then peel elements off the back:
-  // inv(prefix[i]) * prefix[i-1] = inv(values[i]).
-  U256 inv = Inv(prefix.back());
-  for (size_t i = values.size() - 1; i > 0; i--) {
-    U256 original = values[i];
-    values[i] = Mul(inv, prefix[i - 1]);
-    inv = Mul(inv, original);
-  }
-  values[0] = inv;
-}
-
 U256 Mont::Reduce(const U256& a) const {
   U256 out = a;
   while (!U256Less(out, m_)) {
@@ -152,8 +129,7 @@ U256 Mont::Reduce(const U256& a) const {
 namespace {
 
 // NIST P-256 domain parameters (SEC 2 / FIPS 186-4), little-endian limbs.
-const U256 kPrime = U256::FromLimbs(0xffffffffffffffffULL, 0x00000000ffffffffULL,
-                                    0x0000000000000000ULL, 0xffffffff00000001ULL);
+// The prime p is fp256::kP.
 const U256 kOrder = U256::FromLimbs(0xf3b9cac2fc632551ULL, 0xbce6faada7179e84ULL,
                                     0xffffffffffffffffULL, 0xffffffff00000000ULL);
 const U256 kB = U256::FromLimbs(0x3bce3c3e27d2604bULL, 0x651d06b0cc53b0f6ULL,
@@ -165,17 +141,12 @@ const U256 kGy = U256::FromLimbs(0xcbb6406837bf51f5ULL, 0x2bce33576b315eceULL,
 
 }  // namespace
 
-const Mont& FieldP() {
-  static const Mont ctx(kPrime);
-  return ctx;
-}
-
 const Mont& FieldN() {
   static const Mont ctx(kOrder);
   return ctx;
 }
 
-const U256& P256Prime() { return kPrime; }
+const U256& P256Prime() { return fp256::kP; }
 const U256& P256Order() { return kOrder; }
 const U256& P256B() { return kB; }
 const U256& P256Gx() { return kGx; }

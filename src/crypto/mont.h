@@ -1,14 +1,14 @@
 // Montgomery-form modular arithmetic over an odd 256-bit modulus.
 //
-// One implementation serves both P-256 fields: the coordinate field F_p and
-// the scalar field F_n (curve order). All derived constants (n0inv, R², R)
-// are computed in the constructor rather than hard-coded, so a transcription
-// error in a modulus constant is caught by the known-answer tests instead of
-// silently corrupting arithmetic.
+// Generic over the modulus: it serves the P-256 scalar field F_n (the group
+// order) behind Scalar. The coordinate field F_p has its own specialised
+// implementation (src/crypto/fp256.h) that uses this same representation;
+// the tests keep Mont(P256Prime()) as that implementation's oracle. All
+// derived constants (n0inv, R², R) are computed in the constructor rather
+// than hard-coded, so a transcription error in a modulus constant is caught
+// by the known-answer tests instead of silently corrupting arithmetic.
 #ifndef SRC_CRYPTO_MONT_H_
 #define SRC_CRYPTO_MONT_H_
-
-#include <span>
 
 #include "src/crypto/u256.h"
 
@@ -42,12 +42,6 @@ class Mont {
   // prime, which holds for both P-256 moduli). a must be nonzero.
   U256 Inv(const U256& a) const;
 
-  // Montgomery's batch-inversion trick: inverts every element in place
-  // using one field inversion plus 3(n-1) multiplications, versus one
-  // ~256-square-and-multiply inversion per element. Every element must be
-  // nonzero (checked). Works in either representation, like Inv.
-  void BatchInv(std::span<U256> values) const;
-
   // Reduces a plain 256-bit value mod m (at most one subtraction is needed
   // because both moduli exceed 2^255).
   U256 Reduce(const U256& a) const;
@@ -59,12 +53,12 @@ class Mont {
   uint64_t n0inv_;  // -m^-1 mod 2^64
 };
 
-// The two field contexts used by P-256. Initialized on first use.
-const Mont& FieldP();  // coordinate field, p = 2^256 - 2^224 + 2^192 + 2^96 - 1
-const Mont& FieldN();  // scalar field, the group order n
+// The scalar field context (modulus: the group order n). Initialized on
+// first use.
+const Mont& FieldN();
 
 // P-256 curve constants (plain form).
-const U256& P256Prime();
+const U256& P256Prime();  // p = 2^256 - 2^224 + 2^192 + 2^96 - 1
 const U256& P256Order();
 const U256& P256B();
 const U256& P256Gx();

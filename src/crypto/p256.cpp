@@ -6,62 +6,35 @@
 #include "src/util/serde.h"
 
 namespace atom {
-namespace {
 
-// (p+1)/4, the exponent for square roots mod p (p ≡ 3 mod 4).
-const U256& SqrtExponent() {
-  static const U256 exp = [] {
-    U256 e;
-    uint64_t carry = U256Add(&e, P256Prime(), U256::FromU64(1));
-    ATOM_CHECK(carry == 0);
-    // Shift right by 2.
-    for (int i = 0; i < 4; i++) {
-      e.v[i] = (e.v[i] >> 2) | (i < 3 ? (e.v[i + 1] << 62) : 0);
-    }
-    return e;
-  }();
-  return exp;
-}
+// Every coordinate-field operation below goes through the dedicated F_p.
+namespace fp = fp256;
+
+namespace {
 
 // Curve coefficient a = -3 in Montgomery form.
 const U256& MontA() {
-  static const U256 a = [] {
-    U256 three = U256::FromU64(3);
-    U256 neg3;
-    U256Sub(&neg3, P256Prime(), three);
-    return FieldP().ToMont(neg3);
-  }();
+  static const U256 a = fp::Neg(fp::ToMont(U256::FromU64(3)));
   return a;
 }
 
 // Curve coefficient b in Montgomery form.
 const U256& MontB() {
-  static const U256 b = FieldP().ToMont(P256B());
+  static const U256 b = fp::ToMont(P256B());
   return b;
 }
 
 // Computes x^3 + ax + b in Montgomery form.
 U256 CurveRhs(const U256& mx) {
-  const Mont& fp = FieldP();
-  U256 x2 = fp.Mul(mx, mx);
-  U256 x3 = fp.Mul(x2, mx);
-  U256 ax = fp.Mul(MontA(), mx);
-  return fp.Add(fp.Add(x3, ax), MontB());
-}
-
-// Square root mod p if it exists (p ≡ 3 mod 4 so a^((p+1)/4) works).
-std::optional<U256> MontSqrt(const U256& ma) {
-  const Mont& fp = FieldP();
-  U256 s = fp.Pow(ma, SqrtExponent());
-  if (fp.Mul(s, s) == ma) {
-    return s;
-  }
-  return std::nullopt;
+  U256 x2 = fp::Sqr(mx);
+  U256 x3 = fp::Mul(x2, mx);
+  U256 ax = fp::Mul(MontA(), mx);
+  return fp::Add(fp::Add(x3, ax), MontB());
 }
 
 // Parity (least significant bit) of a Montgomery-form field element.
 int MontParity(const U256& ma) {
-  return FieldP().FromMont(ma).Bit(0);
+  return fp::FromMont(ma).Bit(0);
 }
 
 }  // namespace
@@ -161,14 +134,13 @@ const Point& Point::Generator() {
 }
 
 std::optional<Point> Point::FromAffine(const U256& x, const U256& y) {
-  const Mont& fp = FieldP();
   if (!U256Less(x, P256Prime()) || !U256Less(y, P256Prime())) {
     return std::nullopt;
   }
   Point p;
-  p.x_ = fp.ToMont(x);
-  p.y_ = fp.ToMont(y);
-  p.z_ = fp.one();
+  p.x_ = fp::ToMont(x);
+  p.y_ = fp::ToMont(y);
+  p.z_ = fp::kOne;
   if (!p.IsOnCurve()) {
     return std::nullopt;
   }
@@ -180,14 +152,13 @@ bool Point::IsOnCurve() const {
     return true;
   }
   // y^2 == x^3 + a x z^4 + b z^6 in Jacobian form.
-  const Mont& fp = FieldP();
-  U256 y2 = fp.Mul(y_, y_);
-  U256 z2 = fp.Mul(z_, z_);
-  U256 z4 = fp.Mul(z2, z2);
-  U256 z6 = fp.Mul(z4, z2);
-  U256 x3 = fp.Mul(fp.Mul(x_, x_), x_);
-  U256 rhs = fp.Add(fp.Add(x3, fp.Mul(fp.Mul(MontA(), x_), z4)),
-                    fp.Mul(MontB(), z6));
+  U256 y2 = fp::Sqr(y_);
+  U256 z2 = fp::Sqr(z_);
+  U256 z4 = fp::Sqr(z2);
+  U256 z6 = fp::Mul(z4, z2);
+  U256 x3 = fp::Mul(fp::Sqr(x_), x_);
+  U256 rhs = fp::Add(fp::Add(x3, fp::Mul(fp::Mul(MontA(), x_), z4)),
+                    fp::Mul(MontB(), z6));
   return y2 == rhs;
 }
 
@@ -195,27 +166,26 @@ Point Point::Double() const {
   if (IsInfinity() || y_.IsZero()) {
     return Infinity();
   }
-  const Mont& fp = FieldP();
   // dbl-2001-b for a = -3.
-  U256 delta = fp.Mul(z_, z_);
-  U256 gamma = fp.Mul(y_, y_);
-  U256 beta = fp.Mul(x_, gamma);
-  U256 t0 = fp.Sub(x_, delta);
-  U256 t1 = fp.Add(x_, delta);
-  U256 alpha = fp.Mul(t0, t1);
-  alpha = fp.Add(fp.Add(alpha, alpha), alpha);  // 3 * (x-delta)(x+delta)
+  U256 delta = fp::Sqr(z_);
+  U256 gamma = fp::Sqr(y_);
+  U256 beta = fp::Mul(x_, gamma);
+  U256 t0 = fp::Sub(x_, delta);
+  U256 t1 = fp::Add(x_, delta);
+  U256 alpha = fp::Mul(t0, t1);
+  alpha = fp::Add(fp::Add(alpha, alpha), alpha);  // 3 * (x-delta)(x+delta)
 
   Point out;
-  U256 beta4 = fp.Add(fp.Add(beta, beta), fp.Add(beta, beta));
-  U256 beta8 = fp.Add(beta4, beta4);
-  out.x_ = fp.Sub(fp.Mul(alpha, alpha), beta8);
-  U256 yz = fp.Add(y_, z_);
-  out.z_ = fp.Sub(fp.Sub(fp.Mul(yz, yz), gamma), delta);
-  U256 gamma2 = fp.Mul(gamma, gamma);
-  U256 gamma2_8 = fp.Add(gamma2, gamma2);
-  gamma2_8 = fp.Add(gamma2_8, gamma2_8);
-  gamma2_8 = fp.Add(gamma2_8, gamma2_8);
-  out.y_ = fp.Sub(fp.Mul(alpha, fp.Sub(beta4, out.x_)), gamma2_8);
+  U256 beta4 = fp::Add(fp::Add(beta, beta), fp::Add(beta, beta));
+  U256 beta8 = fp::Add(beta4, beta4);
+  out.x_ = fp::Sub(fp::Sqr(alpha), beta8);
+  U256 yz = fp::Add(y_, z_);
+  out.z_ = fp::Sub(fp::Sub(fp::Sqr(yz), gamma), delta);
+  U256 gamma2 = fp::Sqr(gamma);
+  U256 gamma2_8 = fp::Add(gamma2, gamma2);
+  gamma2_8 = fp::Add(gamma2_8, gamma2_8);
+  gamma2_8 = fp::Add(gamma2_8, gamma2_8);
+  out.y_ = fp::Sub(fp::Mul(alpha, fp::Sub(beta4, out.x_)), gamma2_8);
   return out;
 }
 
@@ -226,13 +196,12 @@ Point operator+(const Point& a, const Point& b) {
   if (b.IsInfinity()) {
     return a;
   }
-  const Mont& fp = FieldP();
-  U256 z1z1 = fp.Mul(a.z_, a.z_);
-  U256 z2z2 = fp.Mul(b.z_, b.z_);
-  U256 u1 = fp.Mul(a.x_, z2z2);
-  U256 u2 = fp.Mul(b.x_, z1z1);
-  U256 s1 = fp.Mul(fp.Mul(a.y_, b.z_), z2z2);
-  U256 s2 = fp.Mul(fp.Mul(b.y_, a.z_), z1z1);
+  U256 z1z1 = fp::Sqr(a.z_);
+  U256 z2z2 = fp::Sqr(b.z_);
+  U256 u1 = fp::Mul(a.x_, z2z2);
+  U256 u2 = fp::Mul(b.x_, z1z1);
+  U256 s1 = fp::Mul(fp::Mul(a.y_, b.z_), z2z2);
+  U256 s2 = fp::Mul(fp::Mul(b.y_, a.z_), z1z1);
 
   if (u1 == u2) {
     if (s1 == s2) {
@@ -241,17 +210,17 @@ Point operator+(const Point& a, const Point& b) {
     return Point::Infinity();
   }
 
-  U256 h = fp.Sub(u2, u1);
-  U256 r = fp.Sub(s2, s1);
-  U256 hh = fp.Mul(h, h);
-  U256 hhh = fp.Mul(hh, h);
-  U256 v = fp.Mul(u1, hh);
+  U256 h = fp::Sub(u2, u1);
+  U256 r = fp::Sub(s2, s1);
+  U256 hh = fp::Sqr(h);
+  U256 hhh = fp::Mul(hh, h);
+  U256 v = fp::Mul(u1, hh);
 
   Point out;
-  U256 v2 = fp.Add(v, v);
-  out.x_ = fp.Sub(fp.Sub(fp.Mul(r, r), hhh), v2);
-  out.y_ = fp.Sub(fp.Mul(r, fp.Sub(v, out.x_)), fp.Mul(s1, hhh));
-  out.z_ = fp.Mul(fp.Mul(a.z_, b.z_), h);
+  U256 v2 = fp::Add(v, v);
+  out.x_ = fp::Sub(fp::Sub(fp::Sqr(r), hhh), v2);
+  out.y_ = fp::Sub(fp::Mul(r, fp::Sub(v, out.x_)), fp::Mul(s1, hhh));
+  out.z_ = fp::Mul(fp::Mul(a.z_, b.z_), h);
   return out;
 }
 
@@ -260,7 +229,7 @@ Point Point::Neg() const {
     return *this;
   }
   Point out = *this;
-  out.y_ = FieldP().Neg(y_);
+  out.y_ = fp::Neg(y_);
   return out;
 }
 
@@ -269,15 +238,14 @@ bool Point::operator==(const Point& o) const {
     return IsInfinity() == o.IsInfinity();
   }
   // Compare cross-multiplied Jacobian coordinates.
-  const Mont& fp = FieldP();
-  U256 z1z1 = fp.Mul(z_, z_);
-  U256 z2z2 = fp.Mul(o.z_, o.z_);
-  if (!(fp.Mul(x_, z2z2) == fp.Mul(o.x_, z1z1))) {
+  U256 z1z1 = fp::Sqr(z_);
+  U256 z2z2 = fp::Sqr(o.z_);
+  if (!(fp::Mul(x_, z2z2) == fp::Mul(o.x_, z1z1))) {
     return false;
   }
-  U256 z1z1z1 = fp.Mul(z1z1, z_);
-  U256 z2z2z2 = fp.Mul(z2z2, o.z_);
-  return fp.Mul(y_, z2z2z2) == fp.Mul(o.y_, z1z1z1);
+  U256 z1z1z1 = fp::Mul(z1z1, z_);
+  U256 z2z2z2 = fp::Mul(z2z2, o.z_);
+  return fp::Mul(y_, z2z2z2) == fp::Mul(o.y_, z1z1z1);
 }
 
 Point Point::Mul(const Scalar& k) const {
@@ -313,10 +281,9 @@ Point Point::AddMixed(const Point& jacobian, const Point& affine) {
     return jacobian;
   }
   // madd-2008-g: with Z2 == 1, u1/s1 need no scaling and Z3 drops one mul.
-  const Mont& fp = FieldP();
-  U256 z1z1 = fp.Mul(jacobian.z_, jacobian.z_);
-  U256 u2 = fp.Mul(affine.x_, z1z1);
-  U256 s2 = fp.Mul(fp.Mul(affine.y_, jacobian.z_), z1z1);
+  U256 z1z1 = fp::Sqr(jacobian.z_);
+  U256 u2 = fp::Mul(affine.x_, z1z1);
+  U256 s2 = fp::Mul(fp::Mul(affine.y_, jacobian.z_), z1z1);
 
   if (u2 == jacobian.x_) {
     if (s2 == jacobian.y_) {
@@ -325,17 +292,17 @@ Point Point::AddMixed(const Point& jacobian, const Point& affine) {
     return Infinity();
   }
 
-  U256 h = fp.Sub(u2, jacobian.x_);
-  U256 r = fp.Sub(s2, jacobian.y_);
-  U256 hh = fp.Mul(h, h);
-  U256 hhh = fp.Mul(hh, h);
-  U256 v = fp.Mul(jacobian.x_, hh);
+  U256 h = fp::Sub(u2, jacobian.x_);
+  U256 r = fp::Sub(s2, jacobian.y_);
+  U256 hh = fp::Sqr(h);
+  U256 hhh = fp::Mul(hh, h);
+  U256 v = fp::Mul(jacobian.x_, hh);
 
   Point out;
-  U256 v2 = fp.Add(v, v);
-  out.x_ = fp.Sub(fp.Sub(fp.Mul(r, r), hhh), v2);
-  out.y_ = fp.Sub(fp.Mul(r, fp.Sub(v, out.x_)), fp.Mul(jacobian.y_, hhh));
-  out.z_ = fp.Mul(jacobian.z_, h);
+  U256 v2 = fp::Add(v, v);
+  out.x_ = fp::Sub(fp::Sub(fp::Sqr(r), hhh), v2);
+  out.y_ = fp::Sub(fp::Mul(r, fp::Sub(v, out.x_)), fp::Mul(jacobian.y_, hhh));
+  out.z_ = fp::Mul(jacobian.z_, h);
   return out;
 }
 
@@ -355,7 +322,6 @@ FixedBaseTable::FixedBaseTable(const Point& base) : base_(base) {
   // so Mul can use the mixed add. Every entry is (d << 4w) * base with a
   // multiplier in [1, 15 * 2^252] < n, so none is the identity and every z
   // is invertible (the curve has prime order, cofactor 1).
-  const Mont& fp = FieldP();
   std::vector<U256> zs;
   zs.reserve(64 * 15);
   for (int w = 0; w < 64; w++) {
@@ -363,15 +329,15 @@ FixedBaseTable::FixedBaseTable(const Point& base) : base_(base) {
       zs.push_back(table_[w][d].z_);
     }
   }
-  fp.BatchInv(zs);
+  fp::BatchInv(zs);
   for (int w = 0; w < 64; w++) {
     for (int d = 0; d < 15; d++) {
       Point& p = table_[w][d];
       const U256& zinv = zs[static_cast<size_t>(w) * 15 + d];
-      U256 zinv2 = fp.Mul(zinv, zinv);
-      p.x_ = fp.Mul(p.x_, zinv2);
-      p.y_ = fp.Mul(p.y_, fp.Mul(zinv2, zinv));
-      p.z_ = fp.one();
+      U256 zinv2 = fp::Sqr(zinv);
+      p.x_ = fp::Mul(p.x_, zinv2);
+      p.y_ = fp::Mul(p.y_, fp::Mul(zinv2, zinv));
+      p.z_ = fp::kOne;
     }
   }
 }
@@ -400,17 +366,15 @@ Point Point::BaseMul(const Scalar& k) { return GeneratorTable().Mul(k); }
 
 void Point::ToAffine(U256* out_x, U256* out_y) const {
   ATOM_CHECK(!IsInfinity());
-  const Mont& fp = FieldP();
-  U256 zinv = fp.Inv(z_);
-  U256 zinv2 = fp.Mul(zinv, zinv);
-  U256 zinv3 = fp.Mul(zinv2, zinv);
-  *out_x = fp.FromMont(fp.Mul(x_, zinv2));
-  *out_y = fp.FromMont(fp.Mul(y_, zinv3));
+  U256 zinv = fp::Inv(z_);
+  U256 zinv2 = fp::Sqr(zinv);
+  U256 zinv3 = fp::Mul(zinv2, zinv);
+  *out_x = fp::FromMont(fp::Mul(x_, zinv2));
+  *out_y = fp::FromMont(fp::Mul(y_, zinv3));
 }
 
 std::vector<Point::AffineCoords> Point::BatchToAffine(
     std::span<const Point> points) {
-  const Mont& fp = FieldP();
   std::vector<AffineCoords> out(points.size());
   std::vector<U256> zs;
   zs.reserve(points.size());
@@ -419,7 +383,7 @@ std::vector<Point::AffineCoords> Point::BatchToAffine(
       zs.push_back(p.z_);
     }
   }
-  fp.BatchInv(zs);
+  fp::BatchInv(zs);
   size_t j = 0;
   for (size_t i = 0; i < points.size(); i++) {
     if (points[i].IsInfinity()) {
@@ -427,9 +391,9 @@ std::vector<Point::AffineCoords> Point::BatchToAffine(
       continue;
     }
     const U256& zinv = zs[j++];
-    U256 zinv2 = fp.Mul(zinv, zinv);
-    out[i].x = fp.FromMont(fp.Mul(points[i].x_, zinv2));
-    out[i].y = fp.FromMont(fp.Mul(points[i].y_, fp.Mul(zinv2, zinv)));
+    U256 zinv2 = fp::Sqr(zinv);
+    out[i].x = fp::FromMont(fp::Mul(points[i].x_, zinv2));
+    out[i].y = fp::FromMont(fp::Mul(points[i].y_, fp::Mul(zinv2, zinv)));
   }
   return out;
 }
@@ -466,21 +430,20 @@ std::optional<Point> Point::Decode(BytesView bytes33) {
   if (!U256Less(x, P256Prime())) {
     return std::nullopt;
   }
-  const Mont& fp = FieldP();
-  U256 mx = fp.ToMont(x);
-  auto my = MontSqrt(CurveRhs(mx));
+  U256 mx = fp::ToMont(x);
+  auto my = fp::Sqrt(CurveRhs(mx));
   if (!my.has_value()) {
     return std::nullopt;
   }
   int want_parity = bytes33[0] & 1;
   U256 y = *my;
   if (MontParity(y) != want_parity) {
-    y = fp.Neg(y);
+    y = fp::Neg(y);
   }
   Point p;
   p.x_ = mx;
   p.y_ = y;
-  p.z_ = fp.one();
+  p.z_ = fp::kOne;
   return p;
 }
 
@@ -510,8 +473,9 @@ Point MultiScalarMul(std::span<const Point> points,
   }
   // Below n = 8 the naive sum wins: Pippenger's smallest window (c = 4)
   // still pays 256 doublings plus a 15-bucket running-sum sweep across all
-  // 64 windows, which measured (bench_table3_primitives, BM_Msm at n = 4/8)
-  // only breaks even against n independent windowed Muls around n ≈ 8.
+  // 64 windows, which measured (bench_table3_primitives, msm rows at
+  // n = 4/8) breaks even against n independent windowed Muls around n = 6
+  // and wins by ~20% at n = 8, with either field implementation.
   if (n < 8) {
     Point acc = Point::Infinity();
     for (size_t i = 0; i < n; i++) {
@@ -523,19 +487,21 @@ Point MultiScalarMul(std::span<const Point> points,
   // Pippenger bucket method. Window width c trades bucket-count (2^c - 1
   // adds per window in the running-sum sweep) against window-count
   // (256/c iterations over all n points): the optimum grows with
-  // log2(n). The schedule below follows the measured crossovers on this
-  // implementation (c = 7 overtakes c = 4 near n ≈ 32, c = 9 near
-  // n ≈ 256, c = 11 near n ≈ 2048 — each within ~10% of its neighbor at
-  // the boundary, so exact cut points are not critical).
+  // log2(n). The schedule below follows a sweep of c = 4..11 at
+  // n = 32..2048 (two runs on a 4-vCPU x86-64 host): c = 4 is fastest
+  // below n = 128, c = 5 from 128, c = 6 from 256 and c = 8 from 1024,
+  // each within ~10% of its neighbor at the boundary. The wider windows
+  // used before (c = 7 from n = 32, 9 from 256, 11 from 2048) measured
+  // 25-90% slower at those sizes.
   int c = 4;
-  if (n >= 32) {
-    c = 7;
+  if (n >= 128) {
+    c = 5;
   }
   if (n >= 256) {
-    c = 9;
+    c = 6;
   }
-  if (n >= 2048) {
-    c = 11;
+  if (n >= 1024) {
+    c = 8;
   }
   const int num_windows = (256 + c - 1) / c;
   const size_t num_buckets = (1u << c) - 1;
@@ -597,20 +563,19 @@ Point HashToPoint(BytesView label) {
     if (!U256Less(x, P256Prime())) {
       continue;
     }
-    const Mont& fp = FieldP();
-    U256 mx = fp.ToMont(x);
-    auto my = MontSqrt(CurveRhs(mx));
+    U256 mx = fp::ToMont(x);
+    auto my = fp::Sqrt(CurveRhs(mx));
     if (!my.has_value()) {
       continue;
     }
     // Pick the even-parity root deterministically.
     U256 y = *my;
     if (MontParity(y) != 0) {
-      y = fp.Neg(y);
+      y = fp::Neg(y);
     }
     Point p;
     U256 ax = x;
-    U256 ay = fp.FromMont(y);
+    U256 ay = fp::FromMont(y);
     auto q = Point::FromAffine(ax, ay);
     ATOM_CHECK(q.has_value());
     p = *q;
@@ -632,13 +597,12 @@ std::optional<Point> EmbedMessage(BytesView data) {
   for (int counter = 0; counter < 256; counter++) {
     xbuf[31] = static_cast<uint8_t>(counter);
     U256 x = U256::FromBytesBe(BytesView(xbuf));
-    const Mont& fp = FieldP();
-    U256 mx = fp.ToMont(x);
-    auto my = MontSqrt(CurveRhs(mx));
+    U256 mx = fp::ToMont(x);
+    auto my = fp::Sqrt(CurveRhs(mx));
     if (!my.has_value()) {
       continue;
     }
-    U256 y = fp.FromMont(*my);
+    U256 y = fp::FromMont(*my);
     auto p = Point::FromAffine(x, y);
     ATOM_CHECK(p.has_value());
     return p;

@@ -3,7 +3,10 @@
 // hash-to-point, and reversible message-to-point embedding.
 //
 // This is the DDH group G from the paper (§5 uses NIST P-256 [6]); every
-// cryptosystem in src/crypto builds on these two types.
+// cryptosystem in src/crypto builds on these two types. Point coordinates
+// use the dedicated coordinate field of src/crypto/fp256.h (special-form
+// Montgomery reduction, addition-chain inversion and square root); Scalar
+// uses the generic Montgomery field FieldN() of src/crypto/mont.h.
 //
 // Hot-path tooling (see docs/architecture.md, "Crypto hot path"):
 //   - FixedBaseTable: precomputed 4-bit windowed table for ANY fixed base
@@ -15,7 +18,7 @@
 //     base is multiplied more than ~10 times.
 //   - Point::BatchToAffine / EncodePoints: batch affine normalization and
 //     SEC1 encoding with ONE field inversion per batch (Montgomery's
-//     trick) instead of one ~256-bit exponentiation per point.
+//     trick) instead of one ~255-squaring inversion chain per point.
 #ifndef SRC_CRYPTO_P256_H_
 #define SRC_CRYPTO_P256_H_
 
@@ -23,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "src/crypto/fp256.h"
 #include "src/crypto/mont.h"
 #include "src/crypto/u256.h"
 #include "src/util/bytes.h"
@@ -73,7 +77,7 @@ class FixedBaseTable;
 // z == 0 encodes the identity.
 class Point {
  public:
-  Point() : x_(FieldP().one()), y_(FieldP().one()), z_() {}  // identity
+  Point() : x_(fp256::kOne), y_(fp256::kOne), z_() {}  // identity
 
   static Point Infinity() { return Point(); }
   static const Point& Generator();

@@ -1,12 +1,17 @@
 // Fixed-width 256-bit unsigned integers: 4 little-endian 64-bit limbs.
-// This is the raw-integer layer under the Montgomery fields (src/crypto/mont.h)
-// and the P-256 implementation. Header-only; all operations are branch-light
-// and allocation-free.
+// This is the raw-integer layer under the P-256 coordinate field
+// (src/crypto/fp256.h), the generic Montgomery field (src/crypto/mont.h) and
+// the P-256 implementation. Header-only; all operations are branch-light and
+// allocation-free.
 #ifndef SRC_CRYPTO_U256_H_
 #define SRC_CRYPTO_U256_H_
 
 #include <array>
 #include <cstdint>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "src/util/bytes.h"
 #include "src/util/check.h"
@@ -66,54 +71,66 @@ struct U256 {
   }
 };
 
-// a < b as 256-bit unsigned integers.
-inline bool U256Less(const U256& a, const U256& b) {
-  for (int i = 3; i >= 0; i--) {
-    if (a.v[i] != b.v[i]) {
-      return a.v[i] < b.v[i];
-    }
-  }
-  return false;
+// Carry-chain primitives: *out = a + b + carry (resp. a - b - borrow) with
+// the carry/borrow in and out as 0 or 1. On x86-64 they are the adc/sbb
+// intrinsics, which compilers chain through the flags register.
+#if defined(__x86_64__)
+inline uint8_t AddCarry64(uint8_t carry, uint64_t a, uint64_t b,
+                          uint64_t* out) {
+  unsigned long long r;
+  carry = _addcarry_u64(carry, a, b, &r);
+  *out = r;
+  return carry;
+}
+inline uint8_t SubBorrow64(uint8_t borrow, uint64_t a, uint64_t b,
+                           uint64_t* out) {
+  unsigned long long r;
+  borrow = _subborrow_u64(borrow, a, b, &r);
+  *out = r;
+  return borrow;
+}
+#else
+inline uint8_t AddCarry64(uint8_t carry, uint64_t a, uint64_t b,
+                          uint64_t* out) {
+  unsigned __int128 s = static_cast<unsigned __int128>(a) + b + carry;
+  *out = static_cast<uint64_t>(s);
+  return static_cast<uint8_t>(s >> 64);
+}
+inline uint8_t SubBorrow64(uint8_t borrow, uint64_t a, uint64_t b,
+                           uint64_t* out) {
+  unsigned __int128 d = static_cast<unsigned __int128>(a) - b - borrow;
+  *out = static_cast<uint64_t>(d);
+  return static_cast<uint8_t>((d >> 64) & 1);
+}
+#endif
+
+// 128-bit product a * b: returns the low limb, stores the high limb.
+inline uint64_t MulWide64(uint64_t a, uint64_t b, uint64_t* hi) {
+  unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+  *hi = static_cast<uint64_t>(p >> 64);
+  return static_cast<uint64_t>(p);
 }
 
-// out = a + b; returns the carry bit.
+// out = a + b; returns the carry bit. `out` may alias a or b.
 inline uint64_t U256Add(U256* out, const U256& a, const U256& b) {
-  unsigned __int128 carry = 0;
-  for (int i = 0; i < 4; i++) {
-    carry += static_cast<unsigned __int128>(a.v[i]) + b.v[i];
-    out->v[i] = static_cast<uint64_t>(carry);
-    carry >>= 64;
-  }
-  return static_cast<uint64_t>(carry);
+  uint8_t c = AddCarry64(0, a.v[0], b.v[0], &out->v[0]);
+  c = AddCarry64(c, a.v[1], b.v[1], &out->v[1]);
+  c = AddCarry64(c, a.v[2], b.v[2], &out->v[2]);
+  return AddCarry64(c, a.v[3], b.v[3], &out->v[3]);
 }
 
-// out = a - b; returns the borrow bit.
+// out = a - b; returns the borrow bit. `out` may alias a or b.
 inline uint64_t U256Sub(U256* out, const U256& a, const U256& b) {
-  unsigned __int128 borrow = 0;
-  for (int i = 0; i < 4; i++) {
-    unsigned __int128 d = static_cast<unsigned __int128>(a.v[i]) -
-                          b.v[i] - static_cast<uint64_t>(borrow);
-    out->v[i] = static_cast<uint64_t>(d);
-    borrow = (d >> 64) & 1;  // 1 when the subtraction wrapped
-  }
-  return static_cast<uint64_t>(borrow);
+  uint8_t c = SubBorrow64(0, a.v[0], b.v[0], &out->v[0]);
+  c = SubBorrow64(c, a.v[1], b.v[1], &out->v[1]);
+  c = SubBorrow64(c, a.v[2], b.v[2], &out->v[2]);
+  return SubBorrow64(c, a.v[3], b.v[3], &out->v[3]);
 }
 
-// 512-bit product of two 256-bit values, little-endian 8 limbs.
-inline void U256MulWide(uint64_t out[8], const U256& a, const U256& b) {
-  for (int i = 0; i < 8; i++) {
-    out[i] = 0;
-  }
-  for (int i = 0; i < 4; i++) {
-    uint64_t carry = 0;
-    for (int j = 0; j < 4; j++) {
-      unsigned __int128 cur = static_cast<unsigned __int128>(a.v[i]) * b.v[j] +
-                              out[i + j] + carry;
-      out[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    out[i + 4] = carry;
-  }
+// a < b as 256-bit unsigned integers (the borrow out of a - b).
+inline bool U256Less(const U256& a, const U256& b) {
+  U256 diff;
+  return U256Sub(&diff, a, b) != 0;
 }
 
 }  // namespace atom

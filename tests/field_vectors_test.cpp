@@ -1,10 +1,12 @@
-// Cross-implementation validation of the Montgomery field arithmetic:
-// random (a, b) pairs with a·b, a+b, and a⁻¹ computed independently by
-// CPython's arbitrary-precision integers, for both P-256 moduli.
+// Cross-implementation validation of the field arithmetic: random (a, b)
+// pairs with a·b, a+b, and a⁻¹ computed independently by CPython's
+// arbitrary-precision integers, for both P-256 moduli. The coordinate-field
+// vectors run against the generic Mont and the dedicated fp256 alike.
 #include <gtest/gtest.h>
 
 #include <string_view>
 
+#include "src/crypto/fp256.h"
 #include "src/crypto/mont.h"
 #include "src/util/hex.h"
 
@@ -60,7 +62,8 @@ class FieldVectorTest : public ::testing::TestWithParam<FieldVector> {};
 
 TEST_P(FieldVectorTest, MatchesPythonBigints) {
   const FieldVector& vec = GetParam();
-  const Mont& field = (vec.field == "P") ? FieldP() : FieldN();
+  static const Mont field_p(P256Prime());
+  const Mont& field = (vec.field == "P") ? field_p : FieldN();
   U256 a = FromHexStr(vec.a);
   U256 b = FromHexStr(vec.b);
 
@@ -71,6 +74,23 @@ TEST_P(FieldVectorTest, MatchesPythonBigints) {
   EXPECT_EQ(field.FromMont(field.Inv(ma)), FromHexStr(vec.a_inv));
   // And the inverse property closes the loop.
   EXPECT_EQ(field.Mul(ma, field.ToMont(FromHexStr(vec.a_inv))), field.one());
+}
+
+TEST_P(FieldVectorTest, DedicatedFpMatchesPythonBigints) {
+  const FieldVector& vec = GetParam();
+  if (vec.field != "P") {
+    GTEST_SKIP() << "scalar-field vector: fp256 is the coordinate field";
+  }
+  U256 a = FromHexStr(vec.a);
+  U256 b = FromHexStr(vec.b);
+
+  U256 ma = fp256::ToMont(a);
+  U256 mb = fp256::ToMont(b);
+  EXPECT_EQ(fp256::FromMont(fp256::Mul(ma, mb)), FromHexStr(vec.prod));
+  EXPECT_EQ(fp256::Add(a, b), FromHexStr(vec.sum));
+  EXPECT_EQ(fp256::FromMont(fp256::Inv(ma)), FromHexStr(vec.a_inv));
+  EXPECT_EQ(fp256::Mul(ma, fp256::ToMont(FromHexStr(vec.a_inv))),
+            fp256::kOne);
 }
 
 INSTANTIATE_TEST_SUITE_P(PythonVectors, FieldVectorTest,

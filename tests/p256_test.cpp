@@ -18,6 +18,13 @@ U256 U256FromHex(std::string_view h) {
   return U256::FromBytesBe(BytesView(*bytes));
 }
 
+// The generic Montgomery field over p: the oracle the dedicated coordinate
+// field (src/crypto/fp256.h) is checked against in field_p256_test.
+const Mont& MontP() {
+  static const Mont field(P256Prime());
+  return field;
+}
+
 // ------------------------------------------------------------- U256/Mont --
 
 TEST(U256, AddSubInverse) {
@@ -55,7 +62,7 @@ TEST(U256, Comparisons) {
 
 TEST(Mont, MulMatchesWideMultiply) {
   // Montgomery-multiply small numbers where the plain product is known.
-  const Mont& fp = FieldP();
+  const Mont& fp = MontP();
   U256 a = fp.ToMont(U256::FromU64(123456789));
   U256 b = fp.ToMont(U256::FromU64(987654321));
   U256 prod = fp.FromMont(fp.Mul(a, b));
@@ -64,7 +71,7 @@ TEST(Mont, MulMatchesWideMultiply) {
 
 TEST(Mont, ToFromMontRoundTrip) {
   Rng rng(3u);
-  for (const Mont* field : {&FieldP(), &FieldN()}) {
+  for (const Mont* field : {&MontP(), &FieldN()}) {
     for (int i = 0; i < 50; i++) {
       Bytes raw = rng.NextBytes(32);
       U256 v = field->Reduce(U256::FromBytesBe(BytesView(raw)));
@@ -75,7 +82,7 @@ TEST(Mont, ToFromMontRoundTrip) {
 
 TEST(Mont, InverseProperty) {
   Rng rng(4u);
-  for (const Mont* field : {&FieldP(), &FieldN()}) {
+  for (const Mont* field : {&MontP(), &FieldN()}) {
     for (int i = 0; i < 20; i++) {
       Bytes raw = rng.NextBytes(32);
       U256 v = field->Reduce(U256::FromBytesBe(BytesView(raw)));
@@ -102,7 +109,7 @@ TEST(Mont, AddSubProperties) {
 }
 
 TEST(Mont, PowMatchesRepeatedMul) {
-  const Mont& f = FieldP();
+  const Mont& f = MontP();
   U256 base = f.ToMont(U256::FromU64(7));
   U256 expect = f.one();
   for (int e = 0; e < 20; e++) {
@@ -482,26 +489,6 @@ TEST(BatchAffine, EncodePointsMatchesLoopedEncode) {
                                                       Point::kEncodedSize)));
   }
   EXPECT_TRUE(EncodePoints(std::vector<Point>{}).empty());
-}
-
-TEST(Mont, BatchInvMatchesInv) {
-  Rng rng(48u);
-  const Mont& fp = FieldP();
-  std::vector<U256> values;
-  for (int i = 0; i < 13; i++) {
-    values.push_back(fp.ToMont(Scalar::Random(rng).PlainValue()));
-  }
-  std::vector<U256> batch = values;
-  fp.BatchInv(batch);
-  for (size_t i = 0; i < values.size(); i++) {
-    EXPECT_EQ(batch[i], fp.Inv(values[i]));
-  }
-  // Single-element and empty batches.
-  std::vector<U256> one = {values[0]};
-  fp.BatchInv(one);
-  EXPECT_EQ(one[0], fp.Inv(values[0]));
-  std::vector<U256> none;
-  fp.BatchInv(none);
 }
 
 }  // namespace

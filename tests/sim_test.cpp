@@ -88,15 +88,23 @@ TEST(GroupSim, LinearInMessages) {
   config.group_size = config.threshold = 32;
   config.variant = Variant::kTrap;
   config.messages = 1024;
-  double t1 = EstimateGroupHop(config, SharedCosts()).total_seconds;
+  GroupHopEstimate e1 = EstimateGroupHop(config, SharedCosts());
   config.messages = 2048;
-  double t2 = EstimateGroupHop(config, SharedCosts()).total_seconds;
+  GroupHopEstimate e2 = EstimateGroupHop(config, SharedCosts());
   config.messages = 4096;
-  double t4 = EstimateGroupHop(config, SharedCosts()).total_seconds;
-  // Compute scales 2x; the fixed network term dilutes it slightly.
-  EXPECT_GT(t2, t1 * 1.3);
+  GroupHopEstimate e4 = EstimateGroupHop(config, SharedCosts());
+  // Compute scales 2x per doubling. The total is affine in the batch: the
+  // fixed per-link latency term dilutes the doubling by an amount that
+  // depends on how fast the calibrated crypto is, so the total is checked
+  // for equal increments rather than against a fixed ratio.
+  EXPECT_NEAR(e2.compute_seconds, 2 * e1.compute_seconds,
+              1e-9 * e2.compute_seconds);
+  EXPECT_NEAR(e4.compute_seconds, 2 * e2.compute_seconds,
+              1e-9 * e4.compute_seconds);
+  double t1 = e1.total_seconds, t2 = e2.total_seconds, t4 = e4.total_seconds;
+  EXPECT_GT(t2, t1);
   EXPECT_LT(t2, t1 * 2.1);
-  EXPECT_GT(t4, t2 * 1.5);
+  EXPECT_NEAR(t4 - t2, 2 * (t2 - t1), 1e-9 * t4);
 }
 
 TEST(GroupSim, NizkCostsAFewTimesTrap) {
