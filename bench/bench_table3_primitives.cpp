@@ -10,7 +10,8 @@
 // small rep counts) and writes BENCH_bench_table3_primitives.json for CI
 // artifact upload; the full google-benchmark table is skipped. Exits 1 when
 // the dedicated field Mul is less than kFieldMulGate times faster than the
-// generic Mont oracle.
+// generic Mont oracle, or when batch-verifying 24 ReEncProofs costs no less
+// per proof than verifying one claim at a time.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -354,6 +355,107 @@ void MeasureHotPath(BenchJson& json, bool smoke) {
   }
 }
 
+// Batched proof verification: ReEnc verify per proof for one claim at a
+// time and for batches of 24 and 96 claims (one BaseMul + one MSM per
+// batch), and VerifyShuffle at (n, l) = (8, 3) and (64, 3). Every row
+// alternates with the others for `rounds` rounds and keeps its fastest.
+// Returns false when a batch of 24 is not cheaper per proof than one claim.
+bool MeasureProofVerify(BenchJson& json, bool smoke) {
+  Rng rng(uint64_t{0x7ab1e5});
+  const auto server = ElGamalKeyGen(rng);
+  const auto next = ElGamalKeyGen(rng);
+  const Point m = *EmbedMessage(BytesView(ToBytes("dial")));
+  constexpr size_t kMaxClaims = 96;
+  std::vector<ElGamalCiphertext> ins, outs;
+  std::vector<ReEncProof> proofs;
+  for (size_t i = 0; i < kMaxClaims; i++) {
+    Scalar rewrap;
+    ins.push_back(ElGamalEncrypt(server.pk, m, rng));
+    outs.push_back(ElGamalReEnc(server.sk, &next.pk, ins.back(), rng, &rewrap));
+    proofs.push_back(MakeReEncProof(server.sk, server.pk, &next.pk,
+                                    ins.back(), outs.back(), rewrap, rng));
+  }
+  std::vector<ReEncClaim> claims;
+  for (size_t i = 0; i < kMaxClaims; i++) {
+    claims.push_back(ReEncClaim{&next.pk, ins[i], outs[i], proofs[i]});
+  }
+
+  struct ShuffleCase {
+    size_t n, l;
+    CiphertextBatch input;
+    ShuffleResult result;
+  };
+  std::vector<ShuffleCase> shuffles;
+  for (size_t n : {8u, 64u}) {
+    ShuffleCase sc{n, 3, CiphertextBatch(n), {}};
+    for (auto& vec : sc.input) {
+      for (size_t c = 0; c < sc.l; c++) {
+        vec.push_back(ElGamalEncrypt(server.pk, m, rng));
+      }
+    }
+    sc.result = ShuffleAndProve(server.pk, sc.input, rng);
+    shuffles.push_back(std::move(sc));
+  }
+
+  constexpr size_t kSingles = 24;
+  const size_t batch_sizes[] = {24, kMaxClaims};
+  double single_us = 1e30;
+  double batch_us[2] = {1e30, 1e30};
+  std::vector<double> shuffle_ms(shuffles.size(), 1e30);
+  const int rounds = smoke ? 3 : 7;
+  for (int round = 0; round < rounds; round++) {
+    auto t0 = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < kSingles; i++) {
+      ATOM_CHECK(VerifyReEncProof(server.pk, &next.pk, ins[i], outs[i],
+                                  proofs[i]));
+    }
+    single_us = std::min(single_us, 1e6 * SecondsSince(t0) / kSingles);
+    for (size_t b = 0; b < 2; b++) {
+      t0 = std::chrono::steady_clock::now();
+      ATOM_CHECK(VerifyReEncProofBatch(
+          server.pk, std::span(claims).first(batch_sizes[b])));
+      batch_us[b] = std::min(
+          batch_us[b],
+          1e6 * SecondsSince(t0) / static_cast<double>(batch_sizes[b]));
+    }
+    for (size_t k = 0; k < shuffles.size(); k++) {
+      const ShuffleCase& sc = shuffles[k];
+      t0 = std::chrono::steady_clock::now();
+      ATOM_CHECK(VerifyShuffle(server.pk, sc.input, sc.result.output,
+                               sc.result.proof));
+      shuffle_ms[k] = std::min(shuffle_ms[k], 1e3 * SecondsSince(t0));
+    }
+  }
+
+  std::printf("reenc verify: 1 claim %.0f us/proof", single_us);
+  size_t row = json.Row();
+  json.RowNum(row, "reenc_verify_claims", 1);
+  json.RowNum(row, "us_per_proof", single_us);
+  for (size_t b = 0; b < 2; b++) {
+    std::printf(", batch %zu %.0f us/proof", batch_sizes[b], batch_us[b]);
+    row = json.Row();
+    json.RowNum(row, "reenc_verify_claims",
+                static_cast<double>(batch_sizes[b]));
+    json.RowNum(row, "us_per_proof", batch_us[b]);
+  }
+  std::printf("\n");
+  for (size_t k = 0; k < shuffles.size(); k++) {
+    std::printf("shuffle verify n=%zu l=%zu: %.2f ms\n", shuffles[k].n,
+                shuffles[k].l, shuffle_ms[k]);
+    row = json.Row();
+    json.RowNum(row, "shuffle_verify_n", static_cast<double>(shuffles[k].n));
+    json.RowNum(row, "shuffle_verify_l", static_cast<double>(shuffles[k].l));
+    json.RowNum(row, "ms", shuffle_ms[k]);
+  }
+  const bool ok = batch_us[0] < single_us;
+  if (!ok) {
+    std::printf("FAIL: batch-24 ReEnc verify %.0f us/proof is not below the "
+                "one-claim %.0f us\n",
+                batch_us[0], single_us);
+  }
+  return ok;
+}
+
 }  // namespace
 }  // namespace atom
 
@@ -378,6 +480,7 @@ int main(int argc, char** argv) {
     json.Bool("smoke", smoke);
     ok = MeasureField(json, smoke);
     MeasureHotPath(json, smoke);
+    ok = MeasureProofVerify(json, smoke) && ok;
   }  // write the JSON before the (skippable) google-benchmark table
   if (!smoke) {
     int bench_argc = static_cast<int>(bench_argv.size());

@@ -347,10 +347,14 @@ void RoundEngine::ExecuteHop(const std::shared_ptr<RoundState>& rs,
   std::vector<CiphertextBatch> out(last ? 1 : neighbors.size());
 
   if (!rs->aborted.load(std::memory_order_acquire) && !input.empty()) {
+    // Every neighbour runtime already owns the table for its key.
     std::vector<Point> next_pks;
+    std::vector<std::shared_ptr<const FixedBaseTable>> next_tables;
     next_pks.reserve(neighbors.size());
+    next_tables.reserve(neighbors.size());
     for (uint32_t n : neighbors) {
       next_pks.push_back(spec.groups[n]->pk());
+      next_tables.push_back(spec.groups[n]->shared_pk_table());
     }
     // This hop's private DRBG: the round's root key, separated by hop
     // index (independent full-entropy streams, replayable from the spec).
@@ -360,7 +364,8 @@ void RoundEngine::ExecuteHop(const std::shared_ptr<RoundState>& rs,
     HopResult hop;
     try {
       hop = spec.groups[gid]->RunHop(input, next_pks, spec.variant, rng,
-                                     spec.hop_workers, node.fault);
+                                     spec.hop_workers, node.fault,
+                                     next_tables);
     } catch (const std::exception& e) {
       // A throwing hop (e.g. bad_alloc) must not escape into the pool's
       // worker loop: convert it into an abort of this round only.

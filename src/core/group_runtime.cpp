@@ -53,7 +53,10 @@ void GroupRuntime::Restore(const DkgServerKey& key) {
 HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
                                std::span<const Point> next_pks,
                                Variant variant, Rng& rng, size_t workers,
-                               const MaliciousAction* evil) const {
+                               const MaliciousAction* evil,
+                               std::span<std::shared_ptr<const FixedBaseTable>>
+                                   next_tables) const {
+  ATOM_CHECK(next_tables.empty() || next_tables.size() == next_pks.size());
   HopResult result;
   result.stats.messages = input.size();
 
@@ -133,13 +136,20 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
 
   // ---- Phase 3: decrypt-and-reencrypt chain (step 3).
   // Each neighbour key is the rewrap base for its whole sub-batch on every
-  // participating server, so precompute one table per neighbour when the
-  // reuse count amortizes the build (~16 multiplications; see shuffle.cpp).
+  // participating server (and for its proofs), so use a table per
+  // neighbour: the caller's, or one built here when the reuse count
+  // amortizes the build (~16 multiplications; see shuffle.cpp).
   const size_t components = input.empty() ? 0 : input[0].size();
-  std::vector<std::unique_ptr<FixedBaseTable>> next_tables(next_pks.size());
+  std::vector<std::shared_ptr<const FixedBaseTable>> tables(next_pks.size());
   for (size_t b = 0; b < next_pks.size(); b++) {
-    if (batches[b].size() * components * subset.size() >= 16) {
-      next_tables[b] = std::make_unique<FixedBaseTable>(next_pks[b]);
+    if (!next_tables.empty() && next_tables[b] != nullptr) {
+      ATOM_CHECK(next_tables[b]->base() == next_pks[b]);
+      tables[b] = next_tables[b];
+    } else if (batches[b].size() * components * subset.size() >= 16) {
+      tables[b] = std::make_shared<const FixedBaseTable>(next_pks[b]);
+      if (!next_tables.empty()) {
+        next_tables[b] = tables[b];
+      }
     }
   }
   for (size_t si = 0; si < subset.size(); si++) {
@@ -148,11 +158,16 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
     Point weighted_pub = WeightedSharePublic(dkg_.pub, s, subset);
     bool last_server = (si + 1 == subset.size());
 
+    // This server's outputs for every sub-batch, and (NIZK) its proofs in
+    // (sub-batch, message, component) order.
+    std::vector<CiphertextBatch> outs(beta);
+    std::vector<ReEncProof> proofs;
     for (size_t b = 0; b < beta; b++) {
       const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
       const FixedBaseTable* next_table =
-          next_pks.empty() ? nullptr : next_tables[b].get();
-      CiphertextBatch& sub = batches[b];
+          next_pks.empty() ? nullptr : tables[b].get();
+      const CiphertextBatch& sub = batches[b];
+      CiphertextBatch& out = outs[b];
 
       // Pre-draw randomness serially, then reencrypt in parallel.
       auto t0 = Clock::now();
@@ -164,7 +179,7 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
           draws[m][c] = Scalar::Random(rng);
         }
       }
-      CiphertextBatch out(sub.size());
+      out.resize(sub.size());
       ParallelFor(workers, sub.size(), [&](size_t m) {
         out[m].resize(sub[m].size());
         rewrap[m].resize(sub[m].size());
@@ -196,35 +211,54 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
       }
 
       if (variant == Variant::kNizk) {
-        // Prove and verify every component's reencryption.
+        // Prove every component's reencryption; the Rng order (sub-batch by
+        // sub-batch, rewrap draws before proofs) fixes the seeded output.
         auto t2 = Clock::now();
-        bool ok = true;
-        for (size_t m = 0; m < sub.size() && ok; m++) {
-          for (size_t c = 0; c < sub[m].size() && ok; c++) {
-            ReEncProof proof =
-                MakeReEncProof(weighted, weighted_pub, next, sub[m][c],
-                               out[m][c], rewrap[m][c], rng);
-            ok = VerifyReEncProof(weighted_pub, next, sub[m][c], out[m][c],
-                                  proof);
+        for (size_t m = 0; m < sub.size(); m++) {
+          for (size_t c = 0; c < sub[m].size(); c++) {
+            proofs.push_back(MakeReEncProof(weighted, weighted_pub, next,
+                                            sub[m][c], out[m][c],
+                                            rewrap[m][c], rng, next_table));
           }
         }
         result.stats.verify_seconds += SecondsSince(t2);
-        if (!ok) {
-          result.aborted = true;
-          result.abort_reason = "reencryption proof rejected (server " +
-                                std::to_string(s) + ")";
-          return result;
+      }
+    }
+
+    if (variant == Variant::kNizk) {
+      // Check this server's step across all sub-batches in one batch test.
+      auto t3 = Clock::now();
+      std::vector<ReEncClaim> claims;
+      claims.reserve(proofs.size());
+      size_t k = 0;
+      for (size_t b = 0; b < beta; b++) {
+        const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
+        for (size_t m = 0; m < batches[b].size(); m++) {
+          for (size_t c = 0; c < batches[b][m].size(); c++) {
+            claims.push_back(ReEncClaim{next, batches[b][m][c],
+                                        outs[b][m][c], proofs[k++]});
+          }
         }
       }
+      bool ok = VerifyReEncProofBatch(weighted_pub, claims);
+      result.stats.verify_seconds += SecondsSince(t3);
+      if (!ok) {
+        result.aborted = true;
+        result.abort_reason = "reencryption proof rejected (server " +
+                              std::to_string(s) + ")";
+        return result;
+      }
+    }
 
+    for (size_t b = 0; b < beta; b++) {
       if (last_server) {
-        for (auto& vec : out) {
+        for (auto& vec : outs[b]) {
           for (auto& ct : vec) {
             ct = ElGamalFinalizeHop(ct);
           }
         }
       }
-      sub = std::move(out);
+      batches[b] = std::move(outs[b]);
     }
   }
 

@@ -77,6 +77,9 @@ class GroupRuntime {
   // every shuffle/rerandomization this group performs (and by the engine
   // when it encrypts dummy padding under this group's key).
   const FixedBaseTable& pk_table() const { return *pk_table_; }
+  const std::shared_ptr<const FixedBaseTable>& shared_pk_table() const {
+    return pk_table_;
+  }
   const DkgResult& dkg() const { return dkg_; }
 
   // Marks a server (1-based) as failed; it will not participate. Fails the
@@ -90,10 +93,18 @@ class GroupRuntime {
   // Runs one hop. `next_pks` holds the β neighbour group keys; empty means
   // exit layer (final decryption). `workers` bounds intra-server
   // parallelism. `evil` optionally injects one malicious action.
-  HopResult RunHop(const CiphertextBatch& input,
-                   std::span<const Point> next_pks, Variant variant, Rng& rng,
-                   size_t workers = 1,
-                   const MaliciousAction* evil = nullptr) const;
+  // `next_tables`, when non-empty, is parallel to `next_pks` and lets a
+  // caller running many hops toward the same neighbours share their rewrap
+  // tables: a non-null entry is used as the table for that neighbour key,
+  // and into a null entry the hop stores the table it builds when the
+  // reuse amortizes one, for the caller to pass again. The output does not
+  // depend on which table is used.
+  HopResult RunHop(
+      const CiphertextBatch& input, std::span<const Point> next_pks,
+      Variant variant, Rng& rng, size_t workers = 1,
+      const MaliciousAction* evil = nullptr,
+      std::span<std::shared_ptr<const FixedBaseTable>> next_tables = {})
+      const;
 
  private:
   uint32_t gid_;

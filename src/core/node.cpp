@@ -138,27 +138,29 @@ std::vector<Envelope> AtomNode::HandleReEnc(const NodeMsg& msg,
                        AbortMsg(msg.gid, "final shuffle proof rejected")}};
     }
   }
-  // Check the previous server's reencryption proofs.
+  // Check the previous server's reencryption proofs, all in one batch.
   if (variant_ == Variant::kNizk && !msg.reenc_proofs.empty()) {
     Point prev_pub = WeightedSharePublic(
         keys.pub, keys.subset[msg.prev_pos], keys.subset);
-    size_t proof_idx = 0;
+    std::vector<ReEncClaim> claims;
+    claims.reserve(msg.reenc_proofs.size());
     for (size_t b = 0; b < msg.subs.size(); b++) {
       const Point* next =
           msg.next_pks.empty() ? nullptr : &msg.next_pks[b];
       for (size_t m = 0; m < msg.subs[b].size(); m++) {
         for (size_t c = 0; c < msg.subs[b][m].size(); c++) {
-          ATOM_CHECK(proof_idx < msg.reenc_proofs.size());
-          if (!VerifyReEncProof(prev_pub, next, msg.prev_subs[b][m][c],
-                                msg.subs[b][m][c],
-                                msg.reenc_proofs[proof_idx++])) {
-            return {Envelope{
-                server_id_,
-                AbortMsg(msg.gid, "reencryption proof rejected at pos " +
-                                      std::to_string(msg.chain_pos))}};
-          }
+          ATOM_CHECK(claims.size() < msg.reenc_proofs.size());
+          claims.push_back(ReEncClaim{next, msg.prev_subs[b][m][c],
+                                      msg.subs[b][m][c],
+                                      msg.reenc_proofs[claims.size()]});
         }
       }
+    }
+    if (!VerifyReEncProofBatch(prev_pub, claims)) {
+      return {Envelope{
+          server_id_,
+          AbortMsg(msg.gid, "reencryption proof rejected at pos " +
+                                std::to_string(msg.chain_pos))}};
     }
   }
 
@@ -196,7 +198,8 @@ std::vector<Envelope> AtomNode::HandleReEnc(const NodeMsg& msg,
         if (variant_ == Variant::kNizk) {
           out.reenc_proofs.push_back(
               MakeReEncProof(weighted, weighted_pub, next,
-                             msg.subs[b][m][c], next_ct, rewrap, rng));
+                             msg.subs[b][m][c], next_ct, rewrap, rng,
+                             next_table.get()));
         }
         if (last) {
           next_ct = ElGamalFinalizeHop(next_ct);

@@ -1,6 +1,5 @@
 #include "src/crypto/shuffle.h"
 
-#include <atomic>
 #include <mutex>
 
 #include "src/crypto/transcript.h"
@@ -536,82 +535,95 @@ bool VerifyShuffle(const Point& pk, const CiphertextBatch& input,
   }
   Scalar challenge = transcript.ChallengeScalar("c");
 
-  // REL1: Σc[j] - ΣH[i] = r̄·G.
-  Point c_bar = Point::Infinity();
-  for (size_t j = 0; j < n; j++) {
-    c_bar = c_bar + proof.perm_commit[j];
+  // Batch weights, one per equation, from the transcript continued over
+  // every response: a prover who could predict them could cancel an error
+  // in one equation against an error in another.
+  transcript.AppendScalar("s1", proof.s1);
+  transcript.AppendScalar("s2", proof.s2);
+  transcript.AppendScalar("s3", proof.s3);
+  for (const auto* responses : {&proof.s4, &proof.s_hat, &proof.s_prime}) {
+    for (const Scalar& s : *responses) {
+      transcript.AppendScalar("s", s);
+    }
   }
-  for (size_t i = 0; i < n; i++) {
-    c_bar = c_bar - hs[i];
-  }
-  if (!(Point::BaseMul(proof.s1) == proof.t1 + c_bar.Mul(challenge))) {
-    return false;
-  }
+  auto seed = transcript.ChallengeBytes("batch-weights");
+  Rng stream{BytesView(seed.data(), seed.size())};
+  auto draw = [&stream](size_t count) {
+    std::vector<Scalar> w(count);
+    for (Scalar& x : w) {
+      x = Scalar::Random(stream);
+    }
+    return w;
+  };
+  const Scalar w1 = Scalar::Random(stream);
+  const Scalar w2 = Scalar::Random(stream);
+  const Scalar w3 = Scalar::Random(stream);
+  const std::vector<Scalar> w4a = draw(l), w4b = draw(l), w_hat = draw(n);
 
-  // REL2: ĉ[n-1] - (Πu[j])·H = r̂·G.
+  // The equations, G terms on the left (H = chain base, ĉ[-1] = H):
+  //   REL1   s1·G = t1 + c·Σc[j] - c·ΣH[i]
+  //   REL2   s2·G = t2 + c·ĉ[n-1] - (c·Πu[j])·H
+  //   REL3   s3·G = t3 + c·Σu[j]·c[j] - Σs'[i]·H[i]
+  //   REL4a -s4·G = t4a + c·Σu[j]·e[j].r - Σs'[i]·ẽ[i].r   (per component)
+  //   REL4b    0  = t4b + c·Σu[j]·e[j].c - Σs'[i]·ẽ[i].c + s4·pk
+  //   chain ŝ[i]·G = t̂[i] + c·ĉ[i] - s'[i]·ĉ[i-1]
+  // Their weighted sum is one BaseMul against one MSM over
+  // 4n + 4ln + 2l + 5 points.
+  Scalar g_scalar = w1 * proof.s1 + w2 * proof.s2 + w3 * proof.s3;
+  Scalar pk_scalar = Scalar::Zero();
+  for (size_t c = 0; c < l; c++) {
+    g_scalar = g_scalar - w4a[c] * proof.s4[c];
+    pk_scalar = pk_scalar + w4b[c] * proof.s4[c];
+  }
   Scalar u_product = Scalar::One();
+  std::vector<Scalar> cu(n);  // c·u[j]
   for (size_t j = 0; j < n; j++) {
     u_product = u_product * u[j];
-  }
-  Point c_hat = proof.chain_commit[n - 1] - chain_base.Mul(u_product);
-  if (!(Point::BaseMul(proof.s2) == proof.t2 + c_hat.Mul(challenge))) {
-    return false;
+    cu[j] = challenge * u[j];
   }
 
-  // REL3: Σu[j]·c[j] = r~·G + Σu'[i]·H[i], checked as
-  //   s3·G + Σ s'[i]·H[i] == t3 + c·c~.
-  Point c_tilde = ParallelMsm(proof.perm_commit, u, workers);
-  Point lhs3 = Point::BaseMul(proof.s3) + ParallelMsm(hs, proof.s_prime,
-                                                      workers);
-  if (!(lhs3 == proof.t3 + c_tilde.Mul(challenge))) {
-    return false;
+  const size_t total = 4 * n + 4 * l * n + 2 * l + 5;
+  std::vector<Point> points;
+  std::vector<Scalar> scalars;
+  points.reserve(total);
+  scalars.reserve(total);
+  auto add = [&](const Point& p, const Scalar& s) {
+    points.push_back(p);
+    scalars.push_back(s);
+  };
+  add(proof.t1, w1);
+  add(proof.t2, w2);
+  add(proof.t3, w3);
+  add(chain_base, (w2 * challenge * u_product + w_hat[0] * proof.s_prime[0])
+                      .Neg());
+  add(pk, pk_scalar);
+  for (size_t c = 0; c < l; c++) {
+    add(proof.t4a[c], w4a[c]);
+    add(proof.t4b[c], w4b[c]);
   }
-
-  // REL4 per component: Σ s'[i]·ẽ[i] - s4·(G|pk) == t4 + c·(Σ u[j]·e[j]).
-  {
-    std::vector<Point> col(n);
-    for (size_t c = 0; c < l; c++) {
-      for (size_t i = 0; i < n; i++) {
-        col[i] = input[i][c].r;
-      }
-      Point e_bar_a = ParallelMsm(col, u, workers);
-      for (size_t i = 0; i < n; i++) {
-        col[i] = output[i][c].r;
-      }
-      Point lhs_a =
-          ParallelMsm(col, proof.s_prime, workers) - Point::BaseMul(proof.s4[c]);
-      if (!(lhs_a == proof.t4a[c] + e_bar_a.Mul(challenge))) {
-        return false;
-      }
-      for (size_t i = 0; i < n; i++) {
-        col[i] = input[i][c].c;
-      }
-      Point e_bar_b = ParallelMsm(col, u, workers);
-      for (size_t i = 0; i < n; i++) {
-        col[i] = output[i][c].c;
-      }
-      Point lhs_b =
-          ParallelMsm(col, proof.s_prime, workers) - pk.Mul(proof.s4[c]);
-      if (!(lhs_b == proof.t4b[c] + e_bar_b.Mul(challenge))) {
-        return false;
-      }
+  const Scalar w1c = w1 * challenge;
+  for (size_t i = 0; i < n; i++) {
+    g_scalar = g_scalar + w_hat[i] * proof.s_hat[i];
+    add(proof.perm_commit[i], w1c + w3 * cu[i]);
+    add(hs[i], (w1c + w3 * proof.s_prime[i]).Neg());
+    add(proof.t_hat[i], w_hat[i]);
+    Scalar chain_scalar = w_hat[i] * challenge;
+    if (i + 1 < n) {
+      chain_scalar = chain_scalar - w_hat[i + 1] * proof.s_prime[i + 1];
+    } else {
+      chain_scalar = chain_scalar + w2 * challenge;
+    }
+    add(proof.chain_commit[i], chain_scalar);
+  }
+  for (size_t c = 0; c < l; c++) {
+    for (size_t i = 0; i < n; i++) {
+      add(input[i][c].r, w4a[c] * cu[i]);
+      add(input[i][c].c, w4b[c] * cu[i]);
+      add(output[i][c].r, (w4a[c] * proof.s_prime[i]).Neg());
+      add(output[i][c].c, (w4b[c] * proof.s_prime[i]).Neg());
     }
   }
-
-  // Chain steps: ŝ[i]·G + s'[i]·ĉ[i-1] == t̂[i] + c·ĉ[i].
-  std::atomic<bool> chain_ok{true};
-  ParallelFor(workers, n, [&](size_t i) {
-    if (!chain_ok.load(std::memory_order_relaxed)) {
-      return;
-    }
-    const Point& link = (i == 0) ? chain_base : proof.chain_commit[i - 1];
-    Point lhs = Point::BaseMul(proof.s_hat[i]) + link.Mul(proof.s_prime[i]);
-    Point rhs = proof.t_hat[i] + proof.chain_commit[i].Mul(challenge);
-    if (!(lhs == rhs)) {
-      chain_ok.store(false, std::memory_order_relaxed);
-    }
-  });
-  return chain_ok.load();
+  return Point::BaseMul(g_scalar) == ParallelMsm(points, scalars, workers);
 }
 
 }  // namespace atom

@@ -94,6 +94,9 @@ ShuffleResult ShuffleAndProve(const FixedBaseTable& pk,
                               size_t workers = 1);
 
 // Verifies that `output` is a permuted rerandomization of `input` under pk.
+// The four sigma relations and the n chain-step equations are folded with
+// weights hashed from the transcript over every response into one BaseMul
+// plus one MSM over 4n + 4ln + 2l + 5 points; `workers` splits that MSM.
 bool VerifyShuffle(const Point& pk, const CiphertextBatch& input,
                    const CiphertextBatch& output, const ShuffleProof& proof,
                    size_t workers = 1);

@@ -29,23 +29,34 @@ ElGamalCiphertext NormalizeInput(const ElGamalCiphertext& input) {
   return in;
 }
 
-Scalar ReEncChallenge(const Point& server_pk, const Point* next_pk,
-                      const ElGamalCiphertext& in,
-                      const ElGamalCiphertext& out, const Point& a1,
-                      const Point& a2, const Point& a3) {
+// The points a ReEnc challenge hashes, in transcript order.
+constexpr size_t kReEncTranscriptPoints = 11;
+
+void AppendReEncTranscriptPoints(const Point& server_pk, const Point* next_pk,
+                                 const ElGamalCiphertext& in,
+                                 const ElGamalCiphertext& out, const Point& a1,
+                                 const Point& a2, const Point& a3,
+                                 std::vector<Point>* dst) {
+  dst->insert(dst->end(),
+              {server_pk, next_pk != nullptr ? *next_pk : Point::Infinity(),
+               in.r, in.c, in.y, out.r, out.c, out.y, a1, a2, a3});
+}
+
+// `encoded` holds the kReEncTranscriptPoints encodings in the order above
+// (from one EncodePoints call, so the whole batch pays one inversion); the
+// transcript bytes are those of appending each point on its own.
+Scalar ReEncChallenge(BytesView encoded, bool has_next) {
+  static constexpr std::string_view kLabels[kReEncTranscriptPoints] = {
+      "server_pk", "next_pk", "in.r", "in.c", "in.y", "out.r",
+      "out.c",     "out.y",   "a1",   "a2",   "a3"};
   Transcript t("atom/reenc-proof/v1");
-  t.AppendPoint("server_pk", server_pk);
-  t.AppendPoint("next_pk", next_pk != nullptr ? *next_pk : Point::Infinity());
-  t.AppendU64("has_next", next_pk != nullptr ? 1 : 0);
-  t.AppendPoint("in.r", in.r);
-  t.AppendPoint("in.c", in.c);
-  t.AppendPoint("in.y", in.y);
-  t.AppendPoint("out.r", out.r);
-  t.AppendPoint("out.c", out.c);
-  t.AppendPoint("out.y", out.y);
-  t.AppendPoint("a1", a1);
-  t.AppendPoint("a2", a2);
-  t.AppendPoint("a3", a3);
+  for (size_t i = 0; i < kReEncTranscriptPoints; i++) {
+    t.AppendBytes(kLabels[i], encoded.subspan(i * Point::kEncodedSize,
+                                              Point::kEncodedSize));
+    if (i == 1) {
+      t.AppendU64("has_next", has_next ? 1 : 0);
+    }
+  }
   return t.ChallengeScalar("e");
 }
 
@@ -210,7 +221,10 @@ std::optional<ReEncProof> ReEncProof::Decode(BytesView bytes) {
 ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
                           const Point* next_pk, const ElGamalCiphertext& input,
                           const ElGamalCiphertext& output,
-                          const Scalar& rewrap_randomness, Rng& rng) {
+                          const Scalar& rewrap_randomness, Rng& rng,
+                          const FixedBaseTable* next_table) {
+  ATOM_CHECK(next_table == nullptr ||
+             (next_pk != nullptr && next_table->base() == *next_pk));
   ElGamalCiphertext in = NormalizeInput(input);
 
   Scalar kx = Scalar::Random(rng);
@@ -222,45 +236,122 @@ ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
   // a3 commits to the c-relation: -kx*Y (+ kr*next_pk).
   proof.a3 = in.y.Mul(kx).Neg();
   if (next_pk != nullptr) {
-    proof.a3 = proof.a3 + next_pk->Mul(kr);
+    proof.a3 = proof.a3 + (next_table != nullptr ? next_table->Mul(kr)
+                                                 : next_pk->Mul(kr));
   }
 
-  Scalar e = ReEncChallenge(server_pk, next_pk, in, output, proof.a1,
-                            proof.a2, proof.a3);
+  std::vector<Point> transcript_points;
+  transcript_points.reserve(kReEncTranscriptPoints);
+  AppendReEncTranscriptPoints(server_pk, next_pk, in, output, proof.a1,
+                              proof.a2, proof.a3, &transcript_points);
+  Scalar e = ReEncChallenge(BytesView(EncodePoints(transcript_points)),
+                            next_pk != nullptr);
   proof.zx = kx + e * server_sk;
   proof.zr = kr + e * rewrap_randomness;
   return proof;
+}
+
+bool VerifyReEncProofBatch(const Point& server_pk,
+                           std::span<const ReEncClaim> claims) {
+  const size_t n = claims.size();
+  if (n == 0) {
+    return true;
+  }
+  std::vector<ElGamalCiphertext> ins;
+  ins.reserve(n);
+  Bytes encoded;
+  {
+    std::vector<Point> transcript_points;
+    transcript_points.reserve(kReEncTranscriptPoints * n);
+    for (const ReEncClaim& claim : claims) {
+      ins.push_back(NormalizeInput(claim.input));
+      // The hop's Y must carry through unchanged.
+      if (!(claim.output.y == ins.back().y)) {
+        return false;
+      }
+      AppendReEncTranscriptPoints(server_pk, claim.next_pk, ins.back(),
+                                  claim.output, claim.proof.a1,
+                                  claim.proof.a2, claim.proof.a3,
+                                  &transcript_points);
+    }
+    encoded = EncodePoints(transcript_points);
+  }  // frees the point copies before the MSM inputs are built
+  constexpr size_t kClaimBytes = kReEncTranscriptPoints * Point::kEncodedSize;
+
+  // Batch weights hash every challenge (which binds its claim's statement
+  // and commitments) and every response. A prover who could predict the
+  // weights could offset an error in one relation by one in another.
+  std::vector<Scalar> challenges(n);
+  Transcript t("atom/reenc-proof-batch/v1");
+  t.AppendU64("n", n);
+  for (size_t i = 0; i < n; i++) {
+    challenges[i] =
+        ReEncChallenge(BytesView(encoded).subspan(i * kClaimBytes, kClaimBytes),
+                       claims[i].next_pk != nullptr);
+    t.AppendScalar("e", challenges[i]);
+    t.AppendScalar("zx", claims[i].proof.zx);
+    t.AppendScalar("zr", claims[i].proof.zr);
+  }
+  auto seed = t.ChallengeBytes("weights");
+  Rng stream{BytesView(seed.data(), seed.size())};
+
+  // Claim i's relations, G terms on the left (X = server_pk, Y = in.y,
+  // N = next_pk, absent at the exit layer):
+  //   zx·G = a1 + e·X
+  //   zr·G = a2 + e·(out.r - in.r)
+  //   0    = a3 + e·(out.c - in.c) + zx·Y - zr·N
+  // weighted by (α, β, γ) and summed over all claims. X and each distinct
+  // N enter the MSM once with their summed coefficients.
+  Scalar g_scalar = Scalar::Zero();
+  Scalar x_scalar = Scalar::Zero();
+  std::vector<const Point*> next_keys;
+  std::vector<Scalar> next_scalars;
+  std::vector<Point> points;
+  std::vector<Scalar> scalars;
+  points.reserve(6 * n + 2);
+  scalars.reserve(6 * n + 2);
+  for (size_t i = 0; i < n; i++) {
+    const ReEncClaim& claim = claims[i];
+    const ReEncProof& proof = claim.proof;
+    const Scalar& e = challenges[i];
+    Scalar alpha = Scalar::Random(stream);
+    Scalar beta = Scalar::Random(stream);
+    Scalar gamma = Scalar::Random(stream);
+    g_scalar = g_scalar + alpha * proof.zx + beta * proof.zr;
+    x_scalar = x_scalar + alpha * e;
+    points.insert(points.end(), {proof.a1, proof.a2, proof.a3,
+                                 claim.output.r - ins[i].r,
+                                 claim.output.c - ins[i].c, ins[i].y});
+    scalars.insert(scalars.end(),
+                   {alpha, beta, gamma, beta * e, gamma * e, gamma * proof.zx});
+    if (claim.next_pk != nullptr) {
+      size_t k = 0;
+      while (k < next_keys.size() && next_keys[k] != claim.next_pk &&
+             !(*next_keys[k] == *claim.next_pk)) {
+        k++;
+      }
+      if (k == next_keys.size()) {
+        next_keys.push_back(claim.next_pk);
+        next_scalars.push_back(Scalar::Zero());
+      }
+      next_scalars[k] = next_scalars[k] - gamma * proof.zr;
+    }
+  }
+  points.push_back(server_pk);
+  scalars.push_back(x_scalar);
+  for (size_t k = 0; k < next_keys.size(); k++) {
+    points.push_back(*next_keys[k]);
+    scalars.push_back(next_scalars[k]);
+  }
+  return Point::BaseMul(g_scalar) == MultiScalarMul(points, scalars);
 }
 
 bool VerifyReEncProof(const Point& server_pk, const Point* next_pk,
                       const ElGamalCiphertext& input,
                       const ElGamalCiphertext& output,
                       const ReEncProof& proof) {
-  ElGamalCiphertext in = NormalizeInput(input);
-  // The hop's Y must carry through unchanged.
-  if (!(output.y == in.y)) {
-    return false;
-  }
-
-  Scalar e = ReEncChallenge(server_pk, next_pk, in, output, proof.a1,
-                            proof.a2, proof.a3);
-
-  // Relation 1: zx*G == a1 + e*server_pk.
-  if (!(Point::BaseMul(proof.zx) == proof.a1 + server_pk.Mul(e))) {
-    return false;
-  }
-  // Relation 2: zr*G == a2 + e*(out.r - in.r).
-  Point dr = output.r - in.r;
-  if (!(Point::BaseMul(proof.zr) == proof.a2 + dr.Mul(e))) {
-    return false;
-  }
-  // Relation 3: -zx*Y (+ zr*next_pk) == a3 + e*(out.c - in.c).
-  Point lhs = in.y.Mul(proof.zx).Neg();
-  if (next_pk != nullptr) {
-    lhs = lhs + next_pk->Mul(proof.zr);
-  }
-  Point dc = output.c - in.c;
-  return lhs == proof.a3 + dc.Mul(e);
+  const ReEncClaim claim{next_pk, input, output, proof};
+  return VerifyReEncProofBatch(server_pk, std::span(&claim, 1));
 }
 
 }  // namespace atom

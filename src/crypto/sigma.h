@@ -13,6 +13,12 @@
 //
 // Proofs are non-malleable in the usual Fiat-Shamir sense: the full
 // statement (keys, ciphertexts, context) is hashed into the challenge.
+//
+// Verification folds equations with the small-exponent random-linear-
+// combination test (Bellare-Garay-Rabin): one BaseMul plus one Pippenger
+// MSM per batch. ReEncProofs are only ever verified in batches
+// (VerifyReEncProof is the one-claim batch); EncProofs switch to the batch
+// test from 8 proofs up. Proving stays per proof.
 #ifndef SRC_CRYPTO_SIGMA_H_
 #define SRC_CRYPTO_SIGMA_H_
 
@@ -83,11 +89,32 @@ struct ReEncProof {
 
 // `input` is the ciphertext as received (Y possibly ⊥); the Y normalization
 // (Y ← R, R ← identity) is recomputed by both prover and verifier.
+// `next_table`, when given, must be next_pk's FixedBaseTable; it replaces
+// the one variable-base multiplication by next_pk (same output bytes).
 ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
                           const Point* next_pk, const ElGamalCiphertext& input,
                           const ElGamalCiphertext& output,
-                          const Scalar& rewrap_randomness, Rng& rng);
+                          const Scalar& rewrap_randomness, Rng& rng,
+                          const FixedBaseTable* next_table = nullptr);
 
+// One ReEnc statement and its proof. The claim refers to its parts; they
+// must outlive the verification call.
+struct ReEncClaim {
+  const Point* next_pk;  // nullptr at the exit layer
+  const ElGamalCiphertext& input;   // as received (Y possibly ⊥)
+  const ElGamalCiphertext& output;
+  const ReEncProof& proof;
+};
+
+// Verifies every claim against one server key. Each claim's Y must carry
+// through unchanged (checked per claim); the three relations of all claims
+// are then folded with weights hashed from every challenge and response
+// into one BaseMul plus one MSM over 6n + (distinct next_pks) + 1 points.
+// Accepts the empty batch. A false result blames the batch, not a claim.
+bool VerifyReEncProofBatch(const Point& server_pk,
+                           std::span<const ReEncClaim> claims);
+
+// The one-claim batch.
 bool VerifyReEncProof(const Point& server_pk, const Point* next_pk,
                       const ElGamalCiphertext& input,
                       const ElGamalCiphertext& output,

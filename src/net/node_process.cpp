@@ -436,11 +436,31 @@ void NodeProcess::ProcessHop(const std::shared_ptr<RoundCtx>& ctx,
     for (uint32_t n : neighbors) {
       next_pks.push_back(spec.group_pks[n]);
     }
+    std::vector<std::shared_ptr<const FixedBaseTable>> next_tables(
+        neighbors.size());
+    {
+      std::lock_guard<std::mutex> lock(tables_mu_);
+      for (size_t b = 0; b < neighbors.size(); b++) {
+        auto it = neighbour_tables_.find(neighbors[b]);
+        if (it != neighbour_tables_.end() &&
+            it->second->base() == next_pks[b]) {
+          next_tables[b] = it->second;
+        }
+      }
+    }
     std::array<uint8_t, 32> key = DeriveSubKey(ctx->root, hop_key);
     Rng rng(BytesView(key.data(), key.size()));
     HopResult hop_result = runtime->RunHop(
         input, next_pks, static_cast<Variant>(spec.variant), rng,
-        spec.hop_workers);
+        spec.hop_workers, nullptr, next_tables);
+    {
+      std::lock_guard<std::mutex> lock(tables_mu_);
+      for (size_t b = 0; b < neighbors.size(); b++) {
+        if (next_tables[b] != nullptr) {
+          neighbour_tables_[neighbors[b]] = next_tables[b];
+        }
+      }
+    }
     if (hop_result.aborted) {
       AbortRound(ctx, gid,
                  "group " + std::to_string(gid) + " layer " +

@@ -207,6 +207,11 @@ class NodeProcess {
   std::mutex groups_mu_;
   std::map<uint32_t, std::unique_ptr<GroupRuntime>> hosted_;
 
+  // Neighbour gid -> the rewrap table a hop last built for its key, passed
+  // to every later hop toward that neighbour while the key is unchanged.
+  std::mutex tables_mu_;
+  std::map<uint32_t, std::shared_ptr<const FixedBaseTable>> neighbour_tables_;
+
   std::function<void(Envelope&)> tamper_;
   std::shared_ptr<FaultPlan> fault_plan_;  // set before Start()
   bool coalesce_ = true;  // set before Start()

@@ -69,13 +69,15 @@ CostModel CostModel::Measure(Rng& rng, size_t batch) {
                      }
                    }) /
                    static_cast<double>(batch);
-  cm.reenc_verify = TimeIt([&] {
-                      for (size_t i = 0; i < batch; i++) {
-                        VerifyReEncProof(group.pk, &next.pk, cts[i], outs[i],
-                                         rproofs[i]);
-                      }
-                    }) /
-                    static_cast<double>(batch);
+  // One batch call, as a hop's server step verifies its proofs.
+  std::vector<ReEncClaim> claims;
+  claims.reserve(batch);
+  for (size_t i = 0; i < batch; i++) {
+    claims.push_back(ReEncClaim{&next.pk, cts[i], outs[i], rproofs[i]});
+  }
+  cm.reenc_verify =
+      TimeIt([&] { VerifyReEncProofBatch(group.pk, claims); }) /
+      static_cast<double>(batch);
 
   // Shuffle and shuffle proof (per message, measured on a batch).
   CiphertextBatch shuffle_batch(batch);

@@ -22,7 +22,8 @@ struct CostModel {
   double reenc = 0;               // out-of-order ReEnc
   double shuffle_per_msg = 0;     // rerandomize+permute, per component
   double enc_prove = 0, enc_verify = 0;
-  double reenc_prove = 0, reenc_verify = 0;
+  double reenc_prove = 0;
+  double reenc_verify = 0;        // per proof, inside one batch call
   double shuf_prove_per_msg = 0, shuf_verify_per_msg = 0;
   double kem_decrypt = 0;         // inner-ciphertext decryption at exit
 

@@ -235,6 +235,42 @@ TEST(GroupHop, NizkVariantHonestRunSucceeds) {
   EXPECT_GT(hop.stats.verify_seconds, 0.0);
 }
 
+// Tables handed in by the caller (all, some or none of them) change only
+// how the rewrap products are computed, never the hop's output; an empty
+// slot gets the table the hop builds once the reuse amortizes it.
+TEST(GroupHop, CallerTablesLeaveTheHopUnchanged) {
+  HopFixture f;
+  std::vector<Point> next_pks = {f.next_a.pk(), f.next_b.pk()};
+  for (Variant variant : {Variant::kTrap, Variant::kNizk}) {
+    // 3x1 stays below the hop's own table threshold, 6x2 goes above it.
+    for (auto [n, l] : {std::pair<size_t, size_t>{3, 1}, {6, 2}}) {
+      auto batch = f.MakeBatch(n, l);
+      std::vector<std::shared_ptr<const FixedBaseTable>> all = {
+          f.next_a.shared_pk_table(), f.next_b.shared_pk_table()};
+      std::vector<std::shared_ptr<const FixedBaseTable>> one = {
+          nullptr, f.next_b.shared_pk_table()};
+      Rng rng_own(uint64_t{5}), rng_all(uint64_t{5}), rng_one(uint64_t{5});
+      auto own = f.group.RunHop(batch, next_pks, variant, rng_own);
+      auto with_all =
+          f.group.RunHop(batch, next_pks, variant, rng_all, 1, nullptr, all);
+      auto with_one =
+          f.group.RunHop(batch, next_pks, variant, rng_one, 1, nullptr, one);
+      ASSERT_FALSE(own.aborted) << own.abort_reason;
+      ASSERT_FALSE(with_all.aborted) << with_all.abort_reason;
+      ASSERT_FALSE(with_one.aborted) << with_one.abort_reason;
+      EXPECT_EQ(own.batches, with_all.batches);
+      EXPECT_EQ(own.batches, with_one.batches);
+      EXPECT_EQ(all[0], f.next_a.shared_pk_table());
+      if (n * l < 12) {
+        EXPECT_EQ(one[0], nullptr);
+      } else {
+        ASSERT_NE(one[0], nullptr);
+        EXPECT_EQ(one[0]->base(), f.next_a.pk());
+      }
+    }
+  }
+}
+
 TEST(GroupHop, NizkCatchesShuffleTampering) {
   HopFixture f;
   auto batch = f.MakeBatch(4, 1);
@@ -257,6 +293,29 @@ TEST(GroupHop, NizkCatchesReEncTampering) {
   auto hop = f.group.RunHop(batch, next_pks, Variant::kNizk, f.rng, 1, &evil);
   EXPECT_TRUE(hop.aborted);
   EXPECT_NE(hop.abort_reason.find("reencryption"), std::string::npos);
+}
+
+TEST(GroupHop, NizkBlamesExactlyTheCheatingServer) {
+  // Each server step's proofs are checked as one batch across all β
+  // sub-batches; the abort must still name the server whose step failed.
+  HopFixture f;
+  auto batch = f.MakeBatch(6, 2);
+  std::vector<Point> next_pks = {f.next_a.pk(), f.next_b.pk()};
+  const size_t k = f.group.dkg().pub.params.k;
+  const std::pair<MaliciousAction::Kind, std::string> stages[] = {
+      {MaliciousAction::Kind::kTamperDuringReEnc, "reencryption"},
+      {MaliciousAction::Kind::kTamperDuringShuffle, "shuffle"},
+  };
+  for (uint32_t s = 1; s <= k; s++) {
+    for (const auto& [kind, stage] : stages) {
+      MaliciousAction evil{kind, s, 4};
+      auto hop =
+          f.group.RunHop(batch, next_pks, Variant::kNizk, f.rng, 1, &evil);
+      EXPECT_TRUE(hop.aborted);
+      EXPECT_EQ(hop.abort_reason, stage + " proof rejected (server " +
+                                      std::to_string(s) + ")");
+    }
+  }
 }
 
 TEST(GroupHop, NizkCatchesDuplication) {

@@ -239,5 +239,60 @@ TEST(ShuffleProof, ParallelAndSerialAgree) {
   EXPECT_TRUE(VerifyShuffle(kp.pk, batch, result.output, result.proof, 4));
 }
 
+TEST(ShuffleProofSoundness, RejectsAnySingleTamperedCommitmentOrResponse) {
+  // Every equation of the folded check carries its own weight, so no single
+  // commitment or response can be off.
+  Rng rng(410u);
+  auto kp = ElGamalKeyGen(rng);
+  const size_t n = 8, l = 3;
+  auto batch = MakeBatch(kp.pk, n, l, rng);
+  auto result = ShuffleAndProve(kp.pk, batch, rng);
+  ASSERT_TRUE(VerifyShuffle(kp.pk, batch, result.output, result.proof));
+  auto rejects = [&](const char* field, size_t index, auto tamper) {
+    ShuffleProof evil = result.proof;
+    tamper(evil);
+    EXPECT_FALSE(VerifyShuffle(kp.pk, batch, result.output, evil))
+        << field << "[" << index << "] tampered";
+  };
+  const Point g = Point::Generator();
+  const Scalar one = Scalar::One();
+  rejects("t1", 0, [&](ShuffleProof& p) { p.t1 = p.t1 + g; });
+  rejects("t2", 0, [&](ShuffleProof& p) { p.t2 = p.t2 + g; });
+  rejects("t3", 0, [&](ShuffleProof& p) { p.t3 = p.t3 + g; });
+  rejects("s1", 0, [&](ShuffleProof& p) { p.s1 = p.s1 + one; });
+  rejects("s2", 0, [&](ShuffleProof& p) { p.s2 = p.s2 + one; });
+  rejects("s3", 0, [&](ShuffleProof& p) { p.s3 = p.s3 + one; });
+  for (size_t c = 0; c < l; c++) {
+    rejects("t4a", c, [&](ShuffleProof& p) { p.t4a[c] = p.t4a[c] + g; });
+    rejects("t4b", c, [&](ShuffleProof& p) { p.t4b[c] = p.t4b[c] + g; });
+    rejects("s4", c, [&](ShuffleProof& p) { p.s4[c] = p.s4[c] + one; });
+  }
+  for (size_t i = 0; i < n; i++) {
+    rejects("t_hat", i, [&](ShuffleProof& p) { p.t_hat[i] = p.t_hat[i] + g; });
+    rejects("s_hat", i, [&](ShuffleProof& p) { p.s_hat[i] = p.s_hat[i] + one; });
+    rejects("s_prime", i,
+            [&](ShuffleProof& p) { p.s_prime[i] = p.s_prime[i] + one; });
+  }
+}
+
+TEST(ShuffleProofSoundness, RejectsCrossRelationCancellingPair) {
+  // REL1 and REL2 both have a G term: an offset added to t1 and taken from
+  // t2 cancels in an unweighted sum of the two equations.
+  Rng rng(411u);
+  auto kp = ElGamalKeyGen(rng);
+  auto batch = MakeBatch(kp.pk, 8, 3, rng);
+  auto result = ShuffleAndProve(kp.pk, batch, rng);
+  ShuffleProof evil = result.proof;
+  evil.t1 = evil.t1 + Point::Generator();
+  evil.t2 = evil.t2 - Point::Generator();
+  EXPECT_FALSE(VerifyShuffle(kp.pk, batch, result.output, evil));
+  // Chain responses are outside the challenge; a shifted ŝ pair keeps it
+  // and cancels in an unweighted sum of the chain equations.
+  evil = result.proof;
+  evil.s_hat[1] = evil.s_hat[1] + Scalar::One();
+  evil.s_hat[5] = evil.s_hat[5] - Scalar::One();
+  EXPECT_FALSE(VerifyShuffle(kp.pk, batch, result.output, evil));
+}
+
 }  // namespace
 }  // namespace atom

@@ -1,5 +1,6 @@
 // Tests for EncProof and ReEncProof: completeness, binding (gid / statement),
-// serialization, and rejection of forged or mismatched statements.
+// serialization, rejection of forged or mismatched statements, and
+// soundness of the batched ReEncProof verifier.
 #include <gtest/gtest.h>
 
 #include "src/crypto/sigma.h"
@@ -253,6 +254,126 @@ TEST(ReEncProof, EncodeDecodeRoundTrip) {
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(
       VerifyReEncProof(s.group.pk, &s.next_group.pk, ct, out, *back));
+}
+
+// ------------------------------------------------------- ReEncProof batch
+
+// A 24-claim batch under one server key covering every claim shape a hop
+// produces: first server (Y = ⊥ input) and later servers (Y set), rewrapping
+// toward one of two neighbours or stripping at the exit layer.
+struct ReEncBatchFixture {
+  static constexpr size_t kClaims = 24;
+  ProofFixture s;
+  ElGamalKeypair server = ElGamalKeyGen(s.rng);
+  ElGamalKeypair earlier = ElGamalKeyGen(s.rng);  // the previous server
+  ElGamalKeypair other_next = ElGamalKeyGen(s.rng);
+  std::vector<const Point*> nexts;
+  std::vector<ElGamalCiphertext> inputs, outputs;
+  std::vector<ReEncProof> proofs;
+
+  ReEncBatchFixture() {
+    const Point* next_choices[] = {&s.next_group.pk, &other_next.pk, nullptr};
+    for (size_t i = 0; i < kClaims; i++) {
+      const Point* next = next_choices[i % 3];
+      const bool y_null = (i / 3) % 2 == 0;
+      ElGamalCiphertext in;
+      if (y_null) {
+        in = ElGamalEncrypt(server.pk, s.m, s.rng);
+      } else {
+        in = ElGamalReEnc(earlier.sk, next,
+                          ElGamalEncrypt(earlier.pk + server.pk, s.m, s.rng),
+                          s.rng);
+      }
+      Scalar rewrap;
+      ElGamalCiphertext out = ElGamalReEnc(server.sk, next, in, s.rng, &rewrap);
+      nexts.push_back(next);
+      inputs.push_back(in);
+      outputs.push_back(out);
+      proofs.push_back(MakeReEncProof(server.sk, server.pk, next, in, out,
+                                      rewrap, s.rng));
+    }
+  }
+
+  bool Verify(const std::vector<ElGamalCiphertext>& outs,
+              const std::vector<ReEncProof>& prfs) const {
+    std::vector<ReEncClaim> claims;
+    for (size_t i = 0; i < kClaims; i++) {
+      claims.push_back(ReEncClaim{nexts[i], inputs[i], outs[i], prfs[i]});
+    }
+    return VerifyReEncProofBatch(server.pk, claims);
+  }
+};
+
+TEST(ReEncProofBatch, AcceptsHonestMixedBatchAndEmptyBatch) {
+  ReEncBatchFixture f;
+  EXPECT_TRUE(f.Verify(f.outputs, f.proofs));
+  EXPECT_TRUE(VerifyReEncProofBatch(f.server.pk, {}));
+  // Every claim also verifies on its own.
+  for (size_t i = 0; i < ReEncBatchFixture::kClaims; i++) {
+    EXPECT_TRUE(VerifyReEncProof(f.server.pk, f.nexts[i], f.inputs[i],
+                                 f.outputs[i], f.proofs[i]))
+        << "claim " << i;
+  }
+}
+
+TEST(ReEncProofBatch, RejectsAnySingleTamperedField) {
+  ReEncBatchFixture f;
+  using Tamper = void (*)(ElGamalCiphertext*, ReEncProof*);
+  const std::pair<const char*, Tamper> tampers[] = {
+      {"a1", [](ElGamalCiphertext*, ReEncProof* p) {
+         p->a1 = p->a1 + Point::Generator();
+       }},
+      {"a2", [](ElGamalCiphertext*, ReEncProof* p) {
+         p->a2 = p->a2 + Point::Generator();
+       }},
+      {"a3", [](ElGamalCiphertext*, ReEncProof* p) {
+         p->a3 = p->a3 + Point::Generator();
+       }},
+      {"zx", [](ElGamalCiphertext*, ReEncProof* p) {
+         p->zx = p->zx + Scalar::One();
+       }},
+      {"zr", [](ElGamalCiphertext*, ReEncProof* p) {
+         p->zr = p->zr + Scalar::One();
+       }},
+      {"out.r", [](ElGamalCiphertext* o, ReEncProof*) {
+         o->r = o->r + Point::Generator();
+       }},
+      {"out.c", [](ElGamalCiphertext* o, ReEncProof*) {
+         o->c = o->c + Point::Generator();
+       }},
+      {"out.y", [](ElGamalCiphertext* o, ReEncProof*) {
+         o->y = o->y + Point::Generator();
+       }},
+  };
+  for (size_t pos : {size_t{0}, ReEncBatchFixture::kClaims / 2,
+                     ReEncBatchFixture::kClaims - 1}) {
+    for (const auto& [field, tamper] : tampers) {
+      auto outs = f.outputs;
+      auto prfs = f.proofs;
+      tamper(&outs[pos], &prfs[pos]);
+      EXPECT_FALSE(f.Verify(outs, prfs))
+          << field << " tampered in claim " << pos << " slipped through";
+    }
+  }
+}
+
+TEST(ReEncProofBatch, RejectsCancellingPair) {
+  // Errors of opposite sign in two claims cancel in an unweighted sum; the
+  // per-claim weights must keep them apart.
+  ReEncBatchFixture f;
+  Point offset = Point::BaseMul(Scalar::FromU64(12345));
+  auto prfs = f.proofs;
+  prfs[3].a1 = prfs[3].a1 + offset;
+  prfs[17].a1 = prfs[17].a1 - offset;
+  EXPECT_FALSE(f.Verify(f.outputs, prfs));
+  // Responses are outside the challenges: a zr pair shifted in two claims
+  // with the same next key leaves every challenge intact and cancels in an
+  // unweighted sum of both relations that zr enters.
+  ASSERT_EQ(f.nexts[3], f.nexts[9]);
+  prfs = f.proofs;
+  prfs[3].zr = prfs[3].zr + Scalar::One();
+  prfs[9].zr = prfs[9].zr - Scalar::One();
+  EXPECT_FALSE(f.Verify(f.outputs, prfs));
 }
 
 }  // namespace
