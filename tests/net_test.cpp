@@ -38,6 +38,7 @@
 #include "src/util/serde.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
+#include "tests/golden_round.h"
 #include "tests/seed_echo.h"
 
 namespace atom {
@@ -977,6 +978,57 @@ TEST(DistributedPipeline, PeerKilledMidBundleAbortsNotHangs) {
     dep.StopAll();
   }
 }
+
+// The golden rounds (tests/golden_round.h) executed by a mesh fleet, one
+// NodeProcess per topology group, must reproduce the digests the
+// in-process engine recorded.
+RoundResult RunOnMesh(Round& round, std::span<const Round::Evil> evils,
+                      Rng& rng, bool coalesce) {
+  EXPECT_TRUE(evils.empty()) << "fault injection is in-process only";
+  RoundResult result;
+  PipelinedDeployment dep;
+  if (!dep.Build(round, round.variant(), /*max_rounds=*/8, coalesce)) {
+    ADD_FAILURE() << "mesh deployment failed to start";
+    return result;
+  }
+  {
+    DistributedRoundDriver driver(&dep.mesh, dep.hosts);
+    driver.set_coalesce_entries(coalesce);
+    driver.set_round_timeout(60s);
+    result = driver.Wait(driver.Submit(round.TakeEngineRound(evils, rng)))
+                 .round;
+    dep.StopAll();  // join readers before the driver dies
+  }
+  return result;
+}
+
+class GoldenMesh : public ::testing::TestWithParam<golden::Case> {};
+
+TEST_P(GoldenMesh, CoalescedMatchesRecordedDigest) {
+  const golden::Case& c = GetParam();
+  auto submit = [](Round& round, size_t, const auto& sub) {
+    return golden::SubmitInProcess(round, sub);
+  };
+  auto run = [](Round& round, std::span<const Round::Evil> evils, Rng& rng) {
+    return RunOnMesh(round, evils, rng, /*coalesce=*/true);
+  };
+  golden::ExpectRecorded(c.name, golden::RoundDigest(c, submit, run));
+}
+
+TEST_P(GoldenMesh, UncoalescedMatchesRecordedDigest) {
+  const golden::Case& c = GetParam();
+  auto submit = [](Round& round, size_t, const auto& sub) {
+    return golden::SubmitInProcess(round, sub);
+  };
+  auto run = [](Round& round, std::span<const Round::Evil> evils, Rng& rng) {
+    return RunOnMesh(round, evils, rng, /*coalesce=*/false);
+  };
+  golden::ExpectRecorded(c.name, golden::RoundDigest(c, submit, run));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeded, GoldenMesh,
+                         ::testing::ValuesIn(golden::kHonestCases),
+                         golden::CaseName);
 
 TEST(MeshRoster, SetRosterDropsLinksWhoseEntryChanged) {
   // A live link to a peer whose roster entry changed must be dropped so
@@ -1948,6 +2000,100 @@ TEST(GatewayLifecycle, RevokedMidSessionRejectedWithoutKillingTheLink) {
   ASSERT_FALSE(result.aborted) << result.abort_reason;
   EXPECT_EQ(result.plaintexts.size(), 1u);
 }
+
+// ------------------------------------------- golden rounds (client ingress)
+
+// The golden rounds fed through a client gateway: user u is registered
+// client kFirstClient + u on its own ClientSession, and every submission is
+// awaited before the next is sent, so the acceptance order is fixed. The
+// result is recorded as the case's "<name>ViaGateway" line.
+struct GoldenIngress {
+  static constexpr uint64_t kFirstClient = 9000;
+
+  explicit GoldenIngress(GatewayBackend backend) : backend(backend) {}
+  ~GoldenIngress() { Stop(); }
+
+  // The gateway must go before the round it fronts is destroyed.
+  void Stop() {
+    sessions.clear();
+    if (gateway != nullptr) {
+      gateway->Stop();
+      gateway.reset();
+    }
+  }
+
+  // Starts the gateway over `round` and connects every client.
+  bool Start(Round& round) {
+    Rng key_rng(uint64_t{0x601de5});
+    const KemKeypair gateway_key = KemKeyGen(key_rng);
+    std::vector<KemKeypair> client_keys;
+    for (size_t u = 0; u < golden::kUsers; u++) {
+      SchnorrKeypair kp = SchnorrKeyGen(key_rng);
+      if (!registry.Register(
+              MakeClientRegistration(kFirstClient + u, kp, key_rng))) {
+        return false;
+      }
+      client_keys.push_back(KemKeypair{kp.sk, kp.pk});
+    }
+    gateway = MakeClientGateway(backend, &round, &registry, gateway_key);
+    if (!gateway->Listen(0)) {
+      return false;
+    }
+    gateway->Start();
+    gateway->OpenRound(1);
+    for (size_t u = 0; u < golden::kUsers; u++) {
+      sessions.push_back(ClientSession::Connect(
+          "127.0.0.1", gateway->port(), kFirstClient + u, client_keys[u],
+          gateway_key.pk));
+      if (sessions.back() == nullptr || sessions.back()->WaitRoundOpen() != 1) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  std::string Digest(const golden::Case& c) {
+    auto submit = [this](Round& round, size_t user, const auto& sub) {
+      if (gateway == nullptr && !Start(round)) {
+        return false;
+      }
+      return sessions[user]->SubmitAndWait(sub);
+    };
+    auto run = [this](Round& round, std::span<const Round::Evil> evils,
+                      Rng& rng) {
+      gateway->Cutoff();
+      EXPECT_EQ(gateway->accepted_count(), golden::kUsers);
+      Stop();
+      return golden::RunInEngine(round, evils, rng);
+    };
+    return golden::RoundDigest(c, submit, run, kFirstClient);
+  }
+
+  const GatewayBackend backend;
+  ClientRegistry registry;
+  std::unique_ptr<ClientGateway> gateway;
+  std::vector<std::unique_ptr<ClientSession>> sessions;
+};
+
+class GoldenGateway : public ::testing::TestWithParam<golden::Case> {};
+
+TEST_P(GoldenGateway, ReactorMatchesRecordedDigest) {
+  const golden::Case& c = GetParam();
+  GoldenIngress ingress(GatewayBackend::kReactor);
+  golden::ExpectRecorded(std::string(c.name) + "ViaGateway",
+                         ingress.Digest(c));
+}
+
+TEST_P(GoldenGateway, ThreadPerConnectionMatchesRecordedDigest) {
+  const golden::Case& c = GetParam();
+  GoldenIngress ingress(GatewayBackend::kThreadPerConnection);
+  golden::ExpectRecorded(std::string(c.name) + "ViaGateway",
+                         ingress.Digest(c));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeded, GoldenGateway,
+                         ::testing::ValuesIn(golden::kHonestCases),
+                         golden::CaseName);
 
 TEST(ClientWire, FramesRejectTruncationJunkAndOversize) {
   // kWelcome round-trip + hardening.
