@@ -1,27 +1,21 @@
 // Figure 10/11-style throughput for the DISTRIBUTED deployment (§4.7):
 // how much does overlapping rounds across server processes buy over
-// running one round at a time on the same mesh, what does the wire cost
-// against the in-process engine, and what does the WAN transport
-// pipeline (per-peer frame coalescing + send/serialize overlap through
-// the mesh's sender lanes) buy over the legacy inline
-// one-frame-per-envelope path?
+// running one round at a time on the same mesh, and what does the wire
+// cost against the in-process engine?
 //
 // Executors driving identical seeded EngineRound specs:
 //
-//   engine             RoundEngine, in process (the PR 1-2 pipeline).
+//   engine             RoundEngine, in process.
 //   mesh-sequential    DistributedRoundDriver over loopback TCP servers,
 //                      Submit -> Wait one round at a time (a global
 //                      barrier on the wire).
-//   mesh-legacy        Pipelined driver with coalescing OFF: every
-//                      envelope ships as its own kEnvelope frame,
-//                      serialized inline on the sending lane (the
-//                      pre-refactor transport).
-//   mesh-coalesced     Pipelined driver with coalescing ON: per-peer
-//                      kEnvelopeBundle frames through the async sender
+//   mesh-pipelined     Every round submitted before any is waited on.
+//                      Each hop's envelopes to one peer travel as one
+//                      kEnvelopeBundle frame through the async sender
 //                      lanes, so AEAD-seal of bundle n+1 overlaps the
 //                      emulated wire stall of bundle n.
-//   *-wan-matrix       The same pair under a two-region WAN matrix
-//                      (cheap intra-region links, slow bandwidth-capped
+//   *-wan-matrix       Pipelined under a two-region WAN matrix (cheap
+//                      intra-region links, slow bandwidth-capped
 //                      cross-region links via set_peer_profile) — the
 //                      Figure 10/11 deployment shape.
 //
@@ -29,15 +23,12 @@
 // links (full wire serialization, control plane, per-round lanes); they
 // share this process so the bench needs no child-process management.
 // Each server gets its own small ThreadPool (mirroring the real
-// one-pool-per-process deployment) and the mesh's netem-style delay
-// knobs emulate WAN hop latency: that is exactly the idle bubble both
+// one-pool-per-process deployment) and the mesh's netem-style per-peer
+// WAN profiles emulate hop latency: that is exactly the idle bubble both
 // pipelining and the sender lanes exist to fill.
 //
 // Emits BENCH_distributed_pipeline.json next to the text table. Exits
-// nonzero if pipelined throughput is not strictly above sequential, or
-// (on hosts with >= 2 hardware threads, where overlap is physically
-// possible) if coalesced throughput is below 1.3x legacy under the
-// emulated WAN.
+// nonzero if pipelined throughput is not strictly above sequential.
 //
 //   ./build/bench/bench_distributed_pipeline [--smoke]
 #include <chrono>
@@ -116,9 +107,8 @@ struct Fixture {
   }
 };
 
-// One fleet configuration: transport mode plus WAN emulation shape.
+// One fleet configuration: driving mode plus WAN emulation shape.
 struct FleetOpts {
-  bool coalesce = true;    // bundles + sender lanes vs legacy inline
   bool sequential = false; // Wait each round before submitting the next
   std::chrono::milliseconds wan_delay{0};  // uniform per-frame stall
   bool wan_matrix = false;  // two-region matrix (overrides wan_delay)
@@ -159,8 +149,8 @@ struct FleetResult {
 
 // Builds a fresh loopback fleet with `opts`, drives `specs` through it,
 // tears it down, and returns wall-clock plus transport counters. A fresh
-// fleet per configuration because the transport knobs (coalescing, WAN
-// profiles) must be set before the server processes start.
+// fleet per configuration because the WAN profiles must be set before the
+// server processes start.
 FleetResult RunFleet(Fixture& fx, std::vector<EngineRound> specs,
                      const FleetOpts& opts) {
   const size_t width = fx.round->NumGroups();
@@ -184,7 +174,9 @@ FleetResult RunFleet(Fixture& fx, std::vector<EngineRound> specs,
   };
   auto profile_for = [&](uint32_t from, uint32_t to) {
     WanProfile profile;
-    if (region(from) == region(to)) {
+    if (!opts.wan_matrix) {
+      profile.delay = opts.wan_delay;
+    } else if (region(from) == region(to)) {
       profile.delay = opts.intra_delay;
     } else {
       profile.delay = opts.cross_delay;
@@ -198,17 +190,12 @@ FleetResult RunFleet(Fixture& fx, std::vector<EngineRound> specs,
     auto proc = std::make_unique<NodeProcess>(h, Variant::kTrap, key,
                                               driver_key.pk, /*max_rounds=*/8,
                                               pools.back().get());
-    proc->set_coalesce_sends(opts.coalesce);
-    if (opts.wan_matrix) {
-      for (uint32_t p = 1; p <= num_hosts; p++) {
-        if (p != h) {
-          proc->set_peer_profile(p, profile_for(h, p));
-        }
+    for (uint32_t p = 1; p <= num_hosts; p++) {
+      if (p != h) {
+        proc->set_peer_profile(p, profile_for(h, p));
       }
-      proc->set_peer_profile(kMeshDriverId, profile_for(h, kMeshDriverId));
-    } else {
-      proc->set_wire_delay(opts.wan_delay);
     }
+    proc->set_peer_profile(kMeshDriverId, profile_for(h, kMeshDriverId));
     if (!proc->Listen(0)) {
       std::fprintf(stderr, "listen failed\n");
       std::exit(1);
@@ -219,12 +206,8 @@ FleetResult RunFleet(Fixture& fx, std::vector<EngineRound> specs,
   }
   TcpPeerMesh mesh(TcpPeerMesh::Role::kDriver, kMeshDriverId, driver_key);
   // The driver is remote too: its entry flush rides the same WAN.
-  if (opts.wan_matrix) {
-    for (uint32_t p = 1; p <= num_hosts; p++) {
-      mesh.set_peer_profile(p, profile_for(kMeshDriverId, p));
-    }
-  } else {
-    mesh.set_send_delay(opts.wan_delay);
+  for (uint32_t p = 1; p <= num_hosts; p++) {
+    mesh.set_peer_profile(p, profile_for(kMeshDriverId, p));
   }
   mesh.SetRoster(roster);
   if (!mesh.ConnectAndPushRoster()) {
@@ -241,7 +224,6 @@ FleetResult RunFleet(Fixture& fx, std::vector<EngineRound> specs,
   FleetResult result;
   {
     DistributedRoundDriver driver(&mesh, hosts);
-    driver.set_coalesce_entries(opts.coalesce);
     driver.set_round_timeout(std::chrono::seconds(120));
     auto t0 = Clock::now();
     if (opts.sequential) {
@@ -286,7 +268,7 @@ int main(int argc, char** argv) {
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   PrintHeader("Distributed pipelined rounds (loopback TCP mesh, measured)",
               "§4.7/Fig 10-11: a new batch enters the network every "
-              "layer-time; WAN stalls hide behind coalesced async sends");
+              "layer-time; WAN stalls hide behind bundled async sends");
 
   Fixture fx(smoke);
   const size_t in_flight = smoke ? 3 : 4;
@@ -322,30 +304,20 @@ int main(int argc, char** argv) {
   FleetOpts seq_opts;
   seq_opts.sequential = true;
   seq_opts.wan_delay = wan_delay;
-  FleetOpts legacy_opts;
-  legacy_opts.coalesce = false;
-  legacy_opts.wan_delay = wan_delay;
-  FleetOpts coalesced_opts;
-  coalesced_opts.wan_delay = wan_delay;
+  FleetOpts pipelined_opts;
+  pipelined_opts.wan_delay = wan_delay;
   // Two-region matrix: cheap intra-region links, slow bandwidth-capped
   // cross-region links (Figure 10/11's geo-distributed shape).
-  FleetOpts matrix_legacy;
-  matrix_legacy.coalesce = false;
-  matrix_legacy.wan_matrix = true;
-  matrix_legacy.intra_delay = std::chrono::milliseconds(smoke ? 10 : 20);
-  matrix_legacy.cross_delay = std::chrono::milliseconds(smoke ? 40 : 80);
-  matrix_legacy.cross_bytes_per_ms = 8192;  // ~8 MB/s transcontinental
-  FleetOpts matrix_coalesced = matrix_legacy;
-  matrix_coalesced.coalesce = true;
+  FleetOpts matrix_opts;
+  matrix_opts.wan_matrix = true;
+  matrix_opts.intra_delay = std::chrono::milliseconds(smoke ? 10 : 20);
+  matrix_opts.cross_delay = std::chrono::milliseconds(smoke ? 40 : 80);
+  matrix_opts.cross_bytes_per_ms = 8192;  // ~8 MB/s transcontinental
 
   FleetResult seq = RunFleet(fx, fx.TakeSpecs(in_flight), seq_opts);
-  FleetResult legacy = RunFleet(fx, fx.TakeSpecs(in_flight), legacy_opts);
-  FleetResult coalesced =
-      RunFleet(fx, fx.TakeSpecs(in_flight), coalesced_opts);
-  FleetResult wan_legacy =
-      RunFleet(fx, fx.TakeSpecs(in_flight), matrix_legacy);
-  FleetResult wan_coalesced =
-      RunFleet(fx, fx.TakeSpecs(in_flight), matrix_coalesced);
+  FleetResult pipelined =
+      RunFleet(fx, fx.TakeSpecs(in_flight), pipelined_opts);
+  FleetResult wan_matrix = RunFleet(fx, fx.TakeSpecs(in_flight), matrix_opts);
 
   const double total_msgs = msgs_per_round * static_cast<double>(in_flight);
   auto tput = [&](const FleetResult& r) { return total_msgs / r.seconds; };
@@ -354,18 +326,16 @@ int main(int argc, char** argv) {
   // effective per-hop latency including the wire.
   const double per_hop_ms =
       seq.seconds * 1000.0 / static_cast<double>(in_flight * layers);
-  const double pipelining_gain = seq.seconds / coalesced.seconds;
-  const double coalescing_gain = legacy.seconds / coalesced.seconds;
-  const double wan_gain = wan_legacy.seconds / wan_coalesced.seconds;
+  const double pipelining_gain = seq.seconds / pipelined.seconds;
 
   std::printf("\n%zu rounds x %zu msgs, %zu groups, %zu layers, trap "
               "variant, %lld ms emulated WAN latency, %u hw threads:\n",
               in_flight, fx.users_per_round, width, layers,
               static_cast<long long>(wan_delay.count()), hw_threads);
-  std::printf("  %-22s %8s %10s %10s %8s %6s\n", "executor", "seconds",
+  std::printf("  %-24s %8s %10s %10s %8s %6s\n", "executor", "seconds",
               "msgs/s", "KiB sent", "frames", "fill");
   auto row = [&](const char* name, double seconds, const WireTotals* wire) {
-    std::printf("  %-22s %8.3f %10.1f", name, seconds, total_msgs / seconds);
+    std::printf("  %-24s %8.3f %10.1f", name, seconds, total_msgs / seconds);
     if (wire != nullptr) {
       std::printf(" %10.1f %8llu %6.2f",
                   static_cast<double>(wire->bytes) / 1024.0,
@@ -376,16 +346,11 @@ int main(int argc, char** argv) {
   };
   row("engine (in-proc)", engine_seconds, nullptr);
   row("mesh sequential", seq.seconds, &seq.wire);
-  row("mesh legacy", legacy.seconds, &legacy.wire);
-  row("mesh coalesced", coalesced.seconds, &coalesced.wire);
-  row("mesh legacy (matrix)", wan_legacy.seconds, &wan_legacy.wire);
-  row("mesh coalesced (matrix)", wan_coalesced.seconds, &wan_coalesced.wire);
+  row("mesh pipelined", pipelined.seconds, &pipelined.wire);
+  row("mesh pipelined (matrix)", wan_matrix.seconds, &wan_matrix.wire);
   std::printf("  pipelining gain over sequential: %.2fx (%zu rounds in "
               "flight)\n",
               pipelining_gain, in_flight);
-  std::printf("  coalescing gain over legacy: %.2fx uniform, %.2fx "
-              "two-region matrix\n",
-              coalescing_gain, wan_gain);
   std::printf("  per-hop latency over the mesh: %.2f ms (sequential, "
               "incl. wire)\n",
               per_hop_ms);
@@ -402,8 +367,6 @@ int main(int argc, char** argv) {
     json.Num("hardware_threads", static_cast<double>(hw_threads));
     json.Num("per_hop_latency_ms", per_hop_ms);
     json.Num("pipelining_gain", pipelining_gain);
-    json.Num("coalescing_gain", coalescing_gain);
-    json.Num("coalescing_gain_wan_matrix", wan_gain);
     auto emit = [&](const char* name, double seconds,
                     const WireTotals* wire) {
       size_t r = json.Row();
@@ -423,31 +386,17 @@ int main(int argc, char** argv) {
     };
     emit("engine", engine_seconds, nullptr);
     emit("mesh_sequential", seq.seconds, &seq.wire);
-    emit("mesh_pipelined_legacy", legacy.seconds, &legacy.wire);
-    emit("mesh_pipelined_coalesced", coalesced.seconds, &coalesced.wire);
-    emit("mesh_wan_matrix_legacy", wan_legacy.seconds, &wan_legacy.wire);
-    emit("mesh_wan_matrix_coalesced", wan_coalesced.seconds,
-         &wan_coalesced.wire);
+    emit("mesh_pipelined", pipelined.seconds, &pipelined.wire);
+    emit("mesh_wan_matrix", wan_matrix.seconds, &wan_matrix.wire);
   }
 
-  if (tput(coalesced) <= tput(seq)) {
+  if (tput(pipelined) <= tput(seq)) {
     std::fprintf(stderr,
                  "FAIL: pipelined mesh throughput (%.1f msgs/s) is not "
                  "above sequential (%.1f msgs/s)\n",
-                 tput(coalesced), tput(seq));
+                 tput(pipelined), tput(seq));
     return 1;
   }
-  // The overlap gate needs real parallel hardware: with one thread the
-  // sender lane cannot overlap anything, so the gain only gets reported.
-  if (hw_threads >= 2 && coalescing_gain < 1.3) {
-    std::fprintf(stderr,
-                 "FAIL: coalesced transport is only %.2fx legacy under "
-                 "emulated WAN (gate: 1.3x at >= 2 hardware threads)\n",
-                 coalescing_gain);
-    return 1;
-  }
-  std::printf("PASS: pipelined beats sequential (%.2fx) and coalesced "
-              "beats legacy (%.2fx)\n",
-              pipelining_gain, coalescing_gain);
+  std::printf("PASS: pipelined beats sequential (%.2fx)\n", pipelining_gain);
   return 0;
 }

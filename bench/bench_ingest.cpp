@@ -4,10 +4,8 @@
 //
 //  1. Gateway throughput: C registered clients connect over authenticated
 //     loopback TCP sessions and submit concurrently into one open round;
-//     sustained accepted-submissions/sec from round-open to last verdict.
-//     Runs against BOTH ingress backends (thread-per-connection and the
-//     epoll reactor) for an apples-to-apples before/after row, and in
-//     full mode a larger gate pair pins the reactor against the baseline.
+//     sustained accepted-submissions/sec from round-open to last verdict,
+//     through the epoll reactor gateway.
 //
 //  2. Verify-overlap gain (the streaming-intake claim): the same wire
 //     bytes pushed through (a) accept-then-verify — decode EVERY frame
@@ -33,8 +31,8 @@
 //     happens at peak host-wide concurrency.
 //
 // --smoke shrinks the sizes for CI and skips the hard perf gates (timing
-// noise on shared runners); the full run enforces overlap_gain > 1 and
-// the reactor-vs-threads gate. --scale-only runs just section 3 (the CI
+// noise on shared runners); the full run enforces overlap_gain > 1.
+// --scale-only runs just section 3 (the CI
 // 10k-connection job). Correctness gates — every established session's
 // submission accepted, worker stats consistent — apply in every mode.
 #include <arpa/inet.h>
@@ -97,10 +95,6 @@ RoundConfig IngestConfig() {
   return config;
 }
 
-const char* BackendName(GatewayBackend backend) {
-  return backend == GatewayBackend::kReactor ? "reactor" : "threads";
-}
-
 // Raises the soft fd limit to the hard limit (the hard limit itself is
 // often unraisable in a container, even as root) and returns what we got.
 uint64_t RaiseNoFileLimit() {
@@ -119,10 +113,7 @@ uint64_t RaiseNoFileLimit() {
 
 // ---- Section 1: end-to-end gateway throughput over loopback TCP.
 
-// `legacy_fields` additionally emits the flat JSON keys the pre-reactor
-// bench wrote, so the perf trajectory across PRs stays comparable.
-double GatewayThroughput(GatewayBackend backend, size_t clients,
-                         BenchJson& json, bool legacy_fields) {
+void GatewayThroughput(size_t clients, BenchJson& json) {
   RoundConfig config = IngestConfig();
   Rng rng(uint64_t{0x16e57});
   Round round(config, rng);
@@ -145,8 +136,8 @@ double GatewayThroughput(GatewayBackend backend, size_t clients,
   KemKeypair gateway_key = KemKeyGen(key_rng);
   GatewayConfig gateway_config;
   gateway_config.verify_workers = config.workers;
-  std::unique_ptr<ClientGateway> gateway = MakeClientGateway(
-      backend, &round, &registry, gateway_key, gateway_config);
+  auto gateway = std::make_unique<ReactorGateway>(&round, &registry,
+                                                  gateway_key, gateway_config);
   if (!gateway->Listen(0)) {
     std::fprintf(stderr, "gateway listen failed\n");
     std::exit(1);
@@ -193,26 +184,15 @@ double GatewayThroughput(GatewayBackend backend, size_t clients,
   gateway->Cutoff();
 
   double per_sec = accepted.load() / (wall_ms / 1000.0);
-  char label[64];
-  std::snprintf(label, sizeof(label), "gateway loopback (%s)",
-                BackendName(backend));
   std::printf("%-28s %6zu clients  %8.1f ms  %10.1f accepted subs/sec\n",
-              label, clients, wall_ms, per_sec);
-  size_t row = json.Row();
-  json.RowStr(row, "kind", "throughput");
-  json.RowStr(row, "backend", BackendName(backend));
-  json.RowNum(row, "clients", static_cast<double>(clients));
-  json.RowNum(row, "wall_ms", wall_ms);
-  json.RowNum(row, "submissions_per_sec", per_sec);
-  if (legacy_fields) {
-    json.Num("clients", static_cast<double>(clients));
-    json.Num("gateway_accepted", static_cast<double>(accepted.load()));
-    json.Num("gateway_wall_ms", wall_ms);
-    json.Num("submissions_per_sec", per_sec);
-  }
+              "gateway loopback", clients, wall_ms, per_sec);
+  json.Num("clients", static_cast<double>(clients));
+  json.Num("gateway_accepted", static_cast<double>(accepted.load()));
+  json.Num("gateway_wall_ms", wall_ms);
+  json.Num("submissions_per_sec", per_sec);
   if (accepted.load() != clients) {
-    std::fprintf(stderr, "only %zu/%zu submissions accepted (%s)\n",
-                 accepted.load(), clients, BackendName(backend));
+    std::fprintf(stderr, "only %zu/%zu submissions accepted\n",
+                 accepted.load(), clients);
     std::exit(1);
   }
 
@@ -220,7 +200,6 @@ double GatewayThroughput(GatewayBackend backend, size_t clients,
     session->Close();
   }
   gateway->Stop();
-  return per_sec;
 }
 
 // ---- Section 2: verify-overlap gain.
@@ -427,10 +406,9 @@ ScalePlan PlanShards(size_t requested) {
 }
 
 // --worker-gateway: one ingress shard — its own Round, a registry
-// pre-seeded with the pair's derived client keys, and the chosen gateway
-// backend. Prints its port, then serves until EXIT on stdin.
-int GatewayWorkerMain(GatewayBackend backend, uint64_t seed,
-                      size_t sessions) {
+// pre-seeded with the pair's derived client keys, and a reactor gateway.
+// Prints its port, then serves until EXIT on stdin.
+int GatewayWorkerMain(uint64_t seed, size_t sessions) {
   RaiseNoFileLimit();
   RoundConfig config = IngestConfig();
   Rng rng(seed);
@@ -455,8 +433,8 @@ int GatewayWorkerMain(GatewayBackend backend, uint64_t seed,
   // crypto; the reaper's correctness is reactor_test's job, not this
   // bench's, so give the deadline room.
   gc.handshake_deadline_ms = 600'000;
-  std::unique_ptr<ClientGateway> gateway = MakeClientGateway(
-      backend, &round, &registry, ScaleGatewayKey(seed), gc);
+  auto gateway = std::make_unique<ReactorGateway>(&round, &registry,
+                                                  ScaleGatewayKey(seed), gc);
   if (!gateway->Listen(0)) {
     std::fprintf(stderr, "worker-gateway: listen failed\n");
     return 1;
@@ -958,13 +936,12 @@ void ReapWorker(WorkerProc& proc) {
   }
 }
 
-bool RunConnectionScaling(size_t requested, GatewayBackend backend,
-                          BenchJson& json) {
+bool RunConnectionScaling(size_t requested, BenchJson& json) {
   std::signal(SIGPIPE, SIG_IGN);
   ScalePlan plan = PlanShards(requested);
-  std::printf("\nconnection scaling (%s): %zu sessions across %zu "
+  std::printf("\nconnection scaling: %zu sessions across %zu "
               "gateway/loadgen pairs (RLIMIT_NOFILE %llu, %zu per pair)\n",
-              BackendName(backend), plan.total, plan.pairs,
+              plan.total, plan.pairs,
               static_cast<unsigned long long>(plan.nofile), plan.per_pair);
   if (plan.total < plan.requested) {
     std::printf("NOTE: fd limit caps this host at %zu of the %zu "
@@ -988,8 +965,7 @@ bool RunConnectionScaling(size_t requested, GatewayBackend backend,
   for (size_t p = 0; p < plan.pairs; p++) {
     uint64_t seed = uint64_t{0x5ca1e000} + p;
     gateways[p] = SpawnWorker(
-        {"bench_ingest", "--worker-gateway",
-         std::to_string(static_cast<int>(backend)), std::to_string(seed),
+        {"bench_ingest", "--worker-gateway", std::to_string(seed),
          std::to_string(plan.SessionsFor(p))});
     if (gateways[p].from_child == nullptr ||
         std::fscanf(gateways[p].from_child, "PORT %hu", &ports[p]) != 1) {
@@ -1099,7 +1075,6 @@ bool RunConnectionScaling(size_t requested, GatewayBackend backend,
               "retries)\n",
               "admission latency", p50_us, p99_us, backpressure);
 
-  json.Str("scale_backend", BackendName(backend));
   json.Num("scale_connections_requested",
            static_cast<double>(plan.requested));
   json.Num("scale_connections", static_cast<double>(connected));
@@ -1144,11 +1119,9 @@ bool RunConnectionScaling(size_t requested, GatewayBackend backend,
 
 int main(int argc, char** argv) {
   // Internal re-exec entry points for the scaling section's worker pairs.
-  if (argc == 5 && std::strcmp(argv[1], "--worker-gateway") == 0) {
-    return GatewayWorkerMain(
-        static_cast<GatewayBackend>(std::atoi(argv[2])),
-        std::strtoull(argv[3], nullptr, 10),
-        std::strtoull(argv[4], nullptr, 10));
+  if (argc == 4 && std::strcmp(argv[1], "--worker-gateway") == 0) {
+    return GatewayWorkerMain(std::strtoull(argv[2], nullptr, 10),
+                             std::strtoull(argv[3], nullptr, 10));
   }
   if (argc == 5 && std::strcmp(argv[1], "--worker-loadgen") == 0) {
     return LoadgenWorkerMain(
@@ -1160,7 +1133,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool scale_only = false;
   size_t connections = 0;  // 0 = mode default
-  GatewayBackend scale_backend = GatewayBackend::kReactor;
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -1168,15 +1140,10 @@ int main(int argc, char** argv) {
       scale_only = true;
     } else if (std::strcmp(argv[i], "--connections") == 0 && i + 1 < argc) {
       connections = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--scale-backend") == 0 &&
-               i + 1 < argc) {
-      scale_backend = std::strcmp(argv[++i], "threads") == 0
-                          ? GatewayBackend::kThreadPerConnection
-                          : GatewayBackend::kReactor;
     } else {
       std::fprintf(stderr,
                    "usage: bench_ingest [--smoke] [--scale-only] "
-                   "[--connections N] [--scale-backend threads|reactor]\n");
+                   "[--connections N]\n");
       return 2;
     }
   }
@@ -1197,44 +1164,7 @@ int main(int argc, char** argv) {
   json.Bool("smoke", smoke);
 
   if (!scale_only) {
-    GatewayThroughput(GatewayBackend::kThreadPerConnection, clients, json,
-                      /*legacy_fields=*/true);
-    GatewayThroughput(GatewayBackend::kReactor, clients, json,
-                      /*legacy_fields=*/false);
-    if (!smoke) {
-      // The gain gate: both backends at a concurrency the baseline can
-      // still serve. Admission throughput is crypto-bound for both (the
-      // pool verifies either way), so the reactor's structural win is
-      // holding orders of magnitude more sessions for the same rate —
-      // this gate pins "no throughput regression at the baseline's
-      // knee"; the scale section shows the headroom. Only gated where a
-      // scheduler exists to contend with (>= 2 hardware threads).
-      const size_t gate_clients = 512;
-      double threads_ps = GatewayThroughput(
-          GatewayBackend::kThreadPerConnection, gate_clients, json, false);
-      double reactor_ps = GatewayThroughput(GatewayBackend::kReactor,
-                                            gate_clients, json, false);
-      double gain = threads_ps > 0 ? reactor_ps / threads_ps : 0;
-      bool enforce = HardwareThreads() >= 2;
-      std::printf("reactor vs thread-per-connection @%zu clients: %.2fx\n",
-                  gate_clients, gain);
-      json.Num("scale_gate_clients", static_cast<double>(gate_clients));
-      json.Num("threads_subs_per_sec", threads_ps);
-      json.Num("reactor_subs_per_sec", reactor_ps);
-      json.Num("reactor_gain", gain);
-      json.Bool("gain_gate_enforced", enforce);
-      if (enforce && gain < 0.9) {
-        std::fprintf(stderr,
-                     "reactor (%.1f subs/sec) regressed below "
-                     "thread-per-connection (%.1f subs/sec) at %zu "
-                     "clients\n",
-                     reactor_ps, threads_ps, gate_clients);
-        return 1;
-      }
-      if (!enforce) {
-        std::printf("(single hardware thread: reactor gain not gated)\n");
-      }
-    }
+    GatewayThroughput(clients, json);
 
     Rng rng(uint64_t{0x16e57});
     RoundConfig config = IngestConfig();
@@ -1284,7 +1214,7 @@ int main(int argc, char** argv) {
   }
   json.Num("hardware_threads", static_cast<double>(HardwareThreads()));
 
-  if (!RunConnectionScaling(connections, scale_backend, json)) {
+  if (!RunConnectionScaling(connections, json)) {
     return 1;
   }
   std::printf("ingest pipeline: OK\n");

@@ -152,14 +152,11 @@ int RunEndToEnd(bool smoke, atom::Rng& rng) {
     double intake_rep = SecondsSince(t_intake);
     intake_seconds =
         rep == 0 ? intake_rep : std::min(intake_seconds, intake_rep);
-    // Mixing-only twins built from the same ciphertexts for the A/B.
-    for (size_t r = 0; r < kRounds; r++) {
-      std::vector<CiphertextBatch> entry(kGroups);
-      for (const TrapSubmission& sub : subs[r]) {
-        entry[sub.entry_gid].push_back(sub.first);
-        entry[sub.entry_gid].push_back(sub.second);
-      }
-      mix_specs.push_back(round.MakeEngineRound(std::move(entry), {}, rng));
+    // Mixing-only twins of the same rounds for the A/B: identical entry
+    // batches and seed, no exit plan.
+    for (const EngineRound& spec : e2e_specs) {
+      mix_specs.push_back(spec);
+      mix_specs.back().exit.reset();
     }
 
     // A: mixing only, pipelined (what the old bench measured).

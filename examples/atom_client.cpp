@@ -1,6 +1,6 @@
 // atom_client: one registered Atom user in one OS process.
 //
-// Dials a SubmissionGateway (src/net/gateway.h) over an authenticated
+// Dials the client gateway (src/net/reactor.h) over an authenticated
 // encrypted link under the client's registered long-term key, waits for a
 // round to open, builds a submission from the gateway's welcome (variant,
 // layout, entry-group and trustee keys all arrive on the wire — the

@@ -2,18 +2,16 @@
 // line (src/testing/scenario.h).
 //
 //   chaos_fleet [--scenario NAME|all] [--seed N] [--rounds N] [--users N]
-//               [--workload raw|dialing|microblog]
-//               [--gateway threads|reactor] [--smoke] [--report PATH]
+//               [--workload raw|dialing|microblog] [--smoke]
+//               [--report PATH]
 //
 // Each scenario spawns a real atom_server fleet (found next to this
-// binary), a client gateway (--gateway picks the thread-per-connection
-// or epoll reactor ingress engine), and authenticated ClientSessions,
-// injects
-// its named fault deployment from the seed, and asserts the invariant
-// matrix. Exits nonzero on the first violation, printing the replay
-// command. --smoke shrinks to the fastest honest configuration (2 rounds)
-// for the per-push CI job; --report writes one JSON object per scenario
-// (a JSON array) for CI artifact upload.
+// binary), the epoll reactor client gateway, and authenticated
+// ClientSessions, injects its named fault deployment from the seed, and
+// asserts the invariant matrix. Exits nonzero on the first violation,
+// printing the replay command. --smoke shrinks to the fastest honest
+// configuration (2 rounds) for the per-push CI job; --report writes one
+// JSON object per scenario (a JSON array) for CI artifact upload.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,21 +67,11 @@ int main(int argc, char** argv) {
       report_path = value;
     } else if (flag == "--metrics-out") {
       metrics_path = value;
-    } else if (flag == "--gateway") {
-      if (std::strcmp(value, "threads") == 0) {
-        config.gateway_backend = GatewayBackend::kThreadPerConnection;
-      } else if (std::strcmp(value, "reactor") == 0) {
-        config.gateway_backend = GatewayBackend::kReactor;
-      } else {
-        std::fprintf(stderr, "unknown gateway backend: %s\n", value);
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
                    "usage: chaos_fleet [--scenario NAME|all] [--seed N] "
                    "[--rounds N] [--users N] "
-                   "[--workload raw|dialing|microblog] "
-                   "[--gateway threads|reactor] [--smoke] "
+                   "[--workload raw|dialing|microblog] [--smoke] "
                    "[--report PATH] [--metrics-out PATH]\n");
       return 2;
     }

@@ -33,8 +33,8 @@
 //   ./build/examples/distributed_nodes --tcp --pipelined --net-clients
 //       [--seed N]
 //       Full deployment shape including the client ingress tier: users
-//       register Schnorr identities with the Directory, a
-//       SubmissionGateway fronts the round's streaming intake, and every
+//       register Schnorr identities with the Directory, the reactor
+//       gateway fronts the round's streaming intake, and every
 //       submission arrives over an authenticated TCP ClientSession —
 //       round r+1's intake fills through the gateway while round r mixes
 //       on the atom_server fleet. Every RoundResult is byte-compared
@@ -652,11 +652,10 @@ int RunPipelined(const char* argv0, uint64_t seed) {
 
 // ----------------------------------- pipelined rounds with TCP clients
 
-// The full deployment shape: registered clients -> SubmissionGateway ->
+// The full deployment shape: registered clients -> ReactorGateway ->
 // streaming intake -> DistributedRoundDriver -> atom_server fleet, with a
 // twin round fed the identical submissions in process as the oracle.
-int RunPipelinedNetClients(const char* argv0, uint64_t seed,
-                           GatewayBackend backend) {
+int RunPipelinedNetClients(const char* argv0, uint64_t seed) {
   signal(SIGPIPE, SIG_IGN);
   std::string binary = ServerBinaryPath(argv0);
 
@@ -794,12 +793,7 @@ int RunPipelinedNetClients(const char* argv0, uint64_t seed,
     KemKeypair gateway_key = KemKeyGen(key_rng);
     GatewayConfig gateway_config;
     gateway_config.verify_workers = config.workers;
-    // Backend-selectable so CI pins the reactor's RoundResults
-    // byte-identical to both the in-process twin and the
-    // thread-per-connection run of the same seed.
-    std::unique_ptr<ClientGateway> gateway_ptr = MakeClientGateway(
-        backend, &net, &registry, gateway_key, gateway_config);
-    ClientGateway& gateway = *gateway_ptr;
+    ReactorGateway gateway(&net, &registry, gateway_key, gateway_config);
     if (!gateway.Listen(0)) {
       std::fprintf(stderr, "gateway listen failed\n");
       ReapAll(servers);
@@ -943,7 +937,6 @@ int main(int argc, char** argv) {
   bool tcp = false;
   bool pipelined = false;
   bool net_clients = false;
-  GatewayBackend backend = GatewayBackend::kThreadPerConnection;
   uint64_t seed = 42;
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--tcp") == 0) {
@@ -952,8 +945,6 @@ int main(int argc, char** argv) {
       pipelined = true;
     } else if (std::strcmp(argv[i], "--net-clients") == 0) {
       net_clients = true;
-    } else if (std::strcmp(argv[i], "--reactor-gateway") == 0) {
-      backend = GatewayBackend::kReactor;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       char* end = nullptr;
       seed = std::strtoull(argv[++i], &end, 10);
@@ -976,7 +967,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: distributed_nodes [--tcp] [--pipelined] "
-                   "[--net-clients] [--reactor-gateway] [--seed N] "
+                   "[--net-clients] [--seed N] "
                    "[--trace-out FILE] [--metrics-out FILE] "
                    "[--metrics-port P]\n");
       return 2;
@@ -1002,7 +993,7 @@ int main(int argc, char** argv) {
 
   int rc;
   if (net_clients) {
-    rc = RunPipelinedNetClients(argv[0], seed, backend);
+    rc = RunPipelinedNetClients(argv[0], seed);
   } else if (pipelined) {
     rc = RunPipelined(argv[0], seed);
   } else {

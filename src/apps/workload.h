@@ -1,7 +1,7 @@
 // Application workloads for the adversarial scenario harness
 // (src/testing/scenario.h): deterministic traffic generator + end-to-end
 // validator pairs that run the §5 applications over the real client path
-// (ClientSession -> SubmissionGateway -> DistributedRoundDriver) instead
+// (ClientSession -> ReactorGateway -> DistributedRoundDriver) instead
 // of synthetic submissions.
 //
 //  * kRaw       — seeded opaque bytes; validation is multiset equality of

@@ -27,7 +27,7 @@ namespace atom {
 // it trustworthy is the client ingress tier (src/net/gateway.h): ids bind
 // to Schnorr keys via signed registrations in a GLOBAL registry
 // (Directory::RegisterClient, src/net/registry.h — duplicates rejected at
-// registration time, across all entry groups), a SubmissionGateway only
+// registration time, across all entry groups), the gateway only
 // completes the SecureLink handshake against the registered key, and it
 // rejects any submission whose id differs from the channel that carried
 // it. In-process drivers that bypass the gateway still stand in for that

@@ -110,8 +110,7 @@ struct EngineRoundResult {
   std::string abort_reason;  // "group G layer L: why"
   // Without an ExitPlan: per exit-layer group, fully stripped ciphertexts
   // (plaintext points in .c). Size 0 when the round aborted — check
-  // `aborted` before using (ExitPhase requires one batch per group and
-  // rejects the empty vector).
+  // `aborted` before using.
   std::vector<CiphertextBatch> exits;
   // With an ExitPlan: the full round outcome (plaintexts, trap accounting,
   // abort state); `exits` stays empty because the engine consumed them.

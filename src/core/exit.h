@@ -1,6 +1,6 @@
-// Exit-phase building blocks (§4.4), shared by the legacy synchronous
-// Round::ExitPhase and the engine-native exit-layer tasks
-// (src/core/engine.h).
+// Exit-phase building blocks (§4.4), shared by the engine's exit-layer
+// tasks (src/core/engine.h) and the mesh fleet's exit stages
+// (src/net/node_process.h).
 //
 // The exit phase splits into three stages that map one-to-one onto hop
 // tasks in the engine's DAG:
@@ -16,8 +16,8 @@
 //      report is clean and the global trap/inner counts balance; only
 //      then are the inner ciphertexts decrypted.
 //
-// Both executors call the same functions on the same inputs, which is what
-// the exit-equivalence suite in tests/engine_test.cpp pins down.
+// Both executors call the same functions on the same inputs; the golden
+// round digests (tests/golden_round.h) pin that they agree.
 #ifndef SRC_CORE_EXIT_H_
 #define SRC_CORE_EXIT_H_
 
@@ -34,7 +34,7 @@ namespace atom {
 
 // The caller-facing outcome of one full protocol round (intake → mixing →
 // exit). Produced by RoundEngine::RunToCompletion when the EngineRound
-// carries an ExitPlan, and by the legacy Round::ExitPhase.
+// carries an ExitPlan, and by DistributedRoundDriver::Wait.
 struct RoundResult {
   bool aborted = false;
   std::string abort_reason;

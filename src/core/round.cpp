@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/crypto/kem.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/parallel.h"
@@ -315,11 +314,11 @@ RoundResult Round::Run(Rng& rng, const Evil* evil) {
   return RunWithEvils(rng, std::span<const Evil>(evil, 1));
 }
 
-EngineRound Round::MakeEngineRound(std::vector<CiphertextBatch> entry,
-                                   std::span<const Evil> evils, Rng& rng) {
+EngineRound Round::TakeEngineRound(std::span<const Evil> evils, Rng& rng) {
+  IntakeEpoch epoch = DrainIntake();
+  std::vector<CiphertextBatch>& entry = epoch.entry;
   const AtomParams& p = config_.params;
   const size_t G = topology_->Width();
-  ATOM_CHECK(entry.size() == G);
 
   // §3: butterfly mixing needs a constant fraction of dummies; each entry
   // group pads its own batch (dummies are discarded at the exit).
@@ -352,12 +351,6 @@ EngineRound Round::MakeEngineRound(std::vector<CiphertextBatch> entry,
     spec.faults.push_back(HopFault{evil.layer, evil.gid, evil.action});
   }
   rng.Fill(spec.seed.data(), spec.seed.size());
-  return spec;
-}
-
-EngineRound Round::TakeEngineRound(std::span<const Evil> evils, Rng& rng) {
-  IntakeEpoch epoch = DrainIntake();
-  EngineRound spec = MakeEngineRound(std::move(epoch.entry), evils, rng);
   ExitPlan plan;
   plan.layout = layout_;
   plan.trustees = trustees_.get();
@@ -366,8 +359,6 @@ EngineRound Round::TakeEngineRound(std::span<const Evil> evils, Rng& rng) {
   spec.intake_epoch = epoch.id;
   return spec;
 }
-
-uint64_t Round::AbandonIntakeEpoch() { return DrainIntake().id; }
 
 void Round::ReleaseBlameEpoch(uint64_t intake_epoch) {
   std::lock_guard<std::mutex> lock(epoch_mu_);
@@ -387,84 +378,6 @@ RoundResult Round::RunWithEvils(Rng& rng, std::span<const Evil> evils) {
     // Blame data only matters for disrupted rounds.
     ReleaseBlameEpoch(epoch);
   }
-  return result;
-}
-
-RoundResult Round::ExitPhase(std::vector<CiphertextBatch> at) {
-  RoundResult result;
-  const AtomParams& p = config_.params;
-  const size_t G = topology_->Width();
-  ATOM_CHECK(at.size() == G);
-
-  // The intake epoch is consumed on every exit path (success or abort),
-  // keeping the Round's state symmetric with the engine-native path.
-  IntakeEpoch epoch = DrainIntake();
-
-  if (p.variant == Variant::kNizk) {
-    for (uint32_t g = 0; g < G; g++) {
-      NizkExitDecode decode = DecodeNizkExits(at[g], layout_);
-      if (!decode.ok) {
-        result.aborted = true;
-        result.abort_reason = std::move(decode.error);
-        // An aborted round releases nothing: discard earlier groups'
-        // output (the engine-native finalize behaves the same way).
-        result.plaintexts.clear();
-        return result;
-      }
-      for (Bytes& plain : decode.plaintexts) {
-        result.plaintexts.push_back(std::move(plain));
-      }
-    }
-    ReleaseBlameEpoch(epoch.id);  // clean completion: nothing to blame
-    return result;
-  }
-
-  // Trap variant (§4.4): sort exits into traps (to their entry group) and
-  // inner ciphertexts (load-balanced by hash), check, report, maybe decrypt.
-  std::vector<ExitSort> sorts;
-  sorts.reserve(G);
-  for (uint32_t g = 0; g < G; g++) {
-    ExitSort sort = SortTrapExits(g, at[g], layout_, G);
-    if (!sort.ok) {
-      result.aborted = true;
-      result.abort_reason = "exit batch not fully decrypted";
-      return result;
-    }
-    sorts.push_back(std::move(sort));
-  }
-
-  // Per-group checks + reports (same gather as the engine's check tasks).
-  std::vector<std::vector<Bytes>> inner_for(G);
-  std::vector<GroupReport> reports;
-  reports.reserve(G);
-  for (uint32_t g = 0; g < G; g++) {
-    std::vector<Bytes> traps, inner;
-    GatherExitBuckets(sorts, g, &traps, &inner);
-    GroupReport report =
-        CheckExitGroup(g, traps, inner, epoch.commitments[g]);
-    result.traps_seen += report.num_traps;
-    result.inner_seen += report.num_inner;
-    reports.push_back(report);
-    inner_for[g] = std::move(inner);
-  }
-
-  auto round_secret = trustees_->MaybeReleaseKey(reports);
-  if (!round_secret.has_value()) {
-    result.aborted = true;
-    result.abort_reason =
-        "trustees refused to release the round key (trap check failed)";
-    return result;
-  }
-
-  for (uint32_t g = 0; g < G; g++) {
-    for (const auto& inner : inner_for[g]) {
-      auto msg = KemDecrypt(*round_secret, BytesView(inner));
-      if (msg.has_value()) {
-        result.plaintexts.push_back(*msg);
-      }
-    }
-  }
-  ReleaseBlameEpoch(epoch.id);  // clean completion: nothing to blame
   return result;
 }
 

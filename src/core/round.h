@@ -166,28 +166,6 @@ class Round {
   // engine.RunToCompletion(TakeEngineRound(evils, rng)).round.
   EngineRound TakeEngineRound(std::span<const Evil> evils, Rng& rng);
 
-  // Mixing-only spec over an arbitrary entry-batch set (one batch per
-  // group, moved in; butterfly dummy padding applied here). Does NOT drain
-  // the intake epoch and carries no ExitPlan — pair with ExitPhase below.
-  EngineRound MakeEngineRound(std::vector<CiphertextBatch> entry,
-                              std::span<const Evil> evils, Rng& rng);
-
-  // Legacy synchronous exit phase, applied to the engine's exit batches on
-  // the caller's thread. Consumes the current intake epoch (commitments
-  // move into the check, submissions into the blame history) exactly like
-  // TakeEngineRound; the engine-native path must match it byte for byte
-  // (tests/engine_test.cpp's exit-equivalence suite).
-  RoundResult ExitPhase(std::vector<CiphertextBatch> exits);
-
-  // Legacy-driver companion to ExitPhase: when a MakeEngineRound spec
-  // aborts during mixing, ExitPhase never runs, so the driver must
-  // abandon the epoch instead — otherwise its batches, commitments, and
-  // client ids leak into the next round and poison the trap check. The
-  // submissions still enter the blame history; returns the epoch id for
-  // BlameEntryGroup(gid, epoch). (TakeEngineRound drivers never need
-  // this: taking the spec already drained the epoch.)
-  uint64_t AbandonIntakeEpoch();
-
   // §4.6: after a disrupted trap round, an entry group reveals its key and
   // identifies malformed submissions. Returns indices into that group's
   // accepted submissions, in acceptance order. The one-argument form
@@ -236,7 +214,7 @@ class Round {
     MpscRing<StreamedSubmission> stream;
   };
 
-  // What one TakeEngineRound/ExitPhase drains out of the shards.
+  // What one TakeEngineRound drains out of the shards.
   struct IntakeEpoch {
     uint64_t id = 0;
     std::vector<CiphertextBatch> entry;

@@ -1,5 +1,5 @@
-// ClientSession: a registered user's authenticated channel to a
-// SubmissionGateway (src/net/gateway.h).
+// ClientSession: a registered user's authenticated channel to the client
+// gateway (src/net/reactor.h), speaking the protocol of src/net/gateway.h.
 //
 // Connect dials the gateway and runs the SecureLink handshake under the
 // client's REGISTERED long-term key — the gateway's registry lookup plus

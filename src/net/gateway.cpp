@@ -1,32 +1,12 @@
 #include "src/net/gateway.h"
 
-#include <array>
 #include <utility>
 
 #include "src/core/wire.h"
-#include "src/obs/metrics.h"
 #include "src/util/serde.h"
 
 namespace atom {
 namespace {
-
-// Verdict counters shared with the reactor backend (same series names, so
-// a process running both sees one combined ingress-outcome view).
-obs::Counter* VerdictCounter(SubmitStatus status) {
-  static std::array<obs::Counter*, 5> verdicts = [] {
-    obs::Registry& reg = obs::Registry::Global();
-    std::array<obs::Counter*, 5> out{};
-    const char* statuses[5] = {"accepted", "rejected", "closed",
-                               "backpressure", "foreign_id"};
-    for (size_t s = 0; s < 5; s++) {
-      out[s] =
-          reg.GetCounter(std::string("atom_gateway_verdicts_total{status=\"") +
-                         statuses[s] + "\"}");
-    }
-    return out;
-  }();
-  return verdicts[static_cast<size_t>(status)];
-}
 
 // No round this repo models has more entry groups; bounds the welcome
 // decode like the rest of the control plane.
@@ -35,11 +15,6 @@ constexpr uint32_t kMaxWelcomeGroups = 4096;
 // is malformed or hostile (well under the SecureLink frame cap, so the
 // gateway rejects before the decoder walks a giant buffer).
 constexpr uint32_t kMaxSubmissionBytes = 1u << 22;
-// Bound on every gateway->client socket write: a client that stops
-// reading fails its sends and loses the link after this long, instead of
-// wedging verdict/broadcast paths on a full kernel buffer forever.
-constexpr int kClientSendTimeoutMillis = 10'000;
-
 void PutPoint(ByteWriter& w, const Point& p) {
   w.Raw(BytesView(p.Encode()));
 }
@@ -240,461 +215,6 @@ std::optional<uint64_t> DecodeRoundNotice(BytesView bytes) {
     return std::nullopt;
   }
   return round_id;
-}
-
-SubmissionGateway::SubmissionGateway(Round* round, ClientRegistry* registry,
-                                     KemKeypair identity,
-                                     GatewayConfig config, ThreadPool* pool)
-    : round_(round),
-      registry_(registry),
-      identity_(std::move(identity)),
-      config_(config) {
-  ATOM_CHECK(round_ != nullptr && registry_ != nullptr);
-  pumps_.reserve(round_->NumGroups());
-  for (size_t g = 0; g < round_->NumGroups(); g++) {
-    pumps_.push_back(std::make_unique<ShardPump>(pool));
-  }
-  // Every id the gateway authenticates is also admissible at intake, and
-  // nothing else: the round's registry hook closes the in-process path a
-  // misbehaving driver could otherwise use to bypass the channel check.
-  round_->SetClientAuth([registry](uint64_t client_id) {
-    return registry->Lookup(client_id).has_value();
-  });
-}
-
-SubmissionGateway::~SubmissionGateway() {
-  Stop();
-  // The hook installed at construction captures the registry pointer;
-  // clear it so a Round outliving this gateway (and its registry) cannot
-  // call through freed memory. Safe here: Stop() has quiesced every
-  // reader and pump, so nothing reads the hook concurrently.
-  round_->SetClientAuth(nullptr);
-}
-
-bool SubmissionGateway::Listen(uint16_t port) {
-  auto listener = TcpListener::Bind(port);
-  if (!listener) {
-    return false;
-  }
-  listener_ = std::move(*listener);
-  return true;
-}
-
-void SubmissionGateway::Start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!listener_.valid() || accepting_ || stopping_) {
-    return;
-  }
-  accepting_ = true;
-  threads_.emplace_back([this] { AcceptLoop(); });
-}
-
-void SubmissionGateway::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      return;
-    }
-    stopping_ = true;
-  }
-  listener_.Shutdown();
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    conns = conns_;
-  }
-  for (auto& conn : conns) {
-    conn->link->Shutdown();
-  }
-  std::vector<std::thread> threads;
-  std::map<uint64_t, std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(threads_);
-    readers.swap(readers_);
-    finished_readers_.clear();
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  for (auto& [id, t] : readers) {
-    t.join();
-  }
-  // Readers are gone; let in-flight pump tasks finish (their result sends
-  // fail harmlessly against the closed links).
-  for (auto& pump : pumps_) {
-    pump->serial.Drain();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    conns_.clear();
-    pending_.clear();
-  }
-  listener_.Close();
-}
-
-void SubmissionGateway::OpenRound(uint64_t round_id) {
-  ATOM_CHECK_MSG(round_id != 0, "round id 0 marks a closed intake");
-  open_round_.store(round_id, std::memory_order_release);
-  Broadcast(ClientMsg::kRoundOpen, BytesView(EncodeRoundNotice(round_id)));
-}
-
-void SubmissionGateway::Cutoff() {
-  uint64_t closed = open_round_.exchange(0, std::memory_order_acq_rel);
-  if (closed != 0) {
-    Broadcast(ClientMsg::kRoundCutoff, BytesView(EncodeRoundNotice(closed)));
-  }
-  // Drain every shard: one final pump behind anything already scheduled
-  // (the serial lane preserves the single-consumer contract). All final
-  // pumps are submitted BEFORE any drain so the shards verify their
-  // tails concurrently on the pool — the cutoff-to-ship latency is the
-  // slowest shard, not the sum. After the drains, every submission the
-  // readers queued before the cutoff flipped has a verdict.
-  // A sharded gateway (entry_group >= 0) only ever pumps its own group:
-  // PumpStream is single-consumer per shard, and in a fleet each shard's
-  // consumer is its own gateway.
-  for (uint32_t g = 0; g < pumps_.size(); g++) {
-    if (config_.entry_group >= 0 &&
-        g != static_cast<uint32_t>(config_.entry_group)) {
-      continue;
-    }
-    pumps_[g]->serial.Submit([this, g] { PumpShard(g); });
-  }
-  for (auto& pump : pumps_) {
-    pump->serial.Drain();
-  }
-}
-
-size_t SubmissionGateway::ApplyRegistrySync(const RegistrySyncMsg& sync) {
-  return registry_->ApplySync(sync);
-}
-
-size_t SubmissionGateway::accepted_count() const {
-  return accepted_.load(std::memory_order_relaxed);
-}
-
-size_t SubmissionGateway::resolved_count() const {
-  return resolved_.load(std::memory_order_relaxed);
-}
-
-size_t SubmissionGateway::connection_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return conns_.size();
-}
-
-void SubmissionGateway::ReapFinishedReaders() {
-  std::vector<std::thread> done;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (uint64_t id : finished_readers_) {
-      auto it = readers_.find(id);
-      if (it != readers_.end()) {
-        done.push_back(std::move(it->second));
-        readers_.erase(it);
-      }
-    }
-    finished_readers_.clear();
-  }
-  for (std::thread& t : done) {
-    t.join();  // the reader already ran its last statement; near-instant
-  }
-}
-
-void SubmissionGateway::AcceptLoop() {
-  for (;;) {
-    auto socket = listener_.Accept();
-    if (!socket) {
-      return;  // listener shut down
-    }
-    ReapFinishedReaders();  // client churn must not accumulate threads
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      return;
-    }
-    // Handshake and everything after run OFF this thread: the gateway is
-    // the untrusted-internet surface, and a dialer that connects then
-    // stalls its handshake (bounded by the link's handshake timeout)
-    // must not deny acceptance to the honest clients behind it.
-    uint64_t reader_id = next_reader_id_++;
-    readers_.emplace(reader_id,
-                     std::thread([this, reader_id,
-                                  sock = std::move(*socket)]() mutable {
-                       ServeConnection(std::move(sock), reader_id);
-                     }));
-  }
-}
-
-void SubmissionGateway::ServeConnection(TcpSocket socket,
-                                        uint64_t reader_id) {
-  // Early exits hand the thread to the reaper themselves; the success
-  // path delegates to ReaderLoop, whose tail does the same.
-  auto finish = [this, reader_id] {
-    std::lock_guard<std::mutex> lock(mu_);
-    finished_readers_.push_back(reader_id);
-  };
-  Rng rng = Rng::FromOsEntropy();
-  // The registry IS the authentication: an id without a registered key
-  // cannot complete the handshake, and a registered id can only be
-  // claimed by the holder of its registered key.
-  auto accepted = SecureLink::Accept(
-      std::move(socket), kGatewayLinkId, identity_,
-      [this](uint64_t id) { return registry_->Lookup(id); }, rng);
-  if (accepted == nullptr) {
-    finish();
-    return;
-  }
-  auto conn = std::make_shared<Connection>();
-  conn->client_id = accepted->peer_id();
-  // Cache the registered key: the handshake only completes against it, so
-  // the lookup cannot fail here. It becomes sig_pk for every signed frame
-  // this connection streams — the pump never touches the registry.
-  auto registered = registry_->Lookup(conn->client_id);
-  ATOM_CHECK(registered.has_value());
-  conn->pk = *registered;
-  conn->link = std::shared_ptr<SecureLink>(std::move(accepted));
-  // A client that stops reading (zero TCP window) must fail its sends,
-  // not wedge verdict and broadcast paths on a full kernel buffer.
-  conn->link->SetSendTimeout(kClientSendTimeoutMillis);
-
-  GatewayWelcome welcome;
-  welcome.credit = config_.credit_window;
-  welcome.variant = static_cast<uint8_t>(round_->variant());
-  welcome.plaintext_len =
-      static_cast<uint32_t>(round_->layout().plaintext_len);
-  welcome.padded_len = static_cast<uint32_t>(round_->layout().padded_len);
-  welcome.num_points = static_cast<uint32_t>(round_->layout().num_points);
-  for (uint32_t g = 0; g < round_->NumGroups(); g++) {
-    welcome.entry_pks.push_back(round_->EntryPk(g));
-  }
-  if (round_->variant() == Variant::kTrap) {
-    welcome.trustee_pk = round_->TrusteePk();
-  }
-  welcome.open_round = open_round_.load(std::memory_order_acquire);
-  if (!conn->link->Send(BytesView(PackClientFrame(
-          ClientMsg::kWelcome, BytesView(EncodeWelcome(welcome)))))) {
-    finish();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      conn->link->Shutdown();
-    } else {
-      conns_.push_back(conn);
-    }
-  }
-  // An OpenRound/Cutoff between the welcome snapshot and the conns_
-  // insertion broadcast to a list this connection was not yet on; send
-  // the corrective notice directly (a duplicate notice is harmless —
-  // the client just overwrites its open-round state).
-  uint64_t now_open = open_round_.load(std::memory_order_acquire);
-  if (now_open != welcome.open_round) {
-    if (now_open != 0) {
-      conn->link->Send(BytesView(PackClientFrame(
-          ClientMsg::kRoundOpen, BytesView(EncodeRoundNotice(now_open)))));
-    } else {
-      conn->link->Send(BytesView(
-          PackClientFrame(ClientMsg::kRoundCutoff,
-                          BytesView(EncodeRoundNotice(welcome.open_round)))));
-    }
-  }
-  ReaderLoop(conn, reader_id);
-}
-
-void SubmissionGateway::ReaderLoop(std::shared_ptr<Connection> conn,
-                                   uint64_t reader_id) {
-  for (;;) {
-    auto payload = conn->link->Recv();
-    if (!payload) {
-      break;  // EOF, oversize, or authentication failure: drop the client
-    }
-    auto frame = UnpackClientFrame(BytesView(*payload));
-    if (!frame) {
-      conn->link->Shutdown();  // junk after an authenticated handshake
-      break;
-    }
-    if (frame->type != ClientMsg::kSubmit) {
-      continue;  // clients only ever send kSubmit; ignore the rest
-    }
-    auto msg = DecodeSubmit(BytesView(frame->body));
-    if (!msg) {
-      conn->link->Shutdown();  // malformed submit envelope: hostile
-      break;
-    }
-    if (fault_plan_ != nullptr &&
-        fault_plan_->DisconnectClient(conn->client_id)) {
-      // Scenario-harness churn: kill the connection mid-stream, with the
-      // just-read submission discarded before it reaches the intake — so
-      // the client's missing verdict means "not accepted", never
-      // "accepted but unacknowledged", and a scenario's accepted set
-      // stays exactly knowable. Earlier submissions verify normally; the
-      // disconnect tail below keeps the round from stalling.
-      conn->link->Shutdown();
-      break;
-    }
-    HandleSubmit(conn, std::move(*msg));
-  }
-  // A disconnect mid-stream must never stall the round: submissions this
-  // client already queued verify normally; we only stop broadcasting to
-  // it. Pending verdicts resolve against the dead link harmlessly. The
-  // thread hands itself to the accept loop's reaper for joining.
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = conns_.begin(); it != conns_.end(); ++it) {
-    if (it->get() == conn.get()) {
-      conns_.erase(it);
-      break;
-    }
-  }
-  finished_readers_.push_back(reader_id);
-}
-
-void SubmissionGateway::HandleSubmit(
-    const std::shared_ptr<Connection>& conn, SubmitMsg msg) {
-  if (open_round_.load(std::memory_order_acquire) == 0) {
-    SendResult(conn, msg.seq, SubmitStatus::kClosed);
-    return;
-  }
-  if (config_.require_sigs && !msg.has_sig) {
-    SendResult(conn, msg.seq, SubmitStatus::kRejected);
-    return;
-  }
-  // Decode on the reader thread (cheap next to proof verification, and it
-  // keeps the ring free of undecodable junk).
-  StreamedSubmission item;
-  if (msg.has_sig) {
-    // Verification is deferred to the pump, which folds all signed items
-    // of a drained span into one batch check; sign over the wire bytes so
-    // the pump needs no re-encoding.
-    item.has_sig = true;
-    item.sig_pk = conn->pk;
-    item.sig = msg.sig;
-    item.sig_msg = SubmissionSigMessage(BytesView(msg.submission));
-  }
-  uint32_t gid = 0;
-  uint64_t submission_client = 0;
-  if (round_->variant() == Variant::kTrap) {
-    auto sub = DecodeTrapSubmission(BytesView(msg.submission));
-    if (!sub) {
-      SendResult(conn, msg.seq, SubmitStatus::kRejected);
-      return;
-    }
-    gid = sub->entry_gid;
-    submission_client = sub->client_id;
-    item.trap = std::move(*sub);
-  } else {
-    auto sub = DecodeNizkSubmission(BytesView(msg.submission));
-    if (!sub) {
-      SendResult(conn, msg.seq, SubmitStatus::kRejected);
-      return;
-    }
-    gid = sub->entry_gid;
-    submission_client = sub->client_id;
-    item.nizk = std::move(*sub);
-  }
-  // The authenticated channel pins the id: a submission claiming any
-  // other id (including anonymous) is the squatting attack registration
-  // exists to stop.
-  if (submission_client != conn->client_id) {
-    SendResult(conn, msg.seq, SubmitStatus::kForeignId);
-    return;
-  }
-  if (gid >= round_->NumGroups()) {
-    SendResult(conn, msg.seq, SubmitStatus::kRejected);
-    return;
-  }
-  // Sharded admission (fleet deployments): this gateway serves exactly
-  // one entry group; a submission addressed elsewhere is a routing bug
-  // the client must see, not silently forward.
-  if (config_.entry_group >= 0 &&
-      gid != static_cast<uint32_t>(config_.entry_group)) {
-    SendResult(conn, msg.seq, SubmitStatus::kRejected);
-    return;
-  }
-
-  uint64_t cookie;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (conn->in_flight >= config_.credit_window) {
-      // A conforming client never reaches this (it spends credit); an
-      // overdrawn one gets backpressure instead of unbounded queueing.
-      cookie = 0;
-    } else {
-      cookie = next_cookie_++;
-      pending_[cookie] = PendingSubmit{conn, msg.seq};
-      conn->in_flight++;
-    }
-  }
-  if (cookie == 0) {
-    SendResult(conn, msg.seq, SubmitStatus::kBackpressure);
-    return;
-  }
-  item.cookie = cookie;
-  if (!round_->StreamSubmit(std::move(item))) {
-    // Shard ring full: the bound is the backpressure, not a stall.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      pending_.erase(cookie);
-      conn->in_flight--;
-    }
-    SendResult(conn, msg.seq, SubmitStatus::kBackpressure);
-    return;
-  }
-  SchedulePump(gid);
-}
-
-void SubmissionGateway::SchedulePump(uint32_t gid) {
-  // One pump per push: the SerialExecutor's lock orders the preceding
-  // ring push before the pump task (no flag protocol, no lost-wakeup
-  // window on weakly-ordered CPUs); a pump whose span was already
-  // drained by its predecessor pops nothing and returns.
-  pumps_[gid]->serial.Submit([this, gid] { PumpShard(gid); });
-}
-
-void SubmissionGateway::PumpShard(uint32_t gid) {
-  round_->PumpStream(
-      gid, config_.verify_workers,
-      [this](uint64_t cookie, bool accepted) {
-        std::shared_ptr<Connection> conn;
-        uint64_t seq = 0;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          auto it = pending_.find(cookie);
-          if (it == pending_.end()) {
-            return;
-          }
-          conn = it->second.conn;
-          seq = it->second.seq;
-          conn->in_flight--;
-          pending_.erase(it);
-        }
-        resolved_.fetch_add(1, std::memory_order_relaxed);
-        if (accepted) {
-          accepted_.fetch_add(1, std::memory_order_relaxed);
-        }
-        SendResult(conn, seq,
-                   accepted ? SubmitStatus::kAccepted
-                            : SubmitStatus::kRejected);
-      });
-}
-
-void SubmissionGateway::SendResult(const std::shared_ptr<Connection>& conn,
-                                   uint64_t seq, SubmitStatus status) {
-  VerdictCounter(status)->Add(1);
-  conn->link->Send(BytesView(
-      PackClientFrame(ClientMsg::kSubmitResult,
-                      BytesView(EncodeSubmitResult(seq, status)))));
-}
-
-void SubmissionGateway::Broadcast(ClientMsg type, BytesView body) {
-  Bytes frame = PackClientFrame(type, body);
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    conns = conns_;
-  }
-  for (auto& conn : conns) {
-    conn->link->Send(BytesView(frame));
-  }
 }
 
 }  // namespace atom

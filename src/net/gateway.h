@@ -1,29 +1,26 @@
-// Client ingress tier: the authenticated submission gateway.
+// Client ingress tier: the authenticated submission protocol.
 //
-// A SubmissionGateway fronts one Round's sharded intake with real sockets,
-// turning "users exist only in process" into the deployment shape the
-// paper assumes: clients hold registered long-term keys, dial the gateway
-// over a SecureLink (the same KEM+AEAD station-to-station handshake the
-// server mesh uses — the dialer must use the REGISTERED key to complete
-// it, so a connection IS proof of identity), and stream submission frames
-// that are verified while later frames are still in flight.
+// Clients hold registered long-term keys, dial a gateway over a SecureLink
+// (the same KEM+AEAD station-to-station handshake the server mesh uses —
+// the dialer must use the REGISTERED key to complete it, so a connection
+// IS proof of identity), and stream submission frames that the gateway
+// verifies while later frames are still in flight. This header holds the
+// wire protocol (frames, welcome, verdicts) and the gateway's
+// configuration; the gateway itself is the epoll ReactorGateway
+// (src/net/reactor.h).
 //
-// Data path, per inbound kSubmit frame:
-//
-//   reader thread: decode -> channel checks (round open? id matches the
-//     authenticated link? credit left?) -> lock-free push onto the entry
-//     group's bounded MPSC ring (Round::StreamSubmit) -> schedule pump
-//   pump task (serial per shard, on the shared pool): drain the ring ->
-//     pool-verified batch acceptance (Round::PumpStream) -> one
-//     kSubmitResult per submission, which also returns its credit
-//
-// so proof verification of span k overlaps the socket reads producing
-// span k+1 — the streaming intake the ROADMAP calls out for sustained
-// millions-of-users ingest. Backpressure is explicit at both levels: each
-// connection gets a credit window (advertised in kWelcome, one credit per
-// in-flight submission, returned by its result), and a full shard ring
-// fails the push with a kBackpressure verdict instead of blocking the
-// reader or growing without bound.
+// Per inbound kSubmit frame the gateway runs channel checks (round open?
+// id matches the authenticated link? credit left?), pushes the submission
+// lock-free onto its entry group's bounded MPSC ring
+// (Round::StreamSubmit), and a serial per-shard pump drains the ring
+// through pool-verified batch acceptance (Round::PumpStream), answering
+// one kSubmitResult per submission, which also returns its credit. So
+// proof verification of span k overlaps the socket reads producing span
+// k+1. Backpressure is explicit at both levels: each connection gets a
+// credit window (advertised in kWelcome, one credit per in-flight
+// submission, returned by its result), and a full shard ring fails the
+// push with a kBackpressure verdict instead of blocking or growing
+// without bound.
 //
 // Round lifecycle: OpenRound announces intake for round r (kRoundOpen to
 // every connection); Cutoff closes it, drains every shard through
@@ -35,18 +32,13 @@
 #ifndef SRC_NET_GATEWAY_H_
 #define SRC_NET_GATEWAY_H_
 
-#include <atomic>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "src/core/round.h"
-#include "src/net/faults.h"
-#include "src/net/link.h"
-#include "src/net/registry.h"
-#include "src/util/parallel.h"
+#include "src/crypto/p256.h"
+#include "src/crypto/schnorr.h"
+#include "src/util/bytes.h"
 
 namespace atom {
 
@@ -140,10 +132,9 @@ struct GatewayConfig {
   // Sharded admission (GatewayFleet, src/net/reactor.h): when >= 0, only
   // submissions addressed to this entry group are admitted — a client
   // that dials the wrong shard's gateway gets kRejected, so fleet routing
-  // mistakes surface instead of silently crossing shards. Both backends
-  // honor it; -1 admits every group (the single-gateway deployment).
+  // mistakes surface instead of silently crossing shards; -1 admits every
+  // group (the single-gateway deployment).
   int64_t entry_group = -1;
-  // ---- Reactor-backend knobs (ignored by thread-per-connection):
   // Event-loop threads. Each owns an epoll set and a share of the
   // connections; loop 0 also owns the listener. A small fixed number
   // serves very many sockets — parallelism for crypto comes from the
@@ -161,164 +152,10 @@ struct GatewayConfig {
   size_t max_connections = 0;
 };
 
-// Which ingress implementation fronts the round.
+// Which ingress implementation fronts the round: the epoll reactor
+// (src/net/reactor.h) is the only one.
 enum class GatewayBackend : uint8_t {
-  // One reader thread per client connection (SubmissionGateway below).
-  // Simple and fine into the low thousands of sessions; kept as the
-  // apples-to-apples baseline behind this flag.
-  kThreadPerConnection = 0,
-  // Epoll edge-triggered reactor (ReactorGateway, src/net/reactor.h): a
-  // small fixed pool of event-loop threads owning non-blocking sockets;
-  // scales to hundreds of thousands of sessions per host.
   kReactor = 1,
-};
-
-// The gateway surface the rest of the stack programs against: the round
-// driver opens/cuts rounds, the directory pushes registry syncs, the
-// scenario harness injects faults — none of them care which backend
-// serves the sockets.
-class ClientGateway {
- public:
-  virtual ~ClientGateway() = default;
-
-  virtual bool Listen(uint16_t port = 0) = 0;
-  virtual uint16_t port() const = 0;
-  virtual void Start() = 0;
-  virtual void Stop() = 0;
-  virtual const Point& pk() const = 0;
-  virtual void OpenRound(uint64_t round_id) = 0;
-  virtual void Cutoff() = 0;
-  virtual size_t ApplyRegistrySync(const RegistrySyncMsg& sync) = 0;
-  virtual void SetFaultPlan(std::shared_ptr<FaultPlan> plan) = 0;
-  virtual size_t accepted_count() const = 0;
-  virtual size_t resolved_count() const = 0;
-  virtual size_t connection_count() const = 0;
-};
-
-// Constructs the chosen backend (defined in src/net/reactor.cpp, next to
-// the reactor it dispatches to).
-std::unique_ptr<ClientGateway> MakeClientGateway(
-    GatewayBackend backend, Round* round, ClientRegistry* registry,
-    KemKeypair identity, GatewayConfig config = {},
-    ThreadPool* pool = nullptr);
-
-class SubmissionGateway : public ClientGateway {
- public:
-  // `round` and `registry` must outlive the gateway; `identity` is the
-  // gateway's long-term key (clients authenticate it like servers
-  // authenticate the driver). The registry is shared, not copied —
-  // ApplyRegistrySync and concurrent connection lookups go through its
-  // own lock. `pool` backs the per-shard pump lanes (null = the
-  // process-wide shared pool).
-  SubmissionGateway(Round* round, ClientRegistry* registry,
-                    KemKeypair identity, GatewayConfig config = {},
-                    ThreadPool* pool = nullptr);
-  ~SubmissionGateway() override;
-
-  SubmissionGateway(const SubmissionGateway&) = delete;
-  SubmissionGateway& operator=(const SubmissionGateway&) = delete;
-
-  bool Listen(uint16_t port = 0) override;
-  uint16_t port() const override { return listener_.port(); }
-  void Start() override;
-  void Stop() override;
-
-  const Point& pk() const override { return identity_.pk; }
-
-  // Opens intake for `round_id` (nonzero) and announces it to every
-  // connection. Called by the driver right after it ships the previous
-  // round — r+1's intake fills while r mixes.
-  void OpenRound(uint64_t round_id) override;
-
-  // Closes intake, announces the cutoff, and drains every shard's ring
-  // through verification. When it returns, everything accepted for the
-  // round is in the Round's intake epoch (TakeEngineRound-ready).
-  // Submissions racing the cutoff instant may land in the next round's
-  // intake instead — the pipelined-intake boundary, not a loss.
-  void Cutoff() override;
-
-  // Merges a registry snapshot (see src/net/registry.h) into the live
-  // lookup table; newly synced clients can connect immediately.
-  size_t ApplyRegistrySync(const RegistrySyncMsg& sync) override;
-
-  // Scenario-harness fault injection (src/net/faults.h): the plan's
-  // client-disconnect rate kills connections mid-stream right after a
-  // kSubmit frame is read — deterministic gateway-side churn. Set before
-  // Start().
-  void SetFaultPlan(std::shared_ptr<FaultPlan> plan) override {
-    fault_plan_ = std::move(plan);
-  }
-
-  // Monitoring: verified-and-accepted / total-resolved counts since
-  // construction, and live connections.
-  size_t accepted_count() const override;
-  size_t resolved_count() const override;
-  size_t connection_count() const override;
-
- private:
-  struct Connection {
-    std::shared_ptr<SecureLink> link;
-    uint64_t client_id = 0;
-    Point pk;                // the registered key (cached at handshake)
-    uint32_t in_flight = 0;  // guarded by the gateway's mu_
-  };
-  // One entry-group shard's pump lane: pumps are serialized (the ring's
-  // single-consumer contract). Every push schedules a pump — the
-  // executor's lock makes the push visible to it, so no submission can
-  // be stranded; a pump that finds its span already drained by a
-  // predecessor returns immediately (trivial next to verification).
-  struct ShardPump {
-    explicit ShardPump(ThreadPool* pool) : serial(pool) {}
-    SerialExecutor serial;
-  };
-
-  void AcceptLoop();
-  // Handshake + welcome + read loop for one inbound socket, on its own
-  // thread: an untrusted dialer that stalls its handshake must not block
-  // acceptance of the clients behind it.
-  void ServeConnection(TcpSocket socket, uint64_t reader_id);
-  void ReaderLoop(std::shared_ptr<Connection> conn, uint64_t reader_id);
-  // Joins reader threads whose connections have ended (called from the
-  // accept loop), so client churn never accumulates zombie threads.
-  void ReapFinishedReaders();
-  void HandleSubmit(const std::shared_ptr<Connection>& conn,
-                    SubmitMsg msg);
-  void SchedulePump(uint32_t gid);
-  void PumpShard(uint32_t gid);
-  void SendResult(const std::shared_ptr<Connection>& conn, uint64_t seq,
-                  SubmitStatus status);
-  void Broadcast(ClientMsg type, BytesView body);
-
-  Round* const round_;
-  ClientRegistry* const registry_;
-  const KemKeypair identity_;
-  const GatewayConfig config_;
-  std::shared_ptr<FaultPlan> fault_plan_;  // set before Start()
-
-  std::vector<std::unique_ptr<ShardPump>> pumps_;  // one per entry group
-
-  mutable std::mutex mu_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> threads_;  // the accept loop
-  // Connection readers, keyed so a finished reader can be joined and
-  // reclaimed while the gateway keeps serving.
-  std::map<uint64_t, std::thread> readers_;
-  std::vector<uint64_t> finished_readers_;
-  uint64_t next_reader_id_ = 1;
-  // Queued-but-unresolved submissions: cookie -> (connection, client seq).
-  struct PendingSubmit {
-    std::shared_ptr<Connection> conn;
-    uint64_t seq = 0;
-  };
-  std::map<uint64_t, PendingSubmit> pending_;
-  uint64_t next_cookie_ = 1;
-  std::atomic<uint64_t> open_round_{0};
-  std::atomic<size_t> accepted_{0};
-  std::atomic<size_t> resolved_{0};
-  bool stopping_ = false;
-  bool accepting_ = false;
-
-  TcpListener listener_;
 };
 
 }  // namespace atom

@@ -333,13 +333,12 @@ std::shared_ptr<SecureLink> TcpPeerMesh::EnsureLink(uint32_t peer_id) {
 
 bool TcpPeerMesh::SendFrame(uint32_t peer_id, LinkMsg type, BytesView body) {
   const size_t cost = body.size() + 1;  // + the LinkMsg tag byte
-  std::chrono::milliseconds delay;
+  std::chrono::milliseconds delay{0};
   std::shared_ptr<FaultPlan> plan;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    delay = send_delay_;
-    // The per-peer WAN matrix overrides the global delay and adds a
-    // serialization term: frame_bytes / bandwidth.
+    // WAN emulation: the peer's one-way delay plus a serialization term,
+    // frame_bytes / bandwidth.
     auto wan = wan_.find(peer_id);
     if (wan != wan_.end()) {
       delay = wan->second.delay;
@@ -681,8 +680,8 @@ void TcpPeerMesh::HandleFrame(uint32_t peer_id, LinkFrame frame) {
       DispatchEnvelope(std::move(*envelope));
       return;
     }
-    // A bundle demultiplexes back into the exact per-envelope delivery a
-    // legacy sender would have produced, in the sender's fan-out order.
+    // A bundle demultiplexes back into one delivery per envelope, in the
+    // sender's fan-out order.
     auto envelopes = DecodeEnvelopeBundle(BytesView(frame.body));
     if (!envelopes) {
       malformed();
@@ -1034,11 +1033,6 @@ void TcpPeerMesh::set_control_timeout(std::chrono::milliseconds timeout) {
 void TcpPeerMesh::set_dial_attempts(int attempts) {
   std::lock_guard<std::mutex> lock(mu_);
   dial_attempts_ = attempts < 1 ? 1 : attempts;
-}
-
-void TcpPeerMesh::set_send_delay(std::chrono::milliseconds delay) {
-  std::lock_guard<std::mutex> lock(mu_);
-  send_delay_ = delay;
 }
 
 void TcpPeerMesh::set_peer_profile(uint32_t peer_id, WanProfile profile) {

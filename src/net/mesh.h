@@ -236,17 +236,15 @@ class TcpPeerMesh : public Bus {
   void set_send_queue_bound(size_t bytes);
   // Frames dropped by the bound since construction (observability).
   size_t send_queue_drops() const;
-  // WAN emulation for benches (netem-style): every outbound frame sleeps
-  // this long before hitting the socket, modelling one-way link latency.
-  // The sender's thread blocks, exactly like a saturated WAN send buffer
+  // WAN emulation for benches and tests (netem-style): every outbound
+  // frame to `peer_id` sleeps for the profile's one-way delay plus its
+  // bandwidth term (see WanProfile) before hitting the socket. The
+  // sender's thread blocks, exactly like a saturated WAN send buffer
   // would; concurrent rounds overlap these stalls, sequential rounds pay
-  // them serially. Zero (the default) disables it. On the sender-lane
-  // path the sleep happens on the drain task, so the producer keeps
-  // sealing while the emulated wire is busy.
-  void set_send_delay(std::chrono::milliseconds delay);
-  // Per-peer WAN matrix entry; overrides set_send_delay for this peer and
-  // adds a bandwidth term (see WanProfile). Benches build a full
-  // latency/bandwidth matrix by calling this once per peer.
+  // them serially. On the sender-lane path the sleep happens on the drain
+  // task, so the producer keeps sealing while the emulated wire is busy.
+  // A uniform WAN is one call per peer with the same profile; a
+  // latency/bandwidth matrix gives each peer its own.
   void set_peer_profile(uint32_t peer_id, WanProfile profile);
   // Pool that runs the sender-lane drains (default ThreadPool::Shared());
   // a NodeProcess points this at its own pool so transport and protocol
@@ -347,7 +345,6 @@ class TcpPeerMesh : public Bus {
 
   std::chrono::milliseconds run_timeout_{std::chrono::seconds(120)};
   std::chrono::milliseconds control_timeout_{std::chrono::seconds(20)};
-  std::chrono::milliseconds send_delay_{0};
   std::shared_ptr<FaultPlan> fault_plan_;  // guarded by mu_
   int dial_attempts_ = 5;
   size_t send_queue_bound_ = size_t{1} << 26;  // 64 MiB per peer

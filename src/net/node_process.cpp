@@ -90,10 +90,6 @@ void NodeProcess::SetFaultPlan(std::shared_ptr<FaultPlan> plan) {
   mesh_.SetFaultPlan(std::move(plan));
 }
 
-void NodeProcess::set_wire_delay(std::chrono::milliseconds delay) {
-  mesh_.set_send_delay(delay);
-}
-
 void NodeProcess::set_peer_profile(uint32_t peer_id, WanProfile profile) {
   mesh_.set_peer_profile(peer_id, profile);
 }
@@ -598,22 +594,6 @@ void NodeProcess::ProcessExitBuckets(const std::shared_ptr<RoundCtx>& ctx,
   Deliver(ctx, Envelope{kMeshDriverId, std::move(out), ctx->round_id});
 }
 
-void NodeProcess::SendToServer(const std::shared_ptr<RoundCtx>& ctx,
-                               uint32_t dest_server, NodeMsg msg) {
-  Envelope envelope{dest_server, std::move(msg), ctx->round_id};
-  if (dest_server == server_id_) {
-    // Self-hosted destination: back into our own lane without touching
-    // the network (there is no link to ourselves).
-    if (tamper_) {
-      tamper_(envelope);
-    }
-    ApplyPlanTamper(ctx, envelope);
-    HandleEnvelope(std::move(envelope));
-    return;
-  }
-  Deliver(ctx, std::move(envelope));
-}
-
 void NodeProcess::ApplyPlanTamper(const std::shared_ptr<RoundCtx>& ctx,
                                   Envelope& envelope) {
   if (fault_plan_ == nullptr || !fault_plan_->TamperRound(ctx->round_id)) {
@@ -654,29 +634,23 @@ void NodeProcess::Deliver(const std::shared_ptr<RoundCtx>& ctx,
 
 void NodeProcess::FanOut(const std::shared_ptr<RoundCtx>& ctx,
                          std::vector<std::pair<uint32_t, NodeMsg>> sends) {
-  if (!coalesce_) {
-    // Legacy path (before/after bench rows): one frame per sub-batch,
-    // serialized and sent inline on this lane's thread.
-    for (auto& [dest, msg] : sends) {
-      SendToServer(ctx, dest, std::move(msg));
-    }
-    return;
-  }
-  // Coalesced path: group by destination host so each peer receives one
-  // kEnvelopeBundle for this hop. The mesh's sender lane picks the frame
-  // up asynchronously — by the time it hits the socket, this thread is
+  // Group by destination host so each peer receives one kEnvelopeBundle
+  // for this hop. The mesh's sender lane picks the frame up
+  // asynchronously — by the time it hits the socket, this thread is
   // already sealing the next destination's bundle.
   std::map<uint32_t, std::vector<Envelope>> by_host;
   for (auto& [dest, msg] : sends) {
-    if (dest == server_id_) {
-      SendToServer(ctx, dest, std::move(msg));  // self short-circuit
-      continue;
-    }
     Envelope envelope{dest, std::move(msg), ctx->round_id};
     if (tamper_) {
       tamper_(envelope);
     }
     ApplyPlanTamper(ctx, envelope);
+    if (dest == server_id_) {
+      // Self-hosted destination: back into our own lane without touching
+      // the network (there is no link to ourselves).
+      HandleEnvelope(std::move(envelope));
+      continue;
+    }
     by_host[dest].push_back(std::move(envelope));
   }
   for (auto& [dest, envelopes] : by_host) {

@@ -74,18 +74,10 @@ class NodeProcess {
               const Point& driver_pk, size_t max_rounds = 8,
               ThreadPool* pool = nullptr);
 
-  // Forwards to the mesh's WAN emulation knob (benches). Set before
-  // Start().
-  void set_wire_delay(std::chrono::milliseconds delay);
-  // Per-peer WAN matrix entry (overrides set_wire_delay for that peer);
-  // benches shape a multi-region topology with these. Set before Start().
+  // Forwards to the mesh's per-peer WAN emulation (see
+  // TcpPeerMesh::set_peer_profile); benches shape a uniform WAN or a
+  // multi-region topology with these. Set before Start().
   void set_peer_profile(uint32_t peer_id, WanProfile profile);
-  // Per-peer frame coalescing for engine-round fan-out (default on): all
-  // sub-batches a hop owes one server travel as one kEnvelopeBundle frame
-  // through the mesh's sender lane. Off selects the legacy
-  // one-frame-per-envelope path — kept selectable so benches can pin
-  // before/after rows and seeded results can be compared byte-for-byte.
-  void set_coalesce_sends(bool on) { coalesce_ = on; }
   // Transport counters (bytes/frames/bundles per peer) for bench rows.
   MeshTransportStats TransportStats() const { return mesh_.Stats(); }
   ~NodeProcess();
@@ -171,18 +163,13 @@ class NodeProcess {
   void Deliver(const std::shared_ptr<RoundCtx>& ctx, Envelope envelope);
   // Ships one hop's fan-out (dest_server, msg) pairs: self-sends
   // short-circuit into our own lane; remote sends group per destination
-  // host so each peer gets one multi-envelope frame per hop (or the
-  // legacy one-frame-per-envelope path when coalescing is off).
+  // host so each peer gets one kEnvelopeBundle frame per hop.
   void FanOut(const std::shared_ptr<RoundCtx>& ctx,
               std::vector<std::pair<uint32_t, NodeMsg>> sends);
   // Applies the fault plan's byzantine tamper to an outbound envelope
   // when its round is inside a tamper range.
   void ApplyPlanTamper(const std::shared_ptr<RoundCtx>& ctx,
                        Envelope& envelope);
-  // Routes an engine-round envelope to the server hosting `dest_server`,
-  // short-circuiting self-sends back into our own lane.
-  void SendToServer(const std::shared_ptr<RoundCtx>& ctx,
-                    uint32_t dest_server, NodeMsg msg);
   void AbortRound(const std::shared_ptr<RoundCtx>& ctx, uint32_t gid,
                   std::string reason);
   GroupRuntime* FindHostedGroup(uint32_t gid);
@@ -214,7 +201,6 @@ class NodeProcess {
 
   std::function<void(Envelope&)> tamper_;
   std::shared_ptr<FaultPlan> fault_plan_;  // set before Start()
-  bool coalesce_ = true;  // set before Start()
 };
 
 }  // namespace atom

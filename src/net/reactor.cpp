@@ -86,8 +86,8 @@ void SetNoDelay(int fd) {
 // All mutable connection state below is owned by the connection's event
 // loop: only that loop's thread touches it (cross-thread results arrive
 // as posted closures), so none of it needs a lock. The exceptions are
-// in_flight — the credit count, guarded by the gateway's mu_ like the
-// blocking backend's — and the const-after-handshake identity fields.
+// in_flight — the credit count, guarded by the gateway's mu_ — and the
+// const-after-handshake identity fields.
 struct ReactorGateway::Conn {
   enum class State : uint8_t { kHandshaking, kWelcomed, kStreaming,
                                kDraining };
@@ -165,8 +165,9 @@ ReactorGateway::ReactorGateway(Round* round, ClientRegistry* registry,
   for (size_t g = 0; g < round_->NumGroups(); g++) {
     pumps_.push_back(std::make_unique<ShardPump>(pool));
   }
-  // Same intake hook as the blocking backend: everything the gateway
-  // authenticates is admissible, nothing else.
+  // Every id the gateway authenticates is also admissible at intake, and
+  // nothing else: the round's registry hook closes the in-process path a
+  // misbehaving driver could otherwise use to bypass the channel check.
   round_->SetClientAuth([registry](uint64_t client_id) {
     return registry->Lookup(client_id).has_value();
   });
@@ -640,10 +641,9 @@ void ReactorGateway::FinishHandshake(Loop* loop,
     welcome.trustee_pk = round_->TrusteePk();
   }
   welcome.open_round = open_round_.load(std::memory_order_acquire);
-  // No corrective-notice race here (unlike the blocking backend): round
-  // broadcasts reach this connection as closures on this same loop, so
-  // they are strictly ordered against this welcome — at worst the client
-  // sees a duplicate notice.
+  // No corrective-notice race: round broadcasts reach this connection as
+  // closures on this same loop, so they are strictly ordered against this
+  // welcome — at worst the client sees a duplicate notice.
   QueueRecord(loop, conn, BytesView(PackClientFrame(
       ClientMsg::kWelcome, BytesView(EncodeWelcome(welcome)))));
 }
@@ -661,8 +661,8 @@ void ReactorGateway::HandleSubmit(Loop* loop,
   }
   StreamedSubmission item;
   if (msg.has_sig) {
-    // Deferred to the pump's batched MSM, exactly like the blocking
-    // backend; sign over the wire bytes so the pump re-encodes nothing.
+    // Deferred to the pump's batched MSM; sign over the wire bytes so the
+    // pump re-encodes nothing.
     item.has_sig = true;
     item.sig_pk = conn->pk;
     item.sig = msg.sig;
@@ -926,8 +926,7 @@ void ReactorGateway::Broadcast(ClientMsg type, BytesView body) {
 }
 
 GatewayFleet::GatewayFleet(Round* round, ClientRegistry* registry, Rng& rng,
-                           GatewayBackend backend, GatewayConfig config,
-                           ThreadPool* pool) {
+                           GatewayConfig config, ThreadPool* pool) {
   size_t groups = round->NumGroups();
   gateways_.reserve(groups);
   keys_.reserve(groups);
@@ -935,8 +934,8 @@ GatewayFleet::GatewayFleet(Round* round, ClientRegistry* registry, Rng& rng,
     keys_.push_back(KemKeyGen(rng));
     GatewayConfig member = config;
     member.entry_group = static_cast<int64_t>(g);
-    gateways_.push_back(MakeClientGateway(backend, round, registry,
-                                          keys_.back(), member, pool));
+    gateways_.push_back(std::make_unique<ReactorGateway>(
+        round, registry, keys_.back(), member, pool));
   }
 }
 
@@ -1015,19 +1014,10 @@ size_t GatewayFleet::connection_count() const {
 }
 
 std::unique_ptr<ClientGateway> MakeClientGateway(
-    GatewayBackend backend, Round* round, ClientRegistry* registry,
+    GatewayBackend /*backend*/, Round* round, ClientRegistry* registry,
     KemKeypair identity, GatewayConfig config, ThreadPool* pool) {
-  switch (backend) {
-    case GatewayBackend::kReactor:
-      return std::make_unique<ReactorGateway>(round, registry,
-                                              std::move(identity), config,
-                                              pool);
-    case GatewayBackend::kThreadPerConnection:
-    default:
-      return std::make_unique<SubmissionGateway>(round, registry,
-                                                 std::move(identity), config,
-                                                 pool);
-  }
+  return std::make_unique<ReactorGateway>(round, registry, std::move(identity),
+                                          config, pool);
 }
 
 }  // namespace atom

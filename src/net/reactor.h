@@ -1,10 +1,9 @@
 // ReactorGateway: the epoll edge-triggered client ingress tier.
 //
-// The thread-per-connection SubmissionGateway (src/net/gateway.h) burns a
-// reader thread (and its stack) per client, which collapses around a few
-// thousand sessions — far below the million-user deployments the paper
-// sizes. The reactor serves the same protocol from a small fixed pool of
-// event-loop threads owning non-blocking sockets:
+// The gateway serves the client protocol of src/net/gateway.h from a small
+// fixed pool of event-loop threads owning non-blocking sockets, so one
+// host holds hundreds of thousands of sessions without a thread (and its
+// stack) per client:
 //
 //   loop 0..N-1:  epoll_wait -> read ready sockets to EAGAIN -> assemble
 //                 frames -> advance each connection's state machine
@@ -28,10 +27,10 @@
 // Stop() closes every connection and joins every loop deterministically
 // — no reader join can wedge on a blocked socket.
 //
-// Downstream the contract is byte-identical to SubmissionGateway: same
-// wire protocol, same credit-window admission and kBackpressure
-// semantics, same MPSC ring -> Round::StreamSubmit/PumpStream intake,
-// same FaultPlan injection point (client disconnect after a kSubmit).
+// Downstream, every kSubmit goes through the credit window and the
+// kBackpressure rules of src/net/gateway.h into the entry group's MPSC
+// ring -> Round::StreamSubmit/PumpStream intake; the FaultPlan injection
+// point is a client disconnect right after a kSubmit frame is read.
 //
 // GatewayFleet shards admission horizontally: one gateway per entry
 // group over a shared Round and ClientRegistry, each admitting (and
@@ -48,43 +47,69 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/round.h"
+#include "src/net/faults.h"
 #include "src/net/gateway.h"
+#include "src/net/link.h"
+#include "src/net/registry.h"
+#include "src/util/parallel.h"
 
 namespace atom {
 
-class ReactorGateway : public ClientGateway {
+class ReactorGateway {
  public:
-  // Same contract as SubmissionGateway: `round` and `registry` must
-  // outlive the gateway; `pool` backs handshake tasks and the shard pump
-  // lanes (null = the process-wide shared pool).
+  // `round` and `registry` must outlive the gateway; `identity` is the
+  // gateway's long-term key (clients authenticate it like servers
+  // authenticate the driver). The registry is shared, not copied —
+  // ApplyRegistrySync and concurrent handshake lookups go through its own
+  // lock. `pool` backs handshake tasks and the shard pump lanes (null =
+  // the process-wide shared pool).
   ReactorGateway(Round* round, ClientRegistry* registry, KemKeypair identity,
                  GatewayConfig config = {}, ThreadPool* pool = nullptr);
-  ~ReactorGateway() override;
+  ~ReactorGateway();
 
   ReactorGateway(const ReactorGateway&) = delete;
   ReactorGateway& operator=(const ReactorGateway&) = delete;
 
-  bool Listen(uint16_t port = 0) override;
-  uint16_t port() const override { return listener_.port(); }
-  void Start() override;
+  bool Listen(uint16_t port = 0);
+  uint16_t port() const { return listener_.port(); }
+  void Start();
   // Closes every connection and joins every loop deterministically; safe
   // against concurrent pump/handshake tasks (their posted results are
   // dropped once the loops stop). Idempotent.
-  void Stop() override;
+  void Stop();
 
-  const Point& pk() const override { return identity_.pk; }
+  const Point& pk() const { return identity_.pk; }
 
-  void OpenRound(uint64_t round_id) override;
-  void Cutoff() override;
-  size_t ApplyRegistrySync(const RegistrySyncMsg& sync) override;
-  void SetFaultPlan(std::shared_ptr<FaultPlan> plan) override {
+  // Opens intake for `round_id` (nonzero) and announces it to every
+  // connection. Called by the driver right after it ships the previous
+  // round — r+1's intake fills while r mixes.
+  void OpenRound(uint64_t round_id);
+
+  // Closes intake, announces the cutoff, and drains every shard's ring
+  // through verification. When it returns, everything accepted for the
+  // round is in the Round's intake epoch (TakeEngineRound-ready).
+  // Submissions racing the cutoff instant may land in the next round's
+  // intake instead — the pipelined-intake boundary, not a loss.
+  void Cutoff();
+
+  // Merges a registry snapshot (see src/net/registry.h) into the live
+  // lookup table; newly synced clients can connect immediately.
+  size_t ApplyRegistrySync(const RegistrySyncMsg& sync);
+
+  // Scenario-harness fault injection (src/net/faults.h): the plan's
+  // client-disconnect rate kills connections mid-stream right after a
+  // kSubmit frame is read — deterministic gateway-side churn. Set before
+  // Start().
+  void SetFaultPlan(std::shared_ptr<FaultPlan> plan) {
     fault_plan_ = std::move(plan);
   }
 
-  size_t accepted_count() const override;
-  size_t resolved_count() const override;
-  // Established (welcomed) connections currently held.
-  size_t connection_count() const override;
+  // Monitoring: verified-and-accepted / total-resolved counts since
+  // construction, and established (welcomed) connections currently held.
+  size_t accepted_count() const;
+  size_t resolved_count() const;
+  size_t connection_count() const;
 
  private:
   struct Conn;
@@ -153,6 +178,14 @@ class ReactorGateway : public ClientGateway {
   TcpListener listener_;
 };
 
+// Construction by backend name, for callers written against the gateway
+// interface; the reactor is the one backend.
+using ClientGateway = ReactorGateway;
+std::unique_ptr<ClientGateway> MakeClientGateway(
+    GatewayBackend backend, Round* round, ClientRegistry* registry,
+    KemKeypair identity, GatewayConfig config = {},
+    ThreadPool* pool = nullptr);
+
 // One gateway per entry group over a shared Round + ClientRegistry: the
 // horizontally sharded ingress deployment. Each member admits and pumps
 // exactly its own group (GatewayConfig::entry_group), so the per-shard
@@ -170,7 +203,6 @@ class GatewayFleet {
   // Generates one identity key per member from `rng`. `config` is the
   // per-member template (entry_group is overwritten per shard).
   GatewayFleet(Round* round, ClientRegistry* registry, Rng& rng,
-               GatewayBackend backend = GatewayBackend::kReactor,
                GatewayConfig config = {}, ThreadPool* pool = nullptr);
   ~GatewayFleet();
 
@@ -188,7 +220,7 @@ class GatewayFleet {
   size_t ApplyRegistrySync(const RegistrySyncMsg& sync);
 
   size_t size() const { return gateways_.size(); }
-  ClientGateway& gateway(uint32_t gid) { return *gateways_[gid]; }
+  ReactorGateway& gateway(uint32_t gid) { return *gateways_[gid]; }
 
   // What a client needs to route: each shard's port and gateway key.
   std::vector<GatewayEndpoint> Roster() const;
@@ -197,7 +229,7 @@ class GatewayFleet {
   size_t connection_count() const;
 
  private:
-  std::vector<std::unique_ptr<ClientGateway>> gateways_;
+  std::vector<std::unique_ptr<ReactorGateway>> gateways_;
   std::vector<KemKeypair> keys_;
 };
 

@@ -5,7 +5,7 @@
 // duplicates rejected at registration time — which closes the id-squatting
 // hole the per-group intake check cannot: before this registry, nothing
 // stopped an attacker from claiming a victim's id at a *different* entry
-// group for the epoch. A SubmissionGateway (src/net/gateway.h) authenticates
+// group for the epoch. The client gateway (src/net/reactor.h) authenticates
 // every inbound client connection against this table (the SecureLink
 // handshake proves possession of the registered key), and the Round's
 // intake hook (Round::SetClientAuth) gates non-anonymous ids the same way.

@@ -193,42 +193,12 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
   }
 
   // Phase 2: flush the entry batches — round r+1's intake enters the
-  // network while round r is still mixing. Coalesced (the default), every
-  // entry batch one host serves travels as a single kEnvelopeBundle
-  // through the mesh's sender lane, so encoding host n+1's bundle
-  // overlaps the socket write of host n's; the legacy path serializes
-  // one frame per group inline.
+  // network while round r is still mixing. Every entry batch one host
+  // serves travels as a single kEnvelopeBundle through the mesh's sender
+  // lane, so encoding host n+1's bundle overlaps the socket write of
+  // host n's.
   obs::TraceSpan flush_span("intake_flush", "driver", round_id);
-  if (coalesce_entries_) {
-    std::map<uint32_t, std::vector<Envelope>> by_host;
-    for (uint32_t g = 0; g < width; g++) {
-      NodeMsg msg;
-      msg.type = NodeMsg::Type::kHopBatch;
-      msg.gid = g;
-      msg.chain_pos = 0;
-      msg.prev_pos = 0;
-      msg.batch = std::move(round.entry[g]);
-      by_host[hosts_[g]].push_back(
-          Envelope{hosts_[g], std::move(msg), round_id});
-    }
-    for (auto& [host, envelopes] : by_host) {
-      const uint32_t gid = envelopes[0].msg.gid;
-      const uint32_t count = static_cast<uint32_t>(envelopes.size());
-      Bytes body = count == 1 ? EncodeEnvelope(envelopes[0])
-                              : EncodeEnvelopeBundle(envelopes);
-      LinkMsg type =
-          count == 1 ? LinkMsg::kEnvelope : LinkMsg::kEnvelopeBundle;
-      if (!mesh_->SendFrameAsync(host, type, std::move(body), round_id,
-                                 gid, count)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        AbortLocked(*pending, "round " + std::to_string(round_id) +
-                                  ": entry send to server " +
-                                  std::to_string(host) + " failed");
-        return round_id;
-      }
-    }
-    return round_id;
-  }
+  std::map<uint32_t, std::vector<Envelope>> by_host;
   for (uint32_t g = 0; g < width; g++) {
     NodeMsg msg;
     msg.type = NodeMsg::Type::kHopBatch;
@@ -236,13 +206,20 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
     msg.chain_pos = 0;
     msg.prev_pos = 0;
     msg.batch = std::move(round.entry[g]);
-    Envelope envelope{hosts_[g], std::move(msg), round_id};
-    if (!mesh_->SendFrame(hosts_[g], LinkMsg::kEnvelope,
-                          BytesView(EncodeEnvelope(envelope)))) {
+    by_host[hosts_[g]].push_back(Envelope{hosts_[g], std::move(msg), round_id});
+  }
+  for (auto& [host, envelopes] : by_host) {
+    const uint32_t gid = envelopes[0].msg.gid;
+    const uint32_t count = static_cast<uint32_t>(envelopes.size());
+    Bytes body = count == 1 ? EncodeEnvelope(envelopes[0])
+                            : EncodeEnvelopeBundle(envelopes);
+    LinkMsg type = count == 1 ? LinkMsg::kEnvelope : LinkMsg::kEnvelopeBundle;
+    if (!mesh_->SendFrameAsync(host, type, std::move(body), round_id, gid,
+                               count)) {
       std::lock_guard<std::mutex> lock(mu_);
       AbortLocked(*pending, "round " + std::to_string(round_id) +
                                 ": entry send to server " +
-                                std::to_string(hosts_[g]) + " failed");
+                                std::to_string(host) + " failed");
       return round_id;
     }
   }

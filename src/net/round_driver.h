@@ -78,11 +78,6 @@ class DistributedRoundDriver {
   size_t InFlight() const;
 
   void set_round_timeout(std::chrono::milliseconds timeout);
-  // Entry-flush coalescing (default on): every entry batch one host
-  // serves ships as one kEnvelopeBundle via the mesh's sender lane. Off
-  // selects the legacy inline one-frame-per-group flush (before/after
-  // bench rows). Set before Submit.
-  void set_coalesce_entries(bool on) { coalesce_entries_ = on; }
 
  private:
   struct PendingRound {
@@ -136,7 +131,6 @@ class DistributedRoundDriver {
   std::condition_variable cv_;
   std::map<uint64_t, std::shared_ptr<PendingRound>> rounds_;
   std::chrono::milliseconds round_timeout_{std::chrono::seconds(120)};
-  bool coalesce_entries_ = true;
 };
 
 }  // namespace atom

@@ -458,8 +458,8 @@ class ScenarioRunner {
     if (shape_.flash) {
       gc.credit_window = 4;
     }
-    gateway_ = MakeClientGateway(cfg_.gateway_backend, net_.get(),
-                                 &registry_, gateway_key_, gc);
+    gateway_ = std::make_unique<ReactorGateway>(net_.get(), &registry_,
+                                                gateway_key_, gc);
     if (shape_.gateway_plan != nullptr) {
       gateway_->SetFaultPlan(shape_.gateway_plan);
     }
@@ -886,7 +886,7 @@ class ScenarioRunner {
   std::vector<uint32_t> hosts_;
   std::vector<MeshPeer> roster_;
   std::unique_ptr<TcpPeerMesh> mesh_;
-  std::unique_ptr<ClientGateway> gateway_;
+  std::unique_ptr<ReactorGateway> gateway_;
   std::vector<std::unique_ptr<ClientSession>> sessions_;
   std::unique_ptr<DistributedRoundDriver> driver_;
   std::unique_ptr<RoundEngine> engine_;

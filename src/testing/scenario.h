@@ -1,6 +1,6 @@
 // Adversarial scenario harness: named fault deployments over the REAL
 // stack — registered clients on authenticated ClientSessions, a
-// SubmissionGateway fronting streaming intake, a DistributedRoundDriver,
+// ReactorGateway fronting streaming intake, a DistributedRoundDriver,
 // and a fleet of atom_server OS processes — with every fault drawn from
 // one seeded FaultPlan (src/net/faults.h) so a failing run replays
 // exactly from its printed seed.
@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "src/apps/workload.h"
-#include "src/net/gateway.h"
 
 namespace atom {
 
@@ -63,11 +62,6 @@ struct ScenarioConfig {
   std::string server_binary;  // path to the atom_server executable
   std::chrono::milliseconds round_timeout{std::chrono::seconds(60)};
   bool verbose = false;  // per-round progress on stdout
-  // Which ingress engine fronts the intake. Thread-per-connection is the
-  // default so existing scenario baselines stay bit-for-bit; the reactor
-  // serves the identical protocol and must pass the same invariants at
-  // 10x the population (reactor_test / scenario_test pin this).
-  GatewayBackend gateway_backend = GatewayBackend::kThreadPerConnection;
   // When set, each scenario pulls every reachable server's metrics
   // registry over the control plane (kMetricsSnapshot) before teardown
   // and folds it into the process-wide fleet accumulator readable via

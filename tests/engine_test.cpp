@@ -1,8 +1,11 @@
 // Tests for the dependency-scheduled RoundEngine (src/core/engine.h): the
-// pipelined hop-graph executor must produce byte-identical sorted
-// plaintexts to the old layer-barrier driver for every variant × topology
-// combination, pipeline several rounds concurrently without mixing them
-// up, and confine a mid-pipeline malicious action to the round it hits.
+// pipelined hop-graph executor must hand back exactly the payloads the
+// entry groups encrypted for every variant × topology combination,
+// pipeline several rounds concurrently without mixing them up, confine a
+// mid-pipeline malicious action to the round it hits, and keep each
+// engine-native exit's trap bookkeeping to its own round. Byte-exact
+// output (permutation and exit order included) is pinned by the golden
+// round digests (tests/golden_round_test.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,8 +59,8 @@ struct Network {
     return out;
   }
 
-  // One single-component message per payload byte pair, encrypted to the
-  // entry group.
+  // One single-component message per payload, encrypted to the entry
+  // group: entry group g's i-th payload is {tag, g, i}.
   std::vector<CiphertextBatch> MakeEntry(size_t per_group, uint8_t tag,
                                          Rng& rng) {
     std::vector<CiphertextBatch> entry(topology->Width());
@@ -72,6 +75,26 @@ struct Network {
     return entry;
   }
 
+  // The sorted hex payloads MakeEntry(per_group, tag) encrypts, less the
+  // groups in `silent`: exactly what the exit must hand back.
+  std::vector<std::string> Payloads(size_t per_group, uint8_t tag,
+                                    const std::set<uint32_t>& silent = {})
+      const {
+    std::vector<std::string> out;
+    for (uint32_t g = 0; g < topology->Width(); g++) {
+      if (silent.count(g) != 0) {
+        continue;
+      }
+      for (size_t i = 0; i < per_group; i++) {
+        Bytes payload = {tag, static_cast<uint8_t>(g),
+                         static_cast<uint8_t>(i)};
+        out.push_back(HexEncode(BytesView(payload)));
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
   EngineRound Spec(std::vector<CiphertextBatch> entry, Variant variant,
                    Rng& rng) const {
     EngineRound spec;
@@ -84,49 +107,8 @@ struct Network {
   }
 };
 
-// The old driver, verbatim: a global barrier between layers.
-std::vector<CiphertextBatch> BarrierMix(const Network& net, Variant variant,
-                                        std::vector<CiphertextBatch> at,
-                                        Rng& rng) {
-  const Topology& topo = *net.topology;
-  const size_t T = topo.NumLayers();
-  const size_t G = topo.Width();
-  for (size_t layer = 0; layer < T; layer++) {
-    const bool last = (layer + 1 == T);
-    std::vector<CiphertextBatch> next(G);
-    std::vector<CiphertextBatch> exits(G);
-    for (uint32_t g = 0; g < G; g++) {
-      if (at[g].empty()) {
-        continue;
-      }
-      std::vector<Point> next_pks;
-      std::vector<uint32_t> neighbors;
-      if (!last) {
-        neighbors = topo.Neighbors(layer, g);
-        for (uint32_t n : neighbors) {
-          next_pks.push_back(net.groups[n]->pk());
-        }
-      }
-      HopResult hop = net.groups[g]->RunHop(at[g], next_pks, variant, rng);
-      EXPECT_FALSE(hop.aborted) << hop.abort_reason;
-      if (last) {
-        exits[g] = std::move(hop.batches[0]);
-      } else {
-        for (size_t b = 0; b < neighbors.size(); b++) {
-          for (auto& vec : hop.batches[b]) {
-            next[neighbors[b]].push_back(std::move(vec));
-          }
-        }
-      }
-    }
-    at = last ? std::move(exits) : std::move(next);
-  }
-  return at;
-}
-
 // Decrypts fully-stripped exit batches and returns the sorted hex
-// plaintexts — the anonymity-set view both executors must agree on byte
-// for byte.
+// plaintexts — the anonymity-set view of the round's output.
 std::vector<std::string> SortedPlaintexts(
     const std::vector<CiphertextBatch>& exits) {
   std::vector<std::string> out;
@@ -151,9 +133,9 @@ struct EquivalenceCase {
   const char* name;
 };
 
-class EngineEquivalence : public ::testing::TestWithParam<EquivalenceCase> {};
+class EngineMixing : public ::testing::TestWithParam<EquivalenceCase> {};
 
-TEST_P(EngineEquivalence, MatchesBarrierDriver) {
+TEST_P(EngineMixing, ExitsCarryExactlyTheEncryptedPayloads) {
   const EquivalenceCase& c = GetParam();
   Rng rng(0xe9417e5u + static_cast<uint64_t>(c.variant) * 31 +
           static_cast<uint64_t>(c.topology));
@@ -161,23 +143,15 @@ TEST_P(EngineEquivalence, MatchesBarrierDriver) {
                     ? Network::Square(3, 3, 2, rng)
                     : Network::Butterfly(1, 3, 2, rng);
 
-  auto entry = net.MakeEntry(3, 0xa0, rng);
-  auto entry_copy = entry;
-
-  auto barrier = SortedPlaintexts(BarrierMix(net, c.variant, entry, rng));
-
   RoundEngine engine(&ThreadPool::Shared());
   auto result = engine.RunToCompletion(
-      net.Spec(std::move(entry_copy), c.variant, rng));
+      net.Spec(net.MakeEntry(3, 0xa0, rng), c.variant, rng));
   ASSERT_FALSE(result.aborted) << result.abort_reason;
-  auto pipelined = SortedPlaintexts(result.exits);
-
-  ASSERT_FALSE(barrier.empty());
-  EXPECT_EQ(pipelined, barrier);
+  EXPECT_EQ(SortedPlaintexts(result.exits), net.Payloads(3, 0xa0));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllVariants, EngineEquivalence,
+    AllVariants, EngineMixing,
     ::testing::Values(
         EquivalenceCase{Variant::kTrap, TopologyKind::kSquare, "TrapSquare"},
         EquivalenceCase{Variant::kNizk, TopologyKind::kSquare, "NizkSquare"},
@@ -194,14 +168,12 @@ TEST(RoundEngine, HandlesEmptyAndUnbalancedEntryGroups) {
   Network net = Network::Square(3, 3, 2, rng);
   auto entry = net.MakeEntry(2, 0xb0, rng);
   entry[1].clear();  // one silent entry group
-  auto entry_copy = entry;
 
-  auto barrier = SortedPlaintexts(BarrierMix(net, Variant::kTrap, entry, rng));
   RoundEngine engine(&ThreadPool::Shared());
   auto result = engine.RunToCompletion(
-      net.Spec(std::move(entry_copy), Variant::kTrap, rng));
+      net.Spec(std::move(entry), Variant::kTrap, rng));
   ASSERT_FALSE(result.aborted);
-  EXPECT_EQ(SortedPlaintexts(result.exits), barrier);
+  EXPECT_EQ(SortedPlaintexts(result.exits), net.Payloads(2, 0xb0, {1}));
 }
 
 TEST(RoundEngine, PipelinesMultipleRoundsWithoutCrosstalk) {
@@ -213,12 +185,10 @@ TEST(RoundEngine, PipelinesMultipleRoundsWithoutCrosstalk) {
   std::vector<uint64_t> tickets;
   RoundEngine engine(&ThreadPool::Shared());
   for (size_t r = 0; r < kRounds; r++) {
-    auto entry = net.MakeEntry(2, static_cast<uint8_t>(0xc0 + r), rng);
-    auto entry_copy = entry;
-    want.push_back(
-        SortedPlaintexts(BarrierMix(net, Variant::kTrap, entry, rng)));
+    const uint8_t tag = static_cast<uint8_t>(0xc0 + r);
+    want.push_back(net.Payloads(2, tag));
     tickets.push_back(engine.Submit(
-        net.Spec(std::move(entry_copy), Variant::kTrap, rng)));
+        net.Spec(net.MakeEntry(2, tag, rng), Variant::kTrap, rng)));
   }
   // All rounds are now in flight together; each must come back with
   // exactly its own plaintext set.
@@ -261,9 +231,9 @@ TEST(RoundEngine, FaultMidPipelineAbortsOnlyTheAffectedRound) {
   EXPECT_EQ(SortedPlaintexts(r2.exits).size(), 6u);
 }
 
-TEST(RoundEngine, FirstFaultOnAHopWinsLikeTheOldDriver) {
-  // The barrier driver scanned evils first-match; two faults pinned to the
-  // same (layer, gid) must behave identically here.
+TEST(RoundEngine, FirstFaultOnAHopWins) {
+  // Faults are matched first-match: of two faults pinned to the same
+  // (layer, gid), only the first acts.
   Rng rng(0x2fa017u);
   Network net = Network::Square(3, 3, 2, rng);
   auto spec = net.Spec(net.MakeEntry(2, 0xe0, rng), Variant::kNizk, rng);
@@ -278,15 +248,7 @@ TEST(RoundEngine, FirstFaultOnAHopWinsLikeTheOldDriver) {
       << result.abort_reason;
 }
 
-// ---- Exit-phase equivalence: engine-native vs legacy ExitPhase --------
-//
-// Two Rounds built from identically seeded Rngs have identical keys, and
-// identically seeded submission streams produce byte-identical ciphertexts;
-// pinning the same engine seed on both specs then makes the mixing output
-// byte-identical too. The legacy path (mixing-only spec + synchronous
-// ExitPhase) and the engine-native path (TakeEngineRound, exit runs as hop
-// tasks) must agree on the entire RoundResult: plaintexts in order, trap
-// accounting, abort flag, abort reason.
+// ---- Per-engine-round trap bookkeeping isolation ----------------------
 
 RoundConfig ExitConfig(Variant variant) {
   RoundConfig config;
@@ -300,121 +262,6 @@ RoundConfig ExitConfig(Variant variant) {
   config.beacon = ToBytes("exit-equivalence-beacon");
   return config;
 }
-
-// Submits kUsers submissions to `round` (deterministic given rng state) and
-// mirrors them into an entry-batch vector in shard acceptance order. A
-// cheating user flips their trap commitment so the exit check must fail.
-std::vector<CiphertextBatch> SubmitDeterministicUsers(Round& round,
-                                                      Variant variant,
-                                                      bool cheating_user,
-                                                      Rng& rng) {
-  constexpr uint32_t kUsers = 6;
-  std::vector<CiphertextBatch> entry(round.NumGroups());
-  for (uint32_t u = 0; u < kUsers; u++) {
-    uint32_t gid = u % round.NumGroups();
-    Bytes msg = ToBytes("exit-eq #" + std::to_string(u));
-    if (variant == Variant::kTrap) {
-      auto sub = MakeTrapSubmission(round.EntryPk(gid), gid,
-                                    round.TrusteePk(), BytesView(msg),
-                                    round.layout(), rng);
-      if (cheating_user && u == 0) {
-        sub.trap_commitment[0] ^= 0xff;  // commitment matches nothing
-      }
-      EXPECT_TRUE(round.SubmitTrap(sub));
-      entry[gid].push_back(sub.first);
-      entry[gid].push_back(sub.second);
-    } else {
-      auto sub = MakeNizkSubmission(round.EntryPk(gid), gid, BytesView(msg),
-                                    round.layout(), rng);
-      EXPECT_TRUE(round.SubmitNizk(sub));
-      entry[gid].push_back(sub.ciphertext);
-    }
-  }
-  return entry;
-}
-
-struct ExitEquivalenceCase {
-  Variant variant;
-  bool server_evil;    // one malicious server mid-network
-  bool cheating_user;  // one bogus trap commitment (trap variant only)
-  const char* name;
-};
-
-class ExitEquivalence
-    : public ::testing::TestWithParam<ExitEquivalenceCase> {};
-
-TEST_P(ExitEquivalence, EngineNativeExitMatchesLegacyExitPhase) {
-  const ExitEquivalenceCase& c = GetParam();
-  const uint64_t round_seed = 0x5eedc0de;
-
-  std::vector<Round::Evil> evils;
-  if (c.server_evil) {
-    if (c.variant == Variant::kNizk) {
-      evils.push_back(Round::Evil{
-          1, 0, {MaliciousAction::Kind::kTamperDuringShuffle, 2, 0}});
-    } else {
-      evils.push_back(Round::Evil{
-          0, 1, {MaliciousAction::Kind::kDuplicateDuringShuffle, 1, 1}});
-    }
-  }
-  std::array<uint8_t, 32> engine_seed;
-  Rng(0x91c0ffee).Fill(engine_seed.data(), engine_seed.size());
-
-  // Legacy: mixing-only spec, exit phase synchronous on this thread.
-  Rng rng_a(round_seed);
-  Round round_a(ExitConfig(c.variant), rng_a);
-  auto entry_a =
-      SubmitDeterministicUsers(round_a, c.variant, c.cheating_user, rng_a);
-  RoundEngine engine(&ThreadPool::Shared());
-  auto spec_a = round_a.MakeEngineRound(std::move(entry_a), evils, rng_a);
-  spec_a.seed = engine_seed;
-  auto mixed = engine.RunToCompletion(std::move(spec_a));
-  RoundResult legacy;
-  if (mixed.aborted) {
-    legacy.aborted = true;
-    legacy.abort_reason = std::move(mixed.abort_reason);
-    round_a.AbandonIntakeEpoch();  // the legacy driver's abort contract
-  } else {
-    legacy = round_a.ExitPhase(std::move(mixed.exits));
-  }
-
-  // Engine-native: identical Round (same seeds), exit runs as hop tasks.
-  Rng rng_b(round_seed);
-  Round round_b(ExitConfig(c.variant), rng_b);
-  SubmitDeterministicUsers(round_b, c.variant, c.cheating_user, rng_b);
-  auto spec_b = round_b.TakeEngineRound(evils, rng_b);
-  spec_b.seed = engine_seed;
-  RoundResult native = engine.RunToCompletion(std::move(spec_b)).round;
-
-  EXPECT_EQ(native.aborted, legacy.aborted);
-  EXPECT_EQ(native.abort_reason, legacy.abort_reason);
-  EXPECT_EQ(native.traps_seen, legacy.traps_seen);
-  EXPECT_EQ(native.inner_seen, legacy.inner_seen);
-  ASSERT_EQ(native.plaintexts.size(), legacy.plaintexts.size());
-  // Same engine seed => byte-identical mixing => identical exit input, so
-  // even the plaintext ORDER must match between the two executors.
-  EXPECT_EQ(native.plaintexts, legacy.plaintexts);
-  if (!c.server_evil && !c.cheating_user) {
-    EXPECT_FALSE(native.aborted) << native.abort_reason;
-    EXPECT_EQ(native.plaintexts.size(), 6u);
-  } else {
-    EXPECT_TRUE(native.aborted);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllVariants, ExitEquivalence,
-    ::testing::Values(
-        ExitEquivalenceCase{Variant::kTrap, false, false, "TrapHonest"},
-        ExitEquivalenceCase{Variant::kNizk, false, false, "NizkHonest"},
-        ExitEquivalenceCase{Variant::kTrap, true, false, "TrapEvilServer"},
-        ExitEquivalenceCase{Variant::kNizk, true, false, "NizkEvilServer"},
-        ExitEquivalenceCase{Variant::kTrap, false, true, "TrapCheatingUser"}),
-    [](const ::testing::TestParamInfo<ExitEquivalenceCase>& info) {
-      return info.param.name;
-    });
-
-// ---- Per-engine-round trap bookkeeping isolation ----------------------
 
 TEST(EngineNativeExit, TrapMismatchInOneRoundDoesNotCorruptTheNext) {
   // Each TakeEngineRound packages its own commitment set; a cheating user
@@ -523,94 +370,6 @@ TEST(EngineNativeExit, OneKeyEpochServesAPipelineOfFullRounds) {
     EXPECT_EQ(result.traps_seen, 4u) << "round " << r;
     EXPECT_EQ(result.inner_seen, 4u) << "round " << r;
   }
-}
-
-TEST(RoundEngine, AbandonedEpochDoesNotPoisonTheNextLegacyRound) {
-  // Legacy MakeEngineRound + ExitPhase drivers: when mixing aborts,
-  // ExitPhase never runs, so the driver abandons the epoch. Without the
-  // abandon, the aborted batch's trap commitments would merge into the
-  // next round's check and spuriously abort an all-honest round.
-  Rng rng(0xaba4d04u);
-  Round round(ExitConfig(Variant::kTrap), rng);
-  RoundEngine engine(&ThreadPool::Shared());
-
-  auto submit_batch = [&](const std::string& tag) {
-    std::vector<CiphertextBatch> entry(round.NumGroups());
-    for (uint32_t u = 0; u < 4; u++) {
-      uint32_t gid = u % round.NumGroups();
-      auto sub = MakeTrapSubmission(round.EntryPk(gid), gid,
-                                    round.TrusteePk(),
-                                    BytesView(ToBytes(tag)), round.layout(),
-                                    rng);
-      EXPECT_TRUE(round.SubmitTrap(sub));
-      entry[gid].push_back(sub.first);
-      entry[gid].push_back(sub.second);
-    }
-    return entry;
-  };
-
-  // Round 1: group 1 drops below threshold, so its first hop aborts the
-  // mix. The driver abandons the epoch and repairs the group.
-  auto entry1 = submit_batch("doomed");
-  round.group(1).MarkFailed(1);
-  auto mixed1 =
-      engine.RunToCompletion(round.MakeEngineRound(std::move(entry1), {},
-                                                   rng));
-  EXPECT_TRUE(mixed1.aborted);
-  round.AbandonIntakeEpoch();
-  round.group(1).Restore(round.group(1).dkg().keys[0]);
-
-  // Round 2: all honest; must pass the trap check with only its own
-  // commitments.
-  auto entry2 = submit_batch("fresh");
-  auto mixed2 =
-      engine.RunToCompletion(round.MakeEngineRound(std::move(entry2), {},
-                                                   rng));
-  ASSERT_FALSE(mixed2.aborted) << mixed2.abort_reason;
-  auto result = round.ExitPhase(std::move(mixed2.exits));
-  ASSERT_FALSE(result.aborted) << result.abort_reason;
-  EXPECT_EQ(result.plaintexts.size(), 4u);
-  EXPECT_EQ(result.traps_seen, 4u);
-}
-
-TEST(RoundEngine, RoundLevelPipelineBuildingBlocks) {
-  // Round::MakeEngineRound + ExitPhase compose into exactly what
-  // RunWithEvils does — the pieces a pipelined driver schedules itself.
-  Rng rng(0x70707u);
-  RoundConfig config;
-  config.params.variant = Variant::kNizk;
-  config.params.num_servers = 6;
-  config.params.num_groups = 3;
-  config.params.group_size = 2;
-  config.params.honest_needed = 1;
-  config.params.iterations = 3;
-  config.params.message_len = 32;
-  config.beacon = ToBytes("engine-test-beacon");
-  Round round(config, rng);
-
-  std::vector<CiphertextBatch> entry(round.NumGroups());
-  std::set<std::string> sent;
-  for (uint32_t u = 0; u < 6; u++) {
-    uint32_t gid = u % round.NumGroups();
-    Bytes msg = ToBytes("pipelined #" + std::to_string(u));
-    sent.insert(HexEncode(BytesView(PadTo(BytesView(msg), 32))));
-    auto sub = MakeNizkSubmission(round.EntryPk(gid), gid, BytesView(msg),
-                                  round.layout(), rng);
-    ASSERT_TRUE(round.SubmitNizk(sub));
-    entry[gid].push_back(sub.ciphertext);
-  }
-
-  RoundEngine engine(&ThreadPool::Shared());
-  auto mixed = engine.RunToCompletion(
-      round.MakeEngineRound(std::move(entry), {}, rng));
-  ASSERT_FALSE(mixed.aborted) << mixed.abort_reason;
-  auto result = round.ExitPhase(std::move(mixed.exits));
-  ASSERT_FALSE(result.aborted) << result.abort_reason;
-  std::set<std::string> got;
-  for (const auto& p : result.plaintexts) {
-    got.insert(HexEncode(BytesView(p)));
-  }
-  EXPECT_EQ(got, sent);
 }
 
 }  // namespace

@@ -11,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <type_traits>
-
 namespace atom {
 namespace {
 
@@ -30,50 +28,6 @@ INSTANTIATE_TEST_SUITE_P(Seeded, GoldenRound,
                          golden::CaseName);
 
 INSTANTIATE_TEST_SUITE_P(Aborts, GoldenRound,
-                         ::testing::ValuesIn(golden::kAbortCases),
-                         golden::CaseName);
-
-// The legacy synchronous exit (mixing-only spec + Round::ExitPhase) must
-// reproduce every recorded line the engine-native exit does.
-class GoldenLegacyExit : public ::testing::TestWithParam<Case> {};
-
-TEST_P(GoldenLegacyExit, MatchesRecordedDigest) {
-  const Case& c = GetParam();
-  std::vector<CiphertextBatch> accepted(golden::Config(c).params.num_groups);
-  auto submit = [&](Round& round, size_t, const auto& sub) {
-    bool ok = golden::SubmitInProcess(round, sub);
-    if (ok) {
-      if constexpr (std::is_same_v<std::decay_t<decltype(sub)>,
-                                   TrapSubmission>) {
-        accepted[sub.entry_gid].push_back(sub.first);
-        accepted[sub.entry_gid].push_back(sub.second);
-      } else {
-        accepted[sub.entry_gid].push_back(sub.ciphertext);
-      }
-    }
-    return ok;
-  };
-  auto run = [&](Round& round, std::span<const Round::Evil> evils, Rng& rng) {
-    RoundEngine engine(&ThreadPool::Shared());
-    auto mixed = engine.RunToCompletion(
-        round.MakeEngineRound(std::move(accepted), evils, rng));
-    if (mixed.aborted) {
-      RoundResult result;
-      result.aborted = true;
-      result.abort_reason = std::move(mixed.abort_reason);
-      round.AbandonIntakeEpoch();
-      return result;
-    }
-    return round.ExitPhase(std::move(mixed.exits));
-  };
-  golden::ExpectRecorded(c.name, golden::RoundDigest(c, submit, run));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeded, GoldenLegacyExit,
-                         ::testing::ValuesIn(golden::kHonestCases),
-                         golden::CaseName);
-
-INSTANTIATE_TEST_SUITE_P(Aborts, GoldenLegacyExit,
                          ::testing::ValuesIn(golden::kAbortCases),
                          golden::CaseName);
 

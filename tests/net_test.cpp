@@ -30,6 +30,7 @@
 #include "src/net/link.h"
 #include "src/net/mesh.h"
 #include "src/net/node_process.h"
+#include "src/net/reactor.h"
 #include "src/net/registry.h"
 #include "src/net/round_driver.h"
 #include "src/topology/permnet.h"
@@ -733,8 +734,9 @@ struct PipelinedDeployment {
   // groups_per_host > 1 packs several topology groups onto one server,
   // so a hop's fan-out owes one peer multiple envelopes — the shape that
   // actually forms kEnvelopeBundle frames.
+  // wire_delay > 0 emulates a uniform WAN: every server's frames to every
+  // peer (servers and driver) sleep that long before hitting the socket.
   bool Build(Round& round, Variant variant, size_t max_rounds = 8,
-             bool coalesce = true,
              std::chrono::milliseconds wire_delay = {},
              size_t groups_per_host = 1) {
     size_t width = round.NumGroups();
@@ -746,8 +748,12 @@ struct PipelinedDeployment {
       KemKeypair key = KemKeyGen(setup_rng);
       auto proc = std::make_unique<NodeProcess>(h, variant, key,
                                                 driver_key.pk, max_rounds);
-      proc->set_coalesce_sends(coalesce);
-      proc->set_wire_delay(wire_delay);
+      if (wire_delay.count() > 0) {
+        proc->set_peer_profile(kMeshDriverId, WanProfile{wire_delay, 0});
+        for (uint32_t peer = 1; peer <= num_hosts; peer++) {
+          proc->set_peer_profile(peer, WanProfile{wire_delay, 0});
+        }
+      }
       if (!proc->Listen(0)) {
         return false;
       }
@@ -871,15 +877,13 @@ TEST(DistributedPipeline, LaneBoundRefusesExcessRoundsRoundScoped) {
   }
 }
 
-TEST(DistributedPipeline, CoalescingEquivalence) {
-  // The WAN transport pipeline (per-peer kEnvelopeBundle coalescing +
-  // async sender lanes) is pure scheduling: the same seeded specs must
-  // produce byte-identical RoundResults on the in-process engine, the
-  // coalesced deployment, and the legacy one-frame-per-envelope
-  // deployment. Every hop draws from its own derived DRBG, so neither
-  // frame packing nor arrival order may leak into the outputs. Four
-  // groups on two hosting servers so multi-envelope bundles really form
-  // (one group per host would degenerate to single-envelope frames).
+TEST(DistributedPipeline, FanOutShipsMultiEnvelopeBundles) {
+  // Every envelope a hop owes one peer travels in one kEnvelopeBundle
+  // frame. With two topology groups per hosting server each hop owes its
+  // peer two envelopes, so bundles must really form and carry at least
+  // two envelopes each on average; outputs stay byte-identical to the
+  // in-process engine (the golden digests pin the one-group-per-host
+  // shape too).
   PipelinedFixture fx(Variant::kTrap, /*iterations=*/2, /*num_groups=*/4);
   constexpr size_t kRounds = 2;
   std::vector<EngineRound> specs;
@@ -887,7 +891,6 @@ TEST(DistributedPipeline, CoalescingEquivalence) {
     specs.push_back(fx.TakeSpec(4));
   }
 
-  // Reference: the in-process engine (LocalBus-equivalent executor).
   std::vector<RoundResult> want;
   {
     RoundEngine engine(&ThreadPool::Shared());
@@ -900,56 +903,34 @@ TEST(DistributedPipeline, CoalescingEquivalence) {
     }
   }
 
-  struct DeploymentRun {
-    std::vector<RoundResult> results;
-    uint64_t bundles = 0;
-  };
-  auto run_deployment = [&](bool coalesce) {
-    PipelinedDeployment dep;
-    EXPECT_TRUE(dep.Build(*fx.round, Variant::kTrap, /*max_rounds=*/8,
-                          coalesce, /*wire_delay=*/{},
-                          /*groups_per_host=*/2));
-    DeploymentRun run;
-    {
-      DistributedRoundDriver driver(&dep.mesh, dep.hosts);
-      driver.set_coalesce_entries(coalesce);
-      driver.set_round_timeout(60s);
-      std::vector<uint64_t> tickets;
-      for (const EngineRound& spec : specs) {
-        tickets.push_back(driver.Submit(EngineRound(spec)));
-      }
-      for (uint64_t ticket : tickets) {
-        run.results.push_back(driver.Wait(ticket).round);
-      }
-      run.bundles = dep.mesh.Stats().TotalBundles();
-      for (auto& proc : dep.procs) {
-        run.bundles += proc->TransportStats().TotalBundles();
-      }
-      dep.StopAll();  // join readers before the driver dies
+  PipelinedDeployment dep;
+  ASSERT_TRUE(dep.Build(*fx.round, Variant::kTrap, /*max_rounds=*/8,
+                        /*wire_delay=*/{}, /*groups_per_host=*/2));
+  {
+    DistributedRoundDriver driver(&dep.mesh, dep.hosts);
+    driver.set_round_timeout(60s);
+    std::vector<uint64_t> tickets;
+    for (EngineRound& spec : specs) {
+      tickets.push_back(driver.Submit(std::move(spec)));
     }
-    return run;
-  };
-
-  DeploymentRun coalesced_run = run_deployment(true);
-  DeploymentRun legacy_run = run_deployment(false);
-  // The coalesced deployment really shipped multi-envelope bundles; the
-  // legacy one really stayed on one-frame-per-envelope.
-  EXPECT_GT(coalesced_run.bundles, 0u);
-  EXPECT_EQ(legacy_run.bundles, 0u);
-  std::vector<RoundResult>& coalesced = coalesced_run.results;
-  std::vector<RoundResult>& legacy = legacy_run.results;
-  for (size_t r = 0; r < kRounds; r++) {
-    ASSERT_FALSE(want[r].aborted) << want[r].abort_reason;
-    ASSERT_FALSE(coalesced[r].aborted) << coalesced[r].abort_reason;
-    ASSERT_FALSE(legacy[r].aborted) << legacy[r].abort_reason;
-    EXPECT_EQ(coalesced[r].plaintexts, want[r].plaintexts)
-        << "round " << r << ": coalesced diverged from engine";
-    EXPECT_EQ(legacy[r].plaintexts, want[r].plaintexts)
-        << "round " << r << ": legacy diverged from engine";
-    EXPECT_EQ(coalesced[r].traps_seen, want[r].traps_seen);
-    EXPECT_EQ(legacy[r].traps_seen, want[r].traps_seen);
-    EXPECT_EQ(coalesced[r].inner_seen, want[r].inner_seen);
-    EXPECT_EQ(legacy[r].inner_seen, want[r].inner_seen);
+    for (size_t r = 0; r < kRounds; r++) {
+      RoundResult got = driver.Wait(tickets[r]).round;
+      ASSERT_FALSE(want[r].aborted) << want[r].abort_reason;
+      ASSERT_FALSE(got.aborted) << got.abort_reason;
+      EXPECT_EQ(got.plaintexts, want[r].plaintexts) << "round " << r;
+      EXPECT_EQ(got.traps_seen, want[r].traps_seen);
+      EXPECT_EQ(got.inner_seen, want[r].inner_seen);
+    }
+    uint64_t bundles = dep.mesh.Stats().TotalBundles();
+    uint64_t bundled = dep.mesh.Stats().TotalEnvelopesBundled();
+    for (auto& proc : dep.procs) {
+      bundles += proc->TransportStats().TotalBundles();
+      bundled += proc->TransportStats().TotalEnvelopesBundled();
+    }
+    dep.StopAll();  // join readers before the driver dies
+    ASSERT_GT(bundles, 0u) << "no multi-envelope bundle formed";
+    EXPECT_GE(static_cast<double>(bundled) / static_cast<double>(bundles), 2.0)
+        << bundled << " envelopes in " << bundles << " bundles";
   }
 }
 
@@ -964,7 +945,7 @@ TEST(DistributedPipeline, PeerKilledMidBundleAbortsNotHangs) {
   // dies mid-pipeline.
   PipelinedDeployment dep;
   ASSERT_TRUE(dep.Build(*fx.round, Variant::kTrap, /*max_rounds=*/8,
-                        /*coalesce=*/true, /*wire_delay=*/50ms));
+                        /*wire_delay=*/50ms));
   {
     DistributedRoundDriver driver(&dep.mesh, dep.hosts);
     driver.set_round_timeout(30s);
@@ -983,17 +964,16 @@ TEST(DistributedPipeline, PeerKilledMidBundleAbortsNotHangs) {
 // NodeProcess per topology group, must reproduce the digests the
 // in-process engine recorded.
 RoundResult RunOnMesh(Round& round, std::span<const Round::Evil> evils,
-                      Rng& rng, bool coalesce) {
+                      Rng& rng) {
   EXPECT_TRUE(evils.empty()) << "fault injection is in-process only";
   RoundResult result;
   PipelinedDeployment dep;
-  if (!dep.Build(round, round.variant(), /*max_rounds=*/8, coalesce)) {
+  if (!dep.Build(round, round.variant())) {
     ADD_FAILURE() << "mesh deployment failed to start";
     return result;
   }
   {
     DistributedRoundDriver driver(&dep.mesh, dep.hosts);
-    driver.set_coalesce_entries(coalesce);
     driver.set_round_timeout(60s);
     result = driver.Wait(driver.Submit(round.TakeEngineRound(evils, rng)))
                  .round;
@@ -1004,26 +984,12 @@ RoundResult RunOnMesh(Round& round, std::span<const Round::Evil> evils,
 
 class GoldenMesh : public ::testing::TestWithParam<golden::Case> {};
 
-TEST_P(GoldenMesh, CoalescedMatchesRecordedDigest) {
+TEST_P(GoldenMesh, MatchesRecordedDigest) {
   const golden::Case& c = GetParam();
   auto submit = [](Round& round, size_t, const auto& sub) {
     return golden::SubmitInProcess(round, sub);
   };
-  auto run = [](Round& round, std::span<const Round::Evil> evils, Rng& rng) {
-    return RunOnMesh(round, evils, rng, /*coalesce=*/true);
-  };
-  golden::ExpectRecorded(c.name, golden::RoundDigest(c, submit, run));
-}
-
-TEST_P(GoldenMesh, UncoalescedMatchesRecordedDigest) {
-  const golden::Case& c = GetParam();
-  auto submit = [](Round& round, size_t, const auto& sub) {
-    return golden::SubmitInProcess(round, sub);
-  };
-  auto run = [](Round& round, std::span<const Round::Evil> evils, Rng& rng) {
-    return RunOnMesh(round, evils, rng, /*coalesce=*/false);
-  };
-  golden::ExpectRecorded(c.name, golden::RoundDigest(c, submit, run));
+  golden::ExpectRecorded(c.name, golden::RoundDigest(c, submit, RunOnMesh));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeded, GoldenMesh,
@@ -1356,7 +1322,9 @@ TEST(MeshBackpressure, OverloadedPeerQueueDropsToAbortNotBlock) {
   Bytes probe = EncodeRoundDone(1);
   ASSERT_TRUE(driver.SendFrame(8, LinkMsg::kRoundDone, BytesView(probe)));
 
-  a.set_send_delay(40ms);        // every A-side send stalls like a full WAN pipe
+  // Every A-side send stalls like a full WAN pipe.
+  a.set_peer_profile(9, WanProfile{40ms, 0});
+  a.set_peer_profile(kMeshDriverId, WanProfile{40ms, 0});
   a.set_send_queue_bound(64);    // one in-flight frame, nothing queued behind
 
   NodeMsg msg;
@@ -1413,7 +1381,9 @@ TEST(MeshBackpressure, AsyncLaneByteBudgetDropsToAbort) {
   Bytes probe = EncodeRoundDone(1);
   ASSERT_TRUE(driver.SendFrame(8, LinkMsg::kRoundDone, BytesView(probe)));
 
-  a.set_send_delay(40ms);  // lane drain stalls like a full WAN pipe
+  // Lane drains stall like a full WAN pipe.
+  a.set_peer_profile(9, WanProfile{40ms, 0});
+  a.set_peer_profile(kMeshDriverId, WanProfile{40ms, 0});
   // A byte budget smaller than one envelope frame: the first bundle is
   // admitted regardless (an empty lane always takes one frame so progress
   // is possible), everything behind it must drop.
@@ -1446,10 +1416,11 @@ TEST(MeshBackpressure, AsyncLaneByteBudgetDropsToAbort) {
 
 // ----------------------------------------------------------- client ingress
 
-// Twin-buildable ingress deployment: a Round fronted by a gateway, with
-// clients registered through the Directory. Two fixtures constructed from
-// the same seed hold byte-identical key material, so a TCP-ingress round
-// is directly comparable to an in-process-submission round.
+// Twin-buildable ingress deployment: a Round fronted by the reactor
+// gateway, with clients registered through the Directory. Two fixtures
+// constructed from the same seed hold byte-identical key material, so a
+// TCP-ingress round is directly comparable to an in-process-submission
+// round.
 struct IngressFixture {
   RoundConfig config;
   Rng round_rng;
@@ -1459,7 +1430,7 @@ struct IngressFixture {
   Rng key_rng{uint64_t{0xc11e47}};
   KemKeypair gateway_key;
   std::map<uint64_t, KemKeypair> client_keys;
-  std::unique_ptr<SubmissionGateway> gateway;
+  std::unique_ptr<ReactorGateway> gateway;
 
   explicit IngressFixture(Variant variant, uint64_t seed = 0x137e55,
                           size_t ring_capacity = 4096)
@@ -1497,8 +1468,8 @@ struct IngressFixture {
 
   bool StartGateway(GatewayConfig cfg = {}) {
     registry.SeedFromDirectory(directory);
-    gateway = std::make_unique<SubmissionGateway>(round.get(), &registry,
-                                                  gateway_key, cfg);
+    gateway = std::make_unique<ReactorGateway>(round.get(), &registry,
+                                               gateway_key, cfg);
     if (!gateway->Listen(0)) {
       return false;
     }
@@ -1769,6 +1740,47 @@ TEST(IngressAuth, ForeignAndDuplicateIdsRejected) {
   EXPECT_EQ(*closed_status, SubmitStatus::kClosed);
 }
 
+TEST(IngressAuth, ClosedAndUnknownGroupVerdicts) {
+  IngressFixture fx(Variant::kTrap);
+  fx.AddClient(700);
+  fx.AddClient(701);
+  ASSERT_TRUE(fx.StartGateway());
+
+  Rng rng(uint64_t{0xf00d});
+  auto session = fx.Connect(700);
+  ASSERT_NE(session, nullptr);
+
+  // No round open yet: kClosed, and the submission never reaches a shard.
+  uint64_t seq = session->Submit(fx.MakeTrap(700, 0, rng, "too early"));
+  ASSERT_NE(seq, 0u);
+  auto status = session->WaitResult(seq);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(*status, SubmitStatus::kClosed);
+
+  fx.gateway->OpenRound(9);
+  ASSERT_EQ(session->WaitRoundOpen(), 9u);
+
+  // A submission stamped with someone else's registered id on 700's
+  // authenticated channel: kForeignId.
+  seq = session->Submit(fx.MakeTrap(701, 0, rng, "not my id"));
+  ASSERT_NE(seq, 0u);
+  status = session->WaitResult(seq);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(*status, SubmitStatus::kForeignId);
+
+  // An entry group that does not exist: kRejected, pre-verification.
+  auto sub = fx.MakeTrap(700, 0, rng, "no such group");
+  sub.entry_gid = 7;
+  seq = session->Submit(sub);
+  ASSERT_NE(seq, 0u);
+  status = session->WaitResult(seq);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(*status, SubmitStatus::kRejected);
+
+  fx.gateway->Cutoff();
+  EXPECT_EQ(fx.gateway->accepted_count(), 0u);
+}
+
 TEST(IngressFaults, MidStreamDisconnectDoesNotStallRound) {
   IngressFixture fx(Variant::kTrap);
   fx.AddClient(31);
@@ -2010,7 +2022,6 @@ TEST(GatewayLifecycle, RevokedMidSessionRejectedWithoutKillingTheLink) {
 struct GoldenIngress {
   static constexpr uint64_t kFirstClient = 9000;
 
-  explicit GoldenIngress(GatewayBackend backend) : backend(backend) {}
   ~GoldenIngress() { Stop(); }
 
   // The gateway must go before the round it fronts is destroyed.
@@ -2035,7 +2046,7 @@ struct GoldenIngress {
       }
       client_keys.push_back(KemKeypair{kp.sk, kp.pk});
     }
-    gateway = MakeClientGateway(backend, &round, &registry, gateway_key);
+    gateway = std::make_unique<ReactorGateway>(&round, &registry, gateway_key);
     if (!gateway->Listen(0)) {
       return false;
     }
@@ -2069,24 +2080,16 @@ struct GoldenIngress {
     return golden::RoundDigest(c, submit, run, kFirstClient);
   }
 
-  const GatewayBackend backend;
   ClientRegistry registry;
-  std::unique_ptr<ClientGateway> gateway;
+  std::unique_ptr<ReactorGateway> gateway;
   std::vector<std::unique_ptr<ClientSession>> sessions;
 };
 
 class GoldenGateway : public ::testing::TestWithParam<golden::Case> {};
 
-TEST_P(GoldenGateway, ReactorMatchesRecordedDigest) {
+TEST_P(GoldenGateway, MatchesRecordedDigest) {
   const golden::Case& c = GetParam();
-  GoldenIngress ingress(GatewayBackend::kReactor);
-  golden::ExpectRecorded(std::string(c.name) + "ViaGateway",
-                         ingress.Digest(c));
-}
-
-TEST_P(GoldenGateway, ThreadPerConnectionMatchesRecordedDigest) {
-  const golden::Case& c = GetParam();
-  GoldenIngress ingress(GatewayBackend::kThreadPerConnection);
+  GoldenIngress ingress;
   golden::ExpectRecorded(std::string(c.name) + "ViaGateway",
                          ingress.Digest(c));
 }

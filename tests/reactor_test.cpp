@@ -1,12 +1,12 @@
-// Tests for the epoll reactor ingress tier (src/net/reactor.h): the
-// reactor gateway serves the exact SubmissionGateway protocol (a seeded
+// Tests for the epoll reactor ingress tier (src/net/reactor.h): a seeded
 // round driven through TCP ClientSessions is byte-identical to its
-// in-process twin), verdict semantics match the blocking backend
-// (kClosed / kForeignId / kRejected), slowloris-style stalled handshakes
-// and idle sessions are reaped by deadline, FaultPlan's gateway churn
-// injection point works mid-stream, Stop() under connect/submit load is
-// deterministic, and a GatewayFleet shards admission per entry group
-// with FleetClient routing each message to its group's gateway.
+// in-process twin, slowloris-style stalled handshakes and idle sessions
+// are reaped by deadline, FaultPlan's gateway churn injection point works
+// mid-stream, Stop() under connect/submit load is deterministic, and a
+// GatewayFleet shards admission per entry group with FleetClient routing
+// each message to its group's gateway. Verdict semantics and the session
+// lifecycle are covered by net_test's Ingress*/GatewayLifecycle suites,
+// which run against the same gateway.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -40,10 +40,8 @@ bool WaitUntil(const std::function<bool()>& pred,
   return pred();
 }
 
-// Twin-buildable ingress deployment over the backend factory: same shape
-// as net_test's IngressFixture, but the gateway is whichever backend the
-// test asks for — the point being that every test here would pass
-// verbatim against SubmissionGateway too.
+// Twin-buildable ingress deployment: same shape as net_test's
+// IngressFixture, with its own keys and beacon.
 struct ReactorFixture {
   RoundConfig config;
   Rng round_rng;
@@ -53,7 +51,7 @@ struct ReactorFixture {
   Rng key_rng{uint64_t{0x4eac7}};
   KemKeypair gateway_key;
   std::map<uint64_t, KemKeypair> client_keys;
-  std::unique_ptr<ClientGateway> gateway;
+  std::unique_ptr<ReactorGateway> gateway;
 
   explicit ReactorFixture(Variant variant, uint64_t seed = 0x4eac7)
       : round_rng(seed) {
@@ -84,11 +82,10 @@ struct ReactorFixture {
   }
 
   bool StartGateway(GatewayConfig cfg = {},
-                    GatewayBackend backend = GatewayBackend::kReactor,
                     std::shared_ptr<FaultPlan> plan = nullptr) {
     registry.SeedFromDirectory(directory);
-    gateway = MakeClientGateway(backend, round.get(), &registry,
-                                gateway_key, cfg);
+    gateway = std::make_unique<ReactorGateway>(round.get(), &registry,
+                                               gateway_key, cfg);
     if (plan != nullptr) {
       gateway->SetFaultPlan(std::move(plan));
     }
@@ -167,47 +164,6 @@ TEST(ReactorEquivalence, TrapRoundViaTcpMatchesInProcess) {
   EXPECT_EQ(got.inner_seen, want.inner_seen);
 }
 
-TEST(ReactorParity, VerdictsMatchBlockingBackend) {
-  ReactorFixture fx(Variant::kTrap);
-  fx.AddClient(700);
-  fx.AddClient(701);
-  ASSERT_TRUE(fx.StartGateway());
-
-  Rng rng(uint64_t{0xf00d});
-  auto session = fx.Connect(700);
-  ASSERT_NE(session, nullptr);
-
-  // No round open yet: kClosed, and the submission never reaches a shard.
-  uint64_t seq = session->Submit(fx.MakeTrap(700, 0, rng, "too early"));
-  ASSERT_NE(seq, 0u);
-  auto status = session->WaitResult(seq);
-  ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(*status, SubmitStatus::kClosed);
-
-  fx.gateway->OpenRound(9);
-  ASSERT_EQ(session->WaitRoundOpen(), 9u);
-
-  // A submission stamped with someone else's registered id on 700's
-  // authenticated channel: kForeignId.
-  seq = session->Submit(fx.MakeTrap(701, 0, rng, "not my id"));
-  ASSERT_NE(seq, 0u);
-  status = session->WaitResult(seq);
-  ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(*status, SubmitStatus::kForeignId);
-
-  // An entry group that does not exist: kRejected, pre-verification.
-  auto sub = fx.MakeTrap(700, 0, rng, "no such group");
-  sub.entry_gid = 7;
-  seq = session->Submit(sub);
-  ASSERT_NE(seq, 0u);
-  status = session->WaitResult(seq);
-  ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(*status, SubmitStatus::kRejected);
-
-  fx.gateway->Cutoff();
-  EXPECT_EQ(fx.gateway->accepted_count(), 0u);
-}
-
 TEST(ReactorHardening, StalledHandshakeReaped) {
   // Slowloris: a dialer that connects and then trickles (or stops) must
   // not hold a connection slot past the handshake deadline.
@@ -266,7 +222,7 @@ TEST(ReactorHardening, FaultPlanDisconnectsMidStream) {
   fx.AddClient(740);
   auto plan = std::make_shared<FaultPlan>(uint64_t{0x5eed});
   plan->set_client_disconnect_rate(1.0);
-  ASSERT_TRUE(fx.StartGateway({}, GatewayBackend::kReactor, plan));
+  ASSERT_TRUE(fx.StartGateway({}, plan));
   fx.gateway->OpenRound(1);
 
   auto session = fx.Connect(740);

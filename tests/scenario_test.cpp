@@ -350,11 +350,9 @@ long RssKb() {
 void RunTenXOverReactor(const char* name, uint64_t warm_seed,
                         uint64_t seed) {
   ScenarioConfig warmup = SmallScenario(name, warm_seed);
-  warmup.gateway_backend = GatewayBackend::kReactor;
   RunAndExpectOk(warmup);
 
   ScenarioConfig config = SmallScenario(name, seed);
-  config.gateway_backend = GatewayBackend::kReactor;
   config.users = 40;  // 10x the small population
   size_t fds_before = CountOpenFds();
   long rss_before = RssKb();

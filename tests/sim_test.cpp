@@ -245,12 +245,14 @@ TEST(NetSim, NearLinearSpeedupTo1024) {
 TEST(NetSim, SubLinearSpeedupAtHugeScale) {
   // Fig. 11 shape: with 2^10 -> 2^15 servers on a billion messages the
   // speed-up falls clearly below the ideal 32x because of the G² connection
-  // overhead (the paper reports 23.6x).
+  // overhead (the paper reports 23.6x). Priced with the paper's Table 3
+  // costs, not measured ones, so the ratio does not move with host or
+  // sanitizer speed.
   Rng rng(906u);
+  const CostModel costs = CostModel::PaperTable3();
   auto total = [&](size_t servers) {
     NetworkModel net = NetworkModel::TorLike(servers, rng);
-    return EstimateRound(BaseNetConfig(servers, 1'000'000'000), net,
-                         SharedCosts())
+    return EstimateRound(BaseNetConfig(servers, 1'000'000'000), net, costs)
         .total_seconds;
   };
   double t10 = total(1 << 10);
