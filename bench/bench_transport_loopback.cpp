@@ -2,13 +2,12 @@
 //
 //   1. SecureLink record throughput and ping-pong latency — the raw cost
 //      of the AEAD record layer + kernel sockets, i.e. what every
-//      inter-server protocol byte pays compared to LocalBus's free
-//      in-process delivery.
-//   2. One full trap group hop (3 servers) driven through LocalBus vs.
-//      through a TcpPeerMesh of NodeProcess servers in this process, over
-//      real sockets. The delta is the transport tax on a protocol round;
-//      the paper's deployment model (§6) assumes WAN latency dominates,
-//      so the loopback tax should be small next to the crypto.
+//      inter-server protocol byte pays.
+//   2. One full trap group hop (3 servers) driven through a TcpPeerMesh of
+//      NodeProcess servers in this process, over real sockets, one server
+//      step per delivery. The paper's deployment model (§6) assumes WAN
+//      latency dominates, so the loopback hop time should stay close to
+//      the crypto's.
 //
 // Usage: bench_transport_loopback [--smoke]
 #include <chrono>
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/core/node.h"
 #include "src/net/link.h"
 #include "src/net/mesh.h"
 #include "src/net/node_process.h"
@@ -147,7 +145,8 @@ struct HopSetup {
   }
 };
 
-double BenchHop(Bus& bus, const HopSetup& setup, Rng& run_rng, int rounds) {
+double BenchHop(TcpPeerMesh& bus, const HopSetup& setup, Rng& run_rng,
+                int rounds) {
   auto start = Clock::now();
   for (int r = 0; r < rounds; r++) {
     bus.ClearOutputs();
@@ -164,19 +163,6 @@ void BenchGroupHop(bool smoke, BenchJson& json) {
   const size_t messages = smoke ? 8 : 64;
   const int rounds = smoke ? 2 : 8;
   HopSetup setup(messages);
-
-  // LocalBus.
-  LocalBus local;
-  std::vector<std::unique_ptr<AtomNode>> nodes;
-  for (uint32_t pos = 0; pos < 3; pos++) {
-    nodes.push_back(
-        std::make_unique<AtomNode>(setup.chain[pos], Variant::kTrap));
-    nodes.back()->JoinGroup(0, MakeNodeGroupKeys(setup.dkg, setup.chain, pos));
-    local.RegisterNode(nodes.back().get());
-  }
-  Rng run_rng_local(uint64_t{11});
-  BenchHop(local, setup, run_rng_local, 1);  // warmup
-  double local_ms = BenchHop(local, setup, run_rng_local, rounds);
 
   // TcpPeerMesh over loopback NodeProcesses.
   Rng key_rng(uint64_t{12});
@@ -214,17 +200,10 @@ void BenchGroupHop(bool smoke, BenchJson& json) {
 
   std::printf("\nTrap group hop, 3 servers, %zu messages (avg of %d):\n",
               messages, rounds);
-  std::printf("  LocalBus (in-process):      %8.2f ms\n", local_ms);
   std::printf("  TcpPeerMesh (3 processes'\n"
               "   worth of loopback links):  %8.2f ms\n", mesh_ms);
-  if (local_ms > 0) {
-    std::printf("  transport tax:              %8.2f ms (%.1f%%)\n",
-                mesh_ms - local_ms, 100.0 * (mesh_ms - local_ms) / local_ms);
-  }
   json.Num("hop_messages", static_cast<double>(messages));
-  json.Num("local_bus_hop_ms", local_ms);
   json.Num("mesh_hop_ms", mesh_ms);
-  json.Num("transport_tax_ms", mesh_ms - local_ms);
 }
 
 }  // namespace
@@ -232,7 +211,7 @@ void BenchGroupHop(bool smoke, BenchJson& json) {
 int main(int argc, char** argv) {
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   std::printf("==============================================================\n");
-  std::printf("Encrypted TCP transport vs in-process delivery (loopback)\n");
+  std::printf("Encrypted TCP transport on loopback\n");
   std::printf("==============================================================\n");
   BenchJson json("transport_loopback");
   json.Bool("smoke", smoke);

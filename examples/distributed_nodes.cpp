@@ -1,45 +1,23 @@
-// Distributed deployment shape: per-server nodes exchanging protocol
-// messages, instead of the in-process Round orchestrator.
+// Distributed deployment shape, end to end over real processes and
+// sockets:
 //
-// Each AtomNode holds exactly ONE server's key shares and reacts to
-// messages. Two groups of three servers mix a batch across two hops (one
-// forwarding hop, one exit hop).
+//   ./build/examples/distributed_nodes [--seed N] [--trace-out FILE]
+//       [--metrics-out FILE] [--metrics-port P]
 //
-// Two modes:
+// Users register Schnorr identities with the Directory; the reactor
+// gateway fronts the round's streaming intake, and every submission
+// arrives over an authenticated TCP ClientSession. One ./atom_server
+// process per topology group (identity keys loaded via --keyfile) mixes
+// the rounds: the driver ships each group's DKG material over the control
+// plane and pipelines three rounds through the DistributedRoundDriver, so
+// round r+1's intake fills through the gateway while round r mixes on the
+// fleet. Every RoundResult is byte-compared against a twin round whose
+// identical submissions were made in process. Exits nonzero on any
+// divergence — CI runs this as the deployed-shape smoke test.
 //
-//   ./build/examples/distributed_nodes
-//       In-process: six AtomNodes on a LocalBus (the original demo).
-//
-//   ./build/examples/distributed_nodes --tcp [--seed N]
-//       Multi-process: spawns six ./atom_server processes (one per
-//       server) over loopback TCP with encrypted authenticated links,
-//       drives the SAME seeded round through BOTH transports, and checks
-//       the group outputs are byte-identical. Then it SIGKILLs a
-//       mid-chain server and verifies the next round surfaces an abort
-//       instead of hanging. Exits nonzero on any mismatch — CI runs this
-//       as the multi-process transport smoke test.
-//
-//   ./build/examples/distributed_nodes --tcp --pipelined [--seed N]
-//       Distributed pipelined rounds (§4.7 throughput mode over real
-//       sockets): spawns one ./atom_server process per topology group
-//       (identity keys loaded via --keyfile), ships each group's DKG
-//       material over the control plane, then drives THREE overlapping
-//       engine rounds through the DistributedRoundDriver — round r+1's
-//       intake enters the network while round r is still mixing — and
-//       checks every RoundResult byte-for-byte against the in-process
-//       RoundEngine running the same seeded specs. Exits nonzero on any
-//       divergence — CI runs this as the pipelined-mesh smoke test.
-//
-//   ./build/examples/distributed_nodes --tcp --pipelined --net-clients
-//       [--seed N]
-//       Full deployment shape including the client ingress tier: users
-//       register Schnorr identities with the Directory, the reactor
-//       gateway fronts the round's streaming intake, and every
-//       submission arrives over an authenticated TCP ClientSession —
-//       round r+1's intake fills through the gateway while round r mixes
-//       on the atom_server fleet. Every RoundResult is byte-compared
-//       against a twin round whose identical submissions were made
-//       in-process. CI runs this as the ingress smoke test.
+// --trace-out writes a Chrome trace of the round phases, --metrics-port
+// serves the driver's registry over HTTP (self-scraped before exit), and
+// --metrics-out writes the fleet-merged Prometheus exposition.
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -53,9 +31,7 @@
 #include <vector>
 
 #include "src/core/directory.h"
-#include "src/core/node.h"
 #include "src/core/round.h"
-#include "src/core/wire.h"
 #include "src/net/client_session.h"
 #include "src/net/gateway.h"
 #include "src/net/mesh.h"
@@ -75,8 +51,8 @@ namespace {
 using namespace atom;
 
 // Observability flags (see main): --trace-out arms the span collector,
-// --metrics-out / --metrics-port export the metrics plane. The pipelined
-// modes fill g_fleet_exposition with the MERGED fleet view (driver
+// --metrics-out / --metrics-port export the metrics plane. The run fills
+// g_fleet_exposition with the MERGED fleet view (driver
 // registry + every server's kMetricsSnapshot reply) before tearing the
 // mesh down; main() writes it to --metrics-out.
 std::string g_trace_out;
@@ -121,97 +97,6 @@ obs::MetricsSnapshot CollectFleetMetrics(TcpPeerMesh& mesh,
   return fleet;
 }
 
-const char* kPosts[] = {"first!", "hello from nowhere", "mix me",
-                        "fourth message"};
-
-CiphertextBatch MakeBatch(const Point& pk, Rng& rng) {
-  CiphertextBatch batch;
-  for (const char* post : kPosts) {
-    Bytes padded = ToBytes(post);
-    padded.resize(kEmbedCapacity, 0);
-    batch.push_back(
-        {ElGamalEncrypt(pk, *EmbedMessage(BytesView(padded)), rng)});
-  }
-  return batch;
-}
-
-NodeMsg EntryMsg(uint32_t gid, CiphertextBatch batch,
-                 std::vector<Point> next_pks) {
-  NodeMsg msg;
-  msg.type = NodeMsg::Type::kShuffleStep;
-  msg.gid = gid;
-  msg.chain_pos = 0;
-  msg.batch = std::move(batch);
-  msg.next_pks = std::move(next_pks);
-  return msg;
-}
-
-void PrintPlaintexts(const CiphertextBatch& batch) {
-  for (const auto& vec : batch) {
-    auto m = ElGamalDecrypt(Scalar::Zero(), vec[0]);
-    if (!m.has_value()) {
-      continue;
-    }
-    auto bytes = ExtractMessage(*m);
-    if (!bytes.has_value()) {
-      continue;
-    }
-    size_t end = bytes->size();
-    while (end > 0 && (*bytes)[end - 1] == 0) {
-      end--;
-    }
-    std::printf("  > %.*s\n", static_cast<int>(end),
-                reinterpret_cast<const char*>(bytes->data()));
-  }
-}
-
-// ------------------------------------------------------- in-process mode
-
-int RunLocal() {
-  Rng rng = Rng::FromOsEntropy();
-  std::vector<std::unique_ptr<AtomNode>> servers;
-  LocalBus bus;
-  auto add_group = [&](uint32_t gid, uint32_t first_id) {
-    DkgResult dkg = RunDkg(DkgParams{3, 3}, rng);
-    std::vector<uint32_t> chain = {first_id, first_id + 1, first_id + 2};
-    for (uint32_t pos = 0; pos < 3; pos++) {
-      auto node = std::make_unique<AtomNode>(first_id + pos, Variant::kTrap);
-      node->JoinGroup(gid, MakeNodeGroupKeys(dkg, chain, pos));
-      bus.RegisterNode(node.get());
-      servers.push_back(std::move(node));
-    }
-    return dkg;
-  };
-  auto g0 = add_group(0, 100);
-  auto g1 = add_group(1, 200);
-  std::printf("6 server nodes up: group 0 = {100,101,102}, "
-              "group 1 = {200,201,202}\n");
-
-  bus.Send(Envelope{100, EntryMsg(0, MakeBatch(g0.pub.group_pk, rng),
-                                  {g1.pub.group_pk})});
-  if (!bus.Run(rng)) {
-    std::fprintf(stderr, "hop 1 aborted: %s\n",
-                 bus.aborts()[0].abort_reason.c_str());
-    return 1;
-  }
-  std::printf("hop 1 complete: group 0 forwarded %zu ciphertexts to "
-              "group 1\n",
-              bus.outputs()[0].subs[0].size());
-  CiphertextBatch forwarded = bus.outputs()[0].subs[0];
-  bus.ClearOutputs();
-
-  bus.Send(Envelope{200, EntryMsg(1, std::move(forwarded), {})});
-  if (!bus.Run(rng)) {
-    std::fprintf(stderr, "hop 2 aborted\n");
-    return 1;
-  }
-  std::printf("hop 2 complete; anonymized output:\n");
-  PrintPlaintexts(bus.outputs()[0].subs[0]);
-  return 0;
-}
-
-// ----------------------------------------------------- multi-process mode
-
 struct ServerHandle {
   pid_t pid = -1;
   int stdin_w = -1;   // closing this tells the child to exit
@@ -226,12 +111,10 @@ std::string ServerBinaryPath(const char* argv0) {
   return dir + "/atom_server";
 }
 
-// Spawns one atom_server. With `use_keyfile` the identity key travels via
-// a private temp file and --keyfile (the keystore path a real deployment
-// uses); otherwise it rides argv as --sk (the loopback demo fallback).
+// Spawns one atom_server. The identity key travels via a private temp file
+// and --keyfile (the keystore path a real deployment uses).
 bool SpawnServer(const std::string& binary, uint32_t id, const Scalar& sk,
-                 const Point& driver_pk, bool use_keyfile,
-                 ServerHandle* out) {
+                 const Point& driver_pk, ServerHandle* out) {
   int in_pipe[2], out_pipe[2];
   if (pipe(in_pipe) != 0 || pipe(out_pipe) != 0) {
     return false;
@@ -240,28 +123,26 @@ bool SpawnServer(const std::string& binary, uint32_t id, const Scalar& sk,
   auto sk_bytes = sk.ToBytes();
   std::string sk_hex = HexEncode(BytesView(sk_bytes.data(), sk_bytes.size()));
   std::string pk_hex = HexEncode(BytesView(driver_pk.Encode()));
-  std::string keyfile;
-  if (use_keyfile) {
-    keyfile = "/tmp/atom_server_key_" +
-              std::to_string(static_cast<long>(getpid())) + "_" + id_str;
-    // Recorded before any failure path so ReapAll always unlinks it, and
-    // created 0600 + O_EXCL: the file holds a long-term secret, and a
-    // pre-existing entry (stale run, planted symlink) must fail, not be
-    // followed.
-    out->keyfile = keyfile;
-    unlink(keyfile.c_str());
-    int fd = open(keyfile.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0600);
-    if (fd < 0) {
-      return false;
-    }
-    std::string line = sk_hex + "\n";
-    if (write(fd, line.data(), line.size()) !=
-        static_cast<ssize_t>(line.size())) {
-      close(fd);
-      return false;
-    }
-    close(fd);
+  std::string keyfile = "/tmp/atom_server_key_" +
+                        std::to_string(static_cast<long>(getpid())) + "_" +
+                        id_str;
+  // Recorded before any failure path so ReapAll always unlinks it, and
+  // created 0600 + O_EXCL: the file holds a long-term secret, and a
+  // pre-existing entry (stale run, planted symlink) must fail, not be
+  // followed.
+  out->keyfile = keyfile;
+  unlink(keyfile.c_str());
+  int fd = open(keyfile.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0600);
+  if (fd < 0) {
+    return false;
   }
+  std::string key_line = sk_hex + "\n";
+  if (write(fd, key_line.data(), key_line.size()) !=
+      static_cast<ssize_t>(key_line.size())) {
+    close(fd);
+    return false;
+  }
+  close(fd);
   pid_t pid = fork();
   if (pid < 0) {
     return false;
@@ -273,15 +154,9 @@ bool SpawnServer(const std::string& binary, uint32_t id, const Scalar& sk,
     close(in_pipe[1]);
     close(out_pipe[0]);
     close(out_pipe[1]);
-    if (use_keyfile) {
-      execl(binary.c_str(), "atom_server", "--id", id_str.c_str(),
-            "--keyfile", keyfile.c_str(), "--driver-pk", pk_hex.c_str(),
-            static_cast<char*>(nullptr));
-    } else {
-      execl(binary.c_str(), "atom_server", "--id", id_str.c_str(), "--sk",
-            sk_hex.c_str(), "--driver-pk", pk_hex.c_str(),
-            static_cast<char*>(nullptr));
-    }
+    execl(binary.c_str(), "atom_server", "--id", id_str.c_str(),
+          "--keyfile", keyfile.c_str(), "--driver-pk", pk_hex.c_str(),
+          static_cast<char*>(nullptr));
     std::fprintf(stderr, "exec %s failed\n", binary.c_str());
     _exit(127);
   }
@@ -339,323 +214,12 @@ void ReapAll(std::vector<ServerHandle>& servers) {
   }
 }
 
-int RunTcp(const char* argv0, uint64_t seed) {
-  signal(SIGPIPE, SIG_IGN);  // dead-child pipe writes must not kill us
-  Rng rng(seed);
-  std::string binary = ServerBinaryPath(argv0);
+// ---------------------------------------------- the deployed shape
 
-  // ---- Key material and groups, generated once and shared by both
-  // transports so a seeded round is directly comparable.
-  KemKeypair driver_key = KemKeyGen(rng);
-  DkgResult g0 = RunDkg(DkgParams{3, 3}, rng);
-  DkgResult g1 = RunDkg(DkgParams{3, 3}, rng);
-  struct ServerSpec {
-    uint32_t id;
-    uint32_t gid;
-    KemKeypair key;
-    NodeGroupKeys group_keys;
-  };
-  std::vector<ServerSpec> specs;
-  std::vector<uint32_t> chain0 = {100, 101, 102}, chain1 = {200, 201, 202};
-  for (uint32_t pos = 0; pos < 3; pos++) {
-    specs.push_back(ServerSpec{chain0[pos], 0, KemKeyGen(rng),
-                               MakeNodeGroupKeys(g0, chain0, pos)});
-  }
-  for (uint32_t pos = 0; pos < 3; pos++) {
-    specs.push_back(ServerSpec{chain1[pos], 1, KemKeyGen(rng),
-                               MakeNodeGroupKeys(g1, chain1, pos)});
-  }
-
-  // ---- One real OS process per server.
-  std::vector<ServerHandle> servers(specs.size());
-  std::vector<MeshPeer> roster;
-  for (size_t i = 0; i < specs.size(); i++) {
-    if (!SpawnServer(binary, specs[i].id, specs[i].key.sk, driver_key.pk,
-                     /*use_keyfile=*/false, &servers[i])) {
-      std::fprintf(stderr, "failed to spawn atom_server for %u\n",
-                   specs[i].id);
-      ReapAll(servers);
-      return 1;
-    }
-    roster.push_back(MeshPeer{specs[i].id, "127.0.0.1", servers[i].port,
-                              specs[i].key.pk});
-  }
-  std::printf("6 atom_server processes up (pids");
-  for (const ServerHandle& server : servers) {
-    std::printf(" %d", static_cast<int>(server.pid));
-  }
-  std::printf("), loopback ports");
-  for (const ServerHandle& server : servers) {
-    std::printf(" %u", server.port);
-  }
-  std::printf("\n");
-
-  // ---- Driver mesh: dial, authenticate, push roster + group keys.
-  TcpPeerMesh driver(TcpPeerMesh::Role::kDriver, kMeshDriverId, driver_key);
-  driver.SetRoster(roster);
-  driver.set_dial_attempts(3);
-  if (!driver.ConnectAndPushRoster()) {
-    std::fprintf(stderr, "roster push failed\n");
-    ReapAll(servers);
-    return 1;
-  }
-  for (const ServerSpec& spec : specs) {
-    if (!driver.SendJoinGroup(spec.id, spec.gid, spec.group_keys)) {
-      std::fprintf(stderr, "join-group push to %u failed\n", spec.id);
-      ReapAll(servers);
-      return 1;
-    }
-  }
-  std::printf("encrypted links up; roster and group keys distributed\n");
-
-  // ---- The in-process twin: same keys, same seed, LocalBus transport.
-  LocalBus local_bus;
-  std::vector<std::unique_ptr<AtomNode>> local_nodes;
-  for (const ServerSpec& spec : specs) {
-    local_nodes.push_back(
-        std::make_unique<AtomNode>(spec.id, Variant::kTrap));
-    local_nodes.back()->JoinGroup(spec.gid, spec.group_keys);
-    local_bus.RegisterNode(local_nodes.back().get());
-  }
-
-  CiphertextBatch batch = MakeBatch(g0.pub.group_pk, rng);
-  Rng run_rng_local(seed + 1);
-  Rng run_rng_mesh(seed + 1);
-
-  auto run_hop = [&](uint32_t entry_server, const NodeMsg& entry,
-                     const char* label) -> bool {
-    local_bus.Send(Envelope{entry_server, entry});
-    if (!local_bus.Run(run_rng_local)) {
-      std::fprintf(stderr, "%s aborted on LocalBus\n", label);
-      return false;
-    }
-    driver.Send(Envelope{entry_server, entry});
-    if (!driver.Run(run_rng_mesh)) {
-      std::fprintf(stderr, "%s aborted on mesh: %s\n", label,
-                   driver.aborts().back().abort_reason.c_str());
-      return false;
-    }
-    if (local_bus.outputs().size() != 1 || driver.outputs().size() != 1 ||
-        EncodeNodeMsg(local_bus.outputs()[0]) !=
-            EncodeNodeMsg(driver.outputs()[0])) {
-      std::fprintf(stderr, "%s: transports DIVERGED\n", label);
-      return false;
-    }
-    std::printf("%s: LocalBus and TCP mesh group outputs are "
-                "byte-identical (%zu bytes)\n",
-                label, EncodeNodeMsg(driver.outputs()[0]).size());
-    return true;
-  };
-
-  if (!run_hop(100, EntryMsg(0, batch, {g1.pub.group_pk}), "hop 1")) {
-    ReapAll(servers);
-    return 1;
-  }
-  CiphertextBatch forwarded = driver.outputs()[0].subs[0];
-  local_bus.ClearOutputs();
-  driver.ClearOutputs();
-  if (!run_hop(200, EntryMsg(1, forwarded, {}), "hop 2 (exit)")) {
-    ReapAll(servers);
-    return 1;
-  }
-  std::printf("anonymized output via 6 processes over TCP:\n");
-  PrintPlaintexts(driver.outputs()[0].subs[0]);
-
-  // ---- Fault demo: SIGKILL a mid-chain server; the next round must
-  // surface an abort quickly, never hang.
-  std::printf("killing server 101 (pid %d) mid-deployment...\n",
-              static_cast<int>(servers[1].pid));
-  kill(servers[1].pid, SIGKILL);
-  waitpid(servers[1].pid, nullptr, 0);
-  servers[1].pid = -1;
-  driver.ClearOutputs();
-  driver.set_dial_attempts(1);
-  driver.Send(
-      Envelope{100, EntryMsg(0, MakeBatch(g0.pub.group_pk, rng), {})});
-  Rng run_rng_fault(seed + 2);
-  if (driver.Run(run_rng_fault)) {
-    std::fprintf(stderr, "round with a killed peer unexpectedly passed\n");
-    ReapAll(servers);
-    return 1;
-  }
-  std::printf("killed peer surfaced as abort: %s\n",
-              driver.aborts().back().abort_reason.c_str());
-
-  driver.Stop();
-  ReapAll(servers);
-  std::printf("multi-process transport smoke: OK\n");
-  return 0;
-}
-
-// --------------------------------------------- pipelined multi-round mode
-
-int RunPipelined(const char* argv0, uint64_t seed) {
-  signal(SIGPIPE, SIG_IGN);
-  std::string binary = ServerBinaryPath(argv0);
-
-  // One key epoch, taken from the same seeded Round both executors use.
-  RoundConfig config;
-  config.params.variant = Variant::kTrap;
-  config.params.num_servers = 6;
-  config.params.num_groups = 4;
-  config.params.group_size = 3;
-  config.params.honest_needed = 1;
-  config.params.iterations = 3;
-  config.params.message_len = 64;
-  config.beacon = ToBytes("distributed-pipelined-epoch");
-  config.workers = 2;
-
-  Rng rng(seed);
-  std::printf("setting up %zu groups of %zu servers (one DKG epoch)...\n",
-              config.params.num_groups, config.params.group_size);
-  Round round(config, rng);
-  const size_t width = round.NumGroups();
-
-  // Three rounds of users enter the intake back to back; each drained
-  // spec carries its own entry batches, seed, and trap commitments.
-  constexpr size_t kRounds = 3;
-  constexpr uint32_t kUsersPerRound = 6;
-  uint64_t next_client = 1000;
-  std::vector<EngineRound> specs;
-  for (size_t r = 0; r < kRounds; r++) {
-    for (uint32_t u = 0; u < kUsersPerRound; u++) {
-      uint32_t gid = u % static_cast<uint32_t>(width);
-      std::string msg = "pipelined round " + std::to_string(r) +
-                        " message " + std::to_string(u);
-      auto sub = MakeTrapSubmission(round.EntryPk(gid), gid,
-                                    round.TrusteePk(), BytesView(ToBytes(msg)),
-                                    round.layout(), rng);
-      sub.client_id = next_client++;
-      if (!round.SubmitTrap(sub)) {
-        std::fprintf(stderr, "submission rejected\n");
-        return 1;
-      }
-    }
-    specs.push_back(round.TakeEngineRound({}, rng));
-  }
-
-  // Reference: the in-process engine runs copies of the same specs.
-  std::vector<RoundResult> reference;
-  {
-    RoundEngine engine(&ThreadPool::Shared());
-    std::vector<uint64_t> tickets;
-    for (const EngineRound& spec : specs) {
-      tickets.push_back(engine.Submit(EngineRound(spec)));
-    }
-    for (uint64_t ticket : tickets) {
-      reference.push_back(engine.Wait(ticket).round);
-    }
-  }
-
-  // The fleet: one atom_server process per topology group, identity keys
-  // delivered through --keyfile (the keystore path).
-  KemKeypair driver_key = KemKeyGen(rng);
-  std::vector<ServerHandle> servers(width);
-  std::vector<MeshPeer> roster;
-  std::vector<uint32_t> hosts;
-  std::vector<KemKeypair> server_keys;
-  for (uint32_t g = 0; g < width; g++) {
-    server_keys.push_back(KemKeyGen(rng));
-    hosts.push_back(g + 1);
-  }
-  for (uint32_t g = 0; g < width; g++) {
-    if (!SpawnServer(binary, hosts[g], server_keys[g].sk, driver_key.pk,
-                     /*use_keyfile=*/true, &servers[g])) {
-      std::fprintf(stderr, "failed to spawn atom_server %u\n", hosts[g]);
-      ReapAll(servers);
-      return 1;
-    }
-    roster.push_back(MeshPeer{hosts[g], "127.0.0.1", servers[g].port,
-                              server_keys[g].pk});
-  }
-  std::printf("%zu atom_server processes up (one per group, keys via "
-              "--keyfile), loopback ports",
-              width);
-  for (const ServerHandle& server : servers) {
-    std::printf(" %u", server.port);
-  }
-  std::printf("\n");
-
-  TcpPeerMesh mesh(TcpPeerMesh::Role::kDriver, kMeshDriverId, driver_key);
-  mesh.SetRoster(roster);
-  mesh.set_dial_attempts(3);
-  if (!mesh.ConnectAndPushRoster()) {
-    std::fprintf(stderr, "roster push failed\n");
-    ReapAll(servers);
-    return 1;
-  }
-  for (uint32_t g = 0; g < width; g++) {
-    if (!mesh.SendHostGroup(hosts[g], g, round.group(g).dkg())) {
-      std::fprintf(stderr, "host-group push to %u failed\n", hosts[g]);
-      ReapAll(servers);
-      return 1;
-    }
-  }
-  std::printf("encrypted links up; group DKG material distributed\n");
-
-  int rc = 0;
-  {
-    DistributedRoundDriver driver(&mesh, hosts);
-    driver.set_round_timeout(std::chrono::seconds(60));
-
-    // All three rounds enter the network before any is waited on: round
-    // r+1's intake flushes while round r is still mixing.
-    std::vector<uint64_t> tickets;
-    for (EngineRound& spec : specs) {
-      tickets.push_back(driver.Submit(std::move(spec)));
-    }
-    std::printf("%zu rounds in flight over the mesh\n", driver.InFlight());
-
-    for (size_t r = 0; r < kRounds && rc == 0; r++) {
-      RoundResult mesh_result = driver.Wait(tickets[r]).round;
-      const RoundResult& want = reference[r];
-      if (mesh_result.aborted || want.aborted) {
-        std::fprintf(stderr, "round %zu aborted (mesh: %s / engine: %s)\n",
-                     r, mesh_result.abort_reason.c_str(),
-                     want.abort_reason.c_str());
-        rc = 1;
-        break;
-      }
-      if (mesh_result.plaintexts != want.plaintexts ||
-          mesh_result.traps_seen != want.traps_seen ||
-          mesh_result.inner_seen != want.inner_seen) {
-        std::fprintf(stderr, "round %zu DIVERGED from the engine\n", r);
-        rc = 1;
-        break;
-      }
-      std::printf("round %zu: mesh RoundResult byte-identical to the "
-                  "engine (%zu plaintexts, %llu traps)\n",
-                  r, mesh_result.plaintexts.size(),
-                  static_cast<unsigned long long>(mesh_result.traps_seen));
-      for (const Bytes& plaintext : mesh_result.plaintexts) {
-        size_t end = plaintext.size();
-        while (end > 0 && plaintext[end - 1] == 0) {
-          end--;
-        }
-        std::printf("  > %.*s\n", static_cast<int>(end),
-                    reinterpret_cast<const char*>(plaintext.data()));
-      }
-    }
-    // Fleet-wide telemetry: every server publishes its registry upstream
-    // via kMetricsSnapshot while the links are still up.
-    if (rc == 0) {
-      g_fleet_exposition = CollectFleetMetrics(mesh, hosts).Exposition();
-    }
-    mesh.Stop();  // joins reader threads before the driver dies
-  }
-  ReapAll(servers);
-  if (rc == 0) {
-    std::printf("distributed pipelined rounds: OK\n");
-  }
-  return rc;
-}
-
-// ----------------------------------- pipelined rounds with TCP clients
-
-// The full deployment shape: registered clients -> ReactorGateway ->
-// streaming intake -> DistributedRoundDriver -> atom_server fleet, with a
-// twin round fed the identical submissions in process as the oracle.
-int RunPipelinedNetClients(const char* argv0, uint64_t seed) {
+// Registered clients -> ReactorGateway -> streaming intake ->
+// DistributedRoundDriver -> atom_server fleet, with a twin round fed the
+// identical submissions in process as the oracle.
+int RunDeployment(const char* argv0, uint64_t seed) {
   signal(SIGPIPE, SIG_IGN);
   std::string binary = ServerBinaryPath(argv0);
 
@@ -760,7 +324,7 @@ int RunPipelinedNetClients(const char* argv0, uint64_t seed) {
   }
   for (uint32_t g = 0; g < width; g++) {
     if (!SpawnServer(binary, hosts[g], server_keys[g].sk, driver_key.pk,
-                     /*use_keyfile=*/true, &servers[g])) {
+                     &servers[g])) {
       std::fprintf(stderr, "failed to spawn atom_server %u\n", hosts[g]);
       ReapAll(servers);
       return 1;
@@ -934,18 +498,9 @@ bool WriteTextFile(const std::string& path, const std::string& body) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tcp = false;
-  bool pipelined = false;
-  bool net_clients = false;
   uint64_t seed = 42;
   for (int i = 1; i < argc; i++) {
-    if (std::strcmp(argv[i], "--tcp") == 0) {
-      tcp = true;
-    } else if (std::strcmp(argv[i], "--pipelined") == 0) {
-      pipelined = true;
-    } else if (std::strcmp(argv[i], "--net-clients") == 0) {
-      net_clients = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       char* end = nullptr;
       seed = std::strtoull(argv[++i], &end, 10);
       if (end == argv[i] || *end != '\0') {
@@ -966,8 +521,7 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: distributed_nodes [--tcp] [--pipelined] "
-                   "[--net-clients] [--seed N] "
+                   "usage: distributed_nodes [--seed N] "
                    "[--trace-out FILE] [--metrics-out FILE] "
                    "[--metrics-port P]\n");
       return 2;
@@ -991,14 +545,7 @@ int main(int argc, char** argv) {
     std::printf("metrics endpoint up on port %u\n", metrics_server.port());
   }
 
-  int rc;
-  if (net_clients) {
-    rc = RunPipelinedNetClients(argv[0], seed);
-  } else if (pipelined) {
-    rc = RunPipelined(argv[0], seed);
-  } else {
-    rc = tcp ? RunTcp(argv[0], seed) : RunLocal();
-  }
+  int rc = RunDeployment(argv[0], seed);
 
   if (g_metrics_port >= 0) {
     if (rc == 0 && !ScrapeMetricsEndpoint(metrics_server.port())) {
@@ -1023,8 +570,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!g_metrics_out.empty()) {
-    // Prefer the merged fleet view a pipelined run collected; fall back
-    // to this process's own registry.
+    // Prefer the merged fleet view the run collected; fall back to this
+    // process's own registry.
     const std::string body = !g_fleet_exposition.empty()
                                  ? g_fleet_exposition
                                  : obs::Registry::Global().ExpositionText();

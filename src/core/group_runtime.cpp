@@ -1,6 +1,7 @@
 #include "src/core/group_runtime.h"
 
 #include <chrono>
+#include <iterator>
 
 #include "src/util/parallel.h"
 
@@ -78,192 +79,227 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
     return evil != nullptr && evil->kind == kind &&
            evil->server_index == server;
   };
+  auto reject = [&](const char* what, uint32_t server) {
+    result.aborted = true;
+    result.abort_reason = std::string(what) + " proof rejected (server " +
+                          std::to_string(server) + ")";
+    return std::move(result);
+  };
 
-  // ---- Phase 1: shuffle chain (Algorithm 1/2, step 1).
+  // ---- Phase 1: shuffle chain, every step checked (NIZK).
   CiphertextBatch batch = input;
   for (uint32_t s : subset) {
+    auto t0 = Clock::now();
+    ShuffleStepResult step = ShuffleStep(pk_table(), batch, variant, rng,
+                                         workers);
+    result.stats.shuffle_seconds += SecondsSince(t0);
+    CiphertextBatch& out = step.output;
+    if (evil_here(MaliciousAction::Kind::kTamperDuringShuffle, s)) {
+      Maul(&out[evil->target_message % out.size()][0]);
+    }
+    if (evil_here(MaliciousAction::Kind::kDuplicateDuringShuffle, s)) {
+      size_t t = evil->target_message % out.size();
+      out[t] = out[(t + 1) % out.size()];
+    }
     if (variant == Variant::kNizk) {
-      auto t0 = Clock::now();
-      ShuffleResult shuffled = ShuffleAndProve(pk_table(), batch, rng, workers);
-      result.stats.shuffle_seconds += SecondsSince(t0);
-
-      if (evil_here(MaliciousAction::Kind::kTamperDuringShuffle, s)) {
-        Maul(&shuffled.output[evil->target_message % shuffled.output.size()][0]);
-      }
-      if (evil_here(MaliciousAction::Kind::kDuplicateDuringShuffle, s)) {
-        size_t t = evil->target_message % shuffled.output.size();
-        shuffled.output[t] = shuffled.output[(t + 1) % shuffled.output.size()];
-      }
-
       auto t1 = Clock::now();
-      bool ok = VerifyShuffle(pk(), batch, shuffled.output, shuffled.proof,
-                              workers);
+      bool ok = CheckShuffleStep(pk(), batch, out, &*step.proof, workers);
       result.stats.verify_seconds += SecondsSince(t1);
       if (!ok) {
-        result.aborted = true;
-        result.abort_reason = "shuffle proof rejected (server " +
-                              std::to_string(s) + ")";
-        return result;
-      }
-      batch = std::move(shuffled.output);
-    } else {
-      auto t0 = Clock::now();
-      batch = ShuffleBatch(pk_table(), batch, rng, nullptr, nullptr, workers);
-      result.stats.shuffle_seconds += SecondsSince(t0);
-      if (evil_here(MaliciousAction::Kind::kTamperDuringShuffle, s)) {
-        Maul(&batch[evil->target_message % batch.size()][0]);
-      }
-      if (evil_here(MaliciousAction::Kind::kDuplicateDuringShuffle, s)) {
-        size_t t = evil->target_message % batch.size();
-        batch[t] = batch[(t + 1) % batch.size()];
+        return reject("shuffle", s);
       }
     }
+    batch = std::move(out);
   }
 
   // ---- Phase 2: divide into β contiguous sub-batches.
-  const size_t beta = next_pks.empty() ? 1 : next_pks.size();
-  std::vector<CiphertextBatch> batches(beta);
-  {
-    size_t base = batch.size() / beta, extra = batch.size() % beta;
-    size_t off = 0;
-    for (size_t b = 0; b < beta; b++) {
-      size_t take = base + (b < extra ? 1 : 0);
-      batches[b].assign(batch.begin() + static_cast<ptrdiff_t>(off),
-                        batch.begin() + static_cast<ptrdiff_t>(off + take));
-      off += take;
-    }
-  }
+  std::vector<CiphertextBatch> batches =
+      DivideBatch(std::move(batch), next_pks.empty() ? 1 : next_pks.size());
 
-  // ---- Phase 3: decrypt-and-reencrypt chain (step 3).
-  // Each neighbour key is the rewrap base for its whole sub-batch on every
-  // participating server (and for its proofs), so use a table per
-  // neighbour: the caller's, or one built here when the reuse count
-  // amortizes the build (~16 multiplications; see shuffle.cpp).
-  const size_t components = input.empty() ? 0 : input[0].size();
-  std::vector<std::shared_ptr<const FixedBaseTable>> tables(next_pks.size());
-  for (size_t b = 0; b < next_pks.size(); b++) {
-    if (!next_tables.empty() && next_tables[b] != nullptr) {
-      ATOM_CHECK(next_tables[b]->base() == next_pks[b]);
-      tables[b] = next_tables[b];
-    } else if (batches[b].size() * components * subset.size() >= 16) {
-      tables[b] = std::make_shared<const FixedBaseTable>(next_pks[b]);
-      if (!next_tables.empty()) {
-        next_tables[b] = tables[b];
-      }
-    }
-  }
-  for (size_t si = 0; si < subset.size(); si++) {
-    uint32_t s = subset[si];
+  // ---- Phase 3: decrypt-and-reencrypt chain, every step checked (NIZK).
+  const auto tables =
+      RewrapTables(next_pks, batches, subset.size(), next_tables);
+  for (uint32_t s : subset) {
     Scalar weighted = WeightedShare(dkg_.keys[s - 1], subset);
     Point weighted_pub = WeightedSharePublic(dkg_.pub, s, subset);
-    bool last_server = (si + 1 == subset.size());
-
-    // This server's outputs for every sub-batch, and (NIZK) its proofs in
-    // (sub-batch, message, component) order.
-    std::vector<CiphertextBatch> outs(beta);
-    std::vector<ReEncProof> proofs;
-    for (size_t b = 0; b < beta; b++) {
-      const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
-      const FixedBaseTable* next_table =
-          next_pks.empty() ? nullptr : tables[b].get();
-      const CiphertextBatch& sub = batches[b];
-      CiphertextBatch& out = outs[b];
-
-      // Pre-draw randomness serially, then reencrypt in parallel.
-      auto t0 = Clock::now();
-      std::vector<std::vector<Scalar>> rewrap(sub.size());
-      std::vector<std::vector<Scalar>> draws(sub.size());
-      for (size_t m = 0; m < sub.size(); m++) {
-        draws[m].resize(sub[m].size());
-        for (size_t c = 0; c < sub[m].size(); c++) {
-          draws[m][c] = Scalar::Random(rng);
-        }
-      }
-      out.resize(sub.size());
-      ParallelFor(workers, sub.size(), [&](size_t m) {
-        out[m].resize(sub[m].size());
-        rewrap[m].resize(sub[m].size());
-        for (size_t c = 0; c < sub[m].size(); c++) {
-          // Deterministic ReEnc with pre-drawn randomness: inline the
-          // Appendix-A operation so the parallel path has no shared Rng.
-          ElGamalCiphertext cur = sub[m][c];
-          if (cur.YIsNull()) {
-            cur.y = cur.r;
-            cur.r = Point::Infinity();
-          }
-          cur.c = cur.c - cur.y.Mul(weighted);
-          if (next != nullptr) {
-            cur.r = cur.r + Point::BaseMul(draws[m][c]);
-            cur.c = cur.c + (next_table != nullptr
-                                 ? next_table->Mul(draws[m][c])
-                                 : next->Mul(draws[m][c]));
-            rewrap[m][c] = draws[m][c];
-          } else {
-            rewrap[m][c] = Scalar::Zero();
-          }
-          out[m][c] = cur;
-        }
-      });
-      result.stats.reenc_seconds += SecondsSince(t0);
-
-      if (evil_here(MaliciousAction::Kind::kTamperDuringReEnc, s) && b == 0) {
-        Maul(&out[evil->target_message % out.size()][0]);
-      }
-
-      if (variant == Variant::kNizk) {
-        // Prove every component's reencryption; the Rng order (sub-batch by
-        // sub-batch, rewrap draws before proofs) fixes the seeded output.
-        auto t2 = Clock::now();
-        for (size_t m = 0; m < sub.size(); m++) {
-          for (size_t c = 0; c < sub[m].size(); c++) {
-            proofs.push_back(MakeReEncProof(weighted, weighted_pub, next,
-                                            sub[m][c], out[m][c],
-                                            rewrap[m][c], rng, next_table));
-          }
-        }
-        result.stats.verify_seconds += SecondsSince(t2);
-      }
+    auto t0 = Clock::now();
+    ReEncStepResult step = ReEncStep(weighted, weighted_pub, batches,
+                                     next_pks, tables, variant, rng, workers);
+    result.stats.reenc_seconds += SecondsSince(t0);
+    if (evil_here(MaliciousAction::Kind::kTamperDuringReEnc, s)) {
+      CiphertextBatch& out = step.outputs[0];
+      Maul(&out[evil->target_message % out.size()][0]);
     }
-
     if (variant == Variant::kNizk) {
-      // Check this server's step across all sub-batches in one batch test.
-      auto t3 = Clock::now();
-      std::vector<ReEncClaim> claims;
-      claims.reserve(proofs.size());
-      size_t k = 0;
-      for (size_t b = 0; b < beta; b++) {
-        const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
-        for (size_t m = 0; m < batches[b].size(); m++) {
-          for (size_t c = 0; c < batches[b][m].size(); c++) {
-            claims.push_back(ReEncClaim{next, batches[b][m][c],
-                                        outs[b][m][c], proofs[k++]});
-          }
-        }
-      }
-      bool ok = VerifyReEncProofBatch(weighted_pub, claims);
-      result.stats.verify_seconds += SecondsSince(t3);
+      auto t1 = Clock::now();
+      bool ok = CheckReEncStep(weighted_pub, batches, step.outputs, next_pks,
+                               step.proofs);
+      result.stats.verify_seconds += SecondsSince(t1);
       if (!ok) {
-        result.aborted = true;
-        result.abort_reason = "reencryption proof rejected (server " +
-                              std::to_string(s) + ")";
-        return result;
+        return reject("reencryption", s);
       }
     }
-
-    for (size_t b = 0; b < beta; b++) {
-      if (last_server) {
-        for (auto& vec : outs[b]) {
-          for (auto& ct : vec) {
-            ct = ElGamalFinalizeHop(ct);
-          }
-        }
-      }
-      batches[b] = std::move(outs[b]);
-    }
+    batches = std::move(step.outputs);
   }
-
+  FinalizeHop(batches);
   result.batches = std::move(batches);
   return result;
+}
+
+ShuffleStepResult ShuffleStep(const FixedBaseTable& group_pk,
+                              const CiphertextBatch& input, Variant variant,
+                              Rng& rng, size_t workers) {
+  if (variant == Variant::kNizk) {
+    ShuffleResult shuffled = ShuffleAndProve(group_pk, input, rng, workers);
+    return {std::move(shuffled.output), std::move(shuffled.proof)};
+  }
+  return {ShuffleBatch(group_pk, input, rng, nullptr, nullptr, workers),
+          std::nullopt};
+}
+
+bool CheckShuffleStep(const Point& group_pk, const CiphertextBatch& input,
+                      const CiphertextBatch& output, const ShuffleProof* proof,
+                      size_t workers) {
+  return proof != nullptr &&
+         VerifyShuffle(group_pk, input, output, *proof, workers);
+}
+
+std::vector<CiphertextBatch> DivideBatch(CiphertextBatch batch, size_t beta) {
+  std::vector<CiphertextBatch> subs(beta);
+  const size_t base = batch.size() / beta, extra = batch.size() % beta;
+  auto next = std::make_move_iterator(batch.begin());
+  for (size_t b = 0; b < beta; b++) {
+    auto take = static_cast<ptrdiff_t>(base + (b < extra ? 1 : 0));
+    subs[b].assign(next, next + take);
+    next += take;
+  }
+  return subs;
+}
+
+std::vector<std::shared_ptr<const FixedBaseTable>> RewrapTables(
+    std::span<const Point> next_pks, std::span<const CiphertextBatch> subs,
+    size_t steps, std::span<std::shared_ptr<const FixedBaseTable>> cached) {
+  ATOM_CHECK(cached.empty() || cached.size() == next_pks.size());
+  ATOM_CHECK(next_pks.empty() || subs.size() == next_pks.size());
+  // A table costs ~16 multiplications by its base (see shuffle.cpp).
+  std::vector<std::shared_ptr<const FixedBaseTable>> tables(next_pks.size());
+  for (size_t b = 0; b < next_pks.size(); b++) {
+    const size_t components = subs[b].empty() ? 0 : subs[b][0].size();
+    if (!cached.empty() && cached[b] != nullptr) {
+      ATOM_CHECK(cached[b]->base() == next_pks[b]);
+      tables[b] = cached[b];
+    } else if (subs[b].size() * components * steps >= 16) {
+      tables[b] = std::make_shared<const FixedBaseTable>(next_pks[b]);
+      if (!cached.empty()) {
+        cached[b] = tables[b];
+      }
+    }
+  }
+  return tables;
+}
+
+ReEncStepResult ReEncStep(
+    const Scalar& share, const Point& share_pub,
+    std::span<const CiphertextBatch> inputs, std::span<const Point> next_pks,
+    std::span<const std::shared_ptr<const FixedBaseTable>> tables,
+    Variant variant, Rng& rng, size_t workers) {
+  ATOM_CHECK(inputs.size() == (next_pks.empty() ? 1 : next_pks.size()));
+  ATOM_CHECK(tables.size() == next_pks.size());
+  ReEncStepResult result;
+  result.outputs.resize(inputs.size());
+  // Sub-batch by sub-batch: rewrap draws, then (NIZK) proofs. This Rng
+  // order fixes the seeded output.
+  for (size_t b = 0; b < inputs.size(); b++) {
+    const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
+    const FixedBaseTable* table = next_pks.empty() ? nullptr : tables[b].get();
+    const CiphertextBatch& sub = inputs[b];
+    CiphertextBatch& out = result.outputs[b];
+
+    // Pre-draw randomness serially (one per component, the exit layer
+    // included), then reencrypt in parallel.
+    std::vector<std::vector<Scalar>> draws(sub.size());
+    for (size_t m = 0; m < sub.size(); m++) {
+      draws[m].resize(sub[m].size());
+      for (Scalar& draw : draws[m]) {
+        draw = Scalar::Random(rng);
+      }
+    }
+    out.resize(sub.size());
+    ParallelFor(workers, sub.size(), [&](size_t m) {
+      out[m].resize(sub[m].size());
+      for (size_t c = 0; c < sub[m].size(); c++) {
+        // Appendix A ReEnc with the pre-drawn randomness, so the parallel
+        // part shares no Rng.
+        ElGamalCiphertext cur = sub[m][c];
+        if (cur.YIsNull()) {
+          cur.y = cur.r;
+          cur.r = Point::Infinity();
+        }
+        cur.c = cur.c - cur.y.Mul(share);
+        if (next != nullptr) {
+          cur.r = cur.r + Point::BaseMul(draws[m][c]);
+          cur.c = cur.c + (table != nullptr ? table->Mul(draws[m][c])
+                                            : next->Mul(draws[m][c]));
+        }
+        out[m][c] = cur;
+      }
+    });
+
+    if (variant == Variant::kNizk) {
+      for (size_t m = 0; m < sub.size(); m++) {
+        for (size_t c = 0; c < sub[m].size(); c++) {
+          const Scalar rewrap = next != nullptr ? draws[m][c] : Scalar::Zero();
+          result.proofs.push_back(MakeReEncProof(share, share_pub, next,
+                                                 sub[m][c], out[m][c], rewrap,
+                                                 rng, table));
+        }
+      }
+    }
+  }
+  return result;
+}
+
+bool CheckReEncStep(const Point& share_pub,
+                    std::span<const CiphertextBatch> inputs,
+                    std::span<const CiphertextBatch> outputs,
+                    std::span<const Point> next_pks,
+                    std::span<const ReEncProof> proofs) {
+  const size_t beta = next_pks.empty() ? 1 : next_pks.size();
+  if (inputs.size() != beta || outputs.size() != beta) {
+    return false;
+  }
+  std::vector<ReEncClaim> claims;
+  claims.reserve(proofs.size());
+  for (size_t b = 0; b < beta; b++) {
+    const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
+    if (inputs[b].size() != outputs[b].size()) {
+      return false;
+    }
+    for (size_t m = 0; m < inputs[b].size(); m++) {
+      if (inputs[b][m].size() != outputs[b][m].size()) {
+        return false;
+      }
+      for (size_t c = 0; c < inputs[b][m].size(); c++) {
+        if (claims.size() == proofs.size()) {
+          return false;
+        }
+        claims.push_back(ReEncClaim{next, inputs[b][m][c], outputs[b][m][c],
+                                    proofs[claims.size()]});
+      }
+    }
+  }
+  return claims.size() == proofs.size() &&
+         VerifyReEncProofBatch(share_pub, claims);
+}
+
+void FinalizeHop(std::vector<CiphertextBatch>& batches) {
+  for (CiphertextBatch& batch : batches) {
+    for (ElGamalCiphertextVec& vec : batch) {
+      for (ElGamalCiphertext& ct : vec) {
+        ct = ElGamalFinalizeHop(ct);
+      }
+    }
+  }
 }
 
 std::optional<std::vector<std::vector<Point>>> ExitPlaintexts(

@@ -7,14 +7,19 @@
 // neighbour groups (or decrypted plaintext points at the exit layer):
 //
 //   1. Shuffle: each participating server in order rerandomizes and
-//      permutes the whole batch (with a ShufProof in NIZK mode, verified by
-//      every other server — modelled by verifying once, since one honest
-//      verifier suffices to abort).
-//   2. Divide: the last server splits the batch into β contiguous
-//      sub-batches.
+//      permutes the whole batch (ShuffleStep; in NIZK mode with a
+//      ShufProof that the next server checks, CheckShuffleStep).
+//   2. Divide: the last server's output splits into β contiguous
+//      sub-batches (DivideBatch).
 //   3. Decrypt-and-reencrypt: each participating server in order strips its
 //      (Lagrange-weighted) layer and rewraps sub-batch i toward neighbour
-//      group i (ReEncProof in NIZK mode).
+//      group i (ReEncStep; in NIZK mode with ReEncProofs, CheckReEncStep),
+//      and the last step's output is finalized (FinalizeHop).
+//
+// The per-server step functions below are the only implementation of these
+// steps. GroupRuntime::RunHop runs the whole chain in one call, holding
+// every member's key and checking every step; AtomNode (src/core/node.h)
+// runs one server's steps as messages between processes.
 //
 // Fault injection: a MaliciousAction lets tests and benches make one server
 // misbehave (tamper, drop+replace, duplicate) at a chosen stage, to verify
@@ -24,7 +29,9 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/core/params.h"
 #include "src/crypto/dkg.h"
@@ -46,11 +53,12 @@ struct MaliciousAction {
   size_t target_message = 0;  // which message to hit
 };
 
-// Timing breakdown of one hop (for the evaluation harness).
+// Timing breakdown of one hop (for the evaluation harness), summed over
+// the participating servers.
 struct HopStats {
-  double shuffle_seconds = 0;  // total across servers, incl. proof generation
-  double reenc_seconds = 0;
-  double verify_seconds = 0;  // NIZK verification work (one honest verifier)
+  double shuffle_seconds = 0;  // shuffle steps, incl. proof generation
+  double reenc_seconds = 0;    // reencryption steps, incl. proof generation
+  double verify_seconds = 0;   // NIZK checks of every server's steps
   size_t messages = 0;
   size_t participants = 0;
 };
@@ -113,6 +121,70 @@ class GroupRuntime {
   std::shared_ptr<const FixedBaseTable> pk_table_;
   std::vector<bool> alive_;
 };
+
+// ---- Per-server steps of Algorithms 1 and 2.
+//
+// Each step draws from `rng` in a fixed order, so a seeded chain replays
+// byte for byte whichever driver runs it. `workers` bounds the step's
+// intra-server parallelism; the output does not depend on it.
+
+struct ShuffleStepResult {
+  CiphertextBatch output;
+  std::optional<ShuffleProof> proof;  // NIZK only
+};
+
+// One server's shuffle of the whole batch under the group key.
+// Requires IsShuffleInput(input).
+ShuffleStepResult ShuffleStep(const FixedBaseTable& group_pk,
+                              const CiphertextBatch& input, Variant variant,
+                              Rng& rng, size_t workers = 1);
+
+// Checks a NIZK shuffle step; false when `proof` is null or does not
+// verify (malformed batches included).
+bool CheckShuffleStep(const Point& group_pk, const CiphertextBatch& input,
+                      const CiphertextBatch& output, const ShuffleProof* proof,
+                      size_t workers = 1);
+
+// Splits the shuffled batch into β contiguous sub-batches, the first
+// (size % β) of them one message longer.
+std::vector<CiphertextBatch> DivideBatch(CiphertextBatch batch, size_t beta);
+
+// Rewrap tables for the β neighbour keys of one hop, built where `steps`
+// reencryption steps over the sub-batch amortize one. A non-null entry of
+// `cached` (parallel to next_pks, or empty) is used as is; a table built
+// here is stored back into a null entry for the caller to pass again.
+std::vector<std::shared_ptr<const FixedBaseTable>> RewrapTables(
+    std::span<const Point> next_pks, std::span<const CiphertextBatch> subs,
+    size_t steps,
+    std::span<std::shared_ptr<const FixedBaseTable>> cached = {});
+
+struct ReEncStepResult {
+  std::vector<CiphertextBatch> outputs;  // one per sub-batch
+  // NIZK: one proof per component, in (sub-batch, message, component)
+  // order.
+  std::vector<ReEncProof> proofs;
+};
+
+// One server's decrypt-and-reencrypt step over all β sub-batches with its
+// Lagrange-weighted share (`share`, public `share_pub`). `next_pks` holds
+// the β neighbour keys (empty at the exit layer, where inputs has one
+// sub-batch); `tables` is RewrapTables' output for them.
+ReEncStepResult ReEncStep(
+    const Scalar& share, const Point& share_pub,
+    std::span<const CiphertextBatch> inputs, std::span<const Point> next_pks,
+    std::span<const std::shared_ptr<const FixedBaseTable>> tables,
+    Variant variant, Rng& rng, size_t workers = 1);
+
+// Checks a NIZK reencryption step in one batch verification; false when
+// the shapes of inputs, outputs and proofs do not match or a proof fails.
+bool CheckReEncStep(const Point& share_pub,
+                    std::span<const CiphertextBatch> inputs,
+                    std::span<const CiphertextBatch> outputs,
+                    std::span<const Point> next_pks,
+                    std::span<const ReEncProof> proofs);
+
+// Marks the hop complete on the last step's output (Y back to ⊥).
+void FinalizeHop(std::vector<CiphertextBatch>& batches);
 
 // Extracts the plaintext points from an exit batch (all layers stripped).
 std::optional<std::vector<std::vector<Point>>> ExitPlaintexts(

@@ -1,33 +1,34 @@
 // A single Atom server as a message-driven state machine.
 //
-// GroupRuntime (src/core/group_runtime.h) executes a whole group's chain in
-// one call and is convenient for tests and benches; AtomNode is the shape
-// of a real deployment process: it holds exactly ONE server's per-group key
-// shares and acts only on protocol messages, emitting messages to other
-// servers. Message delivery is pluggable behind the Bus interface below:
-// LocalBus delivers envelopes in process, and the TcpPeerMesh/NodeProcess
-// pair in src/net/ delivers the same envelopes over encrypted TCP links
-// with one OS process per server (see src/net/mesh.h).
+// GroupRuntime::RunHop (src/core/group_runtime.h) executes a whole group's
+// chain in one call; AtomNode is the per-server form: it holds exactly ONE
+// server's per-group key shares, acts only on protocol messages, and emits
+// the message for the next server. Both run the same per-server step
+// functions (ShuffleStep, ReEncStep and their checks); AtomNode only adapts
+// them to messages. NodeProcess (src/net/node_process.h) hosts an AtomNode
+// in its own OS process and carries its envelopes over the TCP peer mesh.
 //
-// Message flow for one group hop (Algorithm 1/2):
+// Message flow for one group hop of k servers (Algorithm 1/2):
 //   kShuffleStep(pos=0) -> server at chain position 0 shuffles, sends
-//   kShuffleStep(pos=1) -> ... last position divides into β sub-batches and
-//   sends kReEncStep(pos=0) back to the first participant, which strips its
-//   layer and rewraps; ... the last participant finalizes the hop and emits
-//   kGroupOutput with the β outgoing batches.
+//   kShuffleStep(pos=1) -> ... the last position sends its output as
+//   kReEncStep(pos=0) to the first participant, which divides it into β
+//   sub-batches, strips its layer and rewraps; ... the last participant
+//   finalizes the hop and emits kGroupOutput with the β outgoing batches.
 //
-// In the NIZK variant each step carries its proof; the receiving server
-// verifies before acting (at least one receiving server per group is
-// honest, so any deviation halts the chain with an abort notice).
+// In the NIZK variant each step carries its proof, and the receiving
+// server checks it before acting: every shuffle position after 0 checks
+// the previous shuffle, reencryption position 0 checks the last shuffle,
+// and every later reencryption position checks the previous reencryption.
+// The last reencryption step goes to position 0 as kReEncStep(pos=k), which
+// checks it before finalizing and emitting kGroupOutput, so no step leaves
+// the group unchecked (with k > 1). A missing or failing proof, or a
+// malformed batch, ends the chain in a kAbort naming the chain position
+// whose step was rejected.
 #ifndef SRC_CORE_NODE_H_
 #define SRC_CORE_NODE_H_
 
-#include <array>
-#include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -42,10 +43,12 @@ namespace atom {
 
 struct NodeMsg {
   enum class Type {
-    kShuffleStep,   // batch + optional shuffle proof
-    kReEncStep,     // β sub-batches + optional reenc proofs
+    kShuffleStep,   // batch (+ NIZK: the previous step's input and proof)
+    kReEncStep,     // pos 0: the shuffled batch (+ NIZK: its input and
+                    // proof); later: β sub-batches (+ NIZK: the previous
+                    // step's inputs and proofs)
     kGroupOutput,   // hop finished: β outgoing batches (to the driver)
-    kAbort,         // proof verification failed
+    kAbort,         // a step was rejected
     // Distributed pipelined rounds (src/net/round_driver.h): a server
     // hosting a topology group executes whole engine hops, so overlapping
     // rounds flow between processes as round-tagged envelopes.
@@ -72,8 +75,7 @@ struct NodeMsg {
   std::vector<CiphertextBatch> subs;
   std::vector<CiphertextBatch> prev_subs;
   std::vector<ReEncProof> reenc_proofs;  // flattened, per component
-  uint32_t prev_pos = 0;                 // who produced the proofs; for
-                                         // kHopBatch/kExitBuckets the
+  uint32_t prev_pos = 0;                 // kHopBatch/kExitBuckets: the
                                          // source gid
 
   // Exit-stage payloads for the distributed pipeline.
@@ -91,7 +93,7 @@ struct Envelope {
   NodeMsg msg;
   // Which protocol round this frame belongs to. Overlapping rounds on the
   // TCP mesh demultiplex by this tag into per-round server state instead
-  // of interleaving into one collector; in-process buses ignore it.
+  // of interleaving into one collector.
   uint64_t round_id = 0;
 };
 
@@ -113,129 +115,29 @@ class AtomNode {
   // chain_servers).
   void JoinGroup(uint32_t gid, NodeGroupKeys keys);
 
-  // True when this node serves msg.gid at msg.chain_pos and the type is a
-  // server-actionable step. Handle() treats violations as fatal invariant
-  // failures (an in-process driver routing wrong is a bug); a network
-  // transport checks Accepts() first so a misrouted or hostile message
-  // from a peer becomes an abort instead of crashing the server.
+  // True when msg is a step of a group this node serves and this node
+  // takes that step. Handle() treats violations as fatal invariant
+  // failures; a network transport checks Accepts() first so a misrouted
+  // or hostile message from a peer becomes an abort instead of crashing
+  // the server.
   bool Accepts(const NodeMsg& msg) const;
 
-  // Processes one protocol message, returning the envelopes to deliver.
-  std::vector<Envelope> Handle(const NodeMsg& msg, Rng& rng);
+  // Processes one protocol message, returning the envelope to deliver
+  // next: the next step, the group's output, or an abort.
+  Envelope Handle(NodeMsg msg, Rng& rng);
 
  private:
-  std::vector<Envelope> HandleShuffle(const NodeMsg& msg,
-                                      const NodeGroupKeys& keys, Rng& rng);
-  std::vector<Envelope> HandleReEnc(const NodeMsg& msg,
-                                    const NodeGroupKeys& keys, Rng& rng);
+  Envelope HandleShuffle(NodeMsg msg, const NodeGroupKeys& keys, Rng& rng);
+  Envelope HandleReEnc(NodeMsg msg, const NodeGroupKeys& keys, Rng& rng);
+  Envelope Abort(uint32_t gid, std::string reason) const;
 
   uint32_t server_id_;
   Variant variant_;
   std::map<uint32_t, NodeGroupKeys> groups_;
   // Per-group precomputed table for the group public key, built once at
-  // JoinGroup: every shuffle step this lane executes rerandomizes the whole
-  // batch under the same pk, so the table is reused across all rounds.
+  // JoinGroup: every shuffle step this server executes rerandomizes the
+  // whole batch under the same pk, so the table is reused across rounds.
   std::map<uint32_t, std::shared_ptr<const FixedBaseTable>> group_pk_tables_;
-};
-
-// Message-delivery abstraction between Atom servers, as seen by a driver.
-//
-// A Bus accepts envelopes (Send), delivers them to the servers it fronts
-// until the traffic quiesces (Run), and collects the driver-bound messages
-// — kGroupOutput and kAbort — for inspection between runs. Run returns
-// false when any chain aborted during that call. The accessors must only
-// be read while Run is NOT executing; implementations assert this in
-// debug builds.
-//
-// Implementations: LocalBus (below) delivers in process on the shared
-// ThreadPool; TcpPeerMesh (src/net/mesh.h) delivers the same envelopes to
-// one-process-per-server peers over authenticated encrypted TCP links.
-class Bus {
- public:
-  virtual ~Bus() = default;
-
-  // Queues a message for a server (thread-safe).
-  virtual void Send(Envelope envelope) = 0;
-
-  // Delivers until quiescent; false if any chain aborted during this call.
-  virtual bool Run(Rng& rng) = 0;
-
-  // Collected kGroupOutput / kAbort messages. Only read while Run is not
-  // executing.
-  virtual const std::vector<NodeMsg>& outputs() const = 0;
-  virtual const std::vector<NodeMsg>& aborts() const = 0;
-  virtual void ClearOutputs() = 0;
-};
-
-// In-process message bus between registered nodes. Group outputs and
-// aborts are collected for the driver.
-//
-// Delivery runs on the shared ThreadPool with the same ready-queue
-// discipline as the RoundEngine (src/core/engine.h): each server owns a
-// serial message queue (a real server processes its socket in order), a
-// server with pending messages becomes a pool task, and independent
-// servers — different groups, different chain positions — handle their
-// messages concurrently instead of walking one global deque. Each
-// delivered message gets a private Rng key-separated from a per-run root
-// key, so no generator is shared across pool threads.
-class LocalBus : public Bus {
- public:
-  void RegisterNode(AtomNode* node);
-
-  // Queues a message for a server (thread-safe; pool tasks re-enter it).
-  void Send(Envelope envelope) override;
-
-  // Delivers until quiescent. Returns false if any node aborted during
-  // this call; once an abort is observed, messages still queued in this
-  // call are discarded. A later Run starts fresh (aborts() keeps the
-  // history).
-  bool Run(Rng& rng) override;
-
-  // Collected kGroupOutput messages (one per finished group hop). Only
-  // read these while Run is not executing (debug builds assert it: a pool
-  // drain task may still be appending).
-  const std::vector<NodeMsg>& outputs() const override {
-    AssertNotRunning();
-    return outputs_;
-  }
-  const std::vector<NodeMsg>& aborts() const override {
-    AssertNotRunning();
-    return aborts_;
-  }
-  void ClearOutputs() override;
-
- private:
-  struct ServerQueue {
-    std::deque<NodeMsg> pending;
-    bool active = false;     // a drain task is scheduled or running
-    uint64_t delivered = 0;  // deliveries this Run (per-delivery Rng salt)
-  };
-
-  void Enqueue(Envelope envelope);  // requires mu_
-  void DrainServer(uint32_t server_id);
-  // Debug-build guard for the read-while-running hazard: outputs_/aborts_
-  // are appended to by pool drain tasks while Run executes, so reading
-  // them concurrently is a race. Compiled out under NDEBUG.
-  void AssertNotRunning() const;
-
-  std::map<uint32_t, AtomNode*> nodes_;
-  std::map<uint32_t, ServerQueue> queues_;
-  std::vector<NodeMsg> outputs_;
-  std::vector<NodeMsg> aborts_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  size_t unfinished_ = 0;  // enqueued but not fully handled messages
-  size_t drains_ = 0;      // outstanding drain tasks on the pool
-  bool running_ = false;
-  bool abort_seen_ = false;
-  // 256-bit root key drawn from the driver's generator once per Run; every
-  // delivery key-separates its private DRBG from it by (server id,
-  // per-server delivery count), so randomness is never reused across
-  // deliveries and a run replays deterministically from a seed whenever
-  // each server's arrival order is deterministic (true for serial chain
-  // traffic).
-  std::array<uint8_t, 32> run_key_{};
 };
 
 // Builds per-server NodeGroupKeys from a group's DKG result and its chain

@@ -131,25 +131,6 @@ ElGamalCiphertext ElGamalReEnc(const Scalar& sk, const Point* next_pk,
   return out;
 }
 
-ElGamalCiphertext ElGamalReEnc(const Scalar& sk,
-                               const FixedBaseTable& next_pk,
-                               const ElGamalCiphertext& ct, Rng& rng,
-                               Scalar* randomness_out) {
-  ElGamalCiphertext out = ct;
-  if (out.YIsNull()) {
-    out.y = out.r;
-    out.r = Point::Infinity();
-  }
-  out.c = out.c - out.y.Mul(sk);
-  Scalar r = Scalar::Random(rng);
-  if (randomness_out != nullptr) {
-    *randomness_out = r;
-  }
-  out.r = out.r + Point::BaseMul(r);
-  out.c = out.c + next_pk.Mul(r);
-  return out;
-}
-
 ElGamalCiphertext ElGamalFinalizeHop(const ElGamalCiphertext& ct) {
   ElGamalCiphertext out = ct;
   out.y = Point::Infinity();

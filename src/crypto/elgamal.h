@@ -79,15 +79,6 @@ std::optional<ElGamalCiphertext> ElGamalRerandomize(
 ElGamalCiphertext ElGamalReEnc(const Scalar& sk, const Point* next_pk,
                                const ElGamalCiphertext& ct, Rng& rng,
                                Scalar* randomness_out = nullptr);
-// Table variant: the strip against Y stays generic (Y varies per
-// ciphertext) but the rewrap base is fixed per sub-batch, so next_pk's
-// table pays for itself across any real batch. Takes a reference — the
-// final-hop case (no next key) keeps using the pointer overload above.
-ElGamalCiphertext ElGamalReEnc(const Scalar& sk,
-                               const FixedBaseTable& next_pk,
-                               const ElGamalCiphertext& ct, Rng& rng,
-                               Scalar* randomness_out = nullptr);
-
 // Marks the hop complete: resets Y to ⊥ before forwarding to the next group
 // (last server of a group does this; Appendix A).
 ElGamalCiphertext ElGamalFinalizeHop(const ElGamalCiphertext& ct);

@@ -120,6 +120,10 @@ std::optional<BatchShape> ShapeOf(const CiphertextBatch& batch) {
 
 }  // namespace
 
+bool IsShuffleInput(const CiphertextBatch& batch) {
+  return ShapeOf(batch).has_value();
+}
+
 // ---------------------------------------------------------- plain shuffle
 
 std::vector<uint32_t> RandomPermutation(size_t n, Rng& rng) {

@@ -38,6 +38,11 @@ namespace atom {
 // have equal length L >= 1 and Y = ⊥ on every component.
 using CiphertextBatch = std::vector<ElGamalCiphertextVec>;
 
+// True when `batch` has the shape above. ShuffleBatch and ShuffleAndProve
+// require it (they abort the process otherwise), so a batch received from a
+// peer is checked with this first.
+bool IsShuffleInput(const CiphertextBatch& batch);
+
 // Uniformly random permutation of {0..n-1} (Fisher-Yates).
 std::vector<uint32_t> RandomPermutation(size_t n, Rng& rng);
 

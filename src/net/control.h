@@ -99,9 +99,8 @@ std::optional<AdjacencyTable> DecodeAdjacency(BytesView bytes,
 
 // The wire form of one pipelined engine round's execution plan: everything
 // a hosting server needs to run its groups' hops and exit checks without
-// any global barrier. Shipped inside kBeginRound; absent for legacy
-// chain-protocol rounds (AtomNode message traffic), which only need the
-// root key.
+// any global barrier. Shipped inside kBeginRound; absent for chain rounds
+// (AtomNode message traffic), which only need the root key.
 struct WireRoundSpec {
   uint8_t variant = 0;       // static_cast<uint8_t>(Variant)
   uint32_t layers = 0;       // mixing iterations T

@@ -709,7 +709,7 @@ void TcpPeerMesh::DispatchEnvelope(Envelope envelope) {
       // race an in-flight call into a dying object.
       std::lock_guard<std::mutex> lock(cb_mu_);
       if (on_driver_envelope_) {
-        // A pipelined driver demultiplexes per round; the legacy Run
+        // A pipelined driver demultiplexes per round; the Run
         // collectors are bypassed entirely.
         on_driver_envelope_(std::move(envelope));
         return;
@@ -871,7 +871,7 @@ void TcpPeerMesh::BroadcastRoundDone(uint64_t round_id,
 void TcpPeerMesh::Send(Envelope envelope) {
   if (role_ == Role::kDriver) {
     // Buffered until Run: the run root key must precede the traffic it
-    // keys, exactly as LocalBus defers delivery until Run.
+    // keys.
     std::lock_guard<std::mutex> lock(mu_);
     buffered_.push_back(std::move(envelope));
     return;
@@ -910,8 +910,8 @@ void TcpPeerMesh::Send(Envelope envelope) {
 
 bool TcpPeerMesh::Run(Rng& rng) {
   ATOM_CHECK_MSG(role_ == Role::kDriver, "Run is driver-only");
-  // Drawn before anything else so a seeded driver consumes exactly the
-  // same generator stream as LocalBus::Run.
+  // Drawn before anything else, so a seeded driver's generator stream
+  // (and the chain's output) does not depend on anything else Run does.
   std::array<uint8_t, 32> run_key;
   rng.Fill(run_key.data(), run_key.size());
   const uint64_t round_id = AllocateRoundId();
@@ -934,9 +934,8 @@ bool TcpPeerMesh::Run(Rng& rng) {
 
   // Phase 1: every server opens a round-scoped lane for this run's root
   // key before any envelope can reach it (ack-synchronized because chain
-  // traffic arrives on different links than ours). Legacy runs carry no
-  // engine spec: the lane's per-round delivery counter starts at zero,
-  // exactly like LocalBus's per-Run counters.
+  // traffic arrives on different links than ours). Chain runs carry no
+  // engine spec; each lane's per-round delivery counters start at zero.
   bool ready = true;
   for (uint32_t id : server_ids) {
     if (!SendBeginRound(id, round_id, run_key, nullptr)) {

@@ -1,5 +1,5 @@
-// TcpPeerMesh: the Bus implementation that replaces LocalBus with real
-// sockets — one persistent authenticated encrypted connection per peer
+// TcpPeerMesh: the transport between Atom servers and their driver over
+// real sockets — one persistent authenticated encrypted connection per peer
 // (src/net/link.h), redialed on failure, with every frame either a routed
 // protocol Envelope or a driver control message (src/net/control.h).
 //
@@ -7,12 +7,12 @@
 //
 //  * Role::kDriver — the round driver. Send() buffers entry envelopes;
 //    Run() draws a 256-bit run root key from the caller's generator
-//    (exactly like LocalBus::Run, so a seeded driver replays identically
-//    on either bus), broadcasts it to every server with ack
-//    synchronization, flushes the buffered envelopes, and waits until
-//    each injected chain has produced a kGroupOutput or kAbort. A peer
-//    that dies mid-run, refuses reconnection, or goes silent past the
-//    run timeout surfaces as a synthesized kAbort — never a hang.
+//    (first, so a seeded driver replays identically), broadcasts it as a
+//    round to every server with ack synchronization, flushes the
+//    buffered envelopes, and waits until each injected chain has
+//    produced a kGroupOutput or kAbort. A peer that dies mid-run,
+//    refuses reconnection, or goes silent past the run timeout surfaces
+//    as a synthesized kAbort — never a hang.
 //
 //  * Role::kServer — owned by a NodeProcess (src/net/node_process.h),
 //    which registers inbound callbacks. Send() routes immediately:
@@ -22,8 +22,7 @@
 //
 // Reader threads (one per link, plus the accept loop) only move bytes and
 // fire callbacks; all protocol work happens on the shared ThreadPool via
-// the receiver's SerialExecutor, mirroring LocalBus's per-server serial
-// queue discipline.
+// the receiver's SerialExecutor, one serial queue per server.
 #ifndef SRC_NET_MESH_H_
 #define SRC_NET_MESH_H_
 
@@ -86,7 +85,7 @@ struct MeshTransportStats {
   double BundleFill() const;
 };
 
-class TcpPeerMesh : public Bus {
+class TcpPeerMesh {
  public:
   enum class Role { kDriver, kServer };
 
@@ -94,7 +93,7 @@ class TcpPeerMesh : public Bus {
   // match what the roster distributes. self_id is kMeshDriverId for the
   // driver and the hosted server's id otherwise.
   TcpPeerMesh(Role role, uint32_t self_id, KemKeypair identity);
-  ~TcpPeerMesh() override;
+  ~TcpPeerMesh();
 
   // ---- Plumbing shared by both roles.
 
@@ -126,7 +125,7 @@ class TcpPeerMesh : public Bus {
 
   // Driver-role sink for inbound envelopes. When set, every kEnvelope
   // frame is handed to it (round-tagged, so overlapping rounds
-  // demultiplex) instead of the legacy Run collectors — this is how
+  // demultiplex) instead of the Run collectors — this is how
   // DistributedRoundDriver (src/net/round_driver.h) takes over delivery.
   // Fired on reader threads; must not block.
   void OnDriverEnvelope(std::function<void(Envelope)> fn);
@@ -183,7 +182,7 @@ class TcpPeerMesh : public Bus {
 
   // ---- Round-scoped control plane (driver side).
 
-  // Round ids are unique per driver mesh; both the legacy Run and the
+  // Round ids are unique per driver mesh; both the chain Run and the
   // pipelined DistributedRoundDriver draw from this counter so their
   // rounds never collide on the servers' per-round state.
   uint64_t AllocateRoundId();
@@ -209,17 +208,24 @@ class TcpPeerMesh : public Bus {
   void SendAbortToDriver(uint64_t round_id, uint32_t gid,
                          std::string reason);
 
-  // ---- Bus interface (Run/outputs/aborts are driver-role only).
+  // ---- Chain rounds of AtomNode steps (Run/outputs/aborts are
+  // driver-role only).
 
-  void Send(Envelope envelope) override;
-  bool Run(Rng& rng) override;
-  const std::vector<NodeMsg>& outputs() const override;
-  const std::vector<NodeMsg>& aborts() const override;
-  void ClearOutputs() override;
+  // Queues a message: the driver buffers entry envelopes until Run; a
+  // server routes immediately (see Role::kServer above).
+  void Send(Envelope envelope);
+  // Delivers the buffered envelopes as one round and waits until each
+  // chain resolved; false if any chain aborted during this call.
+  bool Run(Rng& rng);
+  // Collected kGroupOutput / kAbort messages. Only read while Run is not
+  // executing (debug builds assert it).
+  const std::vector<NodeMsg>& outputs() const;
+  const std::vector<NodeMsg>& aborts() const;
+  void ClearOutputs();
 
-  // Unlike LocalBus, collectors can grow outside Run (a server may push
-  // an abort spontaneously, e.g. on a malformed frame); these counts are
-  // safe to poll at any time, where the vector accessors above are not.
+  // Collectors can grow outside Run (a server may push an abort
+  // spontaneously, e.g. on a malformed frame); these counts are safe to
+  // poll at any time, where the vector accessors above are not.
   size_t output_count() const;
   size_t abort_count() const;
 
@@ -280,7 +286,7 @@ class TcpPeerMesh : public Bus {
   void ReaderLoop(std::shared_ptr<SecureLink> link);
   void HandleFrame(uint32_t peer_id, LinkFrame frame);
   // Routes one decoded inbound envelope (single frame or bundle member)
-  // to the role's sink: driver sink / legacy collectors / server callback.
+  // to the role's sink: driver sink / Run collectors / server callback.
   void DispatchEnvelope(Envelope envelope);
   void OnPeerGone(uint32_t peer_id);
 

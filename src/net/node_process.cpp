@@ -266,9 +266,9 @@ void NodeProcess::HandleEnvelope(Envelope envelope) {
   }
   // Engine traffic runs on the round's own lane; chain-protocol traffic
   // runs on node_serial_ — the ONE queue that ever touches the shared
-  // AtomNode (with JoinGroup), preserving PR 3's single-serial contract
-  // even if a timed-out legacy round's handler is still executing when
-  // the next round's traffic arrives.
+  // AtomNode (with JoinGroup), so it stays single-serial even if a
+  // timed-out chain round's handler is still executing when the next
+  // round's traffic arrives.
   if (envelope.msg.type == NodeMsg::Type::kHopBatch ||
       envelope.msg.type == NodeMsg::Type::kExitBuckets) {
     lane->serial.Submit([this, ctx, msg = std::move(envelope.msg)]() mutable {
@@ -300,8 +300,7 @@ void NodeProcess::Process(const std::shared_ptr<RoundCtx>& ctx, NodeMsg msg) {
       default:
         // Chain-protocol messages stay per-chain: a fault in one chain
         // must not swallow the others — each still resolves in its own
-        // kGroupOutput or kAbort, which the legacy Run counts on (the
-        // pre-lane NodeProcess behaved exactly this way).
+        // kGroupOutput or kAbort, which TcpPeerMesh::Run counts on.
         ProcessChain(ctx, std::move(msg));
         break;
     }
@@ -324,16 +323,14 @@ void NodeProcess::ProcessChain(const std::shared_ptr<RoundCtx>& ctx,
                    std::to_string(msg.chain_pos));
     return;
   }
-  // Private generator for this delivery, key-separated exactly as
-  // LocalBus::DrainServer does — with the counter scoped to this round's
-  // lane — so (seed, traffic) replays identically across the transports.
+  // Private generator for this delivery, key-separated from the round's
+  // root by (server id, per-round delivery count), so a seeded run replays
+  // byte for byte whenever each server's arrival order is deterministic
+  // (true for serial chain traffic).
   std::array<uint8_t, 32> key =
       DeriveSubKey(ctx->root, server_id_, ctx->delivered++);
   Rng step_rng(BytesView(key.data(), key.size()));
-  std::vector<Envelope> emitted = node_.Handle(msg, step_rng);
-  for (Envelope& next : emitted) {
-    Deliver(ctx, std::move(next));
-  }
+  Deliver(ctx, node_.Handle(std::move(msg), step_rng));
 }
 
 void NodeProcess::ProcessHop(const std::shared_ptr<RoundCtx>& ctx,
@@ -419,6 +416,13 @@ void NodeProcess::ProcessHop(const std::shared_ptr<RoundCtx>& ctx,
     }
   }
   ctx->hops.erase(hop_key);
+  if (!input.empty() && !IsShuffleInput(input)) {
+    // Ragged vectors or a set Y: a peer's fault, never this process's.
+    AbortRound(ctx, gid,
+               "group " + std::to_string(gid) + " layer " +
+                   std::to_string(layer) + ": malformed hop batch");
+    return;
+  }
 
   const bool last = (layer + 1 == spec.layers);
   std::vector<uint32_t> neighbors;

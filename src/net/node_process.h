@@ -1,7 +1,6 @@
 // NodeProcess: hosts one Atom server inside one OS process and wires it to
-// the TCP peer mesh — the deployment shape the paper assumes (one server
-// per machine), where LocalBus's in-process delivery becomes real
-// encrypted links.
+// the TCP peer mesh over encrypted links — the deployment shape the paper
+// assumes (one server per machine).
 //
 // The process is natively multi-round: every kBeginRound control message
 // opens a round-scoped lane — its own 256-bit root key, its own DRBG
@@ -19,8 +18,8 @@
 //    contract holds even when rounds overlap — while their DRBG counters
 //    stay per-round: each delivery's private generator is key-separated
 //    from its round's root key by (server id, per-round delivery count),
-//    exactly LocalBus's discipline, so a seeded legacy run replays
-//    byte-for-byte across transports.
+//    so a seeded chain run replays byte-for-byte (tests/chain_harness.h
+//    is the serial in-process oracle for it).
 //
 //  * Engine rounds (kBeginRound carrying a WireRoundSpec) execute whole
 //    group hops for the groups this process hosts (kHostGroup installs the
@@ -37,9 +36,10 @@
 //
 // Every control message is acked only after it has been applied, which
 // gives the driver a cross-link ordering fence. Failures never hang the
-// deployment: an unreachable next-hop peer, a malformed frame, a missing
-// group runtime, or a throwing handler all surface to the driver as a
-// round-tagged kAbort envelope.
+// deployment: an unreachable next-hop peer, a malformed frame, a batch of
+// the wrong shape, a missing group runtime, or a throwing handler all
+// surface to the driver as a round-tagged kAbort envelope, and the process
+// goes on serving later rounds.
 #ifndef SRC_NET_NODE_PROCESS_H_
 #define SRC_NET_NODE_PROCESS_H_
 

@@ -3,10 +3,9 @@
 // submission-proof verification in Round::SubmitNizkBatch/SubmitTrapBatch,
 // exit-phase KEM decryption), the round engine's dependency-scheduled
 // hop, sort, check, and finalize tasks (src/core/engine.h), and — via
-// SerialExecutor — the message-delivery buses: LocalBus drain tasks and
-// the TCP transport's inbound handler queue (src/net/node_process.h),
-// whose socket reader threads hand protocol work to the pool instead of
-// processing it on the blocking read path.
+// SerialExecutor — the TCP transport's inbound handler queues
+// (src/net/node_process.h), whose socket reader threads hand protocol work
+// to the pool instead of processing it on the blocking read path.
 //
 // The paper's Figure 7 measures exactly what ParallelFor provides: how one
 // mixing iteration speeds up with core count. Before the engine refactor
@@ -102,12 +101,11 @@ void ParallelFor(size_t workers, size_t n,
 
 // FIFO serial queue on top of a ThreadPool: tasks run one at a time, in
 // submission order, as pool tasks — never more than one in flight. This is
-// the per-server message discipline shared by LocalBus (which implements
-// it inline for many servers) and the TCP transport's NodeProcess (one
-// server per process; socket reader threads Submit inbound deliveries
-// here so handlers run on the pool, in arrival order, off the blocking
-// read path). Tasks must not throw (same contract as ThreadPool::Submit)
-// and must not block on later submissions.
+// the per-server message discipline of the TCP transport's NodeProcess
+// (socket reader threads Submit inbound deliveries here so handlers run on
+// the pool, in arrival order, off the blocking read path). Tasks must not
+// throw (same contract as ThreadPool::Submit) and must not block on later
+// submissions.
 class SerialExecutor {
  public:
   // Uses `pool`, or ThreadPool::Shared() when null.

@@ -1,8 +1,9 @@
 // Tests for the TCP transport layer (src/net/): envelope wire round-trips
 // across every message type, frame/handshake hardening, the SerialExecutor
 // delivery discipline, and — the core properties — transport equivalence
-// (the same seeded round driven through LocalBus and through a TcpPeerMesh
-// of NodeProcess loopback servers produces byte-identical group outputs)
+// (the same seeded chain driven through the serial in-process harness and
+// through a TcpPeerMesh of NodeProcess loopback servers produces
+// byte-identical group outputs)
 // and distributed-pipeline equivalence (overlapping engine rounds driven
 // through the DistributedRoundDriver produce byte-identical RoundResults
 // to the in-process RoundEngine), with faults (evil server mid-chain,
@@ -39,6 +40,7 @@
 #include "src/util/serde.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
+#include "tests/chain_harness.h"
 #include "tests/golden_round.h"
 #include "tests/seed_echo.h"
 
@@ -111,7 +113,7 @@ TEST(EnvelopeWire, RoundTripAllMessageTypesWithProofs) {
   // Drive one full NIZK hop by hand and push every envelope through the
   // Envelope wire format; re-encoding the decoded message must be
   // byte-identical (the transport relies on lossless round-trips for the
-  // LocalBus-equivalence guarantee).
+  // byte-for-byte equivalence with the in-process chain harness).
   Rng rng(uint64_t{9100});
   DkgResult dkg = RunDkg(DkgParams{3, 3}, rng);
   std::vector<uint32_t> chain = {1, 2, 3};
@@ -143,10 +145,7 @@ TEST(EnvelopeWire, RoundTripAllMessageTypesWithProofs) {
         dec->msg.type == NodeMsg::Type::kAbort) {
       continue;
     }
-    for (Envelope& next :
-         nodes[dec->to_server - 1]->Handle(dec->msg, rng)) {
-      queue.push_back(std::move(next));
-    }
+    queue.push_back(nodes[dec->to_server - 1]->Handle(dec->msg, rng));
   }
   EXPECT_TRUE(seen.contains(NodeMsg::Type::kShuffleStep));
   EXPECT_TRUE(seen.contains(NodeMsg::Type::kReEncStep));
@@ -449,13 +448,9 @@ struct MeshDeployment {
 
   // Builds the in-process twin of this deployment from the same key
   // material (for transport-equivalence comparisons).
-  void BuildLocalTwin(LocalBus* bus,
-                      std::vector<std::unique_ptr<AtomNode>>* nodes,
-                      Variant variant) {
+  void BuildHarnessTwin(ChainHarness* chain, Variant variant) {
     for (const Join& join : joins) {
-      nodes->push_back(std::make_unique<AtomNode>(join.server_id, variant));
-      nodes->back()->JoinGroup(join.gid, join.keys);
-      bus->RegisterNode(nodes->back().get());
+      chain->AddNode(join.server_id, variant).JoinGroup(join.gid, join.keys);
     }
   }
 
@@ -469,68 +464,67 @@ struct MeshDeployment {
 
 // ------------------------------------------------- transport equivalence
 
-TEST(TransportEquivalence, MeshMatchesLocalBusByteForByte) {
+TEST(TransportEquivalence, MeshMatchesChainHarnessByteForByte) {
   MeshDeployment dep;
   auto g0 = dep.AddGroup(0, 100, 3, Variant::kTrap);
   auto g1 = dep.AddGroup(1, 200, 3, Variant::kTrap);
   ASSERT_TRUE(dep.Connect());
 
-  LocalBus bus;
-  std::vector<std::unique_ptr<AtomNode>> nodes;
-  dep.BuildLocalTwin(&bus, &nodes, Variant::kTrap);
+  ChainHarness chain;
+  dep.BuildHarnessTwin(&chain, Variant::kTrap);
 
   CiphertextBatch batch = MakeBatch(g0.pub.group_pk, 4, dep.setup_rng);
   auto sent = DecryptBatch(GroupSecret(g0), batch);
   NodeMsg entry = EntryMsg(0, batch, {g1.pub.group_pk});
 
-  // Identically seeded drivers: LocalBus::Run and TcpPeerMesh::Run each
-  // consume exactly one 256-bit run key from their generator.
+  // Identically seeded drivers: ChainHarness::Run and TcpPeerMesh::Run
+  // each draw their 256-bit root first.
   Rng rng_local(uint64_t{424242});
   Rng rng_mesh(uint64_t{424242});
 
   // Hop 1: group 0 forwards to group 1.
-  bus.Send(Envelope{100, entry});
-  ASSERT_TRUE(bus.Run(rng_local));
+  chain.Send(Envelope{100, entry});
+  ASSERT_TRUE(chain.Run(rng_local));
   dep.driver.Send(Envelope{100, entry});
   ASSERT_TRUE(dep.driver.Run(rng_mesh));
 
-  ASSERT_EQ(bus.outputs().size(), 1u);
+  ASSERT_EQ(chain.outputs.size(), 1u);
   ASSERT_EQ(dep.driver.outputs().size(), 1u);
   EXPECT_EQ(EncodeNodeMsg(dep.driver.outputs()[0]),
-            EncodeNodeMsg(bus.outputs()[0]))
+            EncodeNodeMsg(chain.outputs[0]))
       << "hop 1 group outputs differ between transports";
 
   // Hop 2: group 1 is the exit layer; a second Run must reset the
-  // per-server delivery counters identically on both transports.
-  CiphertextBatch forwarded = bus.outputs()[0].subs[0];
-  bus.ClearOutputs();
+  // per-server delivery counters identically on both sides.
+  CiphertextBatch forwarded = chain.outputs[0].subs[0];
+  chain.outputs.clear();
   dep.driver.ClearOutputs();
   NodeMsg exit_entry = EntryMsg(1, forwarded, {});
-  bus.Send(Envelope{200, exit_entry});
-  ASSERT_TRUE(bus.Run(rng_local));
+  chain.Send(Envelope{200, exit_entry});
+  ASSERT_TRUE(chain.Run(rng_local));
   dep.driver.Send(Envelope{200, exit_entry});
   ASSERT_TRUE(dep.driver.Run(rng_mesh));
 
-  ASSERT_EQ(bus.outputs().size(), 1u);
+  ASSERT_EQ(chain.outputs.size(), 1u);
   ASSERT_EQ(dep.driver.outputs().size(), 1u);
   EXPECT_EQ(EncodeNodeMsg(dep.driver.outputs()[0]),
-            EncodeNodeMsg(bus.outputs()[0]))
+            EncodeNodeMsg(chain.outputs[0]))
       << "exit hop outputs differ between transports";
   // And the plaintexts are the user's messages.
   EXPECT_EQ(DecryptBatch(Scalar::Zero(), dep.driver.outputs()[0].subs[0]),
             sent);
 }
 
-TEST(TransportEquivalence, NizkRoundMatchesLocalBus) {
+TEST(TransportEquivalence, NizkRoundMatchesChainHarness) {
   // NIZK exercises proof-carrying envelopes (orders of magnitude more
-  // wire surface) and per-delivery generator use for proving.
+  // wire surface), per-delivery generator use for proving, and the last
+  // step's check back at position 0.
   MeshDeployment dep;
   auto g0 = dep.AddGroup(0, 100, 3, Variant::kNizk);
   ASSERT_TRUE(dep.Connect());
 
-  LocalBus bus;
-  std::vector<std::unique_ptr<AtomNode>> nodes;
-  dep.BuildLocalTwin(&bus, &nodes, Variant::kNizk);
+  ChainHarness chain;
+  dep.BuildHarnessTwin(&chain, Variant::kNizk);
 
   CiphertextBatch batch = MakeBatch(g0.pub.group_pk, 3, dep.setup_rng);
   auto sent = DecryptBatch(GroupSecret(g0), batch);
@@ -538,15 +532,15 @@ TEST(TransportEquivalence, NizkRoundMatchesLocalBus) {
 
   Rng rng_local(uint64_t{515151});
   Rng rng_mesh(uint64_t{515151});
-  bus.Send(Envelope{100, entry});
-  ASSERT_TRUE(bus.Run(rng_local));
+  chain.Send(Envelope{100, entry});
+  ASSERT_TRUE(chain.Run(rng_local));
   dep.driver.Send(Envelope{100, entry});
   ASSERT_TRUE(dep.driver.Run(rng_mesh));
 
-  ASSERT_EQ(bus.outputs().size(), 1u);
+  ASSERT_EQ(chain.outputs.size(), 1u);
   ASSERT_EQ(dep.driver.outputs().size(), 1u);
   EXPECT_EQ(EncodeNodeMsg(dep.driver.outputs()[0]),
-            EncodeNodeMsg(bus.outputs()[0]));
+            EncodeNodeMsg(chain.outputs[0]));
   EXPECT_EQ(DecryptBatch(Scalar::Zero(), dep.driver.outputs()[0].subs[0]),
             sent);
 }
@@ -665,6 +659,54 @@ TEST(TransportFaults, MalformedEnvelopeFrameBecomesAbort) {
   EXPECT_TRUE(WaitUntil([&] { return dep.driver.abort_count() > 0; }));
   EXPECT_NE(dep.driver.aborts()[0].abort_reason.find("malformed"),
             std::string::npos);
+}
+
+TEST(TransportFaults, HostileShapesAbortTheRoundNotTheServer) {
+  // Steps whose shapes the receiving server cannot use: a ragged batch, a
+  // reencryption step with fewer proofs than ciphertexts, and one with
+  // fewer inputs than outputs. Each aborts its own round at the receiving
+  // NodeProcess, which stays up and completes the next round.
+  MeshDeployment dep;
+  auto trap = dep.AddGroup(0, 100, 2, Variant::kTrap);
+  auto nizk = dep.AddGroup(1, 200, 2, Variant::kNizk);
+  ASSERT_TRUE(dep.Connect());
+  dep.driver.set_run_timeout(30s);
+
+  NodeMsg ragged =
+      EntryMsg(0, MakeBatch(trap.pub.group_pk, 3, dep.setup_rng), {});
+  ragged.batch[1].push_back(ragged.batch[0][0]);
+  NodeMsg few_proofs;
+  few_proofs.type = NodeMsg::Type::kReEncStep;
+  few_proofs.gid = 1;
+  few_proofs.chain_pos = 1;
+  few_proofs.subs = {MakeBatch(nizk.pub.group_pk, 3, dep.setup_rng)};
+  few_proofs.prev_subs = few_proofs.subs;
+  few_proofs.reenc_proofs.resize(1);
+  NodeMsg short_inputs = few_proofs;
+  short_inputs.reenc_proofs.resize(3);
+  short_inputs.prev_subs.clear();
+
+  const std::pair<uint32_t, NodeMsg> hostile[] = {
+      {100, ragged}, {201, few_proofs}, {201, short_inputs}};
+  Rng rng(uint64_t{0x5ba9e});
+  for (const auto& [server, msg] : hostile) {
+    dep.driver.Send(Envelope{server, msg});
+    EXPECT_FALSE(dep.driver.Run(rng));
+    ASSERT_FALSE(dep.driver.aborts().empty());
+    EXPECT_NE(dep.driver.aborts().back().abort_reason.find("chain pos"),
+              std::string::npos)
+        << dep.driver.aborts().back().abort_reason;
+
+    const DkgResult& group = msg.gid == 0 ? trap : nizk;
+    dep.driver.ClearOutputs();
+    dep.driver.Send(Envelope{msg.gid == 0 ? 100u : 200u,
+                             EntryMsg(msg.gid,
+                                      MakeBatch(group.pub.group_pk, 3,
+                                                dep.setup_rng),
+                                      {})});
+    EXPECT_TRUE(dep.driver.Run(rng)) << dep.driver.aborts().back().abort_reason;
+    EXPECT_EQ(dep.driver.outputs().size(), 1u);
+  }
 }
 
 // ----------------------------------------- distributed pipelined rounds
@@ -845,6 +887,31 @@ TEST(DistributedPipeline, NizkRoundMatchesEngine) {
     RoundResult got = driver.Wait(driver.Submit(std::move(spec))).round;
     ASSERT_FALSE(got.aborted) << got.abort_reason;
     EXPECT_EQ(got.plaintexts, want.plaintexts);
+    dep.StopAll();
+  }
+}
+
+TEST(DistributedPipeline, RaggedHopBatchAbortsTheRoundNotTheHost) {
+  // A hop batch whose vectors differ in length reaches the hosting server
+  // as a kHopBatch: the round aborts there, and the host runs the next
+  // round to completion.
+  PipelinedFixture fx(Variant::kTrap);
+  EngineRound hostile = fx.TakeSpec(4);
+  EngineRound next = fx.TakeSpec(4);
+  hostile.entry[0][0].push_back(hostile.entry[0][0][0]);
+
+  PipelinedDeployment dep;
+  ASSERT_TRUE(dep.Build(*fx.round, Variant::kTrap));
+  {
+    DistributedRoundDriver driver(&dep.mesh, dep.hosts);
+    driver.set_round_timeout(60s);
+    RoundResult bad = driver.Wait(driver.Submit(std::move(hostile))).round;
+    EXPECT_TRUE(bad.aborted);
+    EXPECT_NE(bad.abort_reason.find("malformed hop batch"), std::string::npos)
+        << bad.abort_reason;
+    RoundResult good = driver.Wait(driver.Submit(std::move(next))).round;
+    EXPECT_FALSE(good.aborted) << good.abort_reason;
+    EXPECT_EQ(good.plaintexts.size(), 4u);
     dep.StopAll();
   }
 }
@@ -2256,32 +2323,6 @@ TEST(StreamingIntake, MpscRingBoundsAndOrdersConcurrentProducers) {
   EXPECT_FALSE(tiny.TryPush(3));
   EXPECT_EQ(tiny.TryPop(), 1);
   EXPECT_TRUE(tiny.TryPush(3));
-}
-
-// ------------------------------------------------------------ Bus interface
-
-TEST(BusInterface, LocalBusDrivesARoundThroughTheBasePointer) {
-  // The driver-facing surface is the abstract Bus: the same driver code
-  // must work against any implementation.
-  Rng rng(uint64_t{9900});
-  DkgResult dkg = RunDkg(DkgParams{2, 2}, rng);
-  std::vector<uint32_t> chain = {1, 2};
-  std::vector<std::unique_ptr<AtomNode>> nodes;
-  LocalBus local;
-  for (uint32_t pos = 0; pos < 2; pos++) {
-    nodes.push_back(std::make_unique<AtomNode>(pos + 1, Variant::kTrap));
-    nodes.back()->JoinGroup(0, MakeNodeGroupKeys(dkg, chain, pos));
-    local.RegisterNode(nodes.back().get());
-  }
-  Bus& bus = local;
-  CiphertextBatch batch = MakeBatch(dkg.pub.group_pk, 4, rng);
-  auto sent = DecryptBatch(GroupSecret(dkg), batch);
-  bus.Send(Envelope{1, EntryMsg(0, batch, {})});
-  ASSERT_TRUE(bus.Run(rng));
-  ASSERT_EQ(bus.outputs().size(), 1u);
-  EXPECT_EQ(DecryptBatch(Scalar::Zero(), bus.outputs()[0].subs[0]), sent);
-  bus.ClearOutputs();
-  EXPECT_TRUE(bus.outputs().empty());
 }
 
 }  // namespace
