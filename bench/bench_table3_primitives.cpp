@@ -10,8 +10,10 @@
 // small rep counts) and writes BENCH_bench_table3_primitives.json for CI
 // artifact upload; the full google-benchmark table is skipped. Exits 1 when
 // the dedicated field Mul is less than kFieldMulGate times faster than the
-// generic Mont oracle, or when batch-verifying 24 ReEncProofs costs no less
-// per proof than verifying one claim at a time.
+// generic Mont oracle, when batch-verifying 24 ReEncProofs costs no less
+// per proof than verifying one claim at a time, or when batch-verifying an
+// intake span of 8 Schnorr signatures costs no less per signature than
+// verifying them one at a time.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "bench/bench_common.h"
 #include "src/crypto/fp256.h"
 #include "src/crypto/mont.h"
+#include "src/crypto/schnorr.h"
 #include "src/crypto/shuffle.h"
 #include "src/crypto/sigma.h"
 #include "src/util/rng.h"
@@ -125,7 +128,7 @@ BENCHMARK(BM_ReEncProof_Verify)->Unit(benchmark::kMicrosecond);
 
 void BM_EncProof_BatchVerify256(benchmark::State& state) {
   // Entry groups verify every user's proofs; the random-linear-combination
-  // batch test turns 2N scalar mults into one Pippenger MSM. Per-proof cost
+  // batch test turns 2N scalar mults into one MSM. Per-proof cost
   // here should be several times below BM_EncProof_Verify.
   auto& f = F();
   constexpr size_t kBatch = 256;
@@ -264,9 +267,7 @@ bool MeasureField(BenchJson& json, bool smoke) {
 //   - repeated same-base scalar mult through a FixedBaseTable (built
 //     inside the timed section: the reuse amortizes it) vs generic Mul,
 //   - batch point encoding (EncodePoints: one shared inversion) vs a
-//     per-point Encode loop at N = 1024,
-//   - the naive-vs-Pippenger MSM crossover backing the thresholds
-//     documented in p256.cpp's MultiScalarMul.
+//     per-point Encode loop at N = 1024.
 void MeasureHotPath(BenchJson& json, bool smoke) {
   Rng rng(uint64_t{0x7ab1e4});
   using Clock = std::chrono::steady_clock;
@@ -329,30 +330,169 @@ void MeasureHotPath(BenchJson& json, bool smoke) {
   json.Num("encode_loop_ms", 1e3 * loop_s);
   json.Num("encode_batch_ms", 1e3 * batch_s);
   json.Num("encode_batch_speedup", encode_speedup);
+}
 
-  // ---- MSM crossover spot checks (naive sum-of-muls vs MultiScalarMul).
-  for (size_t n : {4u, 8u, 32u}) {
-    std::vector<Point> ps(points.begin(),
-                          points.begin() + static_cast<ptrdiff_t>(n));
-    std::vector<Scalar> ss(ks.begin(),
-                           ks.begin() + static_cast<ptrdiff_t>(n));
-    t0 = Clock::now();
-    Point naive = Point::Infinity();
-    for (size_t i = 0; i < n; i++) {
-      naive = naive + ps[i].Mul(ss[i]);
-    }
-    double naive_s = SecondsSince(t0);
-    t0 = Clock::now();
-    Point msm = MultiScalarMul(ps, ss);
-    double msm_s = SecondsSince(t0);
-    ATOM_CHECK(msm == naive);
-    size_t row = json.Row();
-    json.RowNum(row, "msm_n", static_cast<double>(n));
-    json.RowNum(row, "naive_us", 1e6 * naive_s);
-    json.RowNum(row, "msm_us", 1e6 * msm_s);
-    std::printf("msm n=%-3zu: naive %.0f us, pippenger %.0f us\n", n,
-                1e6 * naive_s, 1e6 * msm_s);
+// MSM rows at n = 2, 4, ..., 2048: the Straus and Pippenger kernels and
+// MultiScalarMul itself (labelled with the kernel it dispatched to), plus a
+// naive sum of Point::Mul up to n = 64. Every size alternates with the
+// others for `rounds` rounds and keeps its fastest, so a burst of host
+// noise cannot land on one row only. These rows are where p256.cpp's
+// kPippengerMinPoints comes from.
+void MeasureMsm(BenchJson& json, bool smoke) {
+  Rng rng(uint64_t{0x7ab1e6});
+  constexpr size_t kMaxN = 2048;
+  constexpr size_t kMaxNaiveN = 64;
+  const FixedBaseTable table(Point::BaseMul(Scalar::Random(rng)));
+  std::vector<Point> points;
+  std::vector<Scalar> scalars;
+  for (size_t i = 0; i < kMaxN; i++) {
+    points.push_back(table.Mul(Scalar::Random(rng)));  // Jacobian, z != 1
+    scalars.push_back(Scalar::Random(rng));
   }
+  struct Row {
+    size_t n;
+    double straus_us = 1e30, pippenger_us = 1e30, msm_us = 1e30,
+           naive_us = 1e30;
+  };
+  std::vector<Row> rows;
+  for (size_t n = 2; n <= kMaxN; n *= 2) {
+    rows.push_back(Row{n});
+  }
+  const int rounds = smoke ? 3 : 7;
+  for (int round = 0; round < rounds; round++) {
+    for (Row& row : rows) {
+      const auto ps = std::span<const Point>(points).first(row.n);
+      const auto ss = std::span<const Scalar>(scalars).first(row.n);
+      auto t0 = std::chrono::steady_clock::now();
+      const Point straus = StrausMsm(ps, ss);
+      row.straus_us = std::min(row.straus_us, 1e6 * SecondsSince(t0));
+      t0 = std::chrono::steady_clock::now();
+      const Point pippenger = PippengerMsm(ps, ss);
+      row.pippenger_us = std::min(row.pippenger_us, 1e6 * SecondsSince(t0));
+      t0 = std::chrono::steady_clock::now();
+      const Point msm = MultiScalarMul(ps, ss);
+      row.msm_us = std::min(row.msm_us, 1e6 * SecondsSince(t0));
+      ATOM_CHECK(straus == pippenger && msm == straus);
+      if (row.n <= kMaxNaiveN) {
+        t0 = std::chrono::steady_clock::now();
+        Point naive = Point::Infinity();
+        for (size_t i = 0; i < row.n; i++) {
+          naive = naive + ps[i].Mul(ss[i]);
+        }
+        row.naive_us = std::min(row.naive_us, 1e6 * SecondsSince(t0));
+        ATOM_CHECK(naive == msm);
+      }
+    }
+  }
+  for (const Row& r : rows) {
+    const char* algorithm =
+        r.n < kPippengerMinPoints ? "straus" : "pippenger";
+    const double n = static_cast<double>(r.n);
+    std::printf("msm n=%-4zu %-9s %7.1f us/point (straus %.1f, pippenger "
+                "%.1f",
+                r.n, algorithm, r.msm_us / n, r.straus_us / n,
+                r.pippenger_us / n);
+    size_t row = json.Row();
+    json.RowNum(row, "msm_n", n);
+    json.RowStr(row, "algorithm", algorithm);
+    json.RowNum(row, "msm_us", r.msm_us);
+    json.RowNum(row, "msm_us_per_point", r.msm_us / n);
+    json.RowNum(row, "straus_us", r.straus_us);
+    json.RowNum(row, "pippenger_us", r.pippenger_us);
+    if (r.n <= kMaxNaiveN) {
+      std::printf(", naive %.1f", r.naive_us / n);
+      json.RowNum(row, "naive_us", r.naive_us);
+    }
+    std::printf(")\n");
+  }
+  json.Num("msm_pippenger_min_points",
+           static_cast<double>(kPippengerMinPoints));
+}
+
+// Intake verification at the span sizes the pump and the entry groups see:
+// Schnorr signatures at intake spans of 4 and 8 (SchnorrVerifyBatch vs
+// SchnorrVerify per signature) and EncProof vectors of 2, 3 and 5
+// components (VerifyEncProofBatch vs VerifyEncProof per proof, the choice
+// VerifyEncProofVec makes). Rows alternate and keep their fastest round.
+// Returns false unless a batch of 8 signatures is cheaper per signature
+// than one at a time.
+bool MeasureIntakeVerify(BenchJson& json, bool smoke) {
+  Rng rng(uint64_t{0x7ab1e7});
+  constexpr size_t kMaxSpan = 8;
+  std::vector<Point> pks;
+  std::vector<Bytes> msgs;
+  std::vector<SchnorrSignature> sigs;
+  for (size_t i = 0; i < kMaxSpan; i++) {
+    const SchnorrKeypair kp = SchnorrKeyGen(rng);
+    pks.push_back(kp.pk);
+    msgs.push_back(rng.NextBytes(96));
+    sigs.push_back(SchnorrSign(kp.sk, kp.pk, BytesView(msgs.back()), rng));
+  }
+  std::vector<BytesView> views(msgs.begin(), msgs.end());
+
+  const ElGamalKeypair group = ElGamalKeyGen(rng);
+  const Point m = *EmbedMessage(BytesView(ToBytes("dial")));
+  constexpr size_t kMaxComponents = 5;
+  std::vector<Scalar> rs;
+  const ElGamalCiphertextVec cts = ElGamalEncryptVec(
+      group.pk, std::vector<Point>(kMaxComponents, m), rng, &rs);
+  const std::vector<EncProof> proofs =
+      MakeEncProofVec(group.pk, 7, cts, rs, rng);
+
+  struct Row {
+    bool schnorr;  // else EncProof
+    size_t span;
+    double batch_us = 1e30, single_us = 1e30;  // per item
+  };
+  Row rows[] = {{true, 4}, {true, 8}, {false, 2}, {false, 3}, {false, 5}};
+  const int rounds = smoke ? 5 : 15;
+  for (int round = 0; round < rounds; round++) {
+    for (Row& row : rows) {
+      const double k = static_cast<double>(row.span);
+      const ElGamalCiphertextVec span_cts(
+          cts.begin(), cts.begin() + static_cast<ptrdiff_t>(row.span));
+      auto t0 = std::chrono::steady_clock::now();
+      if (row.schnorr) {
+        ATOM_CHECK(SchnorrVerifyBatch(
+            std::span(pks).first(row.span), std::span(views).first(row.span),
+            std::span(sigs).first(row.span)));
+      } else {
+        ATOM_CHECK(VerifyEncProofBatch(group.pk, 7, span_cts,
+                                       std::span(proofs).first(row.span)));
+      }
+      row.batch_us = std::min(row.batch_us, 1e6 * SecondsSince(t0) / k);
+      t0 = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < row.span; i++) {
+        ATOM_CHECK(row.schnorr
+                       ? SchnorrVerify(pks[i], views[i], sigs[i])
+                       : VerifyEncProof(group.pk, 7, cts[i], proofs[i]));
+      }
+      row.single_us = std::min(row.single_us, 1e6 * SecondsSince(t0) / k);
+    }
+  }
+  double schnorr8_batch = 0, schnorr8_single = 0;
+  for (const Row& r : rows) {
+    const char* kind = r.schnorr ? "schnorr" : "encproof";
+    std::printf("%s verify span %zu: batch %.1f us/item, one at a time "
+                "%.1f us/item\n",
+                kind, r.span, r.batch_us, r.single_us);
+    size_t row = json.Row();
+    json.RowStr(row, "intake_verify", kind);
+    json.RowNum(row, "span", static_cast<double>(r.span));
+    json.RowNum(row, "batch_us_per_item", r.batch_us);
+    json.RowNum(row, "single_us_per_item", r.single_us);
+    if (r.schnorr && r.span == kMaxSpan) {
+      schnorr8_batch = r.batch_us;
+      schnorr8_single = r.single_us;
+    }
+  }
+  const bool ok = schnorr8_batch < schnorr8_single;
+  if (!ok) {
+    std::printf("FAIL: batch-8 Schnorr verify %.1f us/sig is not below "
+                "one-at-a-time %.1f us/sig\n",
+                schnorr8_batch, schnorr8_single);
+  }
+  return ok;
 }
 
 // Batched proof verification: ReEnc verify per proof for one claim at a
@@ -480,6 +620,8 @@ int main(int argc, char** argv) {
     json.Bool("smoke", smoke);
     ok = MeasureField(json, smoke);
     MeasureHotPath(json, smoke);
+    MeasureMsm(json, smoke);
+    ok = MeasureIntakeVerify(json, smoke) && ok;
     ok = MeasureProofVerify(json, smoke) && ok;
   }  // write the JSON before the (skippable) google-benchmark table
   if (!smoke) {

@@ -181,7 +181,8 @@ std::vector<std::shared_ptr<const FixedBaseTable>> RewrapTables(
     size_t steps, std::span<std::shared_ptr<const FixedBaseTable>> cached) {
   ATOM_CHECK(cached.empty() || cached.size() == next_pks.size());
   ATOM_CHECK(next_pks.empty() || subs.size() == next_pks.size());
-  // A table costs ~16 multiplications by its base (see shuffle.cpp).
+  // A table pays for itself from ~12 multiplications by its base; 16 is
+  // shuffle.cpp's kTableBuildThreshold.
   std::vector<std::shared_ptr<const FixedBaseTable>> tables(next_pks.size());
   for (size_t b = 0; b < next_pks.size(); b++) {
     const size_t components = subs[b].empty() ? 0 : subs[b][0].size();

@@ -54,7 +54,7 @@ struct StreamedSubmission {
   // Optional client signature over the submission bytes (the gateway fills
   // these from the wire frame and the registry key for the connection).
   // The pump batch-verifies every signed item in a drained span with one
-  // Pippenger MSM (SchnorrVerifyBatch) before any proof work runs; a bad
+  // MSM (SchnorrVerifyBatch) before any proof work runs; a bad
   // signature rejects the item without touching its proofs.
   bool has_sig = false;
   Point sig_pk;

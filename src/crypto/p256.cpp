@@ -1,5 +1,6 @@
 #include "src/crypto/p256.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "src/crypto/sha256.h"
@@ -35,6 +36,20 @@ U256 CurveRhs(const U256& mx) {
 // Parity (least significant bit) of a Montgomery-form field element.
 int MontParity(const U256& ma) {
   return fp::FromMont(ma).Bit(0);
+}
+
+// Bits [pos, pos + count) of e as an integer, count <= 16. Bits at 256 and
+// above read as zero, so signed recodings can run one window past the top.
+int Bits(const U256& e, int pos, int count) {
+  if (pos >= 256) {
+    return 0;
+  }
+  const int limb = pos / 64, off = pos % 64;
+  uint64_t v = e.v[limb] >> off;
+  if (off + count > 64 && limb + 1 < 4) {
+    v |= e.v[limb + 1] << (64 - off);
+  }
+  return static_cast<int>(v & ((uint64_t{1} << count) - 1));
 }
 
 }  // namespace
@@ -273,17 +288,18 @@ Point Point::Mul(const Scalar& k) const {
   return acc;
 }
 
-Point Point::AddMixed(const Point& jacobian, const Point& affine) {
+Point Point::AddMixed(const Point& jacobian, const U256& x, const U256& y) {
   if (jacobian.IsInfinity()) {
-    return affine;
-  }
-  if (affine.IsInfinity()) {
-    return jacobian;
+    Point out;
+    out.x_ = x;
+    out.y_ = y;
+    out.z_ = fp::kOne;
+    return out;
   }
   // madd-2008-g: with Z2 == 1, u1/s1 need no scaling and Z3 drops one mul.
   U256 z1z1 = fp::Sqr(jacobian.z_);
-  U256 u2 = fp::Mul(affine.x_, z1z1);
-  U256 s2 = fp::Mul(fp::Mul(affine.y_, jacobian.z_), z1z1);
+  U256 u2 = fp::Mul(x, z1z1);
+  U256 s2 = fp::Mul(fp::Mul(y, jacobian.z_), z1z1);
 
   if (u2 == jacobian.x_) {
     if (s2 == jacobian.y_) {
@@ -306,38 +322,59 @@ Point Point::AddMixed(const Point& jacobian, const Point& affine) {
   return out;
 }
 
+void Point::BatchNormalize(std::span<const Point> in, Affine* out) {
+  // Forward: out[i].x = product of the z's of in[0..i] (identities skipped).
+  U256 prefix = fp::kOne;
+  for (size_t i = 0; i < in.size(); i++) {
+    if (!in[i].IsInfinity()) {
+      prefix = fp::Mul(prefix, in[i].z_);
+    }
+    out[i].x = prefix;
+  }
+  // Backward: inv is 1 / out[i].x, so inv * out[i - 1].x is 1 / z_i.
+  U256 inv = fp::Inv(prefix);
+  for (size_t i = in.size(); i-- > 0;) {
+    if (in[i].IsInfinity()) {
+      continue;
+    }
+    U256 zinv = i > 0 ? fp::Mul(inv, out[i - 1].x) : inv;
+    inv = fp::Mul(inv, in[i].z_);
+    U256 zinv2 = fp::Sqr(zinv);
+    out[i].x = fp::Mul(in[i].x_, zinv2);
+    out[i].y = fp::Mul(in[i].y_, fp::Mul(zinv2, zinv));
+  }
+}
+
 FixedBaseTable::FixedBaseTable(const Point& base) : base_(base) {
   if (base.IsInfinity()) {
     return;  // Mul short-circuits; the table is never consulted.
   }
-  Point cur = base;
-  for (int w = 0; w < 64; w++) {
-    table_[w][0] = cur;
-    for (int d = 1; d < 15; d++) {
-      table_[w][d] = table_[w][d - 1] + cur;
+  // Entries are built in Jacobian form with their x, y written straight
+  // into the table and their z's parked in `zs`, then all normalized with
+  // one shared inversion. Every entry is (d << 6w) * base with d <= 32:
+  // a product of powers of two and small factors, never 0 mod the prime
+  // group order, so none is the identity and every z is invertible.
+  std::vector<U256> zs(static_cast<size_t>(kWindows) * kEntries);
+  Point cur = base;  // (1 << 6w) * base
+  for (int w = 0; w < kWindows; w++) {
+    Point e = cur;  // ((d + 1) << 6w) * base
+    for (int d = 0; d < kEntries; d++) {
+      if (d > 0) {
+        e = d == 1 ? cur.Double() : e + cur;
+      }
+      table_[w][d] = {e.x_, e.y_};
+      zs[static_cast<size_t>(w) * kEntries + d] = e.z_;
     }
-    cur = table_[w][14] + cur;  // cur <<= 4
-  }
-  // Normalize all 960 entries to affine (z == 1) with ONE shared inversion
-  // so Mul can use the mixed add. Every entry is (d << 4w) * base with a
-  // multiplier in [1, 15 * 2^252] < n, so none is the identity and every z
-  // is invertible (the curve has prime order, cofactor 1).
-  std::vector<U256> zs;
-  zs.reserve(64 * 15);
-  for (int w = 0; w < 64; w++) {
-    for (int d = 0; d < 15; d++) {
-      zs.push_back(table_[w][d].z_);
-    }
+    cur = e.Double();  // 32 * cur doubled: the next window's unit
   }
   fp::BatchInv(zs);
-  for (int w = 0; w < 64; w++) {
-    for (int d = 0; d < 15; d++) {
-      Point& p = table_[w][d];
-      const U256& zinv = zs[static_cast<size_t>(w) * 15 + d];
+  for (int w = 0; w < kWindows; w++) {
+    for (int d = 0; d < kEntries; d++) {
+      Point::Affine& a = table_[w][d];
+      const U256& zinv = zs[static_cast<size_t>(w) * kEntries + d];
       U256 zinv2 = fp::Sqr(zinv);
-      p.x_ = fp::Mul(p.x_, zinv2);
-      p.y_ = fp::Mul(p.y_, fp::Mul(zinv2, zinv));
-      p.z_ = fp::kOne;
+      a.x = fp::Mul(a.x, zinv2);
+      a.y = fp::Mul(a.y, fp::Mul(zinv2, zinv));
     }
   }
 }
@@ -346,12 +383,22 @@ Point FixedBaseTable::Mul(const Scalar& k) const {
   if (base_.IsInfinity() || k.IsZero()) {
     return Point::Infinity();
   }
+  // Signed recoding, low window first: a window value above 32 becomes
+  // value - 64 and carries one into the next window. The top window holds
+  // bits 252..255 plus the carry (at most 16), so nothing carries out.
   U256 e = k.PlainValue();
   Point acc = Point::Infinity();
-  for (int window = 0; window < 64; window++) {
-    uint64_t digit = (e.v[window / 16] >> (4 * (window % 16))) & 0xf;
-    if (digit != 0) {
-      acc = Point::AddMixed(acc, table_[window][digit - 1]);
+  int carry = 0;
+  for (int w = 0; w < kWindows; w++) {
+    int digit = Bits(e, w * kWindowBits, kWindowBits) + carry;
+    carry = digit > kEntries ? 1 : 0;
+    digit -= carry << kWindowBits;
+    if (digit > 0) {
+      const Point::Affine& a = table_[w][digit - 1];
+      acc = Point::AddMixed(acc, a.x, a.y);
+    } else if (digit < 0) {
+      const Point::Affine& a = table_[w][-digit - 1];
+      acc = Point::AddMixed(acc, a.x, fp::Neg(a.y));
     }
   }
   return acc;
@@ -375,25 +422,16 @@ void Point::ToAffine(U256* out_x, U256* out_y) const {
 
 std::vector<Point::AffineCoords> Point::BatchToAffine(
     std::span<const Point> points) {
+  std::vector<Affine> affine(points.size());
+  BatchNormalize(points, affine.data());
   std::vector<AffineCoords> out(points.size());
-  std::vector<U256> zs;
-  zs.reserve(points.size());
-  for (const Point& p : points) {
-    if (!p.IsInfinity()) {
-      zs.push_back(p.z_);
-    }
-  }
-  fp::BatchInv(zs);
-  size_t j = 0;
   for (size_t i = 0; i < points.size(); i++) {
     if (points[i].IsInfinity()) {
       out[i].infinity = true;
       continue;
     }
-    const U256& zinv = zs[j++];
-    U256 zinv2 = fp::Sqr(zinv);
-    out[i].x = fp::FromMont(fp::Mul(points[i].x_, zinv2));
-    out[i].y = fp::FromMont(fp::Mul(points[i].y_, fp::Mul(zinv2, zinv)));
+    out[i].x = fp::FromMont(affine[i].x);
+    out[i].y = fp::FromMont(affine[i].y);
   }
   return out;
 }
@@ -464,90 +502,212 @@ Bytes EncodePoints(std::span<const Point> points) {
   return out;
 }
 
-Point MultiScalarMul(std::span<const Point> points,
-                     std::span<const Scalar> scalars) {
+// The crossover: MultiScalarMul runs Straus below this many nonzero terms
+// and Pippenger from it. Counted field mul/sqr per point, Straus costs
+// 670-700 at every n from 64 up; Pippenger costs 861 at n = 64, 704 at
+// 128, 684 at 149 and 591 at 256, so counts alone put parity near 160.
+// Timed, Pippenger wins sooner (spreading the Straus adds over two to
+// four accumulators did not change that): the bench_table3_primitives
+// MSM rows (best of 7 alternating rounds, two runs, 4-vCPU x86-64,
+// GCC 12) read Straus 17.0-17.6 vs Pippenger 20.1-20.7 us/point at
+// n = 64, 17.1-17.3 vs 16.1-16.7 at n = 128 and 16.6-16.9 vs 13.7-13.8
+// at n = 256.
+const size_t kPippengerMinPoints = 128;
+
+namespace {
+
+// Straus: width-4 NAF digits (odd, in [-7, 7]), so each point needs the
+// affine multiples P, 3P, 5P, 7P, and a 256-bit scalar has about
+// 256 / 5 = 51 nonzero digits, each one mixed add into a single
+// accumulator that all points share, along with its 256 doublings.
+constexpr int kNafWidth = 4;
+constexpr int kNafEntries = 1 << (kNafWidth - 2);
+// Nonzero NAF digits are at least kNafWidth positions apart, and the NAF
+// of a value below 2^256 has positions 0..256.
+constexpr int kNafMaxDigits = (257 + kNafWidth - 1) / kNafWidth;
+// Terms whose tables share one inversion: bounds the Jacobian scratch to
+// a 12 KiB stack array while costing one extra inversion per 32 terms.
+constexpr size_t kStrausChunk = 32;
+
+// One term's nonzero digits, lowest position first, each packed as
+// position << kPosShift | negative << kNegShift | (|digit| - 1) / 2.
+constexpr int kNegShift = kNafWidth - 2;
+constexpr int kPosShift = kNafWidth - 1;
+struct Naf {
+  uint16_t digits[kNafMaxDigits];
+  int count;
+};
+
+void Recode(const U256& e, Naf* naf) {
+  int count = 0, carry = 0;
+  for (int bit = 0; bit < 257;) {
+    if (Bits(e, bit, 1) == carry) {
+      bit++;  // digit 0; a set bit plus a carry keeps carrying
+      continue;
+    }
+    // An odd window value; above 2^(w-1) it becomes negative and carries.
+    int word = Bits(e, bit, kNafWidth) + carry;
+    carry = word >> (kNafWidth - 1);
+    word -= carry << kNafWidth;
+    const int magnitude = word < 0 ? -word : word;
+    naf->digits[count++] = static_cast<uint16_t>(
+        bit << kPosShift | (word < 0 ? 1 : 0) << kNegShift |
+        (magnitude - 1) / 2);
+    bit += kNafWidth;
+  }
+  // A carry out of the window at bit needs 256 - bit >= kNafWidth, which
+  // leaves room for the digit it produces at bit + kNafWidth <= 256.
+  ATOM_CHECK(carry == 0);
+  naf->count = count;
+}
+
+}  // namespace
+
+Point StrausMsm(std::span<const Point> points,
+                std::span<const Scalar> scalars) {
+  ATOM_CHECK(points.size() == scalars.size());
+  std::vector<Naf> nafs;
+  std::vector<Point::Affine> tables;
+  nafs.reserve(points.size());
+  tables.reserve(points.size() * kNafEntries);
+  Point jac[kStrausChunk * kNafEntries];
+  size_t pending = 0;  // terms whose Jacobian rows wait in jac
+  auto flush = [&] {
+    tables.resize(tables.size() + pending * kNafEntries);
+    Point::BatchNormalize(
+        std::span<const Point>(jac, pending * kNafEntries),
+        tables.data() + tables.size() - pending * kNafEntries);
+    pending = 0;
+  };
+  for (size_t i = 0; i < points.size(); i++) {
+    if (points[i].IsInfinity() || scalars[i].IsZero()) {
+      continue;
+    }
+    Recode(scalars[i].PlainValue(), &nafs.emplace_back());
+    Point* row = jac + pending * kNafEntries;
+    const Point twice = points[i].Double();
+    row[0] = points[i];
+    for (int k = 1; k < kNafEntries; k++) {
+      row[k] = row[k - 1] + twice;
+    }
+    if (++pending == kStrausChunk) {
+      flush();
+    }
+  }
+  flush();
+
+  // The per-bit scan reads only next_bit, each term's highest unconsumed
+  // digit position (-1 once consumed), not the 130-byte digit arrays.
+  std::vector<int16_t> next_bit(nafs.size());
+  int top = -1;
+  for (size_t t = 0; t < nafs.size(); t++) {
+    next_bit[t] =
+        static_cast<int16_t>(nafs[t].digits[nafs[t].count - 1] >> kPosShift);
+    top = std::max<int>(top, next_bit[t]);
+  }
+  Point acc = Point::Infinity();
+  for (int bit = top; bit >= 0; bit--) {
+    acc = acc.Double();
+    for (size_t t = 0; t < nafs.size(); t++) {
+      if (next_bit[t] != bit) {
+        continue;
+      }
+      Naf& naf = nafs[t];
+      const int code = naf.digits[--naf.count];
+      next_bit[t] = static_cast<int16_t>(
+          naf.count > 0 ? naf.digits[naf.count - 1] >> kPosShift : -1);
+      const Point::Affine& a =
+          tables[t * kNafEntries + (code & (kNafEntries - 1))];
+      acc = Point::AddMixed(acc, a.x,
+                            (code >> kNegShift & 1) ? fp::Neg(a.y) : a.y);
+    }
+  }
+  return acc;
+}
+
+// Pippenger: signed c-bit window digits in [-(2^(c-1) - 1), 2^(c-1)]
+// index 2^(c-1) buckets; a negative digit adds the negated point. Windows
+// run low to high so each point's carry is computed as it is consumed;
+// the window sums are then combined top down with c doublings apiece.
+Point PippengerMsm(std::span<const Point> points,
+                   std::span<const Scalar> scalars) {
   ATOM_CHECK(points.size() == scalars.size());
   const size_t n = points.size();
-  if (n == 0) {
+  std::vector<Point::Affine> affine(n);
+  Point::BatchNormalize(points, affine.data());
+  std::vector<U256> plain(n);  // stays zero for a dropped term: no digits
+  size_t live = 0;
+  for (size_t i = 0; i < n; i++) {
+    if (!points[i].IsInfinity() && !scalars[i].IsZero()) {
+      plain[i] = scalars[i].PlainValue();
+      live++;
+    }
+  }
+  if (live == 0) {
     return Point::Infinity();
   }
-  // Below n = 8 the naive sum wins: Pippenger's smallest window (c = 4)
-  // still pays 256 doublings plus a 15-bucket running-sum sweep across all
-  // 64 windows, which measured (bench_table3_primitives, msm rows at
-  // n = 4/8) breaks even against n independent windowed Muls around n = 6
-  // and wins by ~20% at n = 8, with either field implementation.
-  if (n < 8) {
-    Point acc = Point::Infinity();
-    for (size_t i = 0; i < n; i++) {
-      acc = acc + points[i].Mul(scalars[i]);
-    }
-    return acc;
-  }
 
-  // Pippenger bucket method. Window width c trades bucket-count (2^c - 1
-  // adds per window in the running-sum sweep) against window-count
-  // (256/c iterations over all n points): the optimum grows with
-  // log2(n). The schedule below follows a sweep of c = 4..11 at
-  // n = 32..2048 (two runs on a 4-vCPU x86-64 host): c = 4 is fastest
-  // below n = 128, c = 5 from 128, c = 6 from 256 and c = 8 from 1024,
-  // each within ~10% of its neighbor at the boundary. The wider windows
-  // used before (c = 7 from n = 32, 9 from 256, 11 from 2048) measured
-  // 25-90% slower at those sizes.
+  // Window width by field-op count: ceil(257 / c) windows, each paying
+  // one 11-op mixed add per point and a 2^(c-1)-bucket running-sum sweep
+  // of two 16-op full adds per bucket.
+  const double m = static_cast<double>(live);
   int c = 4;
-  if (n >= 128) {
-    c = 5;
-  }
-  if (n >= 256) {
-    c = 6;
-  }
-  if (n >= 1024) {
-    c = 8;
-  }
-  const int num_windows = (256 + c - 1) / c;
-  const size_t num_buckets = (1u << c) - 1;
-
-  std::vector<U256> plain(n);
-  for (size_t i = 0; i < n; i++) {
-    plain[i] = scalars[i].PlainValue();
-  }
-
-  auto digit_of = [&](const U256& e, int window) -> uint64_t {
-    int bit = window * c;
-    uint64_t d = 0;
-    // Collect c bits starting at `bit` (may straddle a limb boundary).
-    int limb = bit / 64, off = bit % 64;
-    d = e.v[limb] >> off;
-    if (off + c > 64 && limb + 1 < 4) {
-      d |= e.v[limb + 1] << (64 - off);
-    }
-    return d & ((1ull << c) - 1);
+  auto cost = [&](int w) {
+    return static_cast<double>((257 + w - 1) / w) *
+           (11.0 * m + 16.0 * static_cast<double>(1 << w));
   };
+  for (int w = 5; w <= 12; w++) {
+    if (cost(w) < cost(c)) {
+      c = w;
+    }
+  }
+  const int num_windows = (257 + c - 1) / c;
+  const int half = 1 << (c - 1);
 
+  std::vector<uint8_t> carry(n, 0);
+  std::vector<Point> buckets(static_cast<size_t>(half));
+  std::vector<Point> window_sums(static_cast<size_t>(num_windows));
+  for (int w = 0; w < num_windows; w++) {
+    std::fill(buckets.begin(), buckets.end(), Point::Infinity());
+    for (size_t i = 0; i < n; i++) {
+      int digit = Bits(plain[i], w * c, c) + carry[i];
+      carry[i] = digit > half ? 1 : 0;
+      digit -= carry[i] << c;
+      const Point::Affine& a = affine[i];
+      if (digit > 0) {
+        buckets[digit - 1] = Point::AddMixed(buckets[digit - 1], a.x, a.y);
+      } else if (digit < 0) {
+        buckets[-digit - 1] =
+            Point::AddMixed(buckets[-digit - 1], a.x, fp::Neg(a.y));
+      }
+    }
+    // Running-sum trick: sum_d d * bucket[d].
+    Point running = Point::Infinity();
+    Point sum = Point::Infinity();
+    for (size_t d = buckets.size(); d > 0; d--) {
+      running = running + buckets[d - 1];
+      sum = sum + running;
+    }
+    window_sums[static_cast<size_t>(w)] = sum;
+  }
   Point result = Point::Infinity();
-  std::vector<Point> buckets(num_buckets);
-  for (int window = num_windows - 1; window >= 0; window--) {
+  for (int w = num_windows - 1; w >= 0; w--) {
     for (int i = 0; i < c; i++) {
       result = result.Double();
     }
-    for (auto& b : buckets) {
-      b = Point::Infinity();
-    }
-    for (size_t i = 0; i < n; i++) {
-      uint64_t d = digit_of(plain[i], window);
-      if (d != 0) {
-        buckets[d - 1] = buckets[d - 1] + points[i];
-      }
-    }
-    // Running-sum trick: sum_{d} d * bucket[d].
-    Point running = Point::Infinity();
-    Point window_sum = Point::Infinity();
-    for (size_t d = num_buckets; d > 0; d--) {
-      running = running + buckets[d - 1];
-      window_sum = window_sum + running;
-    }
-    result = result + window_sum;
+    result = result + window_sums[static_cast<size_t>(w)];
   }
   return result;
+}
+Point MultiScalarMul(std::span<const Point> points,
+                     std::span<const Scalar> scalars) {
+  ATOM_CHECK(points.size() == scalars.size());
+  size_t live = 0;
+  for (size_t i = 0; i < points.size(); i++) {
+    live += !points[i].IsInfinity() && !scalars[i].IsZero() ? 1 : 0;
+  }
+  return live < kPippengerMinPoints ? StrausMsm(points, scalars)
+                                    : PippengerMsm(points, scalars);
 }
 
 // ---------------------------------------------------- derived generators --

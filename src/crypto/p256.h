@@ -1,6 +1,7 @@
 // NIST P-256 group operations: scalars mod the group order, Jacobian points,
-// windowed scalar multiplication, Pippenger multi-scalar multiplication,
-// hash-to-point, and reversible message-to-point embedding.
+// windowed scalar multiplication, multi-scalar multiplication (Straus below
+// a measured crossover, Pippenger above it), hash-to-point, and reversible
+// message-to-point embedding.
 //
 // This is the DDH group G from the paper (§5 uses NIST P-256 [6]); every
 // cryptosystem in src/crypto builds on these two types. Point coordinates
@@ -9,16 +10,26 @@
 // uses the generic Montgomery field FieldN() of src/crypto/mont.h.
 //
 // Hot-path tooling (see docs/architecture.md, "Crypto hot path"):
-//   - FixedBaseTable: precomputed 4-bit windowed table for ANY fixed base
-//     (group pk, entry pk, trustee pk, the generator itself). Entries are
-//     normalized to affine once at build time so every lookup uses the
-//     mixed Jacobian+affine addition (~8 field muls vs ~16 for the full
-//     Jacobian add), and Mul needs no doublings at all. Point::Mul rebuilds
-//     a 15-entry table per call — build a FixedBaseTable whenever the same
-//     base is multiplied more than ~10 times.
+//   - FixedBaseTable: precomputed signed 6-bit window table for ANY fixed
+//     base (group pk, entry pk, trustee pk, the generator itself). Entries
+//     are affine (x, y) pairs, normalized once at build time, so every
+//     lookup uses the mixed Jacobian+affine addition (11 field mul/sqr vs
+//     16 for the full Jacobian add), and Mul needs no doublings at all.
+//     Point::Mul rebuilds a 15-entry table per call; build a FixedBaseTable
+//     whenever the same base is multiplied more than ~12 times.
+//   - MultiScalarMul: interleaved width-4 NAF (Straus) over one shared run
+//     of doublings below kPippengerMinPoints terms (intake batches: Schnorr
+//     spans, EncProof vectors), Pippenger with signed digits from there (a
+//     hop's shuffle and re-encryption proof batches). Both normalize their
+//     inputs to affine with batched inversions so every per-point addition
+//     is a mixed add.
 //   - Point::BatchToAffine / EncodePoints: batch affine normalization and
 //     SEC1 encoding with ONE field inversion per batch (Montgomery's
 //     trick) instead of one ~255-squaring inversion chain per point.
+//
+// None of this is constant time: table lookups and additions depend on the
+// scalar's digits. docs/architecture.md lists the call sites that pass a
+// secret scalar through these paths.
 #ifndef SRC_CRYPTO_P256_H_
 #define SRC_CRYPTO_P256_H_
 
@@ -90,8 +101,9 @@ class Point {
   Point Neg() const;
   friend Point operator-(const Point& a, const Point& b) { return a + b.Neg(); }
 
-  // Variable-base scalar multiplication (4-bit window, rebuilds its window
-  // table on every call). If the base repeats, use a FixedBaseTable.
+  // Variable-base scalar multiplication (unsigned 4-bit window over 15
+  // Jacobian multiples, rebuilt on every call). If the base repeats, use a
+  // FixedBaseTable.
   Point Mul(const Scalar& k) const;
   // Fixed-base multiplication by the generator (precomputed affine table).
   static Point BaseMul(const Scalar& k);
@@ -127,24 +139,41 @@ class Point {
 
  private:
   friend class FixedBaseTable;
+  friend Point StrausMsm(std::span<const Point> points,
+                         std::span<const Scalar> scalars);
+  friend Point PippengerMsm(std::span<const Point> points,
+                            std::span<const Scalar> scalars);
 
-  // Mixed-coordinate addition: `affine` must be the identity or have z == 1
-  // (Montgomery one), which saves ~8 field multiplications over the general
-  // Jacobian add. FixedBaseTable entries satisfy this by construction.
-  static Point AddMixed(const Point& jacobian, const Point& affine);
+  // Affine point (Montgomery-form x, y), never the identity: the entry type
+  // of every precomputed table.
+  struct Affine {
+    U256 x, y;
+  };
+
+  // Mixed-coordinate addition jacobian + (x, y): with the second point's
+  // z == 1 the add costs 11 field mul/sqr instead of 16.
+  static Point AddMixed(const Point& jacobian, const U256& x, const U256& y);
+
+  // Sets out[i] to the affine form of in[i] with one field inversion, using
+  // out[].x as the prefix-product scratch. An identity in[i] is skipped and
+  // leaves out[i] unspecified.
+  static void BatchNormalize(std::span<const Point> in, Affine* out);
 
   U256 x_, y_, z_;
 };
 
-// Precomputed 4-bit windowed table for one fixed base: table[w][d-1] holds
-// (d << 4w) * base, normalized to affine with a single batched inversion at
-// build time. Mul then needs only ~64 mixed additions and zero doublings —
-// the same shape the generator tables always used, available for any base
-// that repeats (group/entry/trustee public keys, rerandomization bases).
+// Precomputed signed 6-bit window table for one fixed base: table[w][d-1]
+// holds (d << 6w) * base for d in [1, 32], as affine (x, y). Mul recodes the
+// scalar into 43 digits in [-31, 32] and sums one entry per nonzero digit,
+// negated for a negative digit: ~43 mixed additions and zero doublings.
+// Available for any base that repeats (group/entry/trustee public keys,
+// rerandomization bases), and behind Point::BaseMul for the generator.
 //
-// Build cost is ~960 point adds plus one inversion, which amortizes after
-// roughly ten generic Point::Mul calls. The table is ~92KB; hot callers
-// cache one per round/epoch key rather than building per batch.
+// Build cost is ~1,400 point adds plus one batched inversion (31.2k field
+// mul/sqr, about ten generic Point::Mul calls); each table Mul (454) then
+// saves ~2.7k field ops over Point::Mul (3,184). The table is
+// 43 x 32 x 64 B = 86 KiB; hot callers cache one per round/epoch key rather
+// than building per batch.
 class FixedBaseTable {
  public:
   explicit FixedBaseTable(const Point& base);
@@ -156,8 +185,12 @@ class FixedBaseTable {
   Point Mul(const Scalar& k) const;
 
  private:
+  static constexpr int kWindowBits = 6;
+  static constexpr int kWindows = 43;  // ceil(257 / 6): room for the carry
+  static constexpr int kEntries = 1 << (kWindowBits - 1);
+
   Point base_;
-  Point table_[64][15];
+  Point::Affine table_[kWindows][kEntries];
 };
 
 // Concatenated 33-byte encodings of `points` — byte-identical to calling
@@ -165,9 +198,27 @@ class FixedBaseTable {
 // instead of one per point.
 Bytes EncodePoints(std::span<const Point> points);
 
-// Sum of scalars[i] * points[i] (Pippenger bucket method).
+// Sum of scalars[i] * points[i]. Identity points and zero scalars are
+// dropped first; below kPippengerMinPoints remaining terms this runs
+// StrausMsm, from there PippengerMsm. Variable time in every scalar.
 Point MultiScalarMul(std::span<const Point> points,
                      std::span<const Scalar> scalars);
+
+// The crossover between the two kernels (see its derivation in p256.cpp).
+extern const size_t kPippengerMinPoints;
+
+// The two kernels behind MultiScalarMul, exposed so tests can cross-check
+// each at every size and bench_table3_primitives can time both on either
+// side of the crossover. Same contract as MultiScalarMul.
+//   - StrausMsm: each point's odd multiples 1, 3, 5, 7 (affine, one shared
+//     inversion per 32 points), width-4 NAF digits, one shared run of 256
+//     doublings: ~51 mixed adds per point.
+//   - PippengerMsm: signed c-bit digits into 2^(c-1) buckets per window,
+//     affine inputs with mixed bucket adds, c chosen per n by a field-op
+//     cost model.
+Point StrausMsm(std::span<const Point> points, std::span<const Scalar> scalars);
+Point PippengerMsm(std::span<const Point> points,
+                   std::span<const Scalar> scalars);
 
 // Deterministic nothing-up-my-sleeve point: try-and-increment over
 // SHA-256(label || counter). Nobody knows its discrete log w.r.t. any other

@@ -6,11 +6,11 @@
 //
 // Verification comes in two shapes: SchnorrVerify checks one signature with
 // a fixed-base mult plus one generic mult, and SchnorrVerifyBatch folds any
-// number of (pk, message, signature) triples into a single Pippenger
-// multi-scalar multiplication via a derandomized random linear combination
-// (the same construction as sigma.cpp's VerifyEncProofBatch) — the gateway's
-// per-shard pump uses it so signature checking amortizes across a whole
-// drained intake span.
+// number of (pk, message, signature) triples into a single multi-scalar
+// multiplication (Straus at intake span sizes) via a derandomized random
+// linear combination (the same construction as sigma.cpp's
+// VerifyEncProofBatch) — the gateway's per-shard pump uses it so signature
+// checking amortizes across a whole drained intake span.
 #ifndef SRC_CRYPTO_SCHNORR_H_
 #define SRC_CRYPTO_SCHNORR_H_
 
@@ -48,8 +48,9 @@ bool SchnorrVerify(const Point& pk, BytesView message,
 // same length. The per-signature equations s_i·G == R_i + e_i·pk_i are
 // random-linear-combined with coefficients γ_i derived from a hash of the
 // whole statement (derandomized, so a forger cannot pick signatures after
-// seeing the coefficients) and checked with one MSM over 2n points — ~6x
-// cheaper than n independent verifications at n = 64. An empty batch is
+// seeing the coefficients) and checked with one MSM over 2n points — ~1.6x
+// cheaper than n independent verifications at n = 8
+// (bench_table3_primitives gates this). An empty batch is
 // vacuously true; n == 1 falls through to SchnorrVerify. On failure the
 // batch only says "some signature is bad": callers that need the culprit
 // re-verify individually.

@@ -140,9 +140,10 @@ std::vector<uint32_t> RandomPermutation(size_t n, Rng& rng) {
 
 namespace {
 
-// Past ~10 multiplications by the same base, building a FixedBaseTable is
-// cheaper than the generic Muls it replaces (build ≈ 960 mixed adds + one
-// inversion ≈ 10 windowed Muls). 16 adds slack for the estimate's noise.
+// Past ~12 multiplications by the same base, building a FixedBaseTable is
+// cheaper than the generic Muls it replaces: the build costs ~31.2k field
+// mul/sqr (about ten 3.2k-op windowed Muls), and each table Mul (~450)
+// saves ~2.7k. 16 adds slack for the estimate.
 constexpr size_t kTableBuildThreshold = 16;
 
 // Shared body: `pk_table` may be null (generic multiplication).

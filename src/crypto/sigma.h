@@ -15,10 +15,10 @@
 // statement (keys, ciphertexts, context) is hashed into the challenge.
 //
 // Verification folds equations with the small-exponent random-linear-
-// combination test (Bellare-Garay-Rabin): one BaseMul plus one Pippenger
-// MSM per batch. ReEncProofs are only ever verified in batches
-// (VerifyReEncProof is the one-claim batch); EncProofs switch to the batch
-// test from 8 proofs up. Proving stays per proof.
+// combination test (Bellare-Garay-Rabin): one BaseMul plus one MSM
+// (MultiScalarMul) per batch. ReEncProofs are only ever verified in batches
+// (VerifyReEncProof is the one-claim batch); EncProof vectors switch to the
+// batch test from 2 proofs up. Proving stays per proof.
 #ifndef SRC_CRYPTO_SIGMA_H_
 #define SRC_CRYPTO_SIGMA_H_
 
@@ -59,12 +59,12 @@ bool VerifyEncProofVec(const Point& pk, uint32_t gid,
                        std::span<const EncProof> proofs);
 
 // Batch verification with the small-exponent random-linear-combination
-// test: one Pippenger MSM instead of 2N scalar multiplications, several
-// times faster for the entry groups, which verify every user's proofs.
-// Coefficients are derived by hashing the full statement (derandomized
-// batch test), so a batch containing any invalid proof is rejected except
-// with negligible probability. VerifyEncProofVec switches to this path
-// automatically for large batches.
+// test: one MSM over 2N points instead of 2N scalar multiplications, ~25%
+// cheaper per proof at N = 3 and more as N grows; entry groups verify
+// every user's proofs. Coefficients are derived by hashing the full
+// statement (derandomized batch test), so a batch containing any invalid
+// proof is rejected except with negligible probability. VerifyEncProofVec
+// takes this path for every vector of two or more proofs.
 bool VerifyEncProofBatch(const Point& pk, uint32_t gid,
                          const ElGamalCiphertextVec& cts,
                          std::span<const EncProof> proofs);

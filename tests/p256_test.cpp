@@ -296,6 +296,147 @@ TEST(P256, MsmHandlesZeroScalars) {
   EXPECT_TRUE(MultiScalarMul(points, scalars).IsInfinity());
 }
 
+// An MSM input whose every point is k_i * G, so the expected sum is
+// (sum of s_i * k_i) * G: scalar arithmetic plus one generic Point::Mul,
+// independent of both MSM kernels. Index patterns plant every special case
+// the kernels branch on: a repeated term (equal bucket entries: the
+// doubling branch of the mixed add), a term cancelling its predecessor
+// (a bucket or accumulator back to the identity), identity points, zero
+// scalars, and the scalars 1, n - 1 and 2^252 - 1 (a carry through every
+// signed digit).
+struct MsmCase {
+  std::vector<Point> points;
+  std::vector<Scalar> scalars;
+  Point expect;
+};
+
+// The scalar whose low `windows` windows of `window_bits` bits each hold
+// `value`.
+Scalar WindowPattern(int window_bits, uint64_t value, int windows) {
+  U256 e;
+  for (int w = 0; w < windows; w++) {
+    for (int b = 0; b < window_bits; b++) {
+      if ((value >> b) & 1) {
+        const int bit = w * window_bits + b;
+        e.v[bit / 64] |= uint64_t{1} << (bit % 64);
+      }
+    }
+  }
+  auto bytes = e.ToBytesBe();
+  return Scalar::FromBytes(BytesView(bytes.data(), bytes.size())).value();
+}
+
+MsmCase MakeMsmCase(size_t n, Rng& rng) {
+  const Scalar minus_one = Scalar::Zero() - Scalar::One();
+  const Scalar all_ones = WindowPattern(1, 1, 252);
+  MsmCase c;
+  Scalar log = Scalar::Zero();
+  Scalar prev_k, prev_s;
+  for (size_t i = 0; i < n; i++) {
+    Scalar k = Scalar::Random(rng);
+    Scalar s = Scalar::Random(rng);
+    switch (i % 12) {
+      case 1:  // repeats term i - 1
+        k = prev_k;
+        s = prev_s;
+        break;
+      case 3:  // cancels term i - 1
+        k = prev_k.Neg();
+        s = prev_s;
+        break;
+      case 4:  // identity point
+        k = Scalar::Zero();
+        break;
+      case 5:
+        s = Scalar::Zero();
+        break;
+      case 6:
+        s = Scalar::One();
+        break;
+      case 7:
+        s = minus_one;
+        break;
+      case 8:
+        s = all_ones;
+        break;
+      default:
+        break;
+    }
+    c.points.push_back(k.IsZero() ? Point::Infinity() : Point::BaseMul(k));
+    c.scalars.push_back(s);
+    log = log + s * k;
+    prev_k = k;
+    prev_s = s;
+  }
+  c.expect = Point::Generator().Mul(log);
+  return c;
+}
+
+TEST(P256, MsmKernelsMatchDiscreteLogSumAtEverySize) {
+  Rng rng(19u);
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 64; n++) {
+    sizes.push_back(n);
+  }
+  for (size_t n : {size_t{100}, size_t{139}, size_t{149}, size_t{255},
+                   size_t{256}, size_t{257}, kPippengerMinPoints - 1,
+                   kPippengerMinPoints, kPippengerMinPoints + 1,
+                   size_t{1024}, size_t{2048}}) {
+    sizes.push_back(n);
+  }
+  for (size_t n : sizes) {
+    const MsmCase c = MakeMsmCase(n, rng);
+    EXPECT_EQ(MultiScalarMul(c.points, c.scalars), c.expect) << "n=" << n;
+    EXPECT_EQ(StrausMsm(c.points, c.scalars), c.expect) << "n=" << n;
+    EXPECT_EQ(PippengerMsm(c.points, c.scalars), c.expect) << "n=" << n;
+    if (n <= 64) {
+      Point naive = Point::Infinity();
+      for (size_t i = 0; i < n; i++) {
+        naive = naive + c.points[i].Mul(c.scalars[i]);
+      }
+      EXPECT_EQ(naive, c.expect) << "n=" << n;
+    }
+  }
+}
+
+TEST(P256, MsmCancellingAndRepeatedTerms) {
+  Rng rng(20u);
+  const Point p = Point::BaseMul(Scalar::Random(rng));
+  const Point q = Point::BaseMul(Scalar::Random(rng));
+  const Scalar s = Scalar::Random(rng);
+  const Scalar t = Scalar::Random(rng);
+  using Kernel = Point (*)(std::span<const Point>, std::span<const Scalar>);
+  for (Kernel msm : {Kernel{&MultiScalarMul}, Kernel{&StrausMsm},
+                     Kernel{&PippengerMsm}}) {
+    // P and -P with one scalar: the accumulator (and every bucket) adds an
+    // entry to its own negation and must land on the identity.
+    EXPECT_TRUE(msm(std::vector<Point>{p, p.Neg()}, std::vector<Scalar>{s, s})
+                    .IsInfinity());
+    // ...and keep going from there.
+    EXPECT_EQ(msm(std::vector<Point>{p, p.Neg(), q},
+                  std::vector<Scalar>{s, s, t}),
+              q.Mul(t));
+    // P twice with one scalar: an entry added to itself doubles.
+    EXPECT_EQ(msm(std::vector<Point>{p, p}, std::vector<Scalar>{s, s}),
+              p.Mul(s + s));
+    // 200 cancelling pairs: on both sides of the crossover.
+    std::vector<Point> points;
+    std::vector<Scalar> scalars;
+    for (int i = 0; i < 200; i++) {
+      Point r = Point::BaseMul(Scalar::Random(rng));
+      Scalar k = Scalar::Random(rng);
+      points.insert(points.end(), {r, r.Neg()});
+      scalars.insert(scalars.end(), {k, k});
+    }
+    EXPECT_TRUE(msm(points, scalars).IsInfinity());
+    // Nothing but identities and zero scalars.
+    EXPECT_TRUE(msm(std::vector<Point>{Point::Infinity(), p},
+                    std::vector<Scalar>{s, Scalar::Zero()})
+                    .IsInfinity());
+    EXPECT_TRUE(msm({}, {}).IsInfinity());
+  }
+}
+
 TEST(P256, HashToPointDeterministicAndDistinct) {
   Point a1 = HashToPoint(BytesView(ToBytes("label-a")));
   Point a2 = HashToPoint(BytesView(ToBytes("label-a")));
@@ -412,6 +553,31 @@ TEST(FixedBase, TableEdgeScalars) {
   Scalar n_minus_1 = Scalar::Zero() - Scalar::One();
   EXPECT_EQ(table.Mul(n_minus_1), base.Mul(n_minus_1));
   EXPECT_TRUE((table.Mul(n_minus_1) + base).IsInfinity());
+}
+
+// Scalars whose signed 6-bit recoding carries through every window: n - 1
+// and n - 2 (top windows saturated), every window 33 (each digit becomes
+// -31 and carries), 32 (the largest digit that does not carry), and 63
+// (digit -1, carry, repeated: 2^252 - 1).
+TEST(FixedBase, SignedRecodingCarriesThroughEveryWindow) {
+  Rng rng(45u);
+  const Point base = Point::BaseMul(Scalar::Random(rng));
+  const FixedBaseTable table(base);
+  const Scalar minus_one = Scalar::Zero() - Scalar::One();
+  const Scalar scalars[] = {
+      minus_one,
+      minus_one - Scalar::One(),
+      WindowPattern(6, 33, 42),
+      WindowPattern(6, 32, 42),
+      WindowPattern(6, 63, 42),
+      WindowPattern(6, 33, 42) - Scalar::One(),
+  };
+  for (const Scalar& k : scalars) {
+    EXPECT_EQ(table.Mul(k), base.Mul(k));
+    EXPECT_EQ(Point::GeneratorTable().Mul(k), Point::Generator().Mul(k));
+    EXPECT_EQ(Point::BaseMul(k), Point::Generator().Mul(k));
+  }
+  EXPECT_TRUE((table.Mul(minus_one) + base).IsInfinity());
 }
 
 TEST(FixedBase, GeneratorTableIsBaseMul) {

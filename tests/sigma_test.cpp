@@ -101,7 +101,7 @@ TEST(EncProof, BatchVerifyAcceptsValidBatch) {
   auto cts = ElGamalEncryptVec(s.group.pk, ms, s.rng, &rs);
   auto proofs = MakeEncProofVec(s.group.pk, 9, cts, rs, s.rng);
   EXPECT_TRUE(VerifyEncProofBatch(s.group.pk, 9, cts, proofs));
-  // The vector entry point dispatches to the batch path at this size.
+  // The vector entry point dispatches to the batch path.
   EXPECT_TRUE(VerifyEncProofVec(s.group.pk, 9, cts, proofs));
 }
 
@@ -142,6 +142,38 @@ TEST(EncProof, BatchVerifyRejectsSizeMismatch) {
   auto proofs = MakeEncProofVec(s.group.pk, 0, cts, rs, s.rng);
   proofs.push_back(proofs[0]);
   EXPECT_FALSE(VerifyEncProofBatch(s.group.pk, 0, cts, proofs));
+}
+
+// VerifyEncProofVec batches from two proofs up, so the submission shapes
+// (3 components for NIZK dials and ingress, 5 per trap vector) all take
+// the batch path. At every small size, one bad proof in any position, or
+// a batch checked against the wrong gid or key, must be rejected.
+TEST(EncProof, SmallVectorBatchesRejectAnyBadProofGidOrKey) {
+  ProofFixture s;
+  for (size_t k = 2; k <= 7; k++) {
+    std::vector<Point> ms;
+    for (size_t i = 0; i < k; i++) {
+      ms.push_back(*EmbedMessage(BytesView(Bytes{static_cast<uint8_t>(i)})));
+    }
+    std::vector<Scalar> rs;
+    auto cts = ElGamalEncryptVec(s.group.pk, ms, s.rng, &rs);
+    auto proofs = MakeEncProofVec(s.group.pk, 5, cts, rs, s.rng);
+    EXPECT_TRUE(VerifyEncProofVec(s.group.pk, 5, cts, proofs)) << "k=" << k;
+    EXPECT_TRUE(VerifyEncProofBatch(s.group.pk, 5, cts, proofs)) << "k=" << k;
+    for (size_t bad = 0; bad < k; bad++) {
+      auto tampered = proofs;
+      tampered[bad].u = tampered[bad].u + Scalar::One();
+      EXPECT_FALSE(VerifyEncProofVec(s.group.pk, 5, cts, tampered))
+          << "k=" << k << " bad response at " << bad;
+      tampered = proofs;
+      tampered[bad].commit = tampered[bad].commit + Point::Generator();
+      EXPECT_FALSE(VerifyEncProofVec(s.group.pk, 5, cts, tampered))
+          << "k=" << k << " bad commitment at " << bad;
+    }
+    EXPECT_FALSE(VerifyEncProofVec(s.group.pk, 6, cts, proofs)) << "k=" << k;
+    EXPECT_FALSE(VerifyEncProofVec(s.next_group.pk, 5, cts, proofs))
+        << "k=" << k;
+  }
 }
 
 // -------------------------------------------------------------- ReEncProof
