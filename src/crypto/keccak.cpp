@@ -88,7 +88,11 @@ std::array<uint8_t, 32> Sha3_256(BytesView data) {
   // Final block with SHA-3 domain padding (0x06 ... 0x80).
   uint8_t last[kRate];
   std::memset(last, 0, sizeof(last));
-  std::memcpy(last, data.data() + off, data.size() - off);
+  if (data.size() > off) {
+    // An empty absorb has no source buffer (data() may be null), and
+    // memcpy's source must be valid even for zero bytes.
+    std::memcpy(last, data.data() + off, data.size() - off);
+  }
   last[data.size() - off] = 0x06;
   last[kRate - 1] |= 0x80;
   absorb_block(last);

@@ -27,6 +27,17 @@ constexpr int64_t kTransportDrainWeight = int64_t{1} << 40;
 
 }  // namespace
 
+std::string DescribeServers(std::span<const uint32_t> ids) {
+  std::string out = ids.size() == 1 ? "server " : "servers ";
+  for (size_t i = 0; i < ids.size(); i++) {
+    if (i > 0) {
+      out += ", ";
+    }
+    out += std::to_string(ids[i]);
+  }
+  return out;
+}
+
 uint64_t MeshTransportStats::TotalBytes() const {
   uint64_t n = 0;
   for (const auto& [id, s] : per_peer) {
@@ -189,6 +200,7 @@ void TcpPeerMesh::Stop() {
       return;
     }
     stopping_ = true;
+    cv_.notify_all();  // ack waiters give up: their lanes are abandoned
   }
   listener_.Shutdown();
   std::vector<std::shared_ptr<SecureLink>> links;
@@ -422,7 +434,12 @@ bool TcpPeerMesh::SendFrame(uint32_t peer_id, LinkMsg type, BytesView body) {
 bool TcpPeerMesh::SendFrameAsync(uint32_t peer_id, LinkMsg type, Bytes body,
                                  uint64_t round_id, uint32_t gid,
                                  uint32_t envelope_count) {
-  const size_t cost = body.size() + 1;  // + the LinkMsg tag byte
+  return EnqueueFrame(peer_id, QueuedFrame{type, std::move(body), round_id,
+                                           gid, envelope_count});
+}
+
+bool TcpPeerMesh::EnqueueFrame(uint32_t peer_id, QueuedFrame frame) {
+  const size_t cost = frame.body.size() + 1;  // + the LinkMsg tag byte
   ThreadPool* pool;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -439,8 +456,7 @@ bool TcpPeerMesh::SendFrameAsync(uint32_t peer_id, LinkMsg type, Bytes body,
       drops_->Add(1);
       return false;
     }
-    lane.queue.push_back(QueuedFrame{type, std::move(body), round_id, gid,
-                                     envelope_count});
+    lane.queue.push_back(std::move(frame));
     lane.queued_bytes += cost;
     lane.obs.queue_depth_peak->UpdateMax(
         static_cast<int64_t>(lane.queued_bytes));
@@ -482,8 +498,15 @@ void TcpPeerMesh::DrainSenderLane(uint32_t peer_id) {
   if (!sent) {
     // Converted before the lane is marked idle: once draining clears,
     // Stop() may tear the mesh down, so no mesh state may be touched
-    // after the idle transition below.
-    ConvertAsyncSendFailure(peer_id, frame.round_id, frame.gid);
+    // after the idle transition below. A control frame's waiter names
+    // the peer itself; a lost kRoundDone needs nothing, since a peer the
+    // driver cannot reach keeps no round state worth retiring.
+    if (frame.ack_seq != 0) {
+      ResolveAck(frame.ack_seq, AckState::kLost);
+    } else if (frame.type == LinkMsg::kEnvelope ||
+               frame.type == LinkMsg::kEnvelopeBundle) {
+      ConvertAsyncSendFailure(peer_id, frame.round_id, frame.gid);
+    }
   }
   ThreadPool* pool = nullptr;
   {
@@ -641,9 +664,7 @@ void TcpPeerMesh::HandleFrame(uint32_t peer_id, LinkFrame frame) {
     }
     auto seq = DecodeAck(BytesView(frame.body));
     if (seq) {
-      std::lock_guard<std::mutex> lock(mu_);
-      acked_.insert(*seq);
-      cv_.notify_all();
+      ResolveAck(*seq, AckState::kAcked);
     }
     return;
   }
@@ -768,14 +789,54 @@ uint64_t TcpPeerMesh::NextSeq() {
   return next_seq_++;
 }
 
-bool TcpPeerMesh::SendControlAwaitAck(uint32_t peer_id, LinkMsg type,
-                                      uint64_t seq, BytesView body) {
-  if (!SendFrame(peer_id, type, body)) {
-    return false;
+void TcpPeerMesh::ResolveAck(uint64_t seq, AckState state) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = awaited_acks_.find(seq);
+  if (it == awaited_acks_.end() ||
+      (state == AckState::kLost && it->second != AckState::kPending)) {
+    return;
   }
+  it->second = state;
+  cv_.notify_all();
+}
+
+std::vector<uint32_t> TcpPeerMesh::SendControlAwaitAcks(
+    std::vector<ControlFrame> frames) {
+  std::chrono::milliseconds timeout;
+  {
+    // Registered before any frame leaves, so an instant ack finds its
+    // entry.
+    std::lock_guard<std::mutex> lock(mu_);
+    timeout = control_timeout_;
+    for (const ControlFrame& frame : frames) {
+      awaited_acks_[frame.seq] = AckState::kPending;
+    }
+  }
+  for (ControlFrame& frame : frames) {
+    QueuedFrame queued;
+    queued.type = frame.type;
+    queued.body = std::move(frame.body);
+    queued.ack_seq = frame.seq;
+    if (!EnqueueFrame(frame.peer_id, std::move(queued))) {
+      ResolveAck(frame.seq, AckState::kLost);
+    }
+  }
+  std::vector<uint32_t> missing;
   std::unique_lock<std::mutex> lock(mu_);
-  return cv_.wait_for(lock, control_timeout_,
-                      [&] { return acked_.contains(seq); });
+  cv_.wait_for(lock, timeout, [&] {
+    return stopping_ ||
+           std::none_of(frames.begin(), frames.end(),
+                        [&](const ControlFrame& frame) {
+                          return awaited_acks_.at(frame.seq) ==
+                                 AckState::kPending;
+                        });
+  });
+  for (const ControlFrame& frame : frames) {
+    if (awaited_acks_.extract(frame.seq).mapped() != AckState::kAcked) {
+      missing.push_back(frame.peer_id);
+    }
+  }
+  return missing;
 }
 
 bool TcpPeerMesh::ConnectAndPushRoster() {
@@ -788,31 +849,29 @@ bool TcpPeerMesh::ConnectAndPushRoster() {
       roster.push_back(peer);
     }
   }
+  std::vector<ControlFrame> frames;
   for (const MeshPeer& peer : roster) {
-    uint64_t seq = NextSeq();
-    Bytes body = EncodeRoster(seq, roster);
-    if (!SendControlAwaitAck(peer.server_id, LinkMsg::kRoster, seq,
-                             BytesView(body))) {
-      return false;
-    }
+    const uint64_t seq = NextSeq();
+    frames.push_back(ControlFrame{peer.server_id, LinkMsg::kRoster, seq,
+                                  EncodeRoster(seq, roster)});
   }
-  return true;
+  return SendControlAwaitAcks(std::move(frames)).empty();
 }
 
 bool TcpPeerMesh::SendJoinGroup(uint32_t peer_id, uint32_t gid,
                                 const NodeGroupKeys& keys) {
-  uint64_t seq = NextSeq();
-  Bytes body = EncodeJoinGroup(seq, gid, keys);
-  return SendControlAwaitAck(peer_id, LinkMsg::kJoinGroup, seq,
-                             BytesView(body));
+  const uint64_t seq = NextSeq();
+  return SendControlAwaitAcks({ControlFrame{peer_id, LinkMsg::kJoinGroup, seq,
+                                            EncodeJoinGroup(seq, gid, keys)}})
+      .empty();
 }
 
 bool TcpPeerMesh::SendHostGroup(uint32_t peer_id, uint32_t gid,
                                 const DkgResult& dkg) {
-  uint64_t seq = NextSeq();
-  Bytes body = EncodeHostGroup(seq, gid, dkg);
-  return SendControlAwaitAck(peer_id, LinkMsg::kHostGroup, seq,
-                             BytesView(body));
+  const uint64_t seq = NextSeq();
+  return SendControlAwaitAcks({ControlFrame{peer_id, LinkMsg::kHostGroup, seq,
+                                            EncodeHostGroup(seq, gid, dkg)}})
+      .empty();
 }
 
 std::optional<obs::MetricsSnapshot> TcpPeerMesh::FetchMetricsSnapshot(
@@ -843,13 +902,18 @@ void TcpPeerMesh::set_next_round_id(uint64_t id) {
   next_round_id_ = id;
 }
 
-bool TcpPeerMesh::SendBeginRound(uint32_t peer_id, uint64_t round_id,
-                                 const std::array<uint8_t, 32>& root_key,
-                                 const WireRoundSpec* spec) {
-  uint64_t seq = NextSeq();
-  Bytes body = EncodeBeginRound(seq, round_id, root_key, spec);
-  return SendControlAwaitAck(peer_id, LinkMsg::kBeginRound, seq,
-                             BytesView(body));
+std::vector<uint32_t> TcpPeerMesh::BeginRound(
+    uint64_t round_id, const std::array<uint8_t, 32>& root_key,
+    std::span<const BeginRoundTarget> targets) {
+  std::vector<ControlFrame> frames;
+  frames.reserve(targets.size());
+  for (const BeginRoundTarget& target : targets) {
+    const uint64_t seq = NextSeq();
+    frames.push_back(
+        ControlFrame{target.peer_id, LinkMsg::kBeginRound, seq,
+                     EncodeBeginRound(seq, round_id, root_key, target.spec)});
+  }
+  return SendControlAwaitAcks(std::move(frames));
 }
 
 void TcpPeerMesh::BroadcastRoundDone(uint64_t round_id,
@@ -861,10 +925,11 @@ void TcpPeerMesh::BroadcastRoundDone(uint64_t round_id,
       targets.push_back(id);
     }
   }
-  Bytes body = EncodeRoundDone(round_id);
+  const Bytes body = EncodeRoundDone(round_id);
   for (uint32_t id : targets) {
-    // Best-effort: an unreachable peer's round state dies with the peer.
-    SendFrame(id, LinkMsg::kRoundDone, BytesView(body));
+    // Best-effort: a refused enqueue or a failed send is dropped, since an
+    // unreachable peer's round state dies with the peer.
+    EnqueueFrame(id, QueuedFrame{LinkMsg::kRoundDone, body, round_id});
   }
 }
 
@@ -917,7 +982,7 @@ bool TcpPeerMesh::Run(Rng& rng) {
   const uint64_t round_id = AllocateRoundId();
 
   std::vector<Envelope> to_send;
-  std::vector<uint32_t> server_ids;
+  std::vector<BeginRoundTarget> targets;  // chain runs carry no engine spec
   size_t aborts_before = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -928,7 +993,7 @@ bool TcpPeerMesh::Run(Rng& rng) {
     aborts_before = aborts_.size();
     to_send.swap(buffered_);
     for (const auto& [id, peer] : peers_.roster) {
-      server_ids.push_back(id);
+      targets.push_back(BeginRoundTarget{id, nullptr});
     }
   }
 
@@ -936,14 +1001,11 @@ bool TcpPeerMesh::Run(Rng& rng) {
   // key before any envelope can reach it (ack-synchronized because chain
   // traffic arrives on different links than ours). Chain runs carry no
   // engine spec; each lane's per-round delivery counters start at zero.
-  bool ready = true;
-  for (uint32_t id : server_ids) {
-    if (!SendBeginRound(id, round_id, run_key, nullptr)) {
-      SynthesizeAbort(0, "transport: server " + std::to_string(id) +
-                             " unreachable at run start");
-      ready = false;
-      break;
-    }
+  const std::vector<uint32_t> missing = BeginRound(round_id, run_key, targets);
+  const bool ready = missing.empty();
+  if (!ready) {
+    SynthesizeAbort(0, "transport: " + DescribeServers(missing) +
+                           " did not ack the run start");
   }
 
   // Phase 2: inject the buffered entry envelopes, stamped with this run's

@@ -33,7 +33,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -84,6 +85,10 @@ struct MeshTransportStats {
   // Mean envelopes per kEnvelopeBundle frame (0 when none were sent).
   double BundleFill() const;
 };
+
+// Names the servers a failed fan-out missed, for abort reasons:
+// "server 3" or "servers 3, 4".
+std::string DescribeServers(std::span<const uint32_t> ids);
 
 class TcpPeerMesh {
  public:
@@ -145,11 +150,13 @@ class TcpPeerMesh {
   // frame at a time on the shared ThreadPool, preserving per-peer order).
   // False when the lane's byte-accounted bound rejects the frame — the
   // caller converts that to an abort, exactly like a false SendFrame. A
-  // failure discovered later, on the drain side, is converted internally:
-  // server role reports a round-scoped abort to the driver, driver role
-  // delivers a synthesized round-tagged abort to its own envelope sink.
-  // round_id/gid scope that conversion; envelope_count feeds the bundle
-  // fill counters (1 for a plain kEnvelope).
+  // failure discovered later, on the drain side, is converted internally
+  // for kEnvelope/kEnvelopeBundle frames: server role reports a
+  // round-scoped abort to the driver, driver role delivers a synthesized
+  // round-tagged abort to its own envelope sink. round_id/gid scope that
+  // conversion; envelope_count feeds the bundle fill counters (1 for a
+  // plain kEnvelope). The driver's control frames share the lane, so they
+  // keep their order relative to a round's data.
   bool SendFrameAsync(uint32_t peer_id, LinkMsg type, Bytes body,
                       uint64_t round_id, uint32_t gid,
                       uint32_t envelope_count = 1);
@@ -164,7 +171,8 @@ class TcpPeerMesh {
 
   // ---- Driver-side setup.
 
-  // Dials every rostered peer and pushes the roster, waiting for acks.
+  // Dials every rostered peer and pushes the roster to all of them in one
+  // fan-out (every frame queued, then one wait for all the acks).
   bool ConnectAndPushRoster();
   // Ships one group's key material to a server (ack-synchronized).
   bool SendJoinGroup(uint32_t peer_id, uint32_t gid,
@@ -192,13 +200,29 @@ class TcpPeerMesh {
   // there because every scenario spawns a fresh fleet, which is exactly
   // the stale-lane hazard the random base exists to avoid.
   void set_next_round_id(uint64_t id);
-  // Opens a round on one server: root key (+ optional engine spec),
-  // ack-synchronized so key material lands before dependent traffic.
-  bool SendBeginRound(uint32_t peer_id, uint64_t round_id,
-                      const std::array<uint8_t, 32>& root_key,
-                      const WireRoundSpec* spec);
+  // One server's share of a round opening: the engine spec it receives
+  // (nullptr for chain rounds, which carry none).
+  struct BeginRoundTarget {
+    uint32_t peer_id = 0;
+    const WireRoundSpec* spec = nullptr;
+  };
+  // Opens a round on every target in one round trip: each server's
+  // kBeginRound (root key + optional spec) is queued on its sender lane,
+  // then the caller waits once for all the acks. That wait is the fence:
+  // key material lands everywhere before any dependent traffic, which
+  // reaches a server over other links than ours. Returns the servers that
+  // did not ack (unreachable, refused by the lane bound, or silent past
+  // the control timeout), in target order; empty when the round is open
+  // on every target.
+  std::vector<uint32_t> BeginRound(uint64_t round_id,
+                                   const std::array<uint8_t, 32>& root_key,
+                                   std::span<const BeginRoundTarget> targets);
   // Retires a round on the named peers (or every rostered peer when the
-  // span is empty). Best-effort: a dead peer's state dies with it.
+  // span is empty): queues kRoundDone on each sender lane and returns
+  // without waiting on the wire. Lane order delivers it after every frame
+  // of the round this mesh queued, and before the next kBeginRound, so a
+  // server frees the round's lane before it is asked to open another.
+  // Best-effort: a dead peer's state dies with it.
   void BroadcastRoundDone(uint64_t round_id,
                           std::span<const uint32_t> peers = {});
 
@@ -303,9 +327,19 @@ class TcpPeerMesh {
   // the failing chain is unknown.
   void SynthesizeAbort(uint32_t gid, std::string reason);
 
-  // Sends a control frame and blocks until its ack arrives.
-  bool SendControlAwaitAck(uint32_t peer_id, LinkMsg type, uint64_t seq,
-                           BytesView body);
+  // One ack-synchronized control frame: its destination, the sequence
+  // number its body carries (echoed back in the kAck), and the body.
+  struct ControlFrame {
+    uint32_t peer_id = 0;
+    LinkMsg type = LinkMsg::kAck;
+    uint64_t seq = 0;
+    Bytes body;
+  };
+  // The one ack-synchronized send path: queues every frame on its peer's
+  // sender lane, then waits once, bounded by the control timeout, until
+  // each frame is acked or known lost. Returns the peers whose frame was
+  // not acked, in input order.
+  std::vector<uint32_t> SendControlAwaitAcks(std::vector<ControlFrame> frames);
   uint64_t NextSeq();
 
   void AssertNotRunning() const;
@@ -327,7 +361,12 @@ class TcpPeerMesh {
   std::vector<Envelope> buffered_;    // driver: entry envelopes until Run
   std::vector<NodeMsg> outputs_;
   std::vector<NodeMsg> aborts_;
-  std::set<uint64_t> acked_;
+  // Fate of each control frame a SendControlAwaitAcks call is waiting on.
+  // The waiter inserts its seqs before sending and erases them when it
+  // returns, so acks cost no memory once consumed and late acks are
+  // ignored.
+  enum class AckState { kPending, kAcked, kLost };
+  std::map<uint64_t, AckState> awaited_acks_;
   uint64_t next_seq_ = 1;
   uint64_t next_round_id_ = 1;
   bool running_ = false;   // a driver Run is executing
@@ -357,14 +396,25 @@ class TcpPeerMesh {
   std::map<uint32_t, size_t> send_pending_;    // queued + in-flight bytes
 
   // One outbound frame parked on a sender lane. round_id/gid scope the
-  // abort synthesized if the send fails once it is this frame's turn.
+  // abort synthesized if an envelope frame's send fails once it is its
+  // turn; a control frame with a nonzero ack_seq reports the failure to
+  // its SendControlAwaitAcks waiter instead.
   struct QueuedFrame {
     LinkMsg type = LinkMsg::kEnvelope;
     Bytes body;
     uint64_t round_id = 0;
     uint32_t gid = 0;
     uint32_t envelopes = 1;
+    uint64_t ack_seq = 0;
   };
+  // Parks a frame on the peer's sender lane, starting a drain if none
+  // runs. False when the mesh is stopping or the lane's byte bound
+  // refuses the frame.
+  bool EnqueueFrame(uint32_t peer_id, QueuedFrame frame);
+  // Records an awaited control frame's fate and wakes its waiter (no-op
+  // for a seq nobody waits on). An ack always wins; kLost only settles a
+  // pending frame.
+  void ResolveAck(uint64_t seq, AckState state);
   // Cached registry handles for one peer link's transport counters — the
   // single source of truth behind Stats(), shared with the fleet-wide
   // metrics export. Series carry {mesh="<self>#<instance>",peer="<id>"}

@@ -168,35 +168,41 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
     rounds_[round_id] = pending;
   }
 
-  // Phase 1: open the round on every hosting server, ack-synchronized so
-  // the root key and commitments land before any traffic that depends on
-  // them (hop batches arrive on different links than ours).
+  // Phase 1: open the round on every hosting server in one round trip —
+  // all kBeginRounds queued, then one wait for all the acks — so the root
+  // key and commitments land before any traffic that depends on them (hop
+  // batches arrive on different links than ours).
   {
     obs::TraceSpan begin_span("begin_round", "driver", round_id);
-    for (uint32_t host : unique_hosts_) {
-      WireRoundSpec host_spec = spec;
+    std::vector<WireRoundSpec> host_specs(unique_hosts_.size(), spec);
+    std::vector<TcpPeerMesh::BeginRoundTarget> targets;
+    for (size_t i = 0; i < unique_hosts_.size(); i++) {
       if (!all_commitments.empty()) {
         for (uint32_t g = 0; g < width; g++) {
-          if (hosts_[g] == host) {
-            host_spec.commitments[g] = std::move(all_commitments[g]);
+          if (hosts_[g] == unique_hosts_[i]) {
+            host_specs[i].commitments[g] = std::move(all_commitments[g]);
           }
         }
       }
-      if (!mesh_->SendBeginRound(host, round_id, round.seed, &host_spec)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        AbortLocked(*pending, "round " + std::to_string(round_id) +
-                                  ": server " + std::to_string(host) +
-                                  " unreachable at round start");
-        return round_id;
-      }
+      targets.push_back({unique_hosts_[i], &host_specs[i]});
+    }
+    const std::vector<uint32_t> missing =
+        mesh_->BeginRound(round_id, round.seed, targets);
+    if (!missing.empty()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      AbortLocked(*pending, "round " + std::to_string(round_id) + ": " +
+                                DescribeServers(missing) +
+                                " did not ack the round start");
+      return round_id;
     }
   }
 
   // Phase 2: flush the entry batches — round r+1's intake enters the
   // network while round r is still mixing. Every entry batch one host
   // serves travels as a single kEnvelopeBundle through the mesh's sender
-  // lane, so encoding host n+1's bundle overlaps the socket write of
-  // host n's.
+  // lane. All bundles are encoded before the first is queued: a host
+  // starts mixing the moment its bundle lands, and on a shared machine
+  // that work would otherwise delay encoding the rest.
   obs::TraceSpan flush_span("intake_flush", "driver", round_id);
   std::map<uint32_t, std::vector<Envelope>> by_host;
   for (uint32_t g = 0; g < width; g++) {
@@ -208,14 +214,18 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
     msg.batch = std::move(round.entry[g]);
     by_host[hosts_[g]].push_back(Envelope{hosts_[g], std::move(msg), round_id});
   }
-  for (auto& [host, envelopes] : by_host) {
+  std::vector<Bytes> bodies;
+  for (const auto& [host, envelopes] : by_host) {
+    bodies.push_back(envelopes.size() == 1 ? EncodeEnvelope(envelopes[0])
+                                           : EncodeEnvelopeBundle(envelopes));
+  }
+  size_t i = 0;
+  for (const auto& [host, envelopes] : by_host) {
     const uint32_t gid = envelopes[0].msg.gid;
     const uint32_t count = static_cast<uint32_t>(envelopes.size());
-    Bytes body = count == 1 ? EncodeEnvelope(envelopes[0])
-                            : EncodeEnvelopeBundle(envelopes);
     LinkMsg type = count == 1 ? LinkMsg::kEnvelope : LinkMsg::kEnvelopeBundle;
-    if (!mesh_->SendFrameAsync(host, type, std::move(body), round_id, gid,
-                               count)) {
+    if (!mesh_->SendFrameAsync(host, type, std::move(bodies[i++]), round_id,
+                               gid, count)) {
       std::lock_guard<std::mutex> lock(mu_);
       AbortLocked(*pending, "round " + std::to_string(round_id) +
                                 ": entry send to server " +
@@ -405,7 +415,9 @@ EngineRoundResult DistributedRoundDriver::Wait(uint64_t ticket) {
       obs::Trace::Emit(event);
     }
   }
-  // Retire the round on the fleet so the bounded lane pools free up.
+  // Retire the round on the fleet so the bounded lane pools free up. The
+  // kRoundDones ride the sender lanes, so this returns at once and each
+  // host still frees the lane before it sees the next kBeginRound.
   mesh_->BroadcastRoundDone(ticket, unique_hosts_);
   return result;
 }

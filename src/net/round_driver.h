@@ -5,11 +5,14 @@
 // Submit(EngineRound)/Wait(ticket) contract against a fleet of
 // NodeProcess servers, one host per topology group. Submit ships the
 // round's spec — root key, topology adjacency, host map, group keys,
-// layout, and THIS round's trap commitments — as an ack-synchronized
-// kBeginRound to every hosting server, then flushes the entry batches as
-// round-tagged kHopBatch envelopes and returns immediately: round r+1's
-// intake enters the network while round r is still mixing, which is the
-// paper's §4.7 throughput mode with no global run barrier on the wire.
+// layout, and THIS round's trap commitments — as a kBeginRound to every
+// hosting server at once and waits for all the acks together (one round
+// trip, whatever the host count), then queues the entry batches as
+// round-tagged kHopBatch envelopes and returns: round r+1's intake enters
+// the network while round r is still mixing, which is the paper's §4.7
+// throughput mode with no global run barrier on the wire. Wait retires a
+// round by queueing kRoundDone on the mesh's sender lanes, so neither
+// call waits on the wire once per host.
 //
 // Execution is split exactly along the engine's task boundaries:
 //
@@ -65,7 +68,9 @@ class DistributedRoundDriver {
   // ticket is waited on once, and several submitted rounds overlap in
   // flight. spec.faults must be empty (fault injection is a test-side
   // concern; over the wire a fault is a hostile server). Never blocks on
-  // mixing — only on the ack round-trip for the kBeginRound fan-out.
+  // mixing — only on one round trip, the slowest host's kBeginRound ack.
+  // A host that does not ack aborts this round only, with a reason that
+  // names every such host.
   uint64_t Submit(EngineRound round);
 
   // Blocks until the round resolves and returns its result — byte-

@@ -815,6 +815,38 @@ struct PipelinedDeployment {
     return true;
   }
 
+  // Roster repair: a fresh process (new key, new port) takes over the
+  // server id of each procs[i] named; the re-pushed roster and group
+  // material make them full members again.
+  bool Replace(std::span<const size_t> dead, Round& round, Variant variant) {
+    for (size_t i : dead) {
+      const uint32_t id = procs[i]->server_id();
+      KemKeypair key = KemKeyGen(setup_rng);
+      procs[i]->Stop();
+      procs[i] =
+          std::make_unique<NodeProcess>(id, variant, key, driver_key.pk);
+      if (!procs[i]->Listen(0)) {
+        return false;
+      }
+      procs[i]->Start();
+      roster[i] = MeshPeer{id, "127.0.0.1", procs[i]->port(), key.pk};
+    }
+    mesh.SetRoster(roster);
+    if (!mesh.ConnectAndPushRoster()) {
+      return false;
+    }
+    for (size_t i : dead) {
+      const uint32_t id = procs[i]->server_id();
+      for (uint32_t g = 0; g < hosts.size(); g++) {
+        if (hosts[g] == id &&
+            !mesh.SendHostGroup(id, g, round.group(g).dkg())) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
   void StopAll() {
     mesh.Stop();
     for (auto& proc : procs) {
@@ -940,6 +972,106 @@ TEST(DistributedPipeline, LaneBoundRefusesExcessRoundsRoundScoped) {
         << r2.abort_reason;
     auto r1 = driver.Wait(t1);
     EXPECT_FALSE(r1.aborted) << r1.abort_reason;
+    dep.StopAll();
+  }
+}
+
+TEST(DistributedPipeline, UnackedBeginRoundAbortsThatRoundAndNamesHosts) {
+  // Two of four hosts are gone before Submit, so their kBeginRounds are
+  // never acked: that round alone aborts, its reason names both hosts, and
+  // a round submitted after the roster is repaired completes.
+  PipelinedFixture fx(Variant::kTrap, /*iterations=*/2, /*num_groups=*/4);
+  EngineRound orphaned = fx.TakeSpec(4);
+  EngineRound repaired = fx.TakeSpec(4);
+
+  PipelinedDeployment dep;
+  ASSERT_TRUE(dep.Build(*fx.round, Variant::kTrap));
+  ASSERT_EQ(dep.procs.size(), 4u);
+  dep.mesh.set_dial_attempts(1);
+  // Bounds the wait should a send still reach a dying socket.
+  dep.mesh.set_control_timeout(3s);
+  // Both links must be seen dead before the driver exists: a peer-down
+  // during Submit would abort the round with a reason of its own.
+  std::atomic<int> down{0};
+  dep.mesh.OnPeerDown([&](uint32_t) { down++; });
+  dep.procs[1]->Stop();
+  dep.procs[3]->Stop();
+  ASSERT_TRUE(WaitUntil([&] { return down.load() >= 2; }));
+  {
+    DistributedRoundDriver driver(&dep.mesh, dep.hosts);
+    driver.set_round_timeout(60s);
+    const uint64_t ticket = driver.Submit(std::move(orphaned));
+    EngineRoundResult bad = driver.Wait(ticket);
+    EXPECT_TRUE(bad.aborted);
+    EXPECT_NE(bad.abort_reason.find("round " + std::to_string(ticket) +
+                                    ": servers 2, 4 did not ack"),
+              std::string::npos)
+        << bad.abort_reason;
+
+    const size_t dead[] = {1, 3};
+    ASSERT_TRUE(dep.Replace(dead, *fx.round, Variant::kTrap));
+    RoundResult good = driver.Wait(driver.Submit(std::move(repaired))).round;
+    EXPECT_FALSE(good.aborted) << good.abort_reason;
+    EXPECT_EQ(good.plaintexts.size(), 4u);
+    dep.StopAll();
+  }
+}
+
+TEST(DistributedPipeline, RetiredRoundFreesItsLaneBeforeTheNextOpens) {
+  // max_rounds = 1 and back-to-back Submit -> Wait: Wait only queues each
+  // kRoundDone, so lane order alone must deliver it to every host before
+  // the next round's kBeginRound. A driver-side wire delay keeps each
+  // kRoundDone parked on its lane while the next round opens.
+  PipelinedFixture fx(Variant::kTrap);
+  constexpr size_t kRounds = 4;
+  std::vector<EngineRound> specs;
+  for (size_t r = 0; r < kRounds; r++) {
+    specs.push_back(fx.TakeSpec(2));
+  }
+
+  PipelinedDeployment dep;
+  ASSERT_TRUE(dep.Build(*fx.round, Variant::kTrap, /*max_rounds=*/1));
+  for (uint32_t host : dep.hosts) {
+    dep.mesh.set_peer_profile(host, WanProfile{20ms, 0});
+  }
+  {
+    DistributedRoundDriver driver(&dep.mesh, dep.hosts);
+    driver.set_round_timeout(60s);
+    for (size_t r = 0; r < kRounds; r++) {
+      RoundResult got = driver.Wait(driver.Submit(std::move(specs[r]))).round;
+      EXPECT_FALSE(got.aborted) << "round " << r << ": " << got.abort_reason;
+      EXPECT_EQ(got.plaintexts.size(), 2u) << "round " << r;
+    }
+    dep.StopAll();
+  }
+}
+
+TEST(DistributedPipeline, OpeningARoundCostsOneRoundTrip) {
+  // Four hosts whose every frame, acks included, sleeps 50 ms; the
+  // driver's own link has no delay. One round trip for all four
+  // kBeginRound acks keeps Submit near 50 ms, where one round trip per
+  // host would cost at least 200 ms. The bound leaves a whole delay of
+  // margin on either side, so a slow (sanitized) build stays inside it.
+  PipelinedFixture fx(Variant::kTrap, /*iterations=*/2, /*num_groups=*/4);
+  EngineRound spec = fx.TakeSpec(4);
+
+  PipelinedDeployment dep;
+  ASSERT_TRUE(dep.Build(*fx.round, Variant::kTrap, /*max_rounds=*/8,
+                        /*wire_delay=*/50ms));
+  ASSERT_EQ(dep.procs.size(), 4u);
+  {
+    DistributedRoundDriver driver(&dep.mesh, dep.hosts);
+    driver.set_round_timeout(60s);
+    const auto start = std::chrono::steady_clock::now();
+    const uint64_t ticket = driver.Submit(std::move(spec));
+    const auto submit = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(submit, 125ms)
+        << std::chrono::duration_cast<std::chrono::milliseconds>(submit)
+               .count()
+        << " ms to open a round on 4 hosts";
+    RoundResult got = driver.Wait(ticket).round;
+    EXPECT_FALSE(got.aborted) << got.abort_reason;
+    EXPECT_EQ(got.plaintexts.size(), 4u);
     dep.StopAll();
   }
 }
