@@ -332,6 +332,61 @@ void MeasureHotPath(BenchJson& json, bool smoke) {
   json.Num("encode_batch_speedup", encode_speedup);
 }
 
+// Variable-base rows: Point::Mul, and MulPairs at one base per call and at
+// three (one dialing message's components: ReEncStep's call), each per
+// product, over the same bases and scalars. Rows alternate for `rounds`
+// rounds and keep their fastest. Returns false unless a MulPairs call at
+// three bases costs less per base than two Point::Mul calls.
+bool MeasureVariableBase(BenchJson& json, bool smoke) {
+  Rng rng(uint64_t{0x7ab1e8});
+  const size_t n = smoke ? 120 : 768;
+  std::vector<Point> bases;
+  std::vector<Scalar> a, b;
+  for (size_t i = 0; i < n; i++) {
+    bases.push_back(Point::BaseMul(Scalar::Random(rng)));  // z != 1
+    a.push_back(Scalar::Random(rng));
+    b.push_back(Scalar::Random(rng));
+  }
+  std::vector<Point> out_a(n), out_b(n);
+  double mul_us = 1e30;
+  double pair_us[2] = {1e30, 1e30};  // per product, 1 and 3 bases per call
+  const size_t per_call[2] = {1, 3};
+  const int rounds = smoke ? 7 : 11;
+  for (int round = 0; round < rounds; round++) {
+    auto t0 = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < n; i++) {
+      out_a[i] = bases[i].Mul(a[i]);
+      out_b[i] = bases[i].Mul(b[i]);
+    }
+    mul_us = std::min(mul_us, 1e6 * SecondsSince(t0) / (2.0 * n));
+    const std::vector<Point> want_a = out_a, want_b = out_b;
+    for (size_t k = 0; k < 2; k++) {
+      t0 = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < n; i += per_call[k]) {
+        const size_t m = std::min(per_call[k], n - i);
+        MulPairs(std::span(bases).subspan(i, m), std::span(a).subspan(i, m),
+                 std::span(b).subspan(i, m), std::span(out_a).subspan(i, m),
+                 std::span(out_b).subspan(i, m));
+      }
+      pair_us[k] = std::min(pair_us[k], 1e6 * SecondsSince(t0) / (2.0 * n));
+      ATOM_CHECK(out_a == want_a && out_b == want_b);
+    }
+  }
+  std::printf("variable-base mul: Point::Mul %.1f us/product, MulPairs %.1f "
+              "us/product (1 base/call), %.1f (3 bases/call)\n",
+              mul_us, pair_us[0], pair_us[1]);
+  json.Num("mul_us", mul_us);
+  json.Num("mul_pairs_1_us_per_product", pair_us[0]);
+  json.Num("mul_pairs_3_us_per_product", pair_us[1]);
+  const bool ok = pair_us[1] < mul_us;
+  if (!ok) {
+    std::printf("FAIL: MulPairs %.1f us/product is not below Point::Mul "
+                "%.1f us\n",
+                pair_us[1], mul_us);
+  }
+  return ok;
+}
+
 // MSM rows at n = 2, 4, ..., 2048: the Straus and Pippenger kernels and
 // MultiScalarMul itself (labelled with the kernel it dispatched to), plus a
 // naive sum of Point::Mul up to n = 64. Every size alternates with the
@@ -620,6 +675,7 @@ int main(int argc, char** argv) {
     json.Bool("smoke", smoke);
     ok = MeasureField(json, smoke);
     MeasureHotPath(json, smoke);
+    ok = MeasureVariableBase(json, smoke) && ok;
     MeasureMsm(json, smoke);
     ok = MeasureIntakeVerify(json, smoke) && ok;
     ok = MeasureProofVerify(json, smoke) && ok;

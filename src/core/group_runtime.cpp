@@ -181,7 +181,7 @@ std::vector<std::shared_ptr<const FixedBaseTable>> RewrapTables(
     size_t steps, std::span<std::shared_ptr<const FixedBaseTable>> cached) {
   ATOM_CHECK(cached.empty() || cached.size() == next_pks.size());
   ATOM_CHECK(next_pks.empty() || subs.size() == next_pks.size());
-  // A table pays for itself from ~12 multiplications by its base; 16 is
+  // A table pays for itself from ~14 multiplications by its base; 16 is
   // shuffle.cpp's kTableBuildThreshold.
   std::vector<std::shared_ptr<const FixedBaseTable>> tables(next_pks.size());
   for (size_t b = 0; b < next_pks.size(); b++) {
@@ -206,56 +206,98 @@ ReEncStepResult ReEncStep(
     Variant variant, Rng& rng, size_t workers) {
   ATOM_CHECK(inputs.size() == (next_pks.empty() ? 1 : next_pks.size()));
   ATOM_CHECK(tables.size() == next_pks.size());
+  const bool nizk = variant == Variant::kNizk;
   ReEncStepResult result;
   result.outputs.resize(inputs.size());
-  // Sub-batch by sub-batch: rewrap draws, then (NIZK) proofs. This Rng
-  // order fixes the seeded output.
+  // Every component's witness and proof commitments, in (sub-batch,
+  // message, component) order.
+  std::vector<ReEncWitness> witnesses;
+  std::vector<ReEncProof> commitments;
   for (size_t b = 0; b < inputs.size(); b++) {
     const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
     const FixedBaseTable* table = next_pks.empty() ? nullptr : tables[b].get();
     const CiphertextBatch& sub = inputs[b];
     CiphertextBatch& out = result.outputs[b];
 
-    // Pre-draw randomness serially (one per component, the exit layer
-    // included), then reencrypt in parallel.
-    std::vector<std::vector<Scalar>> draws(sub.size());
+    // Pre-draw randomness serially, then reencrypt in parallel: the
+    // sub-batch's rewraps (one per component; drawn at the exit layer too,
+    // where they go unused), then (NIZK) each proof's kx and kr. This Rng
+    // order fixes the seeded output.
+    const size_t first = witnesses.size();
+    std::vector<size_t> offsets(sub.size());
     for (size_t m = 0; m < sub.size(); m++) {
-      draws[m].resize(sub[m].size());
-      for (Scalar& draw : draws[m]) {
-        draw = Scalar::Random(rng);
+      offsets[m] = witnesses.size();
+      for (size_t c = 0; c < sub[m].size(); c++) {
+        const Scalar rewrap = Scalar::Random(rng);
+        witnesses.emplace_back().rewrap =
+            next != nullptr ? rewrap : Scalar::Zero();
       }
+    }
+    if (nizk) {
+      for (size_t i = first; i < witnesses.size(); i++) {
+        witnesses[i].kx = Scalar::Random(rng);
+        witnesses[i].kr = Scalar::Random(rng);
+      }
+      commitments.resize(witnesses.size());
     }
     out.resize(sub.size());
     ParallelFor(workers, sub.size(), [&](size_t m) {
-      out[m].resize(sub[m].size());
-      for (size_t c = 0; c < sub[m].size(); c++) {
-        // Appendix A ReEnc with the pre-drawn randomness, so the parallel
-        // part shares no Rng.
-        ElGamalCiphertext cur = sub[m][c];
+      // Appendix A ReEnc with the pre-drawn randomness, so the parallel
+      // part shares no Rng. NIZK: the decryption share x·Y and the proof's
+      // kx·Y come from one table of Y.
+      const size_t l = sub[m].size();
+      const ReEncWitness* w = witnesses.data() + offsets[m];
+      out[m] = sub[m];
+      std::vector<Point> ys(l), share_y(l), kx_y(l);
+      for (size_t c = 0; c < l; c++) {
+        ElGamalCiphertext& cur = out[m][c];
         if (cur.YIsNull()) {
           cur.y = cur.r;
           cur.r = Point::Infinity();
         }
-        cur.c = cur.c - cur.y.Mul(share);
-        if (next != nullptr) {
-          cur.r = cur.r + Point::BaseMul(draws[m][c]);
-          cur.c = cur.c + (table != nullptr ? table->Mul(draws[m][c])
-                                            : next->Mul(draws[m][c]));
+        ys[c] = cur.y;
+      }
+      if (nizk) {
+        std::vector<Scalar> shares(l, share), kxs(l);
+        for (size_t c = 0; c < l; c++) {
+          kxs[c] = w[c].kx;
         }
-        out[m][c] = cur;
+        MulPairs(ys, shares, kxs, share_y, kx_y);
+      } else {
+        for (size_t c = 0; c < l; c++) {
+          share_y[c] = ys[c].Mul(share);
+        }
+      }
+      for (size_t c = 0; c < l; c++) {
+        ElGamalCiphertext& cur = out[m][c];
+        cur.c = cur.c - share_y[c];
+        if (next != nullptr) {
+          cur.r = cur.r + Point::BaseMul(w[c].rewrap);
+          cur.c = cur.c + (table != nullptr ? table->Mul(w[c].rewrap)
+                                            : next->Mul(w[c].rewrap));
+        }
+        if (nizk) {
+          commitments[offsets[m] + c] =
+              CommitReEncProof(w[c], kx_y[c], next, table);
+        }
       }
     });
+  }
 
-    if (variant == Variant::kNizk) {
-      for (size_t m = 0; m < sub.size(); m++) {
-        for (size_t c = 0; c < sub[m].size(); c++) {
-          const Scalar rewrap = next != nullptr ? draws[m][c] : Scalar::Zero();
-          result.proofs.push_back(MakeReEncProof(share, share_pub, next,
-                                                 sub[m][c], out[m][c], rewrap,
-                                                 rng, table));
+  if (nizk) {
+    std::vector<ReEncClaim> claims;
+    claims.reserve(commitments.size());
+    for (size_t b = 0; b < inputs.size(); b++) {
+      const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
+      for (size_t m = 0; m < inputs[b].size(); m++) {
+        for (size_t c = 0; c < inputs[b][m].size(); c++) {
+          claims.push_back(ReEncClaim{next, inputs[b][m][c],
+                                      result.outputs[b][m][c],
+                                      commitments[claims.size()]});
         }
       }
     }
+    result.proofs = CompleteReEncProofs(share, share_pub, claims, witnesses);
   }
   return result;
 }

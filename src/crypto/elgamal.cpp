@@ -190,18 +190,27 @@ std::optional<std::vector<Point>> ElGamalDecryptVec(
 }
 
 Bytes EncodeCiphertextVec(const ElGamalCiphertextVec& cts) {
-  // Flatten to one point span so the whole batch shares a single field
+  return EncodeCiphertextVecs(std::span(&cts, 1));
+}
+
+Bytes EncodeCiphertextVecs(std::span<const ElGamalCiphertextVec> vecs) {
+  // Flatten to one point span so every vector shares a single field
   // inversion (EncodePoints); the byte layout is unchanged.
   std::vector<Point> flat;
-  flat.reserve(cts.size() * 3);
-  for (const auto& ct : cts) {
-    flat.push_back(ct.r);
-    flat.push_back(ct.c);
-    flat.push_back(ct.y);
+  for (const auto& cts : vecs) {
+    for (const auto& ct : cts) {
+      flat.insert(flat.end(), {ct.r, ct.c, ct.y});
+    }
   }
+  const Bytes points = EncodePoints(flat);
   ByteWriter w;
-  w.U32(static_cast<uint32_t>(cts.size()));
-  w.Raw(BytesView(EncodePoints(flat)));
+  size_t offset = 0;
+  for (const auto& cts : vecs) {
+    const size_t bytes = cts.size() * ElGamalCiphertext::kEncodedSize;
+    w.U32(static_cast<uint32_t>(cts.size()));
+    w.Raw(BytesView(points).subspan(offset, bytes));
+    offset += bytes;
+  }
   return w.Take();
 }
 

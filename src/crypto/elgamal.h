@@ -16,6 +16,7 @@
 #define SRC_CRYPTO_ELGAMAL_H_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/crypto/p256.h"
@@ -100,6 +101,9 @@ std::optional<std::vector<Point>> ElGamalDecryptVec(
     const Scalar& sk, const ElGamalCiphertextVec& cts);
 
 Bytes EncodeCiphertextVec(const ElGamalCiphertextVec& cts);
+// The EncodeCiphertextVec encodings of `vecs`, concatenated, with one
+// field inversion for all of them.
+Bytes EncodeCiphertextVecs(std::span<const ElGamalCiphertextVec> vecs);
 std::optional<ElGamalCiphertextVec> DecodeCiphertextVec(BytesView bytes);
 
 }  // namespace atom

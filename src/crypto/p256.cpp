@@ -52,6 +52,98 @@ int Bits(const U256& e, int pos, int count) {
   return static_cast<int>(v & ((uint64_t{1} << count) - 1));
 }
 
+// Width-W NAF of a scalar: nonzero digits are odd, in
+// [-(2^(W-1) - 1), 2^(W-1) - 1], and at least W positions apart, so a
+// 256-bit scalar has about 256 / (W + 1) of them, each naming one of the
+// kEntries odd multiples P, 3P, ..., (2^(W-1) - 1)P or its negation.
+// Digits are stored lowest position first, each packed as
+// position << kPosShift | negative << kNegShift | (|digit| - 1) / 2.
+template <int W>
+struct Naf {
+  static constexpr int kEntries = 1 << (W - 2);
+  static constexpr int kNegShift = W - 2;
+  static constexpr int kPosShift = W - 1;
+  // The NAF of a value below 2^256 has positions 0..256.
+  static constexpr int kMaxDigits = (257 + W - 1) / W;
+
+  explicit Naf(const U256& e) {
+    int carry = 0;
+    for (int bit = 0; bit < 257;) {
+      if (Bits(e, bit, 1) == carry) {
+        bit++;  // digit 0; a set bit plus a carry keeps carrying
+        continue;
+      }
+      // An odd window value; above 2^(W-1) it becomes negative and carries.
+      int word = Bits(e, bit, W) + carry;
+      carry = word >> (W - 1);
+      word -= carry << W;
+      const int magnitude = word < 0 ? -word : word;
+      digits[count++] = static_cast<uint16_t>(
+          bit << kPosShift | (word < 0 ? 1 : 0) << kNegShift |
+          (magnitude - 1) / 2);
+      bit += W;
+    }
+    // A carry out of the window at bit needs 256 - bit >= W, which leaves
+    // room for the digit it produces at bit + W <= 256.
+    ATOM_CHECK(carry == 0);
+  }
+
+  // A packed digit's position, the index of its odd multiple, and whether
+  // that multiple is negated.
+  static int Position(int code) { return code >> kPosShift; }
+  static int Entry(int code) { return code & (kEntries - 1); }
+  static bool Negative(int code) { return (code >> kNegShift & 1) != 0; }
+
+  uint16_t digits[kMaxDigits];
+  int count = 0;
+};
+
+// Point::Mul and MulPairs: width 5, so 8 odd multiples and ~43 additions
+// per 256-bit scalar (width 4 would need 4 multiples and ~51 additions;
+// width 6, 16 multiples for ~37).
+using MulNaf = Naf<5>;
+
+// row[k] = (2k + 1)·p for k < count: one doubling and count - 1 additions.
+void OddMultiples(const Point& p, Point* row, size_t count) {
+  const Point twice = p.Double();
+  row[0] = p;
+  for (size_t k = 1; k < count; k++) {
+    row[k] = row[k - 1] + twice;
+  }
+}
+
+// Horner over several NAFs into one accumulator, highest position first:
+// one doubling per position below the top digit, shared by every NAF, and
+// add(acc, t, code) adds the multiple NAF t's packed digit names. Consumes
+// the NAFs' digits.
+template <int W, typename Add>
+Point RunNafs(std::span<Naf<W>> nafs, Add add) {
+  // The per-position scan reads only next_bit, each NAF's highest
+  // unconsumed digit position (-1 once consumed), not the digit arrays.
+  std::vector<int16_t> next_bit(nafs.size());
+  auto top_of = [](const Naf<W>& naf) {
+    return naf.count > 0 ? Naf<W>::Position(naf.digits[naf.count - 1]) : -1;
+  };
+  int top = -1;
+  for (size_t t = 0; t < nafs.size(); t++) {
+    next_bit[t] = static_cast<int16_t>(top_of(nafs[t]));
+    top = std::max<int>(top, next_bit[t]);
+  }
+  Point acc = Point::Infinity();
+  for (int bit = top; bit >= 0; bit--) {
+    acc = acc.Double();
+    for (size_t t = 0; t < nafs.size(); t++) {
+      if (next_bit[t] != bit) {
+        continue;
+      }
+      Naf<W>& naf = nafs[t];
+      acc = add(acc, t, naf.digits[--naf.count]);
+      next_bit[t] = static_cast<int16_t>(top_of(naf));
+    }
+  }
+  return acc;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Scalar --
@@ -267,25 +359,65 @@ Point Point::Mul(const Scalar& k) const {
   if (IsInfinity() || k.IsZero()) {
     return Infinity();
   }
-  // 4-bit fixed window: table[i] = i * P for i in [1, 15].
-  Point table[15];
-  table[0] = *this;
-  for (int i = 1; i < 15; i++) {
-    table[i] = table[i - 1] + *this;
-  }
+  // The odd multiples P..15P stay Jacobian: normalizing them would cost
+  // an inversion, more than the ~43 mixed additions it would save.
+  Point table[MulNaf::kEntries];
+  OddMultiples(*this, table, MulNaf::kEntries);
+  MulNaf naf(k.PlainValue());
+  auto add = [&table](const Point& acc, size_t, int code) {
+    const Point& m = table[MulNaf::Entry(code)];
+    return acc + (MulNaf::Negative(code) ? m.Neg() : m);
+  };
+  return RunNafs(std::span(&naf, 1), add);
+}
 
-  U256 e = k.PlainValue();
-  Point acc = Infinity();
-  for (int window = 63; window >= 0; window--) {
-    for (int i = 0; i < 4; i++) {
-      acc = acc.Double();
+void MulPairs(std::span<const Point> bases, std::span<const Scalar> a,
+              std::span<const Scalar> b, std::span<Point> out_a,
+              std::span<Point> out_b) {
+  const size_t n = bases.size();
+  ATOM_CHECK(a.size() == n && b.size() == n && out_a.size() == n &&
+             out_b.size() == n);
+  // Each product splits its scalar at bit 128: k·P = lo·P + hi·Q with
+  // Q = 2^128·P. The 128 doublings that make Q serve both products, and
+  // each product's Horner run then needs 128 doublings instead of 256:
+  // 384 per base instead of 512. A base's rows hold the odd multiples of
+  // P, then those of Q; an identity base keeps identity rows, which
+  // BatchNormalize skips.
+  constexpr size_t kEntries = MulNaf::kEntries;
+  constexpr size_t kRow = 2 * kEntries;
+  std::vector<Point> jac(n * kRow);
+  for (size_t i = 0; i < n; i++) {
+    if (bases[i].IsInfinity()) {
+      continue;
     }
-    uint64_t digit = (e.v[window / 16] >> (4 * (window % 16))) & 0xf;
-    if (digit != 0) {
-      acc = acc + table[digit - 1];
+    Point q = bases[i];
+    for (int d = 0; d < 128; d++) {
+      q = q.Double();
     }
+    OddMultiples(bases[i], jac.data() + i * kRow, kEntries);
+    OddMultiples(q, jac.data() + i * kRow + kEntries, kEntries);
   }
-  return acc;
+  std::vector<Point::Affine> table(jac.size());
+  Point::BatchNormalize(jac, table.data());
+  for (size_t i = 0; i < n; i++) {
+    const Point::Affine* row = table.data() + i * kRow;
+    auto mul = [&](const Scalar& k) {
+      if (bases[i].IsInfinity() || k.IsZero()) {
+        return Point::Infinity();
+      }
+      const U256 e = k.PlainValue();
+      MulNaf halves[2] = {MulNaf(U256::FromLimbs(e.v[0], e.v[1], 0, 0)),
+                          MulNaf(U256::FromLimbs(e.v[2], e.v[3], 0, 0))};
+      auto add = [row](const Point& acc, size_t t, int code) {
+        const Point::Affine& m = row[t * kEntries + MulNaf::Entry(code)];
+        return Point::AddMixed(acc, m.x,
+                               MulNaf::Negative(code) ? fp::Neg(m.y) : m.y);
+      };
+      return RunNafs(std::span<MulNaf>(halves), add);
+    };
+    out_a[i] = mul(a[i]);
+    out_b[i] = mul(b[i]);
+  }
 }
 
 Point Point::AddMixed(const Point& jacobian, const U256& x, const U256& y) {
@@ -520,109 +652,46 @@ namespace {
 // affine multiples P, 3P, 5P, 7P, and a 256-bit scalar has about
 // 256 / 5 = 51 nonzero digits, each one mixed add into a single
 // accumulator that all points share, along with its 256 doublings.
-constexpr int kNafWidth = 4;
-constexpr int kNafEntries = 1 << (kNafWidth - 2);
-// Nonzero NAF digits are at least kNafWidth positions apart, and the NAF
-// of a value below 2^256 has positions 0..256.
-constexpr int kNafMaxDigits = (257 + kNafWidth - 1) / kNafWidth;
+using StrausNaf = Naf<4>;
 // Terms whose tables share one inversion: bounds the Jacobian scratch to
 // a 12 KiB stack array while costing one extra inversion per 32 terms.
 constexpr size_t kStrausChunk = 32;
-
-// One term's nonzero digits, lowest position first, each packed as
-// position << kPosShift | negative << kNegShift | (|digit| - 1) / 2.
-constexpr int kNegShift = kNafWidth - 2;
-constexpr int kPosShift = kNafWidth - 1;
-struct Naf {
-  uint16_t digits[kNafMaxDigits];
-  int count;
-};
-
-void Recode(const U256& e, Naf* naf) {
-  int count = 0, carry = 0;
-  for (int bit = 0; bit < 257;) {
-    if (Bits(e, bit, 1) == carry) {
-      bit++;  // digit 0; a set bit plus a carry keeps carrying
-      continue;
-    }
-    // An odd window value; above 2^(w-1) it becomes negative and carries.
-    int word = Bits(e, bit, kNafWidth) + carry;
-    carry = word >> (kNafWidth - 1);
-    word -= carry << kNafWidth;
-    const int magnitude = word < 0 ? -word : word;
-    naf->digits[count++] = static_cast<uint16_t>(
-        bit << kPosShift | (word < 0 ? 1 : 0) << kNegShift |
-        (magnitude - 1) / 2);
-    bit += kNafWidth;
-  }
-  // A carry out of the window at bit needs 256 - bit >= kNafWidth, which
-  // leaves room for the digit it produces at bit + kNafWidth <= 256.
-  ATOM_CHECK(carry == 0);
-  naf->count = count;
-}
 
 }  // namespace
 
 Point StrausMsm(std::span<const Point> points,
                 std::span<const Scalar> scalars) {
   ATOM_CHECK(points.size() == scalars.size());
-  std::vector<Naf> nafs;
+  constexpr size_t kEntries = StrausNaf::kEntries;
+  std::vector<StrausNaf> nafs;
   std::vector<Point::Affine> tables;
   nafs.reserve(points.size());
-  tables.reserve(points.size() * kNafEntries);
-  Point jac[kStrausChunk * kNafEntries];
+  tables.reserve(points.size() * kEntries);
+  Point jac[kStrausChunk * kEntries];
   size_t pending = 0;  // terms whose Jacobian rows wait in jac
   auto flush = [&] {
-    tables.resize(tables.size() + pending * kNafEntries);
-    Point::BatchNormalize(
-        std::span<const Point>(jac, pending * kNafEntries),
-        tables.data() + tables.size() - pending * kNafEntries);
+    tables.resize(tables.size() + pending * kEntries);
+    Point::BatchNormalize(std::span<const Point>(jac, pending * kEntries),
+                          tables.data() + tables.size() - pending * kEntries);
     pending = 0;
   };
   for (size_t i = 0; i < points.size(); i++) {
     if (points[i].IsInfinity() || scalars[i].IsZero()) {
       continue;
     }
-    Recode(scalars[i].PlainValue(), &nafs.emplace_back());
-    Point* row = jac + pending * kNafEntries;
-    const Point twice = points[i].Double();
-    row[0] = points[i];
-    for (int k = 1; k < kNafEntries; k++) {
-      row[k] = row[k - 1] + twice;
-    }
+    nafs.emplace_back(scalars[i].PlainValue());
+    OddMultiples(points[i], jac + pending * kEntries, kEntries);
     if (++pending == kStrausChunk) {
       flush();
     }
   }
   flush();
-
-  // The per-bit scan reads only next_bit, each term's highest unconsumed
-  // digit position (-1 once consumed), not the 130-byte digit arrays.
-  std::vector<int16_t> next_bit(nafs.size());
-  int top = -1;
-  for (size_t t = 0; t < nafs.size(); t++) {
-    next_bit[t] =
-        static_cast<int16_t>(nafs[t].digits[nafs[t].count - 1] >> kPosShift);
-    top = std::max<int>(top, next_bit[t]);
-  }
-  Point acc = Point::Infinity();
-  for (int bit = top; bit >= 0; bit--) {
-    acc = acc.Double();
-    for (size_t t = 0; t < nafs.size(); t++) {
-      if (next_bit[t] != bit) {
-        continue;
-      }
-      Naf& naf = nafs[t];
-      const int code = naf.digits[--naf.count];
-      next_bit[t] = static_cast<int16_t>(
-          naf.count > 0 ? naf.digits[naf.count - 1] >> kPosShift : -1);
-      const Point::Affine& a =
-          tables[t * kNafEntries + (code & (kNafEntries - 1))];
-      acc = Point::AddMixed(acc, a.x,
-                            (code >> kNegShift & 1) ? fp::Neg(a.y) : a.y);
-    }
-  }
-  return acc;
+  auto add = [&tables](const Point& acc, size_t t, int code) {
+    const Point::Affine& m = tables[t * kEntries + StrausNaf::Entry(code)];
+    return Point::AddMixed(acc, m.x,
+                           StrausNaf::Negative(code) ? fp::Neg(m.y) : m.y);
+  };
+  return RunNafs(std::span(nafs), add);
 }
 
 // Pippenger: signed c-bit window digits in [-(2^(c-1) - 1), 2^(c-1)]

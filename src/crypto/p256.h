@@ -15,8 +15,14 @@
 //     are affine (x, y) pairs, normalized once at build time, so every
 //     lookup uses the mixed Jacobian+affine addition (11 field mul/sqr vs
 //     16 for the full Jacobian add), and Mul needs no doublings at all.
-//     Point::Mul rebuilds a 15-entry table per call; build a FixedBaseTable
-//     whenever the same base is multiplied more than ~12 times.
+//     Point::Mul rebuilds an 8-entry odd-multiple table per call; build a
+//     FixedBaseTable whenever the same base is multiplied more than ~14
+//     times.
+//   - Point::Mul / MulPairs: width-5 NAF over the odd multiples P..15P,
+//     ~43 additions and ~255 doublings per product. MulPairs makes two
+//     products per base from one affine table of P and of 2^128·P (mixed
+//     adds, 384 doublings per base instead of 512), all of a call's
+//     tables normalized with one shared inversion.
 //   - MultiScalarMul: interleaved width-4 NAF (Straus) over one shared run
 //     of doublings below kPippengerMinPoints terms (intake batches: Schnorr
 //     spans, EncProof vectors), Pippenger with signed digits from there (a
@@ -101,9 +107,10 @@ class Point {
   Point Neg() const;
   friend Point operator-(const Point& a, const Point& b) { return a + b.Neg(); }
 
-  // Variable-base scalar multiplication (unsigned 4-bit window over 15
-  // Jacobian multiples, rebuilt on every call). If the base repeats, use a
-  // FixedBaseTable.
+  // Variable-base scalar multiplication: width-5 NAF digits (odd, in
+  // [-15, 15]) over the 8 Jacobian odd multiples P, 3P, ..., 15P, rebuilt
+  // on every call; ~2.8k field mul/sqr. If the base repeats, use a
+  // FixedBaseTable; for two products by one base, MulPairs.
   Point Mul(const Scalar& k) const;
   // Fixed-base multiplication by the generator (precomputed affine table).
   static Point BaseMul(const Scalar& k);
@@ -143,6 +150,9 @@ class Point {
                          std::span<const Scalar> scalars);
   friend Point PippengerMsm(std::span<const Point> points,
                             std::span<const Scalar> scalars);
+  friend void MulPairs(std::span<const Point> bases, std::span<const Scalar> a,
+                       std::span<const Scalar> b, std::span<Point> out_a,
+                       std::span<Point> out_b);
 
   // Affine point (Montgomery-form x, y), never the identity: the entry type
   // of every precomputed table.
@@ -170,8 +180,8 @@ class Point {
 // rerandomization bases), and behind Point::BaseMul for the generator.
 //
 // Build cost is ~1,400 point adds plus one batched inversion (31.2k field
-// mul/sqr, about ten generic Point::Mul calls); each table Mul (454) then
-// saves ~2.7k field ops over Point::Mul (3,184). The table is
+// mul/sqr, about eleven generic Point::Mul calls); each table Mul (454)
+// then saves ~2.4k field ops over Point::Mul (~2,830). The table is
 // 43 x 32 x 64 B = 86 KiB; hot callers cache one per round/epoch key rather
 // than building per batch.
 class FixedBaseTable {
@@ -192,6 +202,19 @@ class FixedBaseTable {
   Point base_;
   Point::Affine table_[kWindows][kEntries];
 };
+
+// out_a[i] = bases[i]·a[i] and out_b[i] = bases[i]·b[i], equal to two
+// Point::Mul calls per base: a NIZK ReEnc step's decryption share x·Y and
+// proof nonce product kx·Y. Each scalar splits at bit 128, k·P =
+// lo·P + hi·Q with Q = 2^128·P, so the 128 doublings that make Q serve
+// both products and each product's Horner run takes 128. The odd
+// multiples of P and Q (width-5 NAF digits) are built once per base and
+// normalized to affine with one inversion for the whole call, so every
+// addition is a mixed add. ~20% below two Point::Mul calls per product.
+// Variable time in every scalar.
+void MulPairs(std::span<const Point> bases, std::span<const Scalar> a,
+              std::span<const Scalar> b, std::span<Point> out_a,
+              std::span<Point> out_b);
 
 // Concatenated 33-byte encodings of `points` — byte-identical to calling
 // Encode() per point, but pays one field inversion for the whole batch

@@ -11,19 +11,28 @@ namespace {
 
 // ------------------------------------------------------------- generators
 
-// Pedersen generator cache: H (chain base) plus H[0..n). All derived via
-// hash-to-point, so no discrete-log relation between any of them (or G) is
-// known to anyone.
+// The chain base H, and the fixed-base table the prover multiplies it
+// with: immutable once built, like Point::GeneratorTable(). A verifier
+// only needs the point; the table is built on the first proof.
+const Point& ChainBase() {
+  static const Point h =
+      HashToPoint(BytesView(ToBytes("atom/shuffle-chain-base")));
+  return h;
+}
+
+const FixedBaseTable& ChainBaseTable() {
+  static const FixedBaseTable table(ChainBase());
+  return table;
+}
+
+// Pedersen generator cache H[0..n), grown on demand. Like H, all derived
+// via hash-to-point, so no discrete-log relation between any of them (or
+// G) is known to anyone.
 class ShuffleGens {
  public:
   static ShuffleGens& Instance() {
     static ShuffleGens gens;
     return gens;
-  }
-
-  Point ChainBase() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return chain_base_;
   }
 
   std::vector<Point> FirstN(size_t n) {
@@ -39,20 +48,15 @@ class ShuffleGens {
   }
 
  private:
-  ShuffleGens() : chain_base_(HashToPoint(BytesView(ToBytes(
-                      "atom/shuffle-chain-base")))) {}
-
   std::mutex mu_;
-  Point chain_base_;
   std::vector<Point> hs_;
 };
 
+// One field inversion for the whole batch (EncodeCiphertextVecs).
 Bytes EncodeBatch(const CiphertextBatch& batch) {
   ByteWriter w;
   w.U32(static_cast<uint32_t>(batch.size()));
-  for (const auto& vec : batch) {
-    w.Raw(BytesView(EncodeCiphertextVec(vec)));
-  }
+  w.Raw(BytesView(EncodeCiphertextVecs(batch)));
   return w.Take();
 }
 
@@ -140,10 +144,10 @@ std::vector<uint32_t> RandomPermutation(size_t n, Rng& rng) {
 
 namespace {
 
-// Past ~12 multiplications by the same base, building a FixedBaseTable is
+// Past ~14 multiplications by the same base, building a FixedBaseTable is
 // cheaper than the generic Muls it replaces: the build costs ~31.2k field
-// mul/sqr (about ten 3.2k-op windowed Muls), and each table Mul (~450)
-// saves ~2.7k. 16 adds slack for the estimate.
+// mul/sqr (about eleven ~2.8k-op wNAF Muls), and each table Mul (~450)
+// saves ~2.4k. 16 adds slack for the estimate.
 constexpr size_t kTableBuildThreshold = 16;
 
 // Shared body: `pk_table` may be null (generic multiplication).
@@ -325,7 +329,6 @@ ShuffleResult ShuffleAndProveImpl(const Point& pk,
   result.output =
       ShuffleBatchImpl(pk, pk_table, input, rng, &perm, &rands, workers);
 
-  Point chain_base = ShuffleGens::Instance().ChainBase();
   std::vector<Point> hs = ShuffleGens::Instance().FirstN(n);
 
   // Inverse permutation: inv[j] = i with perm[i] = j.
@@ -360,17 +363,25 @@ ShuffleResult ShuffleAndProveImpl(const Point& pk,
     u_perm[i] = u[perm[i]];
   }
 
-  // Commitment chain ĉ[i] = r̂[i]·G + u'[i]·ĉ[i-1] (sequential by design).
+  // Commitment chain ĉ[i] = r̂[i]·G + u'[i]·ĉ[i-1], ĉ[-1] = H. Unrolled,
+  // ĉ[i] = R[i]·G + U[i]·H with R[i] = r̂[i] + u'[i]·R[i-1] (R[-1] = 0)
+  // and U[i] = u'[0]···u'[i]: the scalar recurrences are sequential, the
+  // points two fixed-base products each.
   std::vector<Scalar> rhat(n);
   for (size_t i = 0; i < n; i++) {
     rhat[i] = Scalar::Random(rng);
   }
-  proof.chain_commit.resize(n);
-  Point prev = chain_base;
+  std::vector<Scalar> chain_r(n), chain_u(n);  // R[i], U[i]
   for (size_t i = 0; i < n; i++) {
-    proof.chain_commit[i] = Point::BaseMul(rhat[i]) + prev.Mul(u_perm[i]);
-    prev = proof.chain_commit[i];
+    chain_r[i] = i == 0 ? rhat[0] : rhat[i] + u_perm[i] * chain_r[i - 1];
+    chain_u[i] = i == 0 ? u_perm[0] : u_perm[i] * chain_u[i - 1];
   }
+  const FixedBaseTable& chain_base = ChainBaseTable();
+  proof.chain_commit.resize(n);
+  ParallelFor(workers, n, [&](size_t i) {
+    proof.chain_commit[i] =
+        Point::BaseMul(chain_r[i]) + chain_base.Mul(chain_u[i]);
+  });
 
   // Aggregate witnesses.
   Scalar r_bar = Scalar::Zero();   // Σ r[j]
@@ -384,11 +395,6 @@ ShuffleResult ShuffleAndProveImpl(const Point& pk,
     for (size_t c = 0; c < l; c++) {
       r_prime[c] = r_prime[c] + u_perm[i] * rands[i][c];
     }
-  }
-  // Chain aggregate: R[i] = r̂[i] + u'[i]·R[i-1]; r̂ = R[n-1].
-  Scalar chain_r = Scalar::Zero();
-  for (size_t i = 0; i < n; i++) {
-    chain_r = rhat[i] + u_perm[i] * chain_r;
   }
 
   // Sigma commitments.
@@ -427,10 +433,14 @@ ShuffleResult ShuffleAndProveImpl(const Point& pk,
                                           : pk.Mul(w4[c]));
     }
   }
+  // t̂[i] = ŵ[i]·G + w'[i]·ĉ[i-1]
+  //      = (ŵ[i] + w'[i]·R[i-1])·G + (w'[i]·U[i-1])·H, with U[-1] = 1.
   proof.t_hat.resize(n);
   ParallelFor(workers, n, [&](size_t i) {
-    const Point& link = (i == 0) ? chain_base : proof.chain_commit[i - 1];
-    proof.t_hat[i] = Point::BaseMul(w_hat[i]) + link.Mul(w_prime[i]);
+    const Scalar g =
+        i == 0 ? w_hat[0] : w_hat[i] + w_prime[i] * chain_r[i - 1];
+    const Scalar h = i == 0 ? w_prime[0] : w_prime[i] * chain_u[i - 1];
+    proof.t_hat[i] = Point::BaseMul(g) + chain_base.Mul(h);
   });
 
   // Fiat-Shamir round 2: the main challenge.
@@ -455,7 +465,7 @@ ShuffleResult ShuffleAndProveImpl(const Point& pk,
 
   // Responses.
   proof.s1 = w1 + challenge * r_bar;
-  proof.s2 = w2 + challenge * chain_r;
+  proof.s2 = w2 + challenge * chain_r[n - 1];
   proof.s3 = w3 + challenge * r_tilde;
   proof.s4.resize(l);
   for (size_t c = 0; c < l; c++) {
@@ -508,7 +518,7 @@ bool VerifyShuffle(const Point& pk, const CiphertextBatch& input,
     return false;
   }
 
-  Point chain_base = ShuffleGens::Instance().ChainBase();
+  const Point& chain_base = ChainBase();
   std::vector<Point> hs = ShuffleGens::Instance().FirstN(n);
 
   // Recompute both Fiat-Shamir challenges.

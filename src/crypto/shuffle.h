@@ -89,9 +89,10 @@ struct ShuffleResult {
 };
 
 // Shuffles `input` under `pk` and proves it. `workers` parallelizes the
-// data-parallel parts (rerandomization, per-element commitments); the
-// commitment chain itself is inherently sequential, which is why the NIZK
-// variant's multi-core speed-up is sub-linear (paper Fig. 7).
+// point arithmetic (rerandomization, per-element commitments, the t3/t4
+// MSMs). The commitment chain is sequential only in its scalars: each
+// link ĉ[i] is computed in closed form as R[i]·G + U[i]·H from two
+// fixed-base tables.
 ShuffleResult ShuffleAndProve(const Point& pk, const CiphertextBatch& input,
                               Rng& rng, size_t workers = 1);
 ShuffleResult ShuffleAndProve(const FixedBaseTable& pk,

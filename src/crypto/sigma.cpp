@@ -60,6 +60,29 @@ Scalar ReEncChallenge(BytesView encoded, bool has_next) {
   return t.ChallengeScalar("e");
 }
 
+// Every claim's challenge, with one EncodePoints over all transcripts.
+std::vector<Scalar> ReEncChallenges(const Point& server_pk,
+                                    std::span<const ReEncClaim> claims) {
+  std::vector<Point> transcript_points;
+  transcript_points.reserve(kReEncTranscriptPoints * claims.size());
+  for (const ReEncClaim& claim : claims) {
+    AppendReEncTranscriptPoints(server_pk, claim.next_pk,
+                                NormalizeInput(claim.input), claim.output,
+                                claim.proof.a1, claim.proof.a2, claim.proof.a3,
+                                &transcript_points);
+  }
+  const Bytes encoded = EncodePoints(transcript_points);
+  constexpr size_t kClaimBytes = kReEncTranscriptPoints * Point::kEncodedSize;
+  std::vector<Scalar> challenges;
+  challenges.reserve(claims.size());
+  for (size_t i = 0; i < claims.size(); i++) {
+    challenges.push_back(ReEncChallenge(
+        BytesView(encoded).subspan(i * kClaimBytes, kClaimBytes),
+        claims[i].next_pk != nullptr));
+  }
+  return challenges;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- EncProof
@@ -222,37 +245,53 @@ std::optional<ReEncProof> ReEncProof::Decode(BytesView bytes) {
   return proof;
 }
 
+ReEncProof CommitReEncProof(const ReEncWitness& witness, const Point& kx_y,
+                            const Point* next_pk,
+                            const FixedBaseTable* next_table) {
+  ATOM_CHECK(next_table == nullptr ||
+             (next_pk != nullptr && next_table->base() == *next_pk));
+  ReEncProof proof;
+  proof.a1 = Point::BaseMul(witness.kx);
+  proof.a2 = Point::BaseMul(witness.kr);
+  // a3 commits to the c-relation: -kx*Y (+ kr*next_pk).
+  proof.a3 = kx_y.Neg();
+  if (next_pk != nullptr) {
+    proof.a3 = proof.a3 + (next_table != nullptr ? next_table->Mul(witness.kr)
+                                                 : next_pk->Mul(witness.kr));
+  }
+  return proof;
+}
+
+std::vector<ReEncProof> CompleteReEncProofs(
+    const Scalar& server_sk, const Point& server_pk,
+    std::span<const ReEncClaim> claims,
+    std::span<const ReEncWitness> witnesses) {
+  ATOM_CHECK(claims.size() == witnesses.size());
+  const std::vector<Scalar> challenges = ReEncChallenges(server_pk, claims);
+  std::vector<ReEncProof> proofs;
+  proofs.reserve(claims.size());
+  for (size_t i = 0; i < claims.size(); i++) {
+    ReEncProof& proof = proofs.emplace_back(claims[i].proof);
+    proof.zx = witnesses[i].kx + challenges[i] * server_sk;
+    proof.zr = witnesses[i].kr + challenges[i] * witnesses[i].rewrap;
+  }
+  return proofs;
+}
+
 ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
                           const Point* next_pk, const ElGamalCiphertext& input,
                           const ElGamalCiphertext& output,
                           const Scalar& rewrap_randomness, Rng& rng,
                           const FixedBaseTable* next_table) {
-  ATOM_CHECK(next_table == nullptr ||
-             (next_pk != nullptr && next_table->base() == *next_pk));
-  ElGamalCiphertext in = NormalizeInput(input);
-
-  Scalar kx = Scalar::Random(rng);
-  Scalar kr = Scalar::Random(rng);
-
-  ReEncProof proof;
-  proof.a1 = Point::BaseMul(kx);
-  proof.a2 = Point::BaseMul(kr);
-  // a3 commits to the c-relation: -kx*Y (+ kr*next_pk).
-  proof.a3 = in.y.Mul(kx).Neg();
-  if (next_pk != nullptr) {
-    proof.a3 = proof.a3 + (next_table != nullptr ? next_table->Mul(kr)
-                                                 : next_pk->Mul(kr));
-  }
-
-  std::vector<Point> transcript_points;
-  transcript_points.reserve(kReEncTranscriptPoints);
-  AppendReEncTranscriptPoints(server_pk, next_pk, in, output, proof.a1,
-                              proof.a2, proof.a3, &transcript_points);
-  Scalar e = ReEncChallenge(BytesView(EncodePoints(transcript_points)),
-                            next_pk != nullptr);
-  proof.zx = kx + e * server_sk;
-  proof.zr = kr + e * rewrap_randomness;
-  return proof;
+  ReEncWitness witness;
+  witness.rewrap = rewrap_randomness;
+  witness.kx = Scalar::Random(rng);
+  witness.kr = Scalar::Random(rng);
+  const ReEncProof commitments = CommitReEncProof(
+      witness, NormalizeInput(input).y.Mul(witness.kx), next_pk, next_table);
+  const ReEncClaim claim{next_pk, input, output, commitments};
+  return CompleteReEncProofs(server_sk, server_pk, std::span(&claim, 1),
+                             std::span(&witness, 1))[0];
 }
 
 bool VerifyReEncProofBatch(const Point& server_pk,
@@ -263,35 +302,21 @@ bool VerifyReEncProofBatch(const Point& server_pk,
   }
   std::vector<ElGamalCiphertext> ins;
   ins.reserve(n);
-  Bytes encoded;
-  {
-    std::vector<Point> transcript_points;
-    transcript_points.reserve(kReEncTranscriptPoints * n);
-    for (const ReEncClaim& claim : claims) {
-      ins.push_back(NormalizeInput(claim.input));
-      // The hop's Y must carry through unchanged.
-      if (!(claim.output.y == ins.back().y)) {
-        return false;
-      }
-      AppendReEncTranscriptPoints(server_pk, claim.next_pk, ins.back(),
-                                  claim.output, claim.proof.a1,
-                                  claim.proof.a2, claim.proof.a3,
-                                  &transcript_points);
+  for (const ReEncClaim& claim : claims) {
+    ins.push_back(NormalizeInput(claim.input));
+    // The hop's Y must carry through unchanged.
+    if (!(claim.output.y == ins.back().y)) {
+      return false;
     }
-    encoded = EncodePoints(transcript_points);
-  }  // frees the point copies before the MSM inputs are built
-  constexpr size_t kClaimBytes = kReEncTranscriptPoints * Point::kEncodedSize;
+  }
 
   // Batch weights hash every challenge (which binds its claim's statement
   // and commitments) and every response. A prover who could predict the
   // weights could offset an error in one relation by one in another.
-  std::vector<Scalar> challenges(n);
+  const std::vector<Scalar> challenges = ReEncChallenges(server_pk, claims);
   Transcript t("atom/reenc-proof-batch/v1");
   t.AppendU64("n", n);
   for (size_t i = 0; i < n; i++) {
-    challenges[i] =
-        ReEncChallenge(BytesView(encoded).subspan(i * kClaimBytes, kClaimBytes),
-                       claims[i].next_pk != nullptr);
     t.AppendScalar("e", challenges[i]);
     t.AppendScalar("zx", claims[i].proof.zx);
     t.AppendScalar("zr", claims[i].proof.zr);

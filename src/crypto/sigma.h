@@ -18,11 +18,15 @@
 // combination test (Bellare-Garay-Rabin): one BaseMul plus one MSM
 // (MultiScalarMul) per batch. ReEncProofs are only ever verified in batches
 // (VerifyReEncProof is the one-claim batch); EncProof vectors switch to the
-// batch test from 2 proofs up. Proving stays per proof.
+// batch test from 2 proofs up. EncProofs are proved one at a time; a
+// server's ReEncProofs one step at a time, with one batch encoding of all
+// the step's challenge transcripts.
 #ifndef SRC_CRYPTO_SIGMA_H_
 #define SRC_CRYPTO_SIGMA_H_
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "src/crypto/elgamal.h"
 #include "src/crypto/p256.h"
@@ -87,24 +91,53 @@ struct ReEncProof {
   static std::optional<ReEncProof> Decode(BytesView bytes);
 };
 
-// `input` is the ciphertext as received (Y possibly ⊥); the Y normalization
-// (Y ← R, R ← identity) is recomputed by both prover and verifier.
-// `next_table`, when given, must be next_pk's FixedBaseTable; it replaces
-// the one variable-base multiplication by next_pk (same output bytes).
-ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
-                          const Point* next_pk, const ElGamalCiphertext& input,
-                          const ElGamalCiphertext& output,
-                          const Scalar& rewrap_randomness, Rng& rng,
-                          const FixedBaseTable* next_table = nullptr);
-
 // One ReEnc statement and its proof. The claim refers to its parts; they
-// must outlive the verification call.
+// must outlive the call it is passed to.
 struct ReEncClaim {
   const Point* next_pk;  // nullptr at the exit layer
   const ElGamalCiphertext& input;   // as received (Y possibly ⊥)
   const ElGamalCiphertext& output;
   const ReEncProof& proof;
 };
+
+// The prover's secrets for one statement: the rewrap witness r' (zero at
+// the exit layer) and the proof nonces kx, kr.
+struct ReEncWitness {
+  Scalar rewrap;
+  Scalar kx, kr;
+};
+
+// The prover, in the two parts a server's reencryption step runs
+// (ReEncStep, src/core/group_runtime.h): the commitments of each proof
+// inside the step's parallel loop, beside the decryption share x·Y that
+// MulPairs computes from the same table of Y as kx·Y, then every
+// challenge and response of the step at once.
+//
+// CommitReEncProof: a1 = kx·G, a2 = kr·G and a3 = kr·N - kx_y, where
+// kx_y = kx·Y for the normalized input's Y and N = next_pk (no term at
+// the exit layer). `next_table`, when given, must be N's FixedBaseTable;
+// it replaces the multiplication by N (same output bytes). zx, zr are
+// left for CompleteReEncProofs.
+ReEncProof CommitReEncProof(const ReEncWitness& witness, const Point& kx_y,
+                            const Point* next_pk,
+                            const FixedBaseTable* next_table = nullptr);
+
+// Completes claims[i].proof, committed with witnesses[i]: the challenges of
+// all claims from one EncodePoints over their transcripts, then
+// zx = kx + e·server_sk and zr = kr + e·r'.
+std::vector<ReEncProof> CompleteReEncProofs(
+    const Scalar& server_sk, const Point& server_pk,
+    std::span<const ReEncClaim> claims,
+    std::span<const ReEncWitness> witnesses);
+
+// The one-claim step: draws kx then kr from `rng` and proves that `output`
+// is ReEnc of `input` (as received; the Y normalization Y ← R, R ← identity
+// is recomputed by prover and verifier alike).
+ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
+                          const Point* next_pk, const ElGamalCiphertext& input,
+                          const ElGamalCiphertext& output,
+                          const Scalar& rewrap_randomness, Rng& rng,
+                          const FixedBaseTable* next_table = nullptr);
 
 // Verifies every claim against one server key. Each claim's Y must carry
 // through unchanged (checked per claim); the three relations of all claims

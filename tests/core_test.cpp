@@ -10,8 +10,10 @@
 
 #include "src/core/round.h"
 #include "src/crypto/kem.h"
+#include "src/crypto/sha256.h"
 #include "src/util/hex.h"
 #include "src/util/rng.h"
+#include "src/util/serde.h"
 
 namespace atom {
 namespace {
@@ -268,6 +270,56 @@ TEST(GroupHop, CallerTablesLeaveTheHopUnchanged) {
         EXPECT_EQ(one[0]->base(), f.next_a.pk());
       }
     }
+  }
+}
+
+// Proof-byte pin for the NIZK reencryption step: the SHA-256 of seeded
+// ReEncStep outputs and proofs, recorded before the step computed its
+// decryption shares and proof commitments together. Seeded round digests
+// cover no proof byte. Three steps: server 1 on a fresh shuffle output
+// (Y = ⊥) with rewrap tables, server 2 on that output (Y set) with the
+// generic next-key multiplication, and server 3 at the exit layer. The
+// worker count must not matter.
+TEST(GroupHop, SeededReEncStepBytesArePinned) {
+  constexpr const char* kPin =
+      "182d5e6055583ab17f0d4b07906a67c6ccb75ae4a46224e8cc240b5a87fe8ab3";
+  for (size_t workers : {1u, 4u}) {
+    HopFixture f;
+    const std::vector<Point> next_pks = {f.next_a.pk(), f.next_b.pk()};
+    const std::vector<uint32_t> subset = {1, 2, 3};
+    std::vector<CiphertextBatch> subs =
+        DivideBatch(f.MakeBatch(6, 3), next_pks.size());
+    const auto tables = RewrapTables(next_pks, subs, subset.size());
+    ASSERT_NE(tables[0], nullptr);
+    const std::vector<std::shared_ptr<const FixedBaseTable>> no_tables(
+        next_pks.size());
+    ByteWriter w;
+    auto step = [&](uint32_t s, std::span<const CiphertextBatch> inputs,
+                    std::span<const Point> next,
+                    std::span<const std::shared_ptr<const FixedBaseTable>> t) {
+      const Scalar share = WeightedShare(f.group.dkg().keys[s - 1], subset);
+      const Point share_pub = WeightedSharePublic(f.group.dkg().pub, s, subset);
+      ReEncStepResult result = ReEncStep(share, share_pub, inputs, next, t,
+                                         Variant::kNizk, f.rng, workers);
+      EXPECT_TRUE(CheckReEncStep(share_pub, inputs, result.outputs, next,
+                                 result.proofs));
+      for (const CiphertextBatch& out : result.outputs) {
+        for (const ElGamalCiphertextVec& vec : out) {
+          w.Raw(BytesView(EncodeCiphertextVec(vec)));
+        }
+      }
+      for (const ReEncProof& proof : result.proofs) {
+        w.Raw(BytesView(proof.Encode()));
+      }
+      return std::move(result.outputs);
+    };
+    subs = step(1, subs, next_pks, tables);
+    step(2, subs, next_pks, no_tables);
+    const std::vector<CiphertextBatch> exit = {f.MakeBatch(4, 3)};
+    step(3, exit, {}, {});
+    const auto digest = Sha256::Hash(BytesView(w.bytes()));
+    EXPECT_EQ(HexEncode(BytesView(digest.data(), digest.size())), kPin)
+        << "workers=" << workers;
   }
 }
 

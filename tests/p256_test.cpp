@@ -437,6 +437,111 @@ TEST(P256, MsmCancellingAndRepeatedTerms) {
   }
 }
 
+// ------------------------------------------------ variable-base kernels --
+
+// Point::Mul (width-5 NAF over Jacobian odd multiples) and MulPairs (each
+// scalar split at bit 128, over affine tables of P and 2^128·P) against
+// two oracles that share no code with them: the discrete-log oracle
+// (base = a·G, so base·k must be BaseMul(a·k), a FixedBaseTable product)
+// and a one-term MultiScalarMul (Straus, width 4).
+void ExpectVariableBaseMatchesOracles(const Scalar& a, const Scalar& k) {
+  const Point base = Point::BaseMul(a);
+  const Point expect = Point::BaseMul(a * k);
+  EXPECT_EQ(base.Mul(k), expect);
+  EXPECT_EQ(MultiScalarMul(std::vector<Point>{base}, std::vector<Scalar>{k}),
+            expect);
+  Point out_a, out_b;
+  const Scalar other = k + Scalar::One();
+  MulPairs(std::span(&base, 1), std::span(&k, 1), std::span(&other, 1),
+           std::span(&out_a, 1), std::span(&out_b, 1));
+  EXPECT_EQ(out_a, expect);
+  EXPECT_EQ(out_b, Point::BaseMul(a * other));
+}
+
+// 2^k for k <= 255 (below n, so the scalar's plain value is 2^k).
+Scalar PowerOfTwo(int k) { return WindowPattern(1, 1, k) + Scalar::One(); }
+
+// 0, 1, 2, n - 1, n - 2 and 2^255. n - 1 and n - 2 have their top 32 bits
+// set, so their width-5 NAF carries into a digit at bit 256; so do
+// 2^256 - 2^251 + 2^250 - 1 (five top bits, then a low all-ones run) and
+// 2^255 - 1 (every window all ones). Every window 17 recodes to digits
+// -15 with a carry each; every window 16 is the largest digit without one.
+// Where MulPairs splits: 2^128 - 1 (the low half's NAF carries into bit
+// 128), 2^128 (a zero low half) and 2^127 (a zero high half).
+TEST(P256, WnafMulEdgeScalars) {
+  Rng rng(46u);
+  const Scalar minus_one = Scalar::Zero() - Scalar::One();
+  const Scalar two_255 = PowerOfTwo(255);
+  const Scalar scalars[] = {
+      Scalar::Zero(),
+      Scalar::One(),
+      Scalar::FromU64(2),
+      minus_one,
+      minus_one - Scalar::One(),
+      two_255,
+      two_255 + two_255 - PowerOfTwo(251) + WindowPattern(1, 1, 250),
+      WindowPattern(5, 31, 51),
+      WindowPattern(5, 17, 51),
+      WindowPattern(5, 16, 51),
+      WindowPattern(1, 1, 128),
+      PowerOfTwo(128),
+      PowerOfTwo(127),
+  };
+  for (const Scalar& k : scalars) {
+    for (int i = 0; i < 4; i++) {
+      ExpectVariableBaseMatchesOracles(Scalar::Random(rng), k);
+    }
+    EXPECT_EQ(Point::Generator().Mul(k), Point::BaseMul(k));
+    EXPECT_TRUE(Point::Infinity().Mul(k).IsInfinity());
+  }
+  const Point base = Point::BaseMul(Scalar::Random(rng));
+  EXPECT_TRUE((base.Mul(minus_one) + base).IsInfinity());
+  EXPECT_EQ(base.Mul(Scalar::FromU64(2)), base.Double());
+}
+
+TEST(P256, WnafMulRandomPairs) {
+  Rng rng(47u);
+  for (int i = 0; i < 1000; i++) {
+    const Scalar a = Scalar::Random(rng);
+    ExpectVariableBaseMatchesOracles(a, Scalar::Random(rng));
+  }
+}
+
+// One MulPairs call over many bases shares one inversion across all their
+// tables; identity bases and zero scalars anywhere in the spans yield the
+// identity without disturbing their neighbours.
+TEST(P256, MulPairsBatchWithIdentitiesAndZeros) {
+  Rng rng(48u);
+  constexpr size_t kN = 40;
+  std::vector<Scalar> logs(kN), a(kN), b(kN);
+  std::vector<Point> bases(kN);
+  for (size_t i = 0; i < kN; i++) {
+    logs[i] = i % 7 == 3 ? Scalar::Zero() : Scalar::Random(rng);
+    bases[i] = logs[i].IsZero() ? Point::Infinity() : Point::BaseMul(logs[i]);
+    a[i] = i % 5 == 1 ? Scalar::Zero() : Scalar::Random(rng);
+    b[i] = i % 6 == 2   ? Scalar::Zero()
+           : i % 4 == 0 ? a[i]
+                        : Scalar::Random(rng);
+  }
+  std::vector<Point> out_a(kN), out_b(kN);
+  MulPairs(bases, a, b, out_a, out_b);
+  for (size_t i = 0; i < kN; i++) {
+    EXPECT_EQ(out_a[i], Point::BaseMul(logs[i] * a[i])) << i;
+    EXPECT_EQ(out_b[i], Point::BaseMul(logs[i] * b[i])) << i;
+    EXPECT_EQ(out_a[i], bases[i].Mul(a[i])) << i;
+  }
+  std::vector<Point> none;
+  std::vector<Scalar> no_scalars;
+  MulPairs(none, no_scalars, no_scalars, none, none);
+  const std::vector<Point> identities(3);
+  std::vector<Point> out(3, Point::Generator()), out2(3, Point::Generator());
+  MulPairs(identities, std::span(a).first(3), std::span(b).first(3), out,
+           out2);
+  for (size_t i = 0; i < 3; i++) {
+    EXPECT_TRUE(out[i].IsInfinity() && out2[i].IsInfinity());
+  }
+}
+
 TEST(P256, HashToPointDeterministicAndDistinct) {
   Point a1 = HashToPoint(BytesView(ToBytes("label-a")));
   Point a2 = HashToPoint(BytesView(ToBytes("label-a")));

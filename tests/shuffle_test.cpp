@@ -6,7 +6,9 @@
 
 #include <algorithm>
 
+#include "src/crypto/sha256.h"
 #include "src/crypto/shuffle.h"
+#include "src/util/hex.h"
 #include "src/util/rng.h"
 
 namespace atom {
@@ -292,6 +294,38 @@ TEST(ShuffleProofSoundness, RejectsCrossRelationCancellingPair) {
   evil.s_hat[1] = evil.s_hat[1] + Scalar::One();
   evil.s_hat[5] = evil.s_hat[5] - Scalar::One();
   EXPECT_FALSE(VerifyShuffle(kp.pk, batch, result.output, evil));
+}
+
+// Proof-byte pin: the SHA-256 of a seeded proof's encoding, recorded
+// before the prover computed the commitment chain in closed form. Seeded
+// round digests cover no proof byte, so a prover change that keeps the
+// proofs verifying but moves one group element (or one Rng draw) fails
+// here. 8x3 takes the group-key table path, 3x1 the generic multiplication
+// below the table threshold; the worker count must not matter.
+TEST(ShuffleProof, SeededProofBytesArePinned) {
+  struct Pin {
+    size_t n, l;
+    const char* sha256;
+  };
+  const Pin pins[] = {
+      {8, 3,
+       "ac8858b1d4da015a9e3de938232bbf30946a11bc42c938d737c568db70f466b1"},
+      {3, 1,
+       "b2915f4beb59f0d328c7e81fdf79a4db4a09aa1ad00be756c5316a38008fa3f5"},
+  };
+  for (const Pin& pin : pins) {
+    for (size_t workers : {1u, 4u}) {
+      Rng rng(uint64_t{0x5eed} + pin.n);
+      auto kp = ElGamalKeyGen(rng);
+      auto batch = MakeBatch(kp.pk, pin.n, pin.l, rng);
+      auto result = ShuffleAndProve(kp.pk, batch, rng, workers);
+      ASSERT_TRUE(VerifyShuffle(kp.pk, batch, result.output, result.proof));
+      const auto digest = Sha256::Hash(BytesView(result.proof.Encode()));
+      EXPECT_EQ(HexEncode(BytesView(digest.data(), digest.size())),
+                pin.sha256)
+          << pin.n << "x" << pin.l << " workers=" << workers;
+    }
+  }
 }
 
 }  // namespace
