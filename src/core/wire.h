@@ -21,6 +21,9 @@ std::optional<TrapSubmission> DecodeTrapSubmission(BytesView bytes);
 
 // Inter-server protocol envelopes (the node runtime's messages): what a
 // network transport puts on the wire between Atom servers (src/net/).
+// Only non-empty fields, and only batch columns that are not ⊥ throughout,
+// are sent; decoding is canonical, so re-encoding an accepted frame gives
+// back its bytes (layout in wire.cpp).
 Bytes EncodeNodeMsg(const NodeMsg& msg);
 std::optional<NodeMsg> DecodeNodeMsg(BytesView bytes);
 

@@ -253,9 +253,11 @@ std::optional<ShuffleProof> ShuffleProof::Decode(BytesView bytes) {
   if (!n || !l || *n == 0 || *l == 0 || *n > (1u << 24) || *l > (1u << 16)) {
     return std::nullopt;
   }
-  // The proof stores > 2n points and > 2n scalars; a count beyond what the
-  // buffer could possibly hold is malformed (and must not drive reserve()).
-  if (*n > r.remaining() / (2 * Point::kEncodedSize + 64)) {
+  // The proof stores > 2n points and > 2n scalars, and 2l points and l
+  // scalars; a count beyond what the buffer could possibly hold is
+  // malformed (and must not drive reserve()).
+  if (*n > r.remaining() / (2 * Point::kEncodedSize + 64) ||
+      *l > r.remaining() / (2 * Point::kEncodedSize + 32)) {
     return std::nullopt;
   }
   auto get_points = [&r](size_t count,

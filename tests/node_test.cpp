@@ -408,5 +408,86 @@ TEST(NodeRuntime, WireRejectsMalformedNodeMsgs) {
   EXPECT_FALSE(DecodeNodeMsg(BytesView(bad)).has_value());
 }
 
+// ------------------------------------------------------- mesh wire sizes
+
+// A kHopBatch envelope as a group's last server sends it: n vectors of l
+// fresh ciphertexts (y = ⊥, as FinalizeHop leaves it).
+Envelope HopBatchEnvelope(size_t n, size_t l, Rng& rng) {
+  Point pk = Point::BaseMul(Scalar::Random(rng));
+  Envelope env;
+  env.to_server = 5;
+  env.round_id = 9;
+  env.msg.type = NodeMsg::Type::kHopBatch;
+  env.msg.gid = 1;
+  env.msg.chain_pos = 2;
+  env.msg.prev_pos = 3;
+  for (size_t i = 0; i < n; i++) {
+    std::vector<Point> ms;
+    for (size_t j = 0; j < l; j++) {
+      ms.push_back(Point::BaseMul(Scalar::Random(rng)));
+    }
+    env.msg.batch.push_back(ElGamalEncryptVec(pk, ms, rng));
+  }
+  return env;
+}
+
+// Decodes `enc`, checks the batch came back intact, and re-encodes.
+void ExpectExactRoundTrip(const Envelope& env, const Bytes& enc) {
+  auto dec = DecodeEnvelope(BytesView(enc));
+  ASSERT_TRUE(dec.has_value());
+  EXPECT_EQ(dec->msg.batch, env.msg.batch);
+  EXPECT_EQ(EncodeEnvelope(*dec), enc);
+}
+
+TEST(MeshWire, HopBatchEnvelopeSizeIsPinned) {
+  // 12 B envelope header, 15 B fixed NodeMsg header plus field mask, 5 B
+  // vector count plus column byte, then per vector a u32 count and 66 B
+  // (r and c, no y) per ciphertext.
+  Rng rng(uint64_t{9300});
+  for (auto [n, l] : {std::pair<size_t, size_t>{8, 3}, {1, 5}}) {
+    Envelope env = HopBatchEnvelope(n, l, rng);
+    Bytes enc = EncodeEnvelope(env);
+    EXPECT_EQ(enc.size(), 12 + 15 + 5 + n * (4 + 66 * l)) << n << "x" << l;
+    ExpectExactRoundTrip(env, enc);
+  }
+}
+
+TEST(MeshWire, BatchWithYSetRoundTripsExactly) {
+  // Mid-group batches carry Y: the y column is sent, 99 B per ciphertext.
+  Rng rng(uint64_t{9301});
+  Envelope env = HopBatchEnvelope(2, 3, rng);
+  Scalar sk = Scalar::Random(rng);
+  Point next = Point::BaseMul(Scalar::Random(rng));
+  for (auto& vec : env.msg.batch) {
+    for (auto& ct : vec) {
+      ct = ElGamalReEnc(sk, &next, ct, rng);
+      ASSERT_FALSE(ct.YIsNull());
+    }
+  }
+  Bytes enc = EncodeEnvelope(env);
+  EXPECT_EQ(enc.size(), 12 + 15 + 5 + 2 * (4 + 99 * 3));
+  ExpectExactRoundTrip(env, enc);
+
+  // One y set among ⊥s still sends the column, with the ⊥s as zeros.
+  Envelope one = HopBatchEnvelope(2, 2, rng);
+  one.msg.batch[1][0].y = next;
+  ExpectExactRoundTrip(one, EncodeEnvelope(one));
+}
+
+TEST(MeshWire, ExitShapedBatchWithoutRRoundTripsExactly) {
+  // The exit layer strips without rewrapping, so r = ⊥ everywhere and only
+  // c is sent: 33 B per ciphertext.
+  Rng rng(uint64_t{9302});
+  Envelope env = HopBatchEnvelope(3, 2, rng);
+  for (auto& vec : env.msg.batch) {
+    for (auto& ct : vec) {
+      ct.r = Point::Infinity();
+    }
+  }
+  Bytes enc = EncodeEnvelope(env);
+  EXPECT_EQ(enc.size(), 12 + 15 + 5 + 3 * (4 + 33 * 2));
+  ExpectExactRoundTrip(env, enc);
+}
+
 }  // namespace
 }  // namespace atom
