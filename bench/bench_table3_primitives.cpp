@@ -11,9 +11,10 @@
 // artifact upload; the full google-benchmark table is skipped. Exits 1 when
 // the dedicated field Mul is less than kFieldMulGate times faster than the
 // generic Mont oracle, when batch-verifying 24 ReEncProofs costs no less
-// per proof than verifying one claim at a time, or when batch-verifying an
+// per proof than verifying one claim at a time, when batch-verifying an
 // intake span of 8 Schnorr signatures costs no less per signature than
-// verifying them one at a time.
+// verifying them one at a time, or when one chained check of a NIZK hop's
+// 2k proofs costs no less than checking its steps one by one.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <string_view>
 
 #include "bench/bench_common.h"
+#include "src/core/group_runtime.h"
 #include "src/crypto/fp256.h"
 #include "src/crypto/mont.h"
 #include "src/crypto/schnorr.h"
@@ -651,6 +653,95 @@ bool MeasureProofVerify(BenchJson& json, bool smoke) {
   return ok;
 }
 
+// One NIZK hop's verification at (n, l, k, β) = (8, 3, 3, 4), the shape
+// of a dialing_nizk hop: the 2k per-step checks (CheckShuffleStep and
+// CheckReEncStep, what AtomNode and RunHop's blame fallback run) against
+// the one chained check RunHop runs (CheckHopProofs), one worker each.
+// Rows alternate for `rounds` rounds and keep their fastest. Returns false
+// unless the chained check is cheaper.
+bool MeasureHopVerify(BenchJson& json, bool smoke) {
+  constexpr size_t kN = 8, kL = 3, kK = 3, kBeta = 4;
+  Rng rng(uint64_t{0x7ab1e6});
+  GroupRuntime group(0, RunDkg(DkgParams{kK, kK}, rng));
+  std::vector<Point> next_pks;
+  for (size_t b = 0; b < kBeta; b++) {
+    next_pks.push_back(ElGamalKeyGen(rng).pk);
+  }
+  const Point m = *EmbedMessage(BytesView(ToBytes("dial")));
+  CiphertextBatch input(kN);
+  for (auto& vec : input) {
+    for (size_t c = 0; c < kL; c++) {
+      vec.push_back(ElGamalEncrypt(group.pk(), m, rng));
+    }
+  }
+
+  // The hop's steps, as RunHop runs them.
+  std::vector<uint32_t> subset;
+  for (uint32_t s = 1; s <= kK; s++) {
+    subset.push_back(s);
+  }
+  HopProofs hop;
+  for (size_t s = 0; s < kK; s++) {
+    ShuffleStepResult step =
+        ShuffleStep(group.pk_table(), s == 0 ? input : hop.shuffled.back(),
+                    Variant::kNizk, rng);
+    hop.shuffled.push_back(std::move(step.output));
+    hop.shuffle_proofs.push_back(std::move(*step.proof));
+  }
+  const std::vector<CiphertextBatch> divided =
+      DivideBatch(hop.shuffled.back(), kBeta);
+  const auto tables = RewrapTables(next_pks, divided, kK);
+  for (uint32_t s : subset) {
+    const Point share_pub = WeightedSharePublic(group.dkg().pub, s, subset);
+    ReEncStepResult step = ReEncStep(
+        WeightedShare(group.dkg().keys[s - 1], subset), share_pub,
+        hop.reencrypted.empty() ? divided : hop.reencrypted.back(), next_pks,
+        tables, Variant::kNizk, rng);
+    hop.share_pubs.push_back(share_pub);
+    hop.reencrypted.push_back(std::move(step.outputs));
+    hop.reenc_proofs.push_back(std::move(step.proofs));
+  }
+
+  double per_step_ms = 1e30, chained_ms = 1e30;
+  const int rounds = smoke ? 5 : 15;
+  for (int round = 0; round < rounds; round++) {
+    auto t0 = std::chrono::steady_clock::now();
+    for (size_t s = 0; s < kK; s++) {
+      ATOM_CHECK(CheckShuffleStep(group.pk(),
+                                  s == 0 ? input : hop.shuffled[s - 1],
+                                  hop.shuffled[s], &hop.shuffle_proofs[s]));
+    }
+    for (size_t s = 0; s < kK; s++) {
+      ATOM_CHECK(CheckReEncStep(hop.share_pubs[s],
+                                s == 0 ? divided : hop.reencrypted[s - 1],
+                                hop.reencrypted[s], next_pks,
+                                hop.reenc_proofs[s]));
+    }
+    per_step_ms = std::min(per_step_ms, 1e3 * SecondsSince(t0));
+    t0 = std::chrono::steady_clock::now();
+    ATOM_CHECK(CheckHopProofs(group.pk(), input, next_pks, hop));
+    chained_ms = std::min(chained_ms, 1e3 * SecondsSince(t0));
+  }
+
+  std::printf("hop verify n=%zu l=%zu k=%zu beta=%zu: %zu per-step checks "
+              "%.2f ms, chained %.2f ms\n",
+              kN, kL, kK, kBeta, 2 * kK, per_step_ms, chained_ms);
+  const size_t row = json.Row();
+  json.RowNum(row, "hop_verify_n", static_cast<double>(kN));
+  json.RowNum(row, "hop_verify_l", static_cast<double>(kL));
+  json.RowNum(row, "hop_verify_k", static_cast<double>(kK));
+  json.RowNum(row, "hop_verify_beta", static_cast<double>(kBeta));
+  json.RowNum(row, "per_step_ms", per_step_ms);
+  json.RowNum(row, "chained_ms", chained_ms);
+  const bool ok = chained_ms < per_step_ms;
+  if (!ok) {
+    std::printf("FAIL: chained hop verify %.2f ms is not below the per-step "
+                "%.2f ms\n",
+                chained_ms, per_step_ms);
+  }
+  return ok;
+}
+
 }  // namespace
 }  // namespace atom
 
@@ -679,6 +770,7 @@ int main(int argc, char** argv) {
     MeasureMsm(json, smoke);
     ok = MeasureIntakeVerify(json, smoke) && ok;
     ok = MeasureProofVerify(json, smoke) && ok;
+    ok = MeasureHopVerify(json, smoke) && ok;
   }  // write the JSON before the (skippable) google-benchmark table
   if (!smoke) {
     int bench_argc = static_cast<int>(bench_argv.size());

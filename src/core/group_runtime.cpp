@@ -21,6 +21,93 @@ void Maul(ElGamalCiphertext* ct) {
   ct->c = ct->c + Point::Generator();
 }
 
+// Sub-batch b's size when DivideBatch splits n messages β ways: the first
+// (n % β) sub-batches take one message more.
+size_t SubBatchSize(size_t n, size_t beta, size_t b) {
+  return n / beta + (b < n % beta ? 1 : 0);
+}
+
+using SubBatchView = std::span<const ElGamalCiphertextVec>;
+
+std::vector<SubBatchView> Views(std::span<const CiphertextBatch> subs) {
+  return {subs.begin(), subs.end()};
+}
+
+// The sub-batches DivideBatch would make of `batch`, as views into it.
+std::vector<SubBatchView> SubBatchViews(const CiphertextBatch& batch,
+                                        size_t beta) {
+  std::vector<SubBatchView> views;
+  views.reserve(beta);
+  size_t offset = 0;
+  for (size_t b = 0; b < beta; b++) {
+    const size_t size = SubBatchSize(batch.size(), beta, b);
+    views.push_back(SubBatchView(batch).subspan(offset, size));
+    offset += size;
+  }
+  return views;
+}
+
+// One reencryption step's claims, in (sub-batch, message, component)
+// order; false when inputs, outputs and proofs differ in shape.
+bool StepClaims(std::span<const SubBatchView> inputs,
+                std::span<const CiphertextBatch> outputs,
+                std::span<const Point> next_pks,
+                std::span<const ReEncProof> proofs,
+                std::vector<ReEncClaim>* claims) {
+  const size_t beta = next_pks.empty() ? 1 : next_pks.size();
+  if (inputs.size() != beta || outputs.size() != beta) {
+    return false;
+  }
+  claims->reserve(proofs.size());
+  for (size_t b = 0; b < beta; b++) {
+    const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
+    if (inputs[b].size() != outputs[b].size()) {
+      return false;
+    }
+    for (size_t m = 0; m < inputs[b].size(); m++) {
+      if (inputs[b][m].size() != outputs[b][m].size()) {
+        return false;
+      }
+      for (size_t c = 0; c < inputs[b][m].size(); c++) {
+        if (claims->size() == proofs.size()) {
+          return false;
+        }
+        claims->push_back(ReEncClaim{next, inputs[b][m][c], outputs[b][m][c],
+                                     proofs[claims->size()]});
+      }
+    }
+  }
+  return claims->size() == proofs.size();
+}
+
+// The abort reason of a hop whose combined check failed: the first step,
+// in chain order, whose own check fails. `divided` is the first
+// reencryption step's input.
+std::string BlameHopStep(const Point& group_pk, const CiphertextBatch& input,
+                         std::span<const CiphertextBatch> divided,
+                         std::span<const Point> next_pks,
+                         const HopProofs& hop, std::span<const uint32_t> subset,
+                         size_t workers) {
+  auto rejected = [&](const char* what, size_t s) {
+    return std::string(what) + " proof rejected (server " +
+           std::to_string(subset[s]) + ")";
+  };
+  for (size_t s = 0; s < subset.size(); s++) {
+    if (!CheckShuffleStep(group_pk, s == 0 ? input : hop.shuffled[s - 1],
+                          hop.shuffled[s], &hop.shuffle_proofs[s], workers)) {
+      return rejected("shuffle", s);
+    }
+  }
+  for (size_t s = 0; s < subset.size(); s++) {
+    if (!CheckReEncStep(hop.share_pubs[s],
+                        s == 0 ? divided : hop.reencrypted[s - 1],
+                        hop.reencrypted[s], next_pks, hop.reenc_proofs[s])) {
+      return rejected("reencryption", s);
+    }
+  }
+  return "hop proofs rejected, though every step's own check passed";
+}
+
 }  // namespace
 
 GroupRuntime::GroupRuntime(uint32_t gid, DkgResult dkg)
@@ -79,18 +166,16 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
     return evil != nullptr && evil->kind == kind &&
            evil->server_index == server;
   };
-  auto reject = [&](const char* what, uint32_t server) {
-    result.aborted = true;
-    result.abort_reason = std::string(what) + " proof rejected (server " +
-                          std::to_string(server) + ")";
-    return std::move(result);
-  };
+  const bool nizk = variant == Variant::kNizk;
+  HopProofs proofs;
 
-  // ---- Phase 1: shuffle chain, every step checked (NIZK).
-  CiphertextBatch batch = input;
+  // ---- Phase 1: shuffle chain.
+  proofs.shuffled.reserve(subset.size());
   for (uint32_t s : subset) {
+    const CiphertextBatch& in =
+        proofs.shuffled.empty() ? input : proofs.shuffled.back();
     auto t0 = Clock::now();
-    ShuffleStepResult step = ShuffleStep(pk_table(), batch, variant, rng,
+    ShuffleStepResult step = ShuffleStep(pk_table(), in, variant, rng,
                                          workers);
     result.stats.shuffle_seconds += SecondsSince(t0);
     CiphertextBatch& out = step.output;
@@ -101,49 +186,109 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
       size_t t = evil->target_message % out.size();
       out[t] = out[(t + 1) % out.size()];
     }
-    if (variant == Variant::kNizk) {
-      auto t1 = Clock::now();
-      bool ok = CheckShuffleStep(pk(), batch, out, &*step.proof, workers);
-      result.stats.verify_seconds += SecondsSince(t1);
-      if (!ok) {
-        return reject("shuffle", s);
-      }
+    if (nizk) {
+      proofs.shuffle_proofs.push_back(std::move(*step.proof));
+    } else {
+      proofs.shuffled.clear();  // only the NIZK check reads earlier steps
     }
-    batch = std::move(out);
+    proofs.shuffled.push_back(std::move(out));
   }
 
-  // ---- Phase 2: divide into β contiguous sub-batches.
-  std::vector<CiphertextBatch> batches =
-      DivideBatch(std::move(batch), next_pks.empty() ? 1 : next_pks.size());
+  // ---- Phase 2: divide into β contiguous sub-batches. The NIZK check
+  // reads the last shuffle output too; a trap hop hands it on.
+  const std::vector<CiphertextBatch> divided = DivideBatch(
+      nizk ? proofs.shuffled.back() : std::move(proofs.shuffled.back()),
+      next_pks.empty() ? 1 : next_pks.size());
 
-  // ---- Phase 3: decrypt-and-reencrypt chain, every step checked (NIZK).
+  // ---- Phase 3: decrypt-and-reencrypt chain.
   const auto tables =
-      RewrapTables(next_pks, batches, subset.size(), next_tables);
+      RewrapTables(next_pks, divided, subset.size(), next_tables);
+  proofs.reencrypted.reserve(subset.size());
   for (uint32_t s : subset) {
+    const std::vector<CiphertextBatch>& in =
+        proofs.reencrypted.empty() ? divided : proofs.reencrypted.back();
     Scalar weighted = WeightedShare(dkg_.keys[s - 1], subset);
     Point weighted_pub = WeightedSharePublic(dkg_.pub, s, subset);
     auto t0 = Clock::now();
-    ReEncStepResult step = ReEncStep(weighted, weighted_pub, batches,
-                                     next_pks, tables, variant, rng, workers);
+    ReEncStepResult step = ReEncStep(weighted, weighted_pub, in, next_pks,
+                                     tables, variant, rng, workers);
     result.stats.reenc_seconds += SecondsSince(t0);
     if (evil_here(MaliciousAction::Kind::kTamperDuringReEnc, s)) {
       CiphertextBatch& out = step.outputs[0];
       Maul(&out[evil->target_message % out.size()][0]);
     }
-    if (variant == Variant::kNizk) {
-      auto t1 = Clock::now();
-      bool ok = CheckReEncStep(weighted_pub, batches, step.outputs, next_pks,
-                               step.proofs);
-      result.stats.verify_seconds += SecondsSince(t1);
-      if (!ok) {
-        return reject("reencryption", s);
-      }
+    if (nizk) {
+      proofs.share_pubs.push_back(weighted_pub);
+      proofs.reenc_proofs.push_back(std::move(step.proofs));
+    } else {
+      proofs.reencrypted.clear();
     }
-    batches = std::move(step.outputs);
+    proofs.reencrypted.push_back(std::move(step.outputs));
   }
-  FinalizeHop(batches);
-  result.batches = std::move(batches);
+
+  // ---- NIZK: every step's proofs in one check. Only when it fails are
+  // the steps checked one by one, in chain order, to name the server.
+  if (nizk) {
+    auto t1 = Clock::now();
+    std::optional<std::string> blame;
+    if (!CheckHopProofs(pk(), input, next_pks, proofs, workers)) {
+      blame = BlameHopStep(pk(), input, divided, next_pks, proofs, subset,
+                           workers);
+    }
+    result.stats.verify_seconds += SecondsSince(t1);
+    if (blame) {
+      result.aborted = true;
+      result.abort_reason = std::move(*blame);
+      return result;
+    }
+  }
+  result.batches = std::move(proofs.reencrypted.back());
+  FinalizeHop(result.batches);
   return result;
+}
+
+bool CheckHopProofs(const Point& group_pk, const CiphertextBatch& input,
+                    std::span<const Point> next_pks, const HopProofs& hop,
+                    size_t workers) {
+  const size_t k = hop.shuffled.size();
+  if (k == 0 || hop.shuffle_proofs.size() != k ||
+      hop.share_pubs.size() != k || hop.reencrypted.size() != k ||
+      hop.reenc_proofs.size() != k) {
+    return false;
+  }
+  std::vector<const CiphertextBatch*> batches = {&input};
+  for (const CiphertextBatch& batch : hop.shuffled) {
+    batches.push_back(&batch);
+  }
+  // The first reencryption step's claims read the last shuffle output
+  // itself, split as DivideBatch splits it: its r points are the chain's
+  // Y's, and they and its c points enter the check once.
+  const size_t beta = next_pks.empty() ? 1 : next_pks.size();
+  std::vector<std::vector<ReEncClaim>> claims(k);
+  std::vector<std::span<const ReEncClaim>> steps;
+  for (size_t s = 0; s < k; s++) {
+    if (!StepClaims(s == 0 ? SubBatchViews(hop.shuffled.back(), beta)
+                           : Views(hop.reencrypted[s - 1]),
+                    hop.reencrypted[s], next_pks, hop.reenc_proofs[s],
+                    &claims[s])) {
+      return false;
+    }
+    steps.push_back(claims[s]);
+  }
+  auto shuffles =
+      ShuffleChainCheck::Prepare(group_pk, batches, hop.shuffle_proofs);
+  auto reencs = ReEncChainCheck::Prepare(hop.share_pubs, steps);
+  if (!shuffles || !reencs) {
+    return false;
+  }
+  std::vector<WeightSeed> seeds(shuffles->seeds().begin(),
+                                shuffles->seeds().end());
+  seeds.insert(seeds.end(), reencs->seeds().begin(), reencs->seeds().end());
+  const std::vector<Scalar> outer = OuterWeights(seeds);
+  MsmCheck check;
+  shuffles->AddTo(std::span(outer).first(k), check);
+  reencs->AddTo(std::span(outer).subspan(k), check);
+  return check.Holds(workers);
 }
 
 ShuffleStepResult ShuffleStep(const FixedBaseTable& group_pk,
@@ -166,10 +311,9 @@ bool CheckShuffleStep(const Point& group_pk, const CiphertextBatch& input,
 
 std::vector<CiphertextBatch> DivideBatch(CiphertextBatch batch, size_t beta) {
   std::vector<CiphertextBatch> subs(beta);
-  const size_t base = batch.size() / beta, extra = batch.size() % beta;
   auto next = std::make_move_iterator(batch.begin());
   for (size_t b = 0; b < beta; b++) {
-    auto take = static_cast<ptrdiff_t>(base + (b < extra ? 1 : 0));
+    auto take = static_cast<ptrdiff_t>(SubBatchSize(batch.size(), beta, b));
     subs[b].assign(next, next + take);
     next += take;
   }
@@ -307,31 +451,8 @@ bool CheckReEncStep(const Point& share_pub,
                     std::span<const CiphertextBatch> outputs,
                     std::span<const Point> next_pks,
                     std::span<const ReEncProof> proofs) {
-  const size_t beta = next_pks.empty() ? 1 : next_pks.size();
-  if (inputs.size() != beta || outputs.size() != beta) {
-    return false;
-  }
   std::vector<ReEncClaim> claims;
-  claims.reserve(proofs.size());
-  for (size_t b = 0; b < beta; b++) {
-    const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
-    if (inputs[b].size() != outputs[b].size()) {
-      return false;
-    }
-    for (size_t m = 0; m < inputs[b].size(); m++) {
-      if (inputs[b][m].size() != outputs[b][m].size()) {
-        return false;
-      }
-      for (size_t c = 0; c < inputs[b][m].size(); c++) {
-        if (claims.size() == proofs.size()) {
-          return false;
-        }
-        claims.push_back(ReEncClaim{next, inputs[b][m][c], outputs[b][m][c],
-                                    proofs[claims.size()]});
-      }
-    }
-  }
-  return claims.size() == proofs.size() &&
+  return StepClaims(Views(inputs), outputs, next_pks, proofs, &claims) &&
          VerifyReEncProofBatch(share_pub, claims);
 }
 

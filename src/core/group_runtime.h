@@ -8,7 +8,7 @@
 //
 //   1. Shuffle: each participating server in order rerandomizes and
 //      permutes the whole batch (ShuffleStep; in NIZK mode with a
-//      ShufProof that the next server checks, CheckShuffleStep).
+//      ShufProof, CheckShuffleStep).
 //   2. Divide: the last server's output splits into β contiguous
 //      sub-batches (DivideBatch).
 //   3. Decrypt-and-reencrypt: each participating server in order strips its
@@ -18,8 +18,12 @@
 //
 // The per-server step functions below are the only implementation of these
 // steps. GroupRuntime::RunHop runs the whole chain in one call, holding
-// every member's key and checking every step; AtomNode (src/core/node.h)
-// runs one server's steps as messages between processes.
+// every member's key; in NIZK mode it checks all 2k steps' proofs at once
+// (CheckHopProofs: one BaseMul and one MSM, every proof scaled by an outer
+// weight), and only when that check fails checks the steps one by one in
+// chain order to name the server to blame. AtomNode (src/core/node.h) runs
+// one server's steps as messages between processes and checks every step
+// it receives on its own.
 //
 // Fault injection: a MaliciousAction lets tests and benches make one server
 // misbehave (tamper, drop+replace, duplicate) at a chosen stage, to verify
@@ -58,7 +62,9 @@ struct MaliciousAction {
 struct HopStats {
   double shuffle_seconds = 0;  // shuffle steps, incl. proof generation
   double reenc_seconds = 0;    // reencryption steps, incl. proof generation
-  double verify_seconds = 0;   // NIZK checks of every server's steps
+  // NIZK: the one check of every server's proofs (CheckHopProofs), plus
+  // the per-step checks that name the server when it fails.
+  double verify_seconds = 0;
   size_t messages = 0;
   size_t participants = 0;
 };
@@ -182,6 +188,27 @@ bool CheckReEncStep(const Point& share_pub,
                     std::span<const CiphertextBatch> outputs,
                     std::span<const Point> next_pks,
                     std::span<const ReEncProof> proofs);
+
+// Every proof of one NIZK hop, as RunHop collects them: entry s is the
+// s-th participating server's.
+struct HopProofs {
+  std::vector<CiphertextBatch> shuffled;  // shuffle outputs
+  std::vector<ShuffleProof> shuffle_proofs;
+  std::vector<Point> share_pubs;  // Lagrange-weighted share keys
+  std::vector<std::vector<CiphertextBatch>> reencrypted;  // ReEnc outputs
+  std::vector<std::vector<ReEncProof>> reenc_proofs;
+};
+
+// Checks every proof of a NIZK hop over `input` toward `next_pks` in one
+// BaseMul and one MSM, split across `workers`: the k shuffle proofs over
+// input → shuffled[0] → ... → shuffled[k-1] and the k reencryption steps,
+// the first of which reencrypts DivideBatch(shuffled[k-1]). Batches between
+// steps, each ciphertext's Y, H, the H[i], pk and the neighbour keys
+// enter the MSM once. False when any proof fails or the record's shapes
+// do not chain; it names no step (CheckShuffleStep and CheckReEncStep do).
+bool CheckHopProofs(const Point& group_pk, const CiphertextBatch& input,
+                    std::span<const Point> next_pks, const HopProofs& hop,
+                    size_t workers = 1);
 
 // Marks the hop complete on the last step's output (Y back to ⊥).
 void FinalizeHop(std::vector<CiphertextBatch>& batches);

@@ -2,6 +2,7 @@
 
 #include <mutex>
 
+#include "src/crypto/msm_check.h"
 #include "src/crypto/transcript.h"
 #include "src/util/parallel.h"
 #include "src/util/serde.h"
@@ -60,6 +61,39 @@ Bytes EncodeBatch(const CiphertextBatch& batch) {
   return w.Take();
 }
 
+// The statement and the permutation commitments, as prover and verifier
+// hash them: `input` and `output` are EncodeBatch bytes.
+Transcript StatementTranscript(const Point& pk, size_t n, size_t l,
+                              BytesView input, BytesView output,
+                              const std::vector<Point>& perm_commit) {
+  Transcript t("atom/shuffle-proof/v1");
+  t.AppendPoint("pk", pk);
+  t.AppendU64("n", n);
+  t.AppendU64("l", l);
+  t.AppendBytes("input", input);
+  t.AppendBytes("output", output);
+  t.AppendBytes("perm-commit", BytesView(EncodePoints(perm_commit)));
+  return t;
+}
+
+// Fiat-Shamir round 2's input: every sigma commitment in one EncodePoints
+// batch, in the byte order of the per-point encoding this replaced.
+void AppendCommitments(Transcript& t, const ShuffleProof& proof) {
+  const size_t n = proof.chain_commit.size(), l = proof.t4a.size();
+  std::vector<Point> flat;
+  flat.reserve(2 * n + 2 * l + 3);
+  flat.insert(flat.end(), proof.chain_commit.begin(), proof.chain_commit.end());
+  flat.insert(flat.end(), proof.t_hat.begin(), proof.t_hat.end());
+  for (size_t c = 0; c < l; c++) {
+    flat.push_back(proof.t4a[c]);
+    flat.push_back(proof.t4b[c]);
+  }
+  flat.push_back(proof.t1);
+  flat.push_back(proof.t2);
+  flat.push_back(proof.t3);
+  t.AppendBytes("commitments", BytesView(EncodePoints(flat)));
+}
+
 // Derives the per-element challenges u[j] (Fiat-Shamir round 1): everything
 // up to and including the permutation commitments is hashed, and the digest
 // seeds a deterministic scalar stream.
@@ -72,30 +106,6 @@ std::vector<Scalar> DeriveU(Transcript& t, size_t n) {
     u.push_back(Scalar::Random(stream));
   }
   return u;
-}
-
-// MSM split across workers.
-Point ParallelMsm(std::span<const Point> points, std::span<const Scalar> scalars,
-                  size_t workers) {
-  if (workers <= 1 || points.size() < 64) {
-    return MultiScalarMul(points, scalars);
-  }
-  size_t chunks = workers;
-  size_t chunk_size = (points.size() + chunks - 1) / chunks;
-  std::vector<Point> partial(chunks, Point::Infinity());
-  ParallelFor(workers, chunks, [&](size_t w) {
-    size_t lo = w * chunk_size;
-    size_t hi = std::min(points.size(), lo + chunk_size);
-    if (lo < hi) {
-      partial[w] = MultiScalarMul(points.subspan(lo, hi - lo),
-                                  scalars.subspan(lo, hi - lo));
-    }
-  });
-  Point acc = Point::Infinity();
-  for (const Point& p : partial) {
-    acc = acc + p;
-  }
-  return acc;
 }
 
 struct BatchShape {
@@ -351,14 +361,9 @@ ShuffleResult ShuffleAndProveImpl(const Point& pk,
   });
 
   // Fiat-Shamir round 1: derive u[j].
-  Transcript transcript("atom/shuffle-proof/v1");
-  transcript.AppendPoint("pk", pk);
-  transcript.AppendU64("n", n);
-  transcript.AppendU64("l", l);
-  transcript.AppendBytes("input", BytesView(EncodeBatch(input)));
-  transcript.AppendBytes("output", BytesView(EncodeBatch(result.output)));
-  transcript.AppendBytes("perm-commit",
-                         BytesView(EncodePoints(proof.perm_commit)));
+  Transcript transcript = StatementTranscript(
+      pk, n, l, BytesView(EncodeBatch(input)),
+      BytesView(EncodeBatch(result.output)), proof.perm_commit);
   std::vector<Scalar> u = DeriveU(transcript, n);
   std::vector<Scalar> u_perm(n);  // u'[i] = u[perm[i]]
   for (size_t i = 0; i < n; i++) {
@@ -446,23 +451,7 @@ ShuffleResult ShuffleAndProveImpl(const Point& pk,
   });
 
   // Fiat-Shamir round 2: the main challenge.
-  {
-    // Flatten every sigma commitment into one EncodePoints batch; the byte
-    // order matches the per-point encoding this replaced.
-    std::vector<Point> flat;
-    flat.reserve(2 * n + 2 * l + 3);
-    flat.insert(flat.end(), proof.chain_commit.begin(),
-                proof.chain_commit.end());
-    flat.insert(flat.end(), proof.t_hat.begin(), proof.t_hat.end());
-    for (size_t c = 0; c < l; c++) {
-      flat.push_back(proof.t4a[c]);
-      flat.push_back(proof.t4b[c]);
-    }
-    flat.push_back(proof.t1);
-    flat.push_back(proof.t2);
-    flat.push_back(proof.t3);
-    transcript.AppendBytes("commitments", BytesView(EncodePoints(flat)));
-  }
+  AppendCommitments(transcript, proof);
   Scalar challenge = transcript.ChallengeScalar("c");
 
   // Responses.
@@ -503,144 +492,177 @@ ShuffleResult ShuffleAndProve(const FixedBaseTable& pk,
 
 // ----------------------------------------------------------------- verify
 
+std::optional<ShuffleChainCheck> ShuffleChainCheck::Prepare(
+    const Point& pk, std::span<const CiphertextBatch* const> batches,
+    std::span<const ShuffleProof> proofs) {
+  if (proofs.empty() || batches.size() != proofs.size() + 1) {
+    return std::nullopt;
+  }
+  auto shape = ShapeOf(*batches[0]);
+  if (!shape) {
+    return std::nullopt;
+  }
+  for (const CiphertextBatch* batch : batches) {
+    auto s = ShapeOf(*batch);
+    if (!s || s->n != shape->n || s->l != shape->l) {
+      return std::nullopt;
+    }
+  }
+  const size_t n = shape->n, l = shape->l;
+  for (const ShuffleProof& proof : proofs) {
+    if (proof.perm_commit.size() != n || proof.chain_commit.size() != n ||
+        proof.t_hat.size() != n || proof.s_hat.size() != n ||
+        proof.s_prime.size() != n || proof.t4a.size() != l ||
+        proof.t4b.size() != l || proof.s4.size() != l) {
+      return std::nullopt;
+    }
+  }
+
+  ShuffleChainCheck chain;
+  chain.pk_ = pk;
+  chain.batches_ = batches;
+  chain.proofs_ = proofs;
+  chain.n_ = n;
+  chain.l_ = l;
+  // Each batch between two proofs is hashed by both; encode it once.
+  std::vector<Bytes> encoded;
+  encoded.reserve(batches.size());
+  for (const CiphertextBatch* batch : batches) {
+    encoded.push_back(EncodeBatch(*batch));
+  }
+  for (size_t s = 0; s < proofs.size(); s++) {
+    const ShuffleProof& proof = proofs[s];
+    // Recompute both Fiat-Shamir challenges.
+    Transcript transcript =
+        StatementTranscript(pk, n, l, BytesView(encoded[s]),
+                            BytesView(encoded[s + 1]), proof.perm_commit);
+    chain.u_.push_back(DeriveU(transcript, n));
+    AppendCommitments(transcript, proof);
+    chain.challenges_.push_back(transcript.ChallengeScalar("c"));
+    // The proof's own weights, one per equation, from the transcript
+    // continued over every response: a prover who could predict them could
+    // cancel an error in one equation against an error in another.
+    transcript.AppendScalar("s1", proof.s1);
+    transcript.AppendScalar("s2", proof.s2);
+    transcript.AppendScalar("s3", proof.s3);
+    for (const auto* responses : {&proof.s4, &proof.s_hat, &proof.s_prime}) {
+      for (const Scalar& s_i : *responses) {
+        transcript.AppendScalar("s", s_i);
+      }
+    }
+    chain.seeds_.push_back(transcript.ChallengeBytes("batch-weights"));
+  }
+  return chain;
+}
+
+void ShuffleChainCheck::AddTo(std::span<const Scalar> outer,
+                              MsmCheck& check) const {
+  ATOM_CHECK(outer.size() == proofs_.size());
+  const size_t n = n_, l = l_;
+  // H, pk and the H[i] are the same in every proof: their coefficients
+  // are summed here and enter the check once.
+  Scalar h_scalar = Scalar::Zero(), pk_scalar = Scalar::Zero();
+  std::vector<Scalar> hs_scalars(n, Scalar::Zero());
+  for (size_t p = 0; p < proofs_.size(); p++) {
+    const ShuffleProof& proof = proofs_[p];
+    const CiphertextBatch& input = *batches_[p];
+    const CiphertextBatch& output = *batches_[p + 1];
+    const std::vector<Scalar>& u = u_[p];
+    const Scalar& challenge = challenges_[p];
+    const Scalar& rho = outer[p];
+    Rng stream{BytesView(seeds_[p].data(), seeds_[p].size())};
+    auto draw = [&](size_t count) {
+      std::vector<Scalar> w(count);
+      for (Scalar& x : w) {
+        x = rho * Scalar::Random(stream);
+      }
+      return w;
+    };
+    const Scalar w1 = rho * Scalar::Random(stream);
+    const Scalar w2 = rho * Scalar::Random(stream);
+    const Scalar w3 = rho * Scalar::Random(stream);
+    const std::vector<Scalar> w4a = draw(l), w4b = draw(l), w_hat = draw(n);
+
+    // The equations, G terms on the left (H = chain base, ĉ[-1] = H):
+    //   REL1   s1·G = t1 + c·Σc[j] - c·ΣH[i]
+    //   REL2   s2·G = t2 + c·ĉ[n-1] - (c·Πu[j])·H
+    //   REL3   s3·G = t3 + c·Σu[j]·c[j] - Σs'[i]·H[i]
+    //   REL4a -s4·G = t4a + c·Σu[j]·e[j].r - Σs'[i]·ẽ[i].r   (per component)
+    //   REL4b    0  = t4b + c·Σu[j]·e[j].c - Σs'[i]·ẽ[i].c + s4·pk
+    //   chain ŝ[i]·G = t̂[i] + c·ĉ[i] - s'[i]·ĉ[i-1]
+    // On its own, one proof's weighted sum is a BaseMul against an MSM over
+    // 4n + 4ln + 2l + 5 points.
+    Scalar g_scalar = w1 * proof.s1 + w2 * proof.s2 + w3 * proof.s3;
+    for (size_t c = 0; c < l; c++) {
+      g_scalar = g_scalar - w4a[c] * proof.s4[c];
+      pk_scalar = pk_scalar + w4b[c] * proof.s4[c];
+    }
+    Scalar u_product = Scalar::One();
+    std::vector<Scalar> cu(n);  // c·u[j]
+    for (size_t j = 0; j < n; j++) {
+      u_product = u_product * u[j];
+      cu[j] = challenge * u[j];
+    }
+
+    check.Add(proof.t1, w1);
+    check.Add(proof.t2, w2);
+    check.Add(proof.t3, w3);
+    h_scalar = h_scalar -
+               (w2 * challenge * u_product + w_hat[0] * proof.s_prime[0]);
+    for (size_t c = 0; c < l; c++) {
+      check.Add(proof.t4a[c], w4a[c]);
+      check.Add(proof.t4b[c], w4b[c]);
+    }
+    const Scalar w1c = w1 * challenge;
+    for (size_t i = 0; i < n; i++) {
+      g_scalar = g_scalar + w_hat[i] * proof.s_hat[i];
+      check.Add(proof.perm_commit[i], w1c + w3 * cu[i]);
+      hs_scalars[i] = hs_scalars[i] - (w1c + w3 * proof.s_prime[i]);
+      check.Add(proof.t_hat[i], w_hat[i]);
+      Scalar chain_scalar = w_hat[i] * challenge;
+      if (i + 1 < n) {
+        chain_scalar = chain_scalar - w_hat[i + 1] * proof.s_prime[i + 1];
+      } else {
+        chain_scalar = chain_scalar + w2 * challenge;
+      }
+      check.Add(proof.chain_commit[i], chain_scalar);
+    }
+    check.AddG(g_scalar);
+    // A batch between two proofs is one's output and the next one's input.
+    for (size_t c = 0; c < l; c++) {
+      for (size_t i = 0; i < n; i++) {
+        check.AddShared(input[i][c].r, w4a[c] * cu[i]);
+        check.AddShared(input[i][c].c, w4b[c] * cu[i]);
+        check.AddShared(output[i][c].r, (w4a[c] * proof.s_prime[i]).Neg());
+        check.AddShared(output[i][c].c, (w4b[c] * proof.s_prime[i]).Neg());
+      }
+    }
+  }
+  check.Add(ChainBase(), h_scalar);
+  check.Add(pk_, pk_scalar);
+  std::vector<Point> hs = ShuffleGens::Instance().FirstN(n);
+  for (size_t i = 0; i < n; i++) {
+    check.Add(hs[i], hs_scalars[i]);
+  }
+}
+
+bool VerifyShuffleChain(const Point& pk,
+                        std::span<const CiphertextBatch* const> batches,
+                        std::span<const ShuffleProof> proofs, size_t workers) {
+  auto chain = ShuffleChainCheck::Prepare(pk, batches, proofs);
+  if (!chain) {
+    return false;
+  }
+  MsmCheck check;
+  chain->AddTo(OuterWeights(chain->seeds()), check);
+  return check.Holds(workers);
+}
+
 bool VerifyShuffle(const Point& pk, const CiphertextBatch& input,
                    const CiphertextBatch& output, const ShuffleProof& proof,
                    size_t workers) {
-  auto in_shape = ShapeOf(input);
-  auto out_shape = ShapeOf(output);
-  if (!in_shape || !out_shape || in_shape->n != out_shape->n ||
-      in_shape->l != out_shape->l) {
-    return false;
-  }
-  const size_t n = in_shape->n, l = in_shape->l;
-  if (proof.perm_commit.size() != n || proof.chain_commit.size() != n ||
-      proof.t_hat.size() != n || proof.s_hat.size() != n ||
-      proof.s_prime.size() != n || proof.t4a.size() != l ||
-      proof.t4b.size() != l || proof.s4.size() != l) {
-    return false;
-  }
-
-  const Point& chain_base = ChainBase();
-  std::vector<Point> hs = ShuffleGens::Instance().FirstN(n);
-
-  // Recompute both Fiat-Shamir challenges.
-  Transcript transcript("atom/shuffle-proof/v1");
-  transcript.AppendPoint("pk", pk);
-  transcript.AppendU64("n", n);
-  transcript.AppendU64("l", l);
-  transcript.AppendBytes("input", BytesView(EncodeBatch(input)));
-  transcript.AppendBytes("output", BytesView(EncodeBatch(output)));
-  transcript.AppendBytes("perm-commit",
-                         BytesView(EncodePoints(proof.perm_commit)));
-  std::vector<Scalar> u = DeriveU(transcript, n);
-  {
-    // Flatten every sigma commitment into one EncodePoints batch; the byte
-    // order matches the per-point encoding this replaced.
-    std::vector<Point> flat;
-    flat.reserve(2 * n + 2 * l + 3);
-    flat.insert(flat.end(), proof.chain_commit.begin(),
-                proof.chain_commit.end());
-    flat.insert(flat.end(), proof.t_hat.begin(), proof.t_hat.end());
-    for (size_t c = 0; c < l; c++) {
-      flat.push_back(proof.t4a[c]);
-      flat.push_back(proof.t4b[c]);
-    }
-    flat.push_back(proof.t1);
-    flat.push_back(proof.t2);
-    flat.push_back(proof.t3);
-    transcript.AppendBytes("commitments", BytesView(EncodePoints(flat)));
-  }
-  Scalar challenge = transcript.ChallengeScalar("c");
-
-  // Batch weights, one per equation, from the transcript continued over
-  // every response: a prover who could predict them could cancel an error
-  // in one equation against an error in another.
-  transcript.AppendScalar("s1", proof.s1);
-  transcript.AppendScalar("s2", proof.s2);
-  transcript.AppendScalar("s3", proof.s3);
-  for (const auto* responses : {&proof.s4, &proof.s_hat, &proof.s_prime}) {
-    for (const Scalar& s : *responses) {
-      transcript.AppendScalar("s", s);
-    }
-  }
-  auto seed = transcript.ChallengeBytes("batch-weights");
-  Rng stream{BytesView(seed.data(), seed.size())};
-  auto draw = [&stream](size_t count) {
-    std::vector<Scalar> w(count);
-    for (Scalar& x : w) {
-      x = Scalar::Random(stream);
-    }
-    return w;
-  };
-  const Scalar w1 = Scalar::Random(stream);
-  const Scalar w2 = Scalar::Random(stream);
-  const Scalar w3 = Scalar::Random(stream);
-  const std::vector<Scalar> w4a = draw(l), w4b = draw(l), w_hat = draw(n);
-
-  // The equations, G terms on the left (H = chain base, ĉ[-1] = H):
-  //   REL1   s1·G = t1 + c·Σc[j] - c·ΣH[i]
-  //   REL2   s2·G = t2 + c·ĉ[n-1] - (c·Πu[j])·H
-  //   REL3   s3·G = t3 + c·Σu[j]·c[j] - Σs'[i]·H[i]
-  //   REL4a -s4·G = t4a + c·Σu[j]·e[j].r - Σs'[i]·ẽ[i].r   (per component)
-  //   REL4b    0  = t4b + c·Σu[j]·e[j].c - Σs'[i]·ẽ[i].c + s4·pk
-  //   chain ŝ[i]·G = t̂[i] + c·ĉ[i] - s'[i]·ĉ[i-1]
-  // Their weighted sum is one BaseMul against one MSM over
-  // 4n + 4ln + 2l + 5 points.
-  Scalar g_scalar = w1 * proof.s1 + w2 * proof.s2 + w3 * proof.s3;
-  Scalar pk_scalar = Scalar::Zero();
-  for (size_t c = 0; c < l; c++) {
-    g_scalar = g_scalar - w4a[c] * proof.s4[c];
-    pk_scalar = pk_scalar + w4b[c] * proof.s4[c];
-  }
-  Scalar u_product = Scalar::One();
-  std::vector<Scalar> cu(n);  // c·u[j]
-  for (size_t j = 0; j < n; j++) {
-    u_product = u_product * u[j];
-    cu[j] = challenge * u[j];
-  }
-
-  const size_t total = 4 * n + 4 * l * n + 2 * l + 5;
-  std::vector<Point> points;
-  std::vector<Scalar> scalars;
-  points.reserve(total);
-  scalars.reserve(total);
-  auto add = [&](const Point& p, const Scalar& s) {
-    points.push_back(p);
-    scalars.push_back(s);
-  };
-  add(proof.t1, w1);
-  add(proof.t2, w2);
-  add(proof.t3, w3);
-  add(chain_base, (w2 * challenge * u_product + w_hat[0] * proof.s_prime[0])
-                      .Neg());
-  add(pk, pk_scalar);
-  for (size_t c = 0; c < l; c++) {
-    add(proof.t4a[c], w4a[c]);
-    add(proof.t4b[c], w4b[c]);
-  }
-  const Scalar w1c = w1 * challenge;
-  for (size_t i = 0; i < n; i++) {
-    g_scalar = g_scalar + w_hat[i] * proof.s_hat[i];
-    add(proof.perm_commit[i], w1c + w3 * cu[i]);
-    add(hs[i], (w1c + w3 * proof.s_prime[i]).Neg());
-    add(proof.t_hat[i], w_hat[i]);
-    Scalar chain_scalar = w_hat[i] * challenge;
-    if (i + 1 < n) {
-      chain_scalar = chain_scalar - w_hat[i + 1] * proof.s_prime[i + 1];
-    } else {
-      chain_scalar = chain_scalar + w2 * challenge;
-    }
-    add(proof.chain_commit[i], chain_scalar);
-  }
-  for (size_t c = 0; c < l; c++) {
-    for (size_t i = 0; i < n; i++) {
-      add(input[i][c].r, w4a[c] * cu[i]);
-      add(input[i][c].c, w4b[c] * cu[i]);
-      add(output[i][c].r, (w4a[c] * proof.s_prime[i]).Neg());
-      add(output[i][c].c, (w4b[c] * proof.s_prime[i]).Neg());
-    }
-  }
-  return Point::BaseMul(g_scalar) == ParallelMsm(points, scalars, workers);
+  const CiphertextBatch* batches[] = {&input, &output};
+  return VerifyShuffleChain(pk, batches, std::span(&proof, 1), workers);
 }
 
 }  // namespace atom

@@ -26,9 +26,11 @@
 #define SRC_CRYPTO_SHUFFLE_H_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/crypto/elgamal.h"
+#include "src/crypto/msm_check.h"
 #include "src/crypto/p256.h"
 #include "src/util/rng.h"
 
@@ -99,13 +101,54 @@ ShuffleResult ShuffleAndProve(const FixedBaseTable& pk,
                               const CiphertextBatch& input, Rng& rng,
                               size_t workers = 1);
 
-// Verifies that `output` is a permuted rerandomization of `input` under pk.
-// The four sigma relations and the n chain-step equations are folded with
-// weights hashed from the transcript over every response into one BaseMul
-// plus one MSM over 4n + 4ln + 2l + 5 points; `workers` splits that MSM.
+// Verifies a chain of shuffles under pk: proofs[s] shows that
+// *batches[s + 1] is a permuted rerandomization of *batches[s], so
+// batches.size() == proofs.size() + 1 >= 2 and every batch has the same
+// shape. Each proof's four sigma relations and n chain-step equations are
+// folded with weights hashed from its own transcript; the folded proofs,
+// scaled by OuterWeights (src/crypto/msm_check.h), make one BaseMul plus
+// one MSM, split across `workers`. A batch between two proofs enters that
+// MSM once, as do H, the H[i] and pk: k proofs take 2(k+1)ln + k(3n + 2l
+// + 3) + n + 2 points instead of k(4n + 4ln + 2l + 5).
+bool VerifyShuffleChain(const Point& pk,
+                        std::span<const CiphertextBatch* const> batches,
+                        std::span<const ShuffleProof> proofs,
+                        size_t workers = 1);
+
+// The chain of one proof: `output` is a permuted rerandomization of
+// `input` under pk.
 bool VerifyShuffle(const Point& pk, const CiphertextBatch& input,
                    const CiphertextBatch& output, const ShuffleProof& proof,
                    size_t workers = 1);
+
+// VerifyShuffleChain in the two parts a check over more proofs runs
+// (a NIZK hop's, CheckHopProofs in src/core/group_runtime.h): Prepare
+// checks the chain's shape and recomputes every proof's challenges and
+// weight seed; once every proof of the check is prepared, AddTo adds proof
+// s's folded equation scaled by outer[s]. The batches and proofs passed to
+// Prepare must outlive the object and the check; batch points enter the
+// check with MsmCheck::AddShared.
+class ShuffleChainCheck {
+ public:
+  static std::optional<ShuffleChainCheck> Prepare(
+      const Point& pk, std::span<const CiphertextBatch* const> batches,
+      std::span<const ShuffleProof> proofs);
+
+  std::span<const WeightSeed> seeds() const { return seeds_; }
+  void AddTo(std::span<const Scalar> outer, MsmCheck& check) const;
+
+ private:
+  ShuffleChainCheck() = default;
+
+  Point pk_;
+  std::span<const CiphertextBatch* const> batches_;
+  std::span<const ShuffleProof> proofs_;
+  size_t n_ = 0, l_ = 0;
+  // Per proof: the Fiat-Shamir challenges u[j] and c, and the weight seed.
+  std::vector<std::vector<Scalar>> u_;
+  std::vector<Scalar> challenges_;
+  std::vector<WeightSeed> seeds_;
+};
 
 }  // namespace atom
 

@@ -1,5 +1,6 @@
 #include "src/crypto/sigma.h"
 
+#include "src/crypto/msm_check.h"
 #include "src/crypto/transcript.h"
 #include "src/util/serde.h"
 
@@ -294,85 +295,104 @@ ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
                              std::span(&witness, 1))[0];
 }
 
+std::optional<ReEncChainCheck> ReEncChainCheck::Prepare(
+    std::span<const Point> server_pks,
+    std::span<const std::span<const ReEncClaim>> steps) {
+  if (steps.empty() || steps.size() != server_pks.size()) {
+    return std::nullopt;
+  }
+  const size_t n = steps[0].size();
+  ReEncChainCheck chain;
+  chain.server_pks_ = server_pks;
+  chain.steps_ = steps;
+  // Claim j's Y is its first input's, normalized: the r of a Y = ⊥ input.
+  chain.ys_.reserve(n);
+  for (const ReEncClaim& claim : steps[0]) {
+    chain.ys_.push_back(claim.input.YIsNull() ? &claim.input.r
+                                              : &claim.input.y);
+  }
+  for (size_t s = 0; s < steps.size(); s++) {
+    if (steps[s].size() != n) {
+      return std::nullopt;
+    }
+    // Y carries through every step unchanged.
+    for (size_t j = 0; j < n; j++) {
+      const ElGamalCiphertext& in = steps[s][j].input;
+      const Point& y = in.YIsNull() ? in.r : in.y;
+      if (!(steps[s][j].output.y == y) || !(y == *chain.ys_[j])) {
+        return std::nullopt;
+      }
+    }
+    // The step's weights hash every challenge (which binds its claim's
+    // statement and commitments) and every response. A prover who could
+    // predict them could offset an error in one relation by one in another.
+    chain.challenges_.push_back(ReEncChallenges(server_pks[s], steps[s]));
+    Transcript t("atom/reenc-proof-batch/v1");
+    t.AppendU64("n", n);
+    for (size_t j = 0; j < n; j++) {
+      t.AppendScalar("e", chain.challenges_[s][j]);
+      t.AppendScalar("zx", steps[s][j].proof.zx);
+      t.AppendScalar("zr", steps[s][j].proof.zr);
+    }
+    chain.seeds_.push_back(t.ChallengeBytes("weights"));
+  }
+  return chain;
+}
+
+void ReEncChainCheck::AddTo(std::span<const Scalar> outer,
+                            MsmCheck& check) const {
+  ATOM_CHECK(outer.size() == steps_.size());
+  for (size_t s = 0; s < steps_.size(); s++) {
+    Rng stream{BytesView(seeds_[s].data(), seeds_[s].size())};
+    // Claim j's relations, G terms on the left (X = server_pk, Y = in.y,
+    // N = next_pk, absent at the exit layer):
+    //   zx·G = a1 + e·X
+    //   zr·G = a2 + e·(out.r - in.r)
+    //   0    = a3 + e·(out.c - in.c) + zx·Y - zr·N
+    // weighted by (α, β, γ) and summed over the step's claims. X, Y and
+    // each N enter the check once.
+    Scalar g_scalar = Scalar::Zero();
+    Scalar x_scalar = Scalar::Zero();
+    for (size_t j = 0; j < steps_[s].size(); j++) {
+      const ReEncClaim& claim = steps_[s][j];
+      const ReEncProof& proof = claim.proof;
+      const ElGamalCiphertext in = NormalizeInput(claim.input);
+      const Scalar& e = challenges_[s][j];
+      const Scalar alpha = outer[s] * Scalar::Random(stream);
+      const Scalar beta = outer[s] * Scalar::Random(stream);
+      const Scalar gamma = outer[s] * Scalar::Random(stream);
+      g_scalar = g_scalar + alpha * proof.zx + beta * proof.zr;
+      x_scalar = x_scalar + alpha * e;
+      check.Add(proof.a1, alpha);
+      check.Add(proof.a2, beta);
+      check.Add(proof.a3, gamma);
+      check.Add(claim.output.r - in.r, beta * e);
+      check.Add(claim.output.c - in.c, gamma * e);
+      check.AddShared(*ys_[j], gamma * proof.zx);
+      if (claim.next_pk != nullptr) {
+        check.AddShared(*claim.next_pk, (gamma * proof.zr).Neg());
+      }
+    }
+    check.AddG(g_scalar);
+    check.AddShared(server_pks_[s], x_scalar);
+  }
+}
+
+bool VerifyReEncChain(std::span<const Point> server_pks,
+                      std::span<const std::span<const ReEncClaim>> steps,
+                      size_t workers) {
+  auto chain = ReEncChainCheck::Prepare(server_pks, steps);
+  if (!chain) {
+    return false;
+  }
+  MsmCheck check;
+  chain->AddTo(OuterWeights(chain->seeds()), check);
+  return check.Holds(workers);
+}
+
 bool VerifyReEncProofBatch(const Point& server_pk,
                            std::span<const ReEncClaim> claims) {
-  const size_t n = claims.size();
-  if (n == 0) {
-    return true;
-  }
-  std::vector<ElGamalCiphertext> ins;
-  ins.reserve(n);
-  for (const ReEncClaim& claim : claims) {
-    ins.push_back(NormalizeInput(claim.input));
-    // The hop's Y must carry through unchanged.
-    if (!(claim.output.y == ins.back().y)) {
-      return false;
-    }
-  }
-
-  // Batch weights hash every challenge (which binds its claim's statement
-  // and commitments) and every response. A prover who could predict the
-  // weights could offset an error in one relation by one in another.
-  const std::vector<Scalar> challenges = ReEncChallenges(server_pk, claims);
-  Transcript t("atom/reenc-proof-batch/v1");
-  t.AppendU64("n", n);
-  for (size_t i = 0; i < n; i++) {
-    t.AppendScalar("e", challenges[i]);
-    t.AppendScalar("zx", claims[i].proof.zx);
-    t.AppendScalar("zr", claims[i].proof.zr);
-  }
-  auto seed = t.ChallengeBytes("weights");
-  Rng stream{BytesView(seed.data(), seed.size())};
-
-  // Claim i's relations, G terms on the left (X = server_pk, Y = in.y,
-  // N = next_pk, absent at the exit layer):
-  //   zx·G = a1 + e·X
-  //   zr·G = a2 + e·(out.r - in.r)
-  //   0    = a3 + e·(out.c - in.c) + zx·Y - zr·N
-  // weighted by (α, β, γ) and summed over all claims. X and each distinct
-  // N enter the MSM once with their summed coefficients.
-  Scalar g_scalar = Scalar::Zero();
-  Scalar x_scalar = Scalar::Zero();
-  std::vector<const Point*> next_keys;
-  std::vector<Scalar> next_scalars;
-  std::vector<Point> points;
-  std::vector<Scalar> scalars;
-  points.reserve(6 * n + 2);
-  scalars.reserve(6 * n + 2);
-  for (size_t i = 0; i < n; i++) {
-    const ReEncClaim& claim = claims[i];
-    const ReEncProof& proof = claim.proof;
-    const Scalar& e = challenges[i];
-    Scalar alpha = Scalar::Random(stream);
-    Scalar beta = Scalar::Random(stream);
-    Scalar gamma = Scalar::Random(stream);
-    g_scalar = g_scalar + alpha * proof.zx + beta * proof.zr;
-    x_scalar = x_scalar + alpha * e;
-    points.insert(points.end(), {proof.a1, proof.a2, proof.a3,
-                                 claim.output.r - ins[i].r,
-                                 claim.output.c - ins[i].c, ins[i].y});
-    scalars.insert(scalars.end(),
-                   {alpha, beta, gamma, beta * e, gamma * e, gamma * proof.zx});
-    if (claim.next_pk != nullptr) {
-      size_t k = 0;
-      while (k < next_keys.size() && next_keys[k] != claim.next_pk &&
-             !(*next_keys[k] == *claim.next_pk)) {
-        k++;
-      }
-      if (k == next_keys.size()) {
-        next_keys.push_back(claim.next_pk);
-        next_scalars.push_back(Scalar::Zero());
-      }
-      next_scalars[k] = next_scalars[k] - gamma * proof.zr;
-    }
-  }
-  points.push_back(server_pk);
-  scalars.push_back(x_scalar);
-  for (size_t k = 0; k < next_keys.size(); k++) {
-    points.push_back(*next_keys[k]);
-    scalars.push_back(next_scalars[k]);
-  }
-  return Point::BaseMul(g_scalar) == MultiScalarMul(points, scalars);
+  return VerifyReEncChain(std::span(&server_pk, 1), std::span(&claims, 1));
 }
 
 bool VerifyReEncProof(const Point& server_pk, const Point* next_pk,

@@ -16,9 +16,11 @@
 //
 // Verification folds equations with the small-exponent random-linear-
 // combination test (Bellare-Garay-Rabin): one BaseMul plus one MSM
-// (MultiScalarMul) per batch. ReEncProofs are only ever verified in batches
-// (VerifyReEncProof is the one-claim batch); EncProof vectors switch to the
-// batch test from 2 proofs up. EncProofs are proved one at a time; a
+// (MultiScalarMul) per batch. ReEncProofs are only ever verified in chains
+// of batches (VerifyReEncProofBatch is the one-step chain,
+// VerifyReEncProof the one-claim batch), and a NIZK hop adds its chain to
+// the one check that also holds its shuffle proofs (src/crypto/
+// msm_check.h); EncProof vectors switch to the batch test from 2 proofs up. EncProofs are proved one at a time; a
 // server's ReEncProofs one step at a time, with one batch encoding of all
 // the step's challenge transcripts.
 #ifndef SRC_CRYPTO_SIGMA_H_
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "src/crypto/elgamal.h"
+#include "src/crypto/msm_check.h"
 #include "src/crypto/p256.h"
 #include "src/util/rng.h"
 
@@ -139,13 +142,53 @@ ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
                           const Scalar& rewrap_randomness, Rng& rng,
                           const FixedBaseTable* next_table = nullptr);
 
-// Verifies every claim against one server key. Each claim's Y must carry
-// through unchanged (checked per claim); the three relations of all claims
-// are then folded with weights hashed from every challenge and response
-// into one BaseMul plus one MSM over 6n + (distinct next_pks) + 1 points.
-// Accepts the empty batch. A false result blames the batch, not a claim.
+// Verifies a chain of reencryption steps: steps[s] holds step s's claims,
+// all proved under server_pks[s]. Every step has as many claims, claim j
+// of each step reencrypts the same ciphertext, and its Y carries through
+// every step unchanged (checked per claim); a chain that breaks any of
+// this is rejected. Each step's three relations per claim are folded with
+// weights hashed from every challenge and response of the step; the folded
+// steps, scaled by OuterWeights (src/crypto/msm_check.h), make one BaseMul
+// plus one MSM, split across `workers`, over 5n per step plus n Y's plus
+// the distinct server and next_pk objects.
+bool VerifyReEncChain(std::span<const Point> server_pks,
+                      std::span<const std::span<const ReEncClaim>> steps,
+                      size_t workers = 1);
+
+// The chain of one step: every claim against one server key, in one
+// BaseMul plus one MSM over 6n + (next_pk objects) + 1 points. Accepts
+// the empty batch. A false result blames the batch, not a claim.
 bool VerifyReEncProofBatch(const Point& server_pk,
                            std::span<const ReEncClaim> claims);
+
+// VerifyReEncChain in the two parts a check over more proofs runs (a NIZK
+// hop's, CheckHopProofs in src/core/group_runtime.h): Prepare checks the
+// chain's shape and recomputes every step's challenges and weight seed;
+// once every proof of the check is prepared, AddTo adds step s's folded
+// equation scaled by outer[s]. The keys and claims passed to Prepare must
+// outlive the object and the check. Y's, next_pks and server keys enter
+// the check with MsmCheck::AddShared, claim j's Y as the object its
+// first-step input holds it in (the r of a Y = ⊥ input), so a Y that is
+// also a shuffled batch's r enters the check once.
+class ReEncChainCheck {
+ public:
+  static std::optional<ReEncChainCheck> Prepare(
+      std::span<const Point> server_pks,
+      std::span<const std::span<const ReEncClaim>> steps);
+
+  std::span<const WeightSeed> seeds() const { return seeds_; }
+  void AddTo(std::span<const Scalar> outer, MsmCheck& check) const;
+
+ private:
+  ReEncChainCheck() = default;
+
+  std::span<const Point> server_pks_;
+  std::span<const std::span<const ReEncClaim>> steps_;
+  std::vector<const Point*> ys_;  // claim j's Y
+  // Per step: every claim's challenge, and the weight seed.
+  std::vector<std::vector<Scalar>> challenges_;
+  std::vector<WeightSeed> seeds_;
+};
 
 // The one-claim batch.
 bool VerifyReEncProof(const Point& server_pk, const Point* next_pk,

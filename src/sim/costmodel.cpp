@@ -69,7 +69,12 @@ CostModel CostModel::Measure(Rng& rng, size_t batch) {
                      }
                    }) /
                    static_cast<double>(batch);
-  // One batch call, as a hop's server step verifies its proofs.
+  // One batch call, as a hop's server step verifies its proofs. The model
+  // keeps per-step verify costs (here and for the shuffle below) on
+  // purpose: it prices the paper's deployment of one process per server,
+  // in which each server checks only the step it receives.
+  // GroupRuntime::RunHop, which holds a whole group, checks all of a
+  // hop's steps in one chained MSM instead (CheckHopProofs).
   std::vector<ReEncClaim> claims;
   claims.reserve(batch);
   for (size_t i = 0; i < batch; i++) {

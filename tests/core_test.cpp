@@ -358,14 +358,17 @@ TEST(GroupHop, NizkBlamesExactlyTheCheatingServer) {
       {MaliciousAction::Kind::kTamperDuringReEnc, "reencryption"},
       {MaliciousAction::Kind::kTamperDuringShuffle, "shuffle"},
   };
-  for (uint32_t s = 1; s <= k; s++) {
-    for (const auto& [kind, stage] : stages) {
-      MaliciousAction evil{kind, s, 4};
-      auto hop =
-          f.group.RunHop(batch, next_pks, Variant::kNizk, f.rng, 1, &evil);
-      EXPECT_TRUE(hop.aborted);
-      EXPECT_EQ(hop.abort_reason, stage + " proof rejected (server " +
-                                      std::to_string(s) + ")");
+  for (size_t workers : {1u, 4u}) {
+    for (uint32_t s = 1; s <= k; s++) {
+      for (const auto& [kind, stage] : stages) {
+        MaliciousAction evil{kind, s, 4};
+        auto hop = f.group.RunHop(batch, next_pks, Variant::kNizk, f.rng,
+                                  workers, &evil);
+        EXPECT_TRUE(hop.aborted);
+        EXPECT_EQ(hop.abort_reason, stage + " proof rejected (server " +
+                                        std::to_string(s) + ")")
+            << "workers=" << workers;
+      }
     }
   }
 }

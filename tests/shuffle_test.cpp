@@ -296,6 +296,157 @@ TEST(ShuffleProofSoundness, RejectsCrossRelationCancellingPair) {
   EXPECT_FALSE(VerifyShuffle(kp.pk, batch, result.output, evil));
 }
 
+// ------------------------------------------------------------ chains
+
+// k servers' shuffles in a row: batches[s + 1] is proofs[s]'s output.
+struct ShuffleChainFixture {
+  Rng rng;
+  ElGamalKeypair kp;
+  std::vector<CiphertextBatch> batches;
+  std::vector<ShuffleProof> proofs;
+
+  ShuffleChainFixture(size_t k, size_t n, size_t l, uint64_t seed)
+      : rng(seed), kp(ElGamalKeyGen(rng)) {
+    batches.push_back(MakeBatch(kp.pk, n, l, rng));
+    for (size_t s = 0; s < k; s++) {
+      ShuffleResult result = ShuffleAndProve(kp.pk, batches.back(), rng);
+      batches.push_back(std::move(result.output));
+      proofs.push_back(std::move(result.proof));
+    }
+  }
+
+  static bool Verify(const Point& pk, const std::vector<CiphertextBatch>& bs,
+                     const std::vector<ShuffleProof>& ps, size_t workers = 1) {
+    std::vector<const CiphertextBatch*> ptrs;
+    for (const CiphertextBatch& b : bs) {
+      ptrs.push_back(&b);
+    }
+    return VerifyShuffleChain(pk, ptrs, ps, workers);
+  }
+  bool Verify(const std::vector<CiphertextBatch>& bs,
+              const std::vector<ShuffleProof>& ps) const {
+    return Verify(kp.pk, bs, ps);
+  }
+};
+
+TEST(ShuffleChain, AcceptsHonestChainsOfOneToFourProofs) {
+  for (size_t k = 1; k <= 4; k++) {
+    ShuffleChainFixture f(k, 6, 2, 500u + k);
+    EXPECT_TRUE(f.Verify(f.batches, f.proofs)) << "k=" << k;
+    EXPECT_TRUE(ShuffleChainFixture::Verify(f.kp.pk, f.batches, f.proofs, 4))
+        << "k=" << k << " on 4 workers";
+    // Every link also verifies on its own.
+    for (size_t s = 0; s < k; s++) {
+      EXPECT_TRUE(VerifyShuffle(f.kp.pk, f.batches[s], f.batches[s + 1],
+                                f.proofs[s]))
+          << "k=" << k << " link " << s;
+    }
+    auto other = ElGamalKeyGen(f.rng);
+    EXPECT_FALSE(ShuffleChainFixture::Verify(other.pk, f.batches, f.proofs))
+        << "k=" << k << " under another key";
+  }
+}
+
+TEST(ShuffleChain, RejectsAnySingleTamperAtEveryPosition) {
+  const size_t k = 3, n = 4, l = 2;
+  ShuffleChainFixture f(k, n, l, 510u);
+  ASSERT_TRUE(f.Verify(f.batches, f.proofs));
+  const Point g = Point::Generator();
+  const Scalar one = Scalar::One();
+  auto rejects = [&](size_t s, const char* field, size_t index, auto tamper) {
+    auto ps = f.proofs;
+    tamper(ps[s]);
+    EXPECT_FALSE(f.Verify(f.batches, ps))
+        << "proof " << s << ": " << field << "[" << index << "] tampered";
+  };
+  for (size_t s = 0; s < k; s++) {
+    rejects(s, "t1", 0, [&](ShuffleProof& p) { p.t1 = p.t1 + g; });
+    rejects(s, "t2", 0, [&](ShuffleProof& p) { p.t2 = p.t2 + g; });
+    rejects(s, "t3", 0, [&](ShuffleProof& p) { p.t3 = p.t3 + g; });
+    rejects(s, "s1", 0, [&](ShuffleProof& p) { p.s1 = p.s1 + one; });
+    rejects(s, "s2", 0, [&](ShuffleProof& p) { p.s2 = p.s2 + one; });
+    rejects(s, "s3", 0, [&](ShuffleProof& p) { p.s3 = p.s3 + one; });
+    for (size_t c = 0; c < l; c++) {
+      rejects(s, "t4a", c, [&](ShuffleProof& p) { p.t4a[c] = p.t4a[c] + g; });
+      rejects(s, "t4b", c, [&](ShuffleProof& p) { p.t4b[c] = p.t4b[c] + g; });
+      rejects(s, "s4", c, [&](ShuffleProof& p) { p.s4[c] = p.s4[c] + one; });
+    }
+    for (size_t i = 0; i < n; i++) {
+      rejects(s, "perm_commit", i, [&](ShuffleProof& p) {
+        p.perm_commit[i] = p.perm_commit[i] + g;
+      });
+      rejects(s, "chain_commit", i, [&](ShuffleProof& p) {
+        p.chain_commit[i] = p.chain_commit[i] + g;
+      });
+      rejects(s, "t_hat", i,
+              [&](ShuffleProof& p) { p.t_hat[i] = p.t_hat[i] + g; });
+      rejects(s, "s_hat", i,
+              [&](ShuffleProof& p) { p.s_hat[i] = p.s_hat[i] + one; });
+      rejects(s, "s_prime", i,
+              [&](ShuffleProof& p) { p.s_prime[i] = p.s_prime[i] + one; });
+    }
+  }
+  // Every ciphertext point of every batch, the chain's input and output
+  // included.
+  for (size_t b = 0; b <= k; b++) {
+    for (size_t i = 0; i < n; i++) {
+      for (size_t c = 0; c < l; c++) {
+        auto bs = f.batches;
+        bs[b][i][c].r = bs[b][i][c].r + g;
+        EXPECT_FALSE(f.Verify(bs, f.proofs))
+            << "batch " << b << " [" << i << "][" << c << "].r tampered";
+        bs = f.batches;
+        bs[b][i][c].c = bs[b][i][c].c + g;
+        EXPECT_FALSE(f.Verify(bs, f.proofs))
+            << "batch " << b << " [" << i << "][" << c << "].c tampered";
+      }
+    }
+  }
+}
+
+TEST(ShuffleChain, RejectsMismatchedShapes) {
+  ShuffleChainFixture f(3, 4, 2, 520u);
+  ASSERT_TRUE(f.Verify(f.batches, f.proofs));
+  // k + 1 batches against k proofs, either way off by one.
+  auto ps = f.proofs;
+  ps.pop_back();
+  EXPECT_FALSE(f.Verify(f.batches, ps)) << "3 proofs' batches, 2 proofs";
+  auto bs = f.batches;
+  bs.pop_back();
+  EXPECT_FALSE(f.Verify(bs, f.proofs)) << "3 batches, 3 proofs";
+  EXPECT_FALSE(f.Verify({f.batches[0]}, {})) << "no proof";
+  // A ragged step: a middle batch loses a message, or one component.
+  bs = f.batches;
+  bs[2].pop_back();
+  EXPECT_FALSE(f.Verify(bs, f.proofs)) << "batch 2 short of a message";
+  bs = f.batches;
+  bs[2][1].pop_back();
+  EXPECT_FALSE(f.Verify(bs, f.proofs)) << "batch 2 message 1 ragged";
+  // A proof sized for another batch shape.
+  ps = f.proofs;
+  ps[1].s_hat.pop_back();
+  EXPECT_FALSE(f.Verify(f.batches, ps)) << "proof 1 short of a response";
+}
+
+TEST(ShuffleChain, RejectsCrossProofCancellingPair) {
+  // Responses are outside the challenges: s1 shifted up in proof s and
+  // down in proof s + 1 keeps both proofs' challenges, fails only REL1 of
+  // each by ±G, and cancels in an unweighted sum of the two proofs'
+  // equations.
+  ShuffleChainFixture f(3, 4, 2, 530u);
+  for (size_t s = 0; s + 1 < f.proofs.size(); s++) {
+    auto ps = f.proofs;
+    ps[s].s1 = ps[s].s1 + Scalar::One();
+    ps[s + 1].s1 = ps[s + 1].s1 - Scalar::One();
+    EXPECT_FALSE(f.Verify(f.batches, ps)) << "proofs " << s << ", " << s + 1;
+    // The same pair in the chain-step responses.
+    ps = f.proofs;
+    ps[s].s_hat[1] = ps[s].s_hat[1] + Scalar::One();
+    ps[s + 1].s_hat[1] = ps[s + 1].s_hat[1] - Scalar::One();
+    EXPECT_FALSE(f.Verify(f.batches, ps)) << "proofs " << s << ", " << s + 1;
+  }
+}
+
 // Proof-byte pin: the SHA-256 of a seeded proof's encoding, recorded
 // before the prover computed the commitment chain in closed form. Seeded
 // round digests cover no proof byte, so a prover change that keeps the

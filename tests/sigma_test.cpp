@@ -3,6 +3,8 @@
 // soundness of the batched ReEncProof verifier.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "src/crypto/sigma.h"
 #include "src/util/rng.h"
 
@@ -406,6 +408,191 @@ TEST(ReEncProofBatch, RejectsCancellingPair) {
   prfs[3].zr = prfs[3].zr + Scalar::One();
   prfs[9].zr = prfs[9].zr - Scalar::One();
   EXPECT_FALSE(f.Verify(f.outputs, prfs));
+}
+
+// ------------------------------------------------------- ReEncProof chain
+
+// k servers' reencryption steps over the same n ciphertexts, as a group's
+// hop runs them: step s strips server s's key and rewraps toward claim j's
+// neighbour (or strips only, at the exit layer). cts[s] is step s's input,
+// cts[s + 1] its output; Y is ⊥ on cts[0].
+struct ReEncChainFixture {
+  ProofFixture s;
+  ElGamalKeypair other_next = ElGamalKeyGen(s.rng);
+  std::vector<Point> server_pks;
+  std::vector<Scalar> server_sks;
+  std::vector<const Point*> nexts;
+  std::vector<std::vector<ElGamalCiphertext>> cts;
+  std::vector<std::vector<ReEncProof>> proofs;
+
+  ReEncChainFixture(size_t k, size_t n) {
+    Point group_pk = Point::Infinity();
+    for (size_t i = 0; i < k; i++) {
+      auto kp = ElGamalKeyGen(s.rng);
+      server_pks.push_back(kp.pk);
+      server_sks.push_back(kp.sk);
+      group_pk = group_pk + kp.pk;
+    }
+    const Point* next_choices[] = {&s.next_group.pk, &other_next.pk, nullptr};
+    cts.emplace_back();
+    for (size_t j = 0; j < n; j++) {
+      nexts.push_back(next_choices[j % 3]);
+      cts[0].push_back(ElGamalEncrypt(group_pk, s.m, s.rng));
+    }
+    for (size_t i = 0; i < k; i++) {
+      cts.emplace_back();
+      proofs.emplace_back();
+      for (size_t j = 0; j < n; j++) {
+        Scalar rewrap;
+        cts[i + 1].push_back(
+            ElGamalReEnc(server_sks[i], nexts[j], cts[i][j], s.rng, &rewrap));
+        proofs[i].push_back(MakeReEncProof(server_sks[i], server_pks[i],
+                                           nexts[j], cts[i][j], cts[i + 1][j],
+                                           rewrap, s.rng));
+      }
+    }
+  }
+
+  // Claims over `c` and `p`, step s reading c[s] and writing c[s + 1].
+  bool Verify(const std::vector<std::vector<ElGamalCiphertext>>& c,
+              const std::vector<std::vector<ReEncProof>>& p,
+              std::span<const Point> keys, size_t workers = 1) const {
+    std::vector<std::vector<ReEncClaim>> claims(p.size());
+    std::vector<std::span<const ReEncClaim>> steps;
+    for (size_t i = 0; i < p.size(); i++) {
+      for (size_t j = 0; j < p[i].size(); j++) {
+        claims[i].push_back(
+            ReEncClaim{nexts[j], c[i][j], c[i + 1][j], p[i][j]});
+      }
+      steps.push_back(claims[i]);
+    }
+    return VerifyReEncChain(keys, steps, workers);
+  }
+  bool Verify(const std::vector<std::vector<ElGamalCiphertext>>& c,
+              const std::vector<std::vector<ReEncProof>>& p) const {
+    return Verify(c, p, server_pks);
+  }
+};
+
+TEST(ReEncChain, AcceptsHonestChainsOfOneToFourSteps) {
+  for (size_t k = 1; k <= 4; k++) {
+    ReEncChainFixture f(k, 6);
+    EXPECT_TRUE(f.Verify(f.cts, f.proofs)) << "k=" << k;
+    EXPECT_TRUE(f.Verify(f.cts, f.proofs, f.server_pks, 4))
+        << "k=" << k << " on 4 workers";
+    // Every step also verifies on its own.
+    for (size_t i = 0; i < k; i++) {
+      std::vector<ReEncClaim> claims;
+      for (size_t j = 0; j < 6; j++) {
+        claims.push_back(ReEncClaim{f.nexts[j], f.cts[i][j], f.cts[i + 1][j],
+                                    f.proofs[i][j]});
+      }
+      EXPECT_TRUE(VerifyReEncProofBatch(f.server_pks[i], claims))
+          << "k=" << k << " step " << i;
+    }
+  }
+}
+
+TEST(ReEncChain, RejectsAnySingleTamperAtEveryPosition) {
+  const size_t k = 3, n = 6;
+  ReEncChainFixture f(k, n);
+  ASSERT_TRUE(f.Verify(f.cts, f.proofs));
+  using ProofTamper = void (*)(ReEncProof*);
+  const std::pair<const char*, ProofTamper> proof_tampers[] = {
+      {"a1", [](ReEncProof* p) { p->a1 = p->a1 + Point::Generator(); }},
+      {"a2", [](ReEncProof* p) { p->a2 = p->a2 + Point::Generator(); }},
+      {"a3", [](ReEncProof* p) { p->a3 = p->a3 + Point::Generator(); }},
+      {"zx", [](ReEncProof* p) { p->zx = p->zx + Scalar::One(); }},
+      {"zr", [](ReEncProof* p) { p->zr = p->zr + Scalar::One(); }},
+  };
+  using CtTamper = void (*)(ElGamalCiphertext*);
+  const std::pair<const char*, CtTamper> ct_tampers[] = {
+      {"r", [](ElGamalCiphertext* c) { c->r = c->r + Point::Generator(); }},
+      {"c", [](ElGamalCiphertext* c) { c->c = c->c + Point::Generator(); }},
+      {"y", [](ElGamalCiphertext* c) { c->y = c->y + Point::Generator(); }},
+  };
+  for (size_t i = 0; i < k; i++) {
+    for (size_t j = 0; j < n; j++) {
+      for (const auto& [field, tamper] : proof_tampers) {
+        auto p = f.proofs;
+        tamper(&p[i][j]);
+        EXPECT_FALSE(f.Verify(f.cts, p))
+            << field << " tampered in step " << i << " claim " << j;
+      }
+    }
+  }
+  // Every ciphertext point between and around the steps (Y is ⊥ on the
+  // chain's input, so its r is claim j's Y there).
+  for (size_t i = 0; i <= k; i++) {
+    for (size_t j = 0; j < n; j++) {
+      for (const auto& [field, tamper] : ct_tampers) {
+        if (i == 0 && std::string_view(field) == "y") {
+          continue;
+        }
+        auto c = f.cts;
+        tamper(&c[i][j]);
+        EXPECT_FALSE(f.Verify(c, f.proofs))
+            << field << " tampered in ciphertext " << j << " after step " << i;
+      }
+    }
+  }
+}
+
+TEST(ReEncChain, RejectsMismatchedShapes) {
+  ReEncChainFixture f(3, 6);
+  ASSERT_TRUE(f.Verify(f.cts, f.proofs));
+  // Server keys for k + 1 steps against k steps.
+  auto keys = f.server_pks;
+  keys.push_back(f.s.group.pk);
+  EXPECT_FALSE(f.Verify(f.cts, f.proofs, keys)) << "4 keys, 3 steps";
+  EXPECT_FALSE(f.Verify(f.cts, {}, {})) << "no step";
+  // A ragged step: step 1 proves one claim fewer.
+  auto p = f.proofs;
+  p[1].pop_back();
+  EXPECT_FALSE(f.Verify(f.cts, p)) << "step 1 one claim short";
+  // Y changes between steps: step 2's claim 4 reencrypts, and proves, a
+  // ciphertext whose Y differs from the one steps 0 and 1 carried. Each
+  // step verifies on its own; the chain does not.
+  const ElGamalCiphertext in = ElGamalReEnc(
+      f.server_sks[1], f.nexts[4],
+      ElGamalEncrypt(f.server_pks[1] + f.server_pks[2], f.s.m, f.s.rng),
+      f.s.rng);
+  Scalar rewrap;
+  const ElGamalCiphertext out =
+      ElGamalReEnc(f.server_sks[2], f.nexts[4], in, f.s.rng, &rewrap);
+  const ReEncProof proof =
+      MakeReEncProof(f.server_sks[2], f.server_pks[2], f.nexts[4], in, out,
+                     rewrap, f.s.rng);
+  std::vector<std::vector<ReEncClaim>> claims(3);
+  std::vector<std::span<const ReEncClaim>> steps;
+  for (size_t i = 0; i < 3; i++) {
+    for (size_t j = 0; j < 6; j++) {
+      const bool swapped = i == 2 && j == 4;
+      claims[i].push_back(ReEncClaim{
+          f.nexts[j], swapped ? in : f.cts[i][j],
+          swapped ? out : f.cts[i + 1][j], swapped ? proof : f.proofs[i][j]});
+    }
+    ASSERT_TRUE(VerifyReEncProofBatch(f.server_pks[i], claims[i]))
+        << "step " << i;
+    steps.push_back(claims[i]);
+  }
+  EXPECT_FALSE(VerifyReEncChain(f.server_pks, steps))
+      << "Y of claim 4 changed before step 2";
+}
+
+TEST(ReEncChain, RejectsCrossStepCancellingPair) {
+  // Responses are outside the challenges: zx shifted up in step s and down
+  // in step s + 1 for the same claim keeps every challenge and leaves two
+  // relations of each step off, by +(G, Y) and -(G, Y) with the chain's
+  // one Y: the pair cancels in an unweighted sum of the two steps'
+  // equations.
+  ReEncChainFixture f(3, 6);
+  for (size_t i = 0; i + 1 < f.proofs.size(); i++) {
+    auto p = f.proofs;
+    p[i][2].zx = p[i][2].zx + Scalar::One();
+    p[i + 1][2].zx = p[i + 1][2].zx - Scalar::One();
+    EXPECT_FALSE(f.Verify(f.cts, p)) << "steps " << i << ", " << i + 1;
+  }
 }
 
 }  // namespace
