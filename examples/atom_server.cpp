@@ -3,8 +3,9 @@
 // Hosts a single AtomNode behind the encrypted TCP peer mesh
 // (src/net/node_process.h). Everything else — the peer roster, per-group
 // key shares, run keys, and protocol traffic — arrives over authenticated
-// links from the round driver (see examples/distributed_nodes.cpp, which
-// spawns a fleet of these and drives a round through it).
+// links from the round driver (see src/testing/scenario.cpp, which
+// spawns a fleet of these for examples/chaos_fleet and drives pipelined
+// rounds through it).
 //
 //   atom_server --id N (--keyfile PATH | --sk <hex32>) --driver-pk <hex33>
 //               [--port P] [--variant trap|nizk]

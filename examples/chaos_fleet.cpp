@@ -3,7 +3,7 @@
 //
 //   chaos_fleet [--scenario NAME|all] [--seed N] [--rounds N] [--users N]
 //               [--workload raw|dialing|microblog] [--smoke]
-//               [--report PATH]
+//               [--report PATH] [--metrics-out PATH] [--trace-out PATH]
 //
 // Each scenario spawns a real atom_server fleet (found next to this
 // binary), the epoll reactor client gateway, and authenticated
@@ -11,20 +11,60 @@
 // asserts the invariant matrix. Exits nonzero on the first violation,
 // printing the replay command. --smoke shrinks to the fastest honest
 // configuration (2 rounds) for the per-push CI job; --report writes one
-// JSON object per scenario (a JSON array) for CI artifact upload.
+// JSON object per scenario (a JSON array) for CI artifact upload;
+// --metrics-out writes the fleet-merged Prometheus exposition;
+// --trace-out arms span collection and timing histograms for the whole
+// run and writes a validated Chrome trace-event JSON of the round phases.
+// `--scenario clean --trace-out ...` is the deployed-shape smoke: every
+// round byte-matches its twin with tracing armed.
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/testing/scenario.h"
+
+namespace {
+
+// Whole-string decimal parse: junk, a sign or trailing characters fail,
+// so a typo cannot silently become 0 (or a prefix of what was meant).
+bool ParseUnsigned(const char* text, uint64_t max, uint64_t* out) {
+  if (*text < '0' || *text > '9') {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+// False on any open, short-write or close failure.
+bool WriteTextFile(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return false;
+  }
+  bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  return std::fclose(f) == 0 && ok;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace atom;
   std::string scenario = "all";
   std::string report_path;
   std::string metrics_path;
+  std::string trace_path;
   ScenarioConfig config;
   config.seed = 1;
   config.rounds = 3;
@@ -44,14 +84,23 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s needs a value\n", flag.c_str());
       return 2;
     }
+    uint64_t number = 0;
+    if (flag == "--seed" || flag == "--rounds" || flag == "--users") {
+      if (!ParseUnsigned(value, flag == "--users" ? UINT32_MAX : UINT64_MAX,
+                         &number)) {
+        std::fprintf(stderr, "%s must be a number, got '%s'\n",
+                     flag.c_str(), value);
+        return 2;
+      }
+    }
     if (flag == "--scenario") {
       scenario = value;
     } else if (flag == "--seed") {
-      config.seed = std::strtoull(value, nullptr, 10);
+      config.seed = number;
     } else if (flag == "--rounds") {
-      config.rounds = std::strtoul(value, nullptr, 10);
+      config.rounds = number;
     } else if (flag == "--users") {
-      config.users = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      config.users = static_cast<uint32_t>(number);
     } else if (flag == "--workload") {
       if (std::strcmp(value, "raw") == 0) {
         config.workload = WorkloadKind::kRaw;
@@ -67,12 +116,15 @@ int main(int argc, char** argv) {
       report_path = value;
     } else if (flag == "--metrics-out") {
       metrics_path = value;
+    } else if (flag == "--trace-out") {
+      trace_path = value;
     } else {
       std::fprintf(stderr,
                    "usage: chaos_fleet [--scenario NAME|all] [--seed N] "
                    "[--rounds N] [--users N] "
                    "[--workload raw|dialing|microblog] [--smoke] "
-                   "[--report PATH] [--metrics-out PATH]\n");
+                   "[--report PATH] [--metrics-out PATH] "
+                   "[--trace-out PATH]\n");
       return 2;
     }
   }
@@ -82,6 +134,12 @@ int main(int argc, char** argv) {
   }
   config.verbose = true;
   config.collect_fleet_metrics = !metrics_path.empty();
+  if (!trace_path.empty()) {
+    // Armed before any work runs, so the trace carries phase spans and
+    // the histograms carry samples.
+    obs::Trace::Enable();
+    obs::SetTimingEnabled(true);
+  }
 
   // The atom_server fleet binary lives next to us in the build tree.
   std::string self = argv[0];
@@ -127,32 +185,37 @@ int main(int argc, char** argv) {
       rc = 1;
     }
   }
-  reports_json += "]";
-  if (!report_path.empty()) {
-    std::FILE* f = std::fopen(report_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "could not write %s\n", report_path.c_str());
-      return 2;
+  reports_json += "]\n";
+  auto write = [&](const std::string& path, const std::string& body,
+                   const char* what) {
+    if (!WriteTextFile(path, body)) {
+      std::fprintf(stderr, "could not write %s\n", path.c_str());
+      rc = 1;
+      return;
     }
-    std::fputs(reports_json.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("scenario report written to %s\n", report_path.c_str());
+    std::printf("%s written to %s (%zu bytes)\n", what, path.c_str(),
+                body.size());
+  };
+  if (!report_path.empty()) {
+    write(report_path, reports_json, "scenario report");
   }
   if (!metrics_path.empty()) {
     // One fleet-wide view: this process's registry (driver, gateway,
     // thread pools) merged with every server registry captured before
     // each scenario's teardown.
-    const std::string exposition = FleetMetricsExposition();
-    std::FILE* f = std::fopen(metrics_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "could not write %s\n", metrics_path.c_str());
-      return 2;
+    write(metrics_path, FleetMetricsExposition(),
+          "fleet metrics exposition");
+  }
+  if (!trace_path.empty()) {
+    const std::string json = obs::Trace::ToJson();
+    std::string error;
+    if (!obs::ValidateTraceJson(json, &error)) {
+      std::fprintf(stderr, "trace JSON failed validation: %s\n",
+                   error.c_str());
+      rc = 1;
+    } else {
+      write(trace_path, json, "Chrome trace-event JSON");
     }
-    std::fwrite(exposition.data(), 1, exposition.size(), f);
-    std::fclose(f);
-    std::printf("fleet metrics exposition written to %s (%zu bytes)\n",
-                metrics_path.c_str(), exposition.size());
   }
   return rc;
 }

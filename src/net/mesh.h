@@ -50,10 +50,9 @@ class ThreadPool;
 // Emulated WAN shape for one peer link (netem-style). `delay` models the
 // one-way propagation latency paid per frame; `bytes_per_ms` models link
 // bandwidth as serialization time (frame_bytes / bytes_per_ms added on
-// top of the delay; 0 = unlimited). A per-peer matrix of these lets
-// bench_distributed_pipeline reproduce Figure 10/11-shaped multi-region
-// runs on loopback: intra-region links get a small delay, cross-region
-// links a large one.
+// top of the delay; 0 = unlimited). A per-peer matrix of these gives
+// Figure 10/11-shaped multi-region runs on loopback: intra-region links
+// get a small delay, cross-region links a large one.
 struct WanProfile {
   std::chrono::milliseconds delay{0};
   size_t bytes_per_ms = 0;

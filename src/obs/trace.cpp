@@ -126,18 +126,6 @@ std::string Trace::ToJson() {
   return out;
 }
 
-bool Trace::WriteTo(const std::string& path) {
-  std::string json = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  bool ok = written == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
-}
-
 // ------------------------------------------------------ trace validation
 
 namespace {

@@ -65,8 +65,6 @@ class Trace {
   // The collected events as one Chrome trace-event JSON document:
   // {"traceEvents":[{"name":...,"ph":"X","ts":...,"dur":...,...},...]}.
   static std::string ToJson();
-  // Writes ToJson() to a file; false on I/O failure.
-  static bool WriteTo(const std::string& path);
 
  private:
   static std::atomic<bool> enabled_;

@@ -44,8 +44,7 @@ obs::MetricsSnapshot g_fleet_metrics;
 // ------------------------------------------------------------ fleet spawn
 
 // One atom_server child process (fork/exec), identity key delivered via a
-// private 0600 keyfile, fault plan via --fault-spec. Mirrors the spawn
-// harness in examples/distributed_nodes.cpp but adds kill/respawn — the
+// private 0600 keyfile, fault plan via --fault-spec. Kill/respawn is the
 // scenario layer's process-fault injection point.
 struct FleetServer {
   pid_t pid = -1;
@@ -252,7 +251,7 @@ std::vector<uint32_t> MentionedServers(const std::string& reason) {
 
 // ------------------------------------------------------- scenario runner
 
-// The five deployments share one harness: twin Rounds from one seed, a
+// The deployments share one harness: twin Rounds from one seed, a
 // registered client population on real ClientSessions, a gateway, and an
 // atom_server fleet (one process per topology group) under the
 // DistributedRoundDriver. A scenario is the parameterization below.
@@ -280,6 +279,11 @@ class ScenarioRunner {
 
   ScenarioReport Run() {
     signal(SIGPIPE, SIG_IGN);
+    if (cfg_.rounds == 0 || cfg_.users == 0) {
+      // Nothing would be checked: no round to compare, or no submission.
+      Fail("needs at least one round and one user");
+      return report_;
+    }
     if (!BuildShape() || !SetUp()) {
       return report_;
     }
@@ -322,7 +326,9 @@ class ScenarioRunner {
     // rounds minimum so a clean round precedes and, with three, follows).
     fault_round_ = cfg_.rounds >= 2 ? 2 : 1;
     const std::string spec_seed = "seed=" + std::to_string(seed);
-    if (cfg_.name == "churn") {
+    if (cfg_.name == "clean") {
+      // No faults: every round must complete and match its twin.
+    } else if (cfg_.name == "churn") {
       shape_.gateway_plan = std::make_shared<FaultPlan>();
       shape_.gateway_plan->set_seed(seed);
       shape_.gateway_plan->set_client_disconnect_rate(0.45);
@@ -900,7 +906,8 @@ class ScenarioRunner {
 
 const std::vector<std::string>& ScenarioNames() {
   static const std::vector<std::string> names = {
-      "churn", "flash_crowd", "partition", "straggler", "byzantine"};
+      "clean",     "churn",     "flash_crowd",
+      "partition", "straggler", "byzantine"};
   return names;
 }
 

@@ -23,6 +23,8 @@
 //
 // The catalog (ScenarioNames()):
 //
+//   clean        no faults: every round completes and byte-matches its
+//                twin (the deployed-shape smoke).
 //   churn        gateway force-drops clients mid-stream; dropped clients
 //                reconnect next round; the accepted set stays exactly
 //                knowable, so every round still byte-matches its twin.
@@ -55,7 +57,8 @@ struct ScenarioConfig {
   std::string name;  // one of ScenarioNames()
   uint64_t seed = 1;
   // Rounds driven through the pipeline (partition adds two more for its
-  // kill/repair phase). Scenarios that fault "round 2" need >= 2.
+  // kill/repair phase). Scenarios that fault "round 2" need >= 2; zero
+  // rounds or zero users fail the run before anything is spawned.
   size_t rounds = 3;
   uint32_t users = 6;
   WorkloadKind workload = WorkloadKind::kRaw;

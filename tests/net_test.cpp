@@ -1076,6 +1076,62 @@ TEST(DistributedPipeline, OpeningARoundCostsOneRoundTrip) {
   }
 }
 
+TEST(DistributedPipeline, PipelinedRoundsBeatSequentialUnderWireDelay) {
+  // Every frame on every server link sleeps 40 ms, so wire latency, not
+  // crypto, sets a round's time. The same number of rounds must finish
+  // sooner when all are in flight at once than when each is waited on
+  // before the next is submitted: pipelining overlaps the stalls. Two
+  // groups per host make each hop's fan-out a multi-envelope bundle.
+  PipelinedFixture fx(Variant::kTrap, /*iterations=*/2, /*num_groups=*/4);
+  constexpr size_t kRounds = 3;
+  // Specs are built before any clock starts; the first round only warms
+  // the links up.
+  std::vector<EngineRound> specs;
+  for (size_t r = 0; r < 1 + 2 * kRounds; r++) {
+    specs.push_back(fx.TakeSpec(4));
+  }
+
+  PipelinedDeployment dep;
+  ASSERT_TRUE(dep.Build(*fx.round, Variant::kTrap, /*max_rounds=*/8,
+                        /*wire_delay=*/40ms, /*groups_per_host=*/2));
+  {
+    DistributedRoundDriver driver(&dep.mesh, dep.hosts);
+    driver.set_round_timeout(60s);
+    auto next = specs.begin();
+    auto expect_completed = [&](uint64_t ticket) {
+      RoundResult got = driver.Wait(ticket).round;
+      EXPECT_FALSE(got.aborted) << got.abort_reason;
+      EXPECT_EQ(got.plaintexts.size(), 4u);
+    };
+    expect_completed(driver.Submit(std::move(*next++)));
+
+    auto start = std::chrono::steady_clock::now();
+    for (size_t r = 0; r < kRounds; r++) {
+      expect_completed(driver.Submit(std::move(*next++)));
+    }
+    const std::chrono::duration<double> sequential =
+        std::chrono::steady_clock::now() - start;
+
+    start = std::chrono::steady_clock::now();
+    std::vector<uint64_t> tickets;
+    for (size_t r = 0; r < kRounds; r++) {
+      tickets.push_back(driver.Submit(std::move(*next++)));
+    }
+    for (uint64_t ticket : tickets) {
+      expect_completed(ticket);
+    }
+    const std::chrono::duration<double> pipelined =
+        std::chrono::steady_clock::now() - start;
+    dep.StopAll();  // join readers before the driver dies
+
+    const double gain = sequential / pipelined;
+    RecordProperty("pipelined_over_sequential", std::to_string(gain));
+    EXPECT_LT(pipelined, sequential)
+        << kRounds << " rounds: sequential " << sequential.count()
+        << " s, pipelined " << pipelined.count() << " s (" << gain << "x)";
+  }
+}
+
 TEST(DistributedPipeline, FanOutShipsMultiEnvelopeBundles) {
   // Every envelope a hop owes one peer travels in one kEnvelopeBundle
   // frame. With two topology groups per hosting server each hop owes its
@@ -1231,10 +1287,10 @@ TEST(MeshRoster, SetRosterDropsLinksWhoseEntryChanged) {
 
 #ifdef ATOM_SERVER_BINARY
 
-// Deliberately a separate, minimal spawn harness from the one in
-// examples/distributed_nodes.cpp: the test pins the --sk argv fallback
-// path while the example exercises --keyfile, and the test wants the
-// smallest possible surface between fork and exec.
+// Deliberately a separate, minimal spawn harness from the scenario
+// fleet's (src/testing/scenario.cpp): the test pins the --sk argv
+// fallback path while the scenarios exercise --keyfile, and the test
+// wants the smallest possible surface between fork and exec.
 struct ChildServer {
   pid_t pid = -1;
   int stdin_w = -1;

@@ -1,7 +1,8 @@
 // Tests for the observability plane (src/obs): histogram math and merge
 // correctness, registry concurrency, snapshot codec hostility, trace JSON
-// well-formedness, and the plane's core safety contract — a seeded
-// pipelined round's output is byte-identical with tracing on or off.
+// well-formedness, the HTTP scrape endpoint, and the plane's core safety
+// contract — a seeded pipelined round's output is byte-identical with
+// tracing on or off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,8 @@
 
 #include "src/core/engine.h"
 #include "src/crypto/elgamal.h"
+#include "src/net/socket.h"
+#include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/testing/scenario.h"
@@ -236,6 +239,31 @@ TEST(MetricsSnapshot, ExpositionSplicesHistogramLabels) {
             std::string::npos)
       << text;
   EXPECT_EQ(text.find("}{"), std::string::npos) << text;
+}
+
+// A scrape over real HTTP, the way Prometheus (or curl) reads the
+// endpoint atom_server --metrics-port serves.
+TEST(MetricsHttpServer, ServesRegistryOverHttp) {
+  obs::Registry reg;
+  reg.GetCounter("scrape_probe_total")->Add(7);
+  obs::MetricsHttpServer server(&reg);
+  ASSERT_TRUE(server.Start(0));
+  auto sock = TcpSocket::Dial("127.0.0.1", server.port());
+  ASSERT_TRUE(sock.has_value());
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  ASSERT_TRUE(sock->SendAll(BytesView(
+      reinterpret_cast<const uint8_t*>(request.data()), request.size())));
+  sock->SetRecvTimeout(5000);
+  // The server closes after one response; read byte-wise until EOF.
+  std::string response;
+  uint8_t byte = 0;
+  while (response.size() < (1u << 20) && sock->RecvAll(&byte, 1)) {
+    response.push_back(static_cast<char>(byte));
+  }
+  server.Stop();
+  EXPECT_EQ(response.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << response;
+  EXPECT_NE(response.find("scrape_probe_total 7"), std::string::npos)
+      << response;
 }
 
 // ---------------------------------------------------------------- tracing

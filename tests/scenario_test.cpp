@@ -3,7 +3,7 @@
 // The FaultPlan suites pin the replay contract: per-stream PRF decisions
 // independent of interleaving, spec round-tripping, deterministic
 // mutation. The Scenario suites (compiled only when the atom_server
-// binary is available) run scaled-down versions of the five named
+// binary is available) run scaled-down versions of the named
 // deployments over real processes; failures echo the seed for replay.
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/net/faults.h"
@@ -254,6 +255,25 @@ TEST(FaultPlanSpec, RejectsMalformedSpecs) {
   EXPECT_NE(FaultPlan::Parse("seed=9;tamper=2-2;stall=10"), nullptr);
 }
 
+TEST(ScenarioConfig, ZeroRoundsOrUsersFailBeforeSpawning) {
+  // Zero rounds or zero users would check nothing, so they must not
+  // report OK. The binary path is bogus: a spawn attempt would fail with
+  // a different reason than the one asserted.
+  for (auto [rounds, users] : {std::pair<size_t, uint32_t>{0, 4}, {2, 0}}) {
+    ScenarioConfig config;
+    config.name = "byzantine";
+    config.rounds = rounds;
+    config.users = users;
+    config.server_binary = "/nonexistent/atom_server";
+    ScenarioReport report = RunScenario(config);
+    EXPECT_FALSE(report.ok) << "rounds=" << rounds << " users=" << users;
+    EXPECT_NE(report.failure.find("at least one round and one user"),
+              std::string::npos)
+        << report.failure;
+    EXPECT_TRUE(report.rounds.empty());
+  }
+}
+
 // ---- Full scenarios over real atom_server processes.
 
 #ifdef ATOM_SERVER_BINARY
@@ -277,6 +297,10 @@ void RunAndExpectOk(const ScenarioConfig& config) {
   // The report serializes (CI uploads these as artifacts).
   EXPECT_NE(report.ToJson().find("\"scenario\":\"" + config.name + "\""),
             std::string::npos);
+}
+
+TEST(Scenario, CleanFleetMatchesTwin) {
+  RunAndExpectOk(SmallScenario("clean", TestSeed(20)));
 }
 
 TEST(Scenario, ChurnHoldsByteTwinUnderForcedDisconnects) {
