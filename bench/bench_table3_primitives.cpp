@@ -13,11 +13,14 @@
 // generic Mont oracle, when batch-verifying 24 ReEncProofs costs no less
 // per proof than verifying one claim at a time, when batch-verifying an
 // intake span of 8 Schnorr signatures costs no less per signature than
-// verifying them one at a time, or when one chained check of a NIZK hop's
-// 2k proofs costs no less than checking its steps one by one.
+// verifying them one at a time, when one chained check of a NIZK hop's
+// 2k proofs costs no less than checking its steps one by one, or when the
+// CPU has AVX-512 IFMA and the IFMA lane kernel is not cheaper per product
+// than the portable one on every lane row.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <string_view>
@@ -25,6 +28,7 @@
 #include "bench/bench_common.h"
 #include "src/core/group_runtime.h"
 #include "src/crypto/fp256.h"
+#include "src/crypto/lanes.h"
 #include "src/crypto/mont.h"
 #include "src/crypto/schnorr.h"
 #include "src/crypto/shuffle.h"
@@ -334,58 +338,166 @@ void MeasureHotPath(BenchJson& json, bool smoke) {
   json.Num("encode_batch_speedup", encode_speedup);
 }
 
-// Variable-base rows: Point::Mul, and MulPairs at one base per call and at
-// three (one dialing message's components: ReEncStep's call), each per
-// product, over the same bases and scalars. Rows alternate for `rounds`
-// rounds and keep their fastest. Returns false unless a MulPairs call at
-// three bases costs less per base than two Point::Mul calls.
-bool MeasureVariableBase(BenchJson& json, bool smoke) {
+// Lane-kernel rows (src/crypto/lanes.h), per product, for each backend at
+// the lane counts one dialing_nizk ReEncStep or shuffle proof uses (n = 8,
+// l = 3, β = 4): 48 variable-base products (24 Y's, x shared and kx per
+// lane), 72 fixed-base products on G, 12 on one neighbour's table, and the
+// prover's 7 t3/t4 MSMs of 8 terms sharing w' (per MSM). The variable-time
+// kernels they replaced are timed beside them: Point::Mul,
+// FixedBaseTable::Mul and MultiScalarMul. Rows alternate for `rounds`
+// rounds and keep their fastest. Also prints the backend ActiveLanes()
+// chose and, per entry point, the lane count where one IFMA chunk costs as
+// much as that many portable products (kLaneMinIfma's derivation).
+// Returns false when IFMA is available and not cheaper per product than
+// portable on every row.
+bool MeasureLanes(BenchJson& json, bool smoke) {
   Rng rng(uint64_t{0x7ab1e8});
-  const size_t n = smoke ? 120 : 768;
-  std::vector<Point> bases;
-  std::vector<Scalar> a, b;
-  for (size_t i = 0; i < n; i++) {
-    bases.push_back(Point::BaseMul(Scalar::Random(rng)));  // z != 1
-    a.push_back(Scalar::Random(rng));
-    b.push_back(Scalar::Random(rng));
+  constexpr size_t kVar = 24, kOnG = 72, kOnN = 12, kMsmLanes = 7,
+                   kMsmTerms = 8;
+  std::vector<Point> ys, msm_bases;
+  std::vector<Scalar> kx, on_g, on_n, w_prime;
+  for (size_t i = 0; i < kVar; i++) {
+    ys.push_back(Point::BaseMul(Scalar::Random(rng)));  // z != 1
+    kx.push_back(Scalar::Random(rng));
   }
-  std::vector<Point> out_a(n), out_b(n);
-  double mul_us = 1e30;
-  double pair_us[2] = {1e30, 1e30};  // per product, 1 and 3 bases per call
-  const size_t per_call[2] = {1, 3};
-  const int rounds = smoke ? 7 : 11;
-  for (int round = 0; round < rounds; round++) {
+  for (size_t i = 0; i < kOnG; i++) {
+    on_g.push_back(Scalar::Random(rng));
+  }
+  for (size_t i = 0; i < kOnN; i++) {
+    on_n.push_back(Scalar::Random(rng));
+  }
+  for (size_t i = 0; i < kMsmLanes * kMsmTerms; i++) {
+    msm_bases.push_back(Point::BaseMul(Scalar::Random(rng)));
+  }
+  for (size_t i = 0; i < kMsmTerms; i++) {
+    w_prime.push_back(Scalar::Random(rng));
+  }
+  const Scalar x = Scalar::Random(rng);
+  const FixedBaseTable neighbour(Point::BaseMul(Scalar::Random(rng)));
+
+  std::vector<const LaneBackend*> backends{&PortableLanes()};
+  if (IfmaLanes() != nullptr) {
+    backends.push_back(IfmaLanes());
+  }
+  enum Row { kVarRow, kGRow, kNRow, kMsmRow, kRows };
+  const char* row_names[kRows] = {"variable-base x48", "fixed-base on G x72",
+                                  "fixed-base on N x12", "t3/t4 MSM x7 (n=8)"};
+  const char* row_keys[kRows] = {"var48", "g72", "n12", "msm7"};
+  // [backend][row] per product (per MSM for the MSM row); [backend][row]
+  // for one lane, whole call.
+  std::vector<std::array<double, kRows>> per(backends.size()),
+      one(backends.size());
+  for (auto& r : per) r.fill(1e30);
+  for (auto& r : one) r.fill(1e30);
+  double ref_mul = 1e30, ref_table = 1e30, ref_msm = 1e30;
+  std::vector<Point> share_y(kVar), kx_y(kVar), g_out(kOnG), n_out(kOnN),
+      msm_out(kMsmLanes);
+  const int rounds = smoke ? 5 : 11;
+  const int reps = smoke ? 2 : 4;
+  auto time_us = [&](auto&& fn) {
     auto t0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < n; i++) {
-      out_a[i] = bases[i].Mul(a[i]);
-      out_b[i] = bases[i].Mul(b[i]);
+    for (int r = 0; r < reps; r++) {
+      fn();
     }
-    mul_us = std::min(mul_us, 1e6 * SecondsSince(t0) / (2.0 * n));
-    const std::vector<Point> want_a = out_a, want_b = out_b;
-    for (size_t k = 0; k < 2; k++) {
-      t0 = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < n; i += per_call[k]) {
-        const size_t m = std::min(per_call[k], n - i);
-        MulPairs(std::span(bases).subspan(i, m), std::span(a).subspan(i, m),
-                 std::span(b).subspan(i, m), std::span(out_a).subspan(i, m),
-                 std::span(out_b).subspan(i, m));
+    return 1e6 * SecondsSince(t0) / reps;
+  };
+  for (int round = 0; round < rounds; round++) {
+    ref_mul = std::min(ref_mul, time_us([&] {
+      for (size_t i = 0; i < kVar; i++) {
+        share_y[i] = ys[i].Mul(x);
+        kx_y[i] = ys[i].Mul(kx[i]);
       }
-      pair_us[k] = std::min(pair_us[k], 1e6 * SecondsSince(t0) / (2.0 * n));
-      ATOM_CHECK(out_a == want_a && out_b == want_b);
+    }) / (2.0 * kVar));
+    const std::vector<Point> want_share = share_y, want_kx = kx_y;
+    ref_table = std::min(ref_table, time_us([&] {
+      for (size_t i = 0; i < kOnN; i++) {
+        n_out[i] = neighbour.Mul(on_n[i]);
+      }
+    }) / kOnN);
+    const std::vector<Point> want_n = n_out;
+    ref_msm = std::min(ref_msm, time_us([&] {
+      for (size_t m = 0; m < kMsmLanes; m++) {
+        msm_out[m] = MultiScalarMul(
+            std::span(msm_bases).subspan(m * kMsmTerms, kMsmTerms), w_prime);
+      }
+    }) / kMsmLanes);
+    const std::vector<Point> want_msm = msm_out;
+    for (size_t b = 0; b < backends.size(); b++) {
+      const LaneBackend& lanes = *backends[b];
+      const std::vector<std::span<const Scalar>> columns = {std::span(&x, 1),
+                                                            kx};
+      const std::vector<std::span<Point>> outs = {share_y, kx_y};
+      per[b][kVarRow] = std::min(per[b][kVarRow], time_us([&] {
+        lanes.variable_base(ys, columns, outs);
+      }) / (2.0 * kVar));
+      ATOM_CHECK(share_y == want_share && kx_y == want_kx);
+      per[b][kGRow] = std::min(per[b][kGRow], time_us([&] {
+        lanes.fixed_base(Point::GeneratorTable(), on_g, g_out);
+      }) / kOnG);
+      per[b][kNRow] = std::min(per[b][kNRow], time_us([&] {
+        lanes.fixed_base(neighbour, on_n, n_out);
+      }) / kOnN);
+      ATOM_CHECK(n_out == want_n);
+      per[b][kMsmRow] = std::min(per[b][kMsmRow], time_us([&] {
+        lanes.msm(msm_bases, w_prime, msm_out);
+      }) / kMsmLanes);
+      ATOM_CHECK(msm_out == want_msm);
+      // One lane per call: what a chunk costs however few lanes it has.
+      const std::vector<std::span<const Scalar>> one_col = {
+          std::span(&x, 1)};
+      const std::vector<std::span<Point>> one_out = {
+          std::span(share_y).first(1)};
+      one[b][kVarRow] = std::min(one[b][kVarRow], time_us([&] {
+        lanes.variable_base(std::span(ys).first(1), one_col, one_out);
+      }));
+      one[b][kGRow] = std::min(one[b][kGRow], time_us([&] {
+        lanes.fixed_base(Point::GeneratorTable(), std::span(on_g).first(1),
+                         std::span(g_out).first(1));
+      }));
+      one[b][kNRow] = std::min(one[b][kNRow], time_us([&] {
+        lanes.fixed_base(neighbour, std::span(on_n).first(1),
+                         std::span(n_out).first(1));
+      }));
+      one[b][kMsmRow] = std::min(one[b][kMsmRow], time_us([&] {
+        lanes.msm(std::span(msm_bases).first(kMsmTerms), w_prime,
+                  std::span(msm_out).first(1));
+      }));
     }
   }
-  std::printf("variable-base mul: Point::Mul %.1f us/product, MulPairs %.1f "
-              "us/product (1 base/call), %.1f (3 bases/call)\n",
-              mul_us, pair_us[0], pair_us[1]);
-  json.Num("mul_us", mul_us);
-  json.Num("mul_pairs_1_us_per_product", pair_us[0]);
-  json.Num("mul_pairs_3_us_per_product", pair_us[1]);
-  const bool ok = pair_us[1] < mul_us;
-  if (!ok) {
-    std::printf("FAIL: MulPairs %.1f us/product is not below Point::Mul "
-                "%.1f us\n",
-                pair_us[1], mul_us);
+  std::printf("lane kernel: dispatcher chose %s\n", ActiveLanes().name);
+  json.Str("lanes_active", ActiveLanes().name);
+  std::printf("  variable-time references: Point::Mul %.1f us/product, "
+              "FixedBaseTable::Mul %.1f, MultiScalarMul n=8 %.1f us/MSM\n",
+              ref_mul, ref_table, ref_msm);
+  json.Num("mul_us", ref_mul);
+  json.Num("table_mul_ref_us", ref_table);
+  json.Num("msm8_ref_us", ref_msm);
+  bool ok = true;
+  for (int r = 0; r < kRows; r++) {
+    std::printf("  %-22s", row_names[r]);
+    for (size_t b = 0; b < backends.size(); b++) {
+      std::printf("  %s %.1f us", backends[b]->name, per[b][r]);
+      json.Num(std::string("lanes_") + backends[b]->name + "_" + row_keys[r] +
+                   "_us",
+               per[b][r]);
+    }
+    if (backends.size() > 1) {
+      // One IFMA chunk against portable products: the lane count where the
+      // two cost the same.
+      const double crossover = one[1][r] / per[0][r];
+      std::printf("  (ifma %.2fx; crossover %.2f lanes)", per[0][r] / per[1][r],
+                  crossover);
+      json.Num(std::string("lanes_crossover_") + row_keys[r], crossover);
+      if (per[1][r] >= per[0][r]) {
+        ok = false;
+        std::printf("\nFAIL: ifma %.1f us is not below portable %.1f us on %s",
+                    per[1][r], per[0][r], row_names[r]);
+      }
+    }
+    std::printf("\n");
   }
+  std::printf("  kLaneMinIfma = %zu\n", kLaneMinIfma);
+  json.Num("lanes_min_ifma", static_cast<double>(kLaneMinIfma));
   return ok;
 }
 
@@ -766,7 +878,7 @@ int main(int argc, char** argv) {
     json.Bool("smoke", smoke);
     ok = MeasureField(json, smoke);
     MeasureHotPath(json, smoke);
-    ok = MeasureVariableBase(json, smoke) && ok;
+    ok = MeasureLanes(json, smoke) && ok;
     MeasureMsm(json, smoke);
     ok = MeasureIntakeVerify(json, smoke) && ok;
     ok = MeasureProofVerify(json, smoke) && ok;

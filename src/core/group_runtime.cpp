@@ -1,9 +1,10 @@
 #include "src/core/group_runtime.h"
 
+#include <algorithm>
 #include <chrono>
 #include <iterator>
 
-#include "src/util/parallel.h"
+#include "src/crypto/lanes.h"
 
 namespace atom {
 namespace {
@@ -286,6 +287,7 @@ bool CheckHopProofs(const Point& group_pk, const CiphertextBatch& input,
   seeds.insert(seeds.end(), reencs->seeds().begin(), reencs->seeds().end());
   const std::vector<Scalar> outer = OuterWeights(seeds);
   MsmCheck check;
+  check.Reserve(shuffles->MaxTerms() + reencs->MaxTerms());
   shuffles->AddTo(std::span(outer).first(k), check);
   reencs->AddTo(std::span(outer).subspan(k), check);
   return check.Holds(workers);
@@ -351,88 +353,135 @@ ReEncStepResult ReEncStep(
   ATOM_CHECK(inputs.size() == (next_pks.empty() ? 1 : next_pks.size()));
   ATOM_CHECK(tables.size() == next_pks.size());
   const bool nizk = variant == Variant::kNizk;
+  const bool rewrap = !next_pks.empty();
   ReEncStepResult result;
   result.outputs.resize(inputs.size());
-  // Every component's witness and proof commitments, in (sub-batch,
-  // message, component) order.
+  // Every component's witness, in (sub-batch, message, component) order,
+  // drawn serially: each sub-batch's rewraps (one per component; drawn at
+  // the exit layer too, where they go unused), then (NIZK) each proof's kx
+  // and kr. This Rng order fixes the seeded output. sub_first[b] is
+  // sub-batch b's first component.
   std::vector<ReEncWitness> witnesses;
-  std::vector<ReEncProof> commitments;
+  std::vector<size_t> sub_first(inputs.size() + 1);
   for (size_t b = 0; b < inputs.size(); b++) {
-    const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
-    const FixedBaseTable* table = next_pks.empty() ? nullptr : tables[b].get();
-    const CiphertextBatch& sub = inputs[b];
-    CiphertextBatch& out = result.outputs[b];
-
-    // Pre-draw randomness serially, then reencrypt in parallel: the
-    // sub-batch's rewraps (one per component; drawn at the exit layer too,
-    // where they go unused), then (NIZK) each proof's kx and kr. This Rng
-    // order fixes the seeded output.
-    const size_t first = witnesses.size();
-    std::vector<size_t> offsets(sub.size());
-    for (size_t m = 0; m < sub.size(); m++) {
-      offsets[m] = witnesses.size();
-      for (size_t c = 0; c < sub[m].size(); c++) {
-        const Scalar rewrap = Scalar::Random(rng);
-        witnesses.emplace_back().rewrap =
-            next != nullptr ? rewrap : Scalar::Zero();
+    sub_first[b] = witnesses.size();
+    for (const ElGamalCiphertextVec& vec : inputs[b]) {
+      for (size_t c = 0; c < vec.size(); c++) {
+        const Scalar r = Scalar::Random(rng);
+        witnesses.emplace_back().rewrap = rewrap ? r : Scalar::Zero();
       }
     }
     if (nizk) {
-      for (size_t i = first; i < witnesses.size(); i++) {
+      for (size_t i = sub_first[b]; i < witnesses.size(); i++) {
         witnesses[i].kx = Scalar::Random(rng);
         witnesses[i].kr = Scalar::Random(rng);
       }
-      commitments.resize(witnesses.size());
     }
-    out.resize(sub.size());
-    ParallelFor(workers, sub.size(), [&](size_t m) {
-      // Appendix A ReEnc with the pre-drawn randomness, so the parallel
-      // part shares no Rng. NIZK: the decryption share x·Y and the proof's
-      // kx·Y come from one table of Y.
-      const size_t l = sub[m].size();
-      const ReEncWitness* w = witnesses.data() + offsets[m];
-      out[m] = sub[m];
-      std::vector<Point> ys(l), share_y(l), kx_y(l);
-      for (size_t c = 0; c < l; c++) {
-        ElGamalCiphertext& cur = out[m][c];
+  }
+  const size_t total = witnesses.size();
+  sub_first[inputs.size()] = total;
+
+  // Appendix A ReEnc: normalize Y ← R, R ← identity where Y = ⊥, and
+  // gather every component's Y.
+  std::vector<Point> ys;
+  ys.reserve(total);
+  for (size_t b = 0; b < inputs.size(); b++) {
+    result.outputs[b] = inputs[b];
+    for (ElGamalCiphertextVec& vec : result.outputs[b]) {
+      for (ElGamalCiphertext& cur : vec) {
         if (cur.YIsNull()) {
           cur.y = cur.r;
           cur.r = Point::Infinity();
         }
-        ys[c] = cur.y;
+        ys.push_back(cur.y);
       }
-      if (nizk) {
-        std::vector<Scalar> shares(l, share), kxs(l);
-        for (size_t c = 0; c < l; c++) {
-          kxs[c] = w[c].kx;
-        }
-        MulPairs(ys, shares, kxs, share_y, kx_y);
-      } else {
-        for (size_t c = 0; c < l; c++) {
-          share_y[c] = ys[c].Mul(share);
-        }
-      }
-      for (size_t c = 0; c < l; c++) {
-        ElGamalCiphertext& cur = out[m][c];
-        cur.c = cur.c - share_y[c];
-        if (next != nullptr) {
-          cur.r = cur.r + Point::BaseMul(w[c].rewrap);
-          cur.c = cur.c + (table != nullptr ? table->Mul(w[c].rewrap)
-                                            : next->Mul(w[c].rewrap));
+    }
+  }
+
+  // The step's secret-scalar products, each gathered over every component
+  // into one lane-kernel call: the decryption share x·Y (and the proof's
+  // kx·Y from the same table of Y), then everything on G (rewrap r·G and
+  // the proofs' kx·G, kr·G), then per next group N: r·N and kr·N.
+  std::vector<Scalar> kxs, krs;
+  if (nizk) {
+    kxs.reserve(total);
+    krs.reserve(total);
+    for (const ReEncWitness& w : witnesses) {
+      kxs.push_back(w.kx);
+      krs.push_back(w.kr);
+    }
+  }
+  std::vector<Point> share_y(total), kx_y(nizk ? total : 0);
+  {
+    std::vector<std::span<const Scalar>> columns{std::span(&share, 1)};
+    std::vector<std::span<Point>> outs{share_y};
+    if (nizk) {
+      columns.push_back(kxs);
+      outs.push_back(kx_y);
+    }
+    VariableBaseMul(ys, columns, outs, workers);
+  }
+  std::vector<Scalar> on_g;
+  on_g.reserve(3 * total);
+  if (rewrap) {
+    for (const ReEncWitness& w : witnesses) {
+      on_g.push_back(w.rewrap);
+    }
+  }
+  on_g.insert(on_g.end(), kxs.begin(), kxs.end());
+  on_g.insert(on_g.end(), krs.begin(), krs.end());
+  std::vector<Point> g_products(on_g.size());
+  FixedBaseMul(Point::GeneratorTable(), on_g, g_products, workers);
+  const std::span<const Point> r_g(g_products.data(), rewrap ? total : 0);
+  const std::span<const Point> kx_g(r_g.data() + r_g.size(), kxs.size());
+  const std::span<const Point> kr_g(kx_g.data() + kx_g.size(), krs.size());
+  // Per component: r·N, then (NIZK) kr·N.
+  std::vector<Point> r_n(rewrap ? total : 0), kr_n(rewrap && nizk ? total : 0);
+  for (size_t b = 0; rewrap && b < inputs.size(); b++) {
+    const size_t lo = sub_first[b], count = sub_first[b + 1] - lo;
+    std::vector<Scalar> on_n;
+    on_n.reserve(2 * count);
+    for (size_t i = lo; i < lo + count; i++) {
+      on_n.push_back(witnesses[i].rewrap);
+    }
+    if (nizk) {
+      on_n.insert(on_n.end(), krs.begin() + static_cast<ptrdiff_t>(lo),
+                  krs.begin() + static_cast<ptrdiff_t>(lo + count));
+    }
+    std::vector<Point> n_products(on_n.size());
+    SameBaseMul(next_pks[b], tables[b].get(), on_n, n_products, workers);
+    std::copy_n(n_products.begin(), count,
+                r_n.begin() + static_cast<ptrdiff_t>(lo));
+    if (nizk) {
+      std::copy_n(n_products.begin() + static_cast<ptrdiff_t>(count), count,
+                  kr_n.begin() + static_cast<ptrdiff_t>(lo));
+    }
+  }
+
+  std::vector<ReEncProof> commitments(nizk ? total : 0);
+  size_t i = 0;
+  for (CiphertextBatch& out : result.outputs) {
+    for (ElGamalCiphertextVec& vec : out) {
+      for (ElGamalCiphertext& cur : vec) {
+        cur.c = cur.c - share_y[i];
+        if (rewrap) {
+          cur.r = cur.r + r_g[i];
+          cur.c = cur.c + r_n[i];
         }
         if (nizk) {
-          commitments[offsets[m] + c] =
-              CommitReEncProof(w[c], kx_y[c], next, table);
+          commitments[i] = CommitReEncProof(kx_g[i], kr_g[i], kx_y[i],
+                                            rewrap ? &kr_n[i] : nullptr);
         }
+        i++;
       }
-    });
+    }
   }
 
   if (nizk) {
     std::vector<ReEncClaim> claims;
     claims.reserve(commitments.size());
     for (size_t b = 0; b < inputs.size(); b++) {
-      const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
+      const Point* next = rewrap ? &next_pks[b] : nullptr;
       for (size_t m = 0; m < inputs[b].size(); m++) {
         for (size_t c = 0; c < inputs[b][m].size(); c++) {
           claims.push_back(ReEncClaim{next, inputs[b][m][c],

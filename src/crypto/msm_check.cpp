@@ -4,22 +4,9 @@
 #include "src/util/parallel.h"
 
 namespace atom {
+namespace {
 
-std::vector<Scalar> OuterWeights(std::span<const WeightSeed> seeds) {
-  Transcript t("atom/proof-chain-weights/v1");
-  t.AppendU64("proofs", seeds.size());
-  for (const WeightSeed& seed : seeds) {
-    t.AppendBytes("seed", BytesView(seed.data(), seed.size()));
-  }
-  auto outer = t.ChallengeBytes("outer-weights");
-  Rng stream{BytesView(outer.data(), outer.size())};
-  std::vector<Scalar> weights(seeds.size());
-  for (Scalar& w : weights) {
-    w = Scalar::Random(stream);
-  }
-  return weights;
-}
-
+// MultiScalarMul split into `workers` chunks run with ParallelFor.
 Point ParallelMsm(std::span<const Point> points,
                   std::span<const Scalar> scalars, size_t workers) {
   if (workers <= 1 || points.size() < 64) {
@@ -41,6 +28,28 @@ Point ParallelMsm(std::span<const Point> points,
     acc = acc + p;
   }
   return acc;
+}
+
+}  // namespace
+
+std::vector<Scalar> OuterWeights(std::span<const WeightSeed> seeds) {
+  Transcript t("atom/proof-chain-weights/v1");
+  t.AppendU64("proofs", seeds.size());
+  for (const WeightSeed& seed : seeds) {
+    t.AppendBytes("seed", BytesView(seed.data(), seed.size()));
+  }
+  auto outer = t.ChallengeBytes("outer-weights");
+  Rng stream{BytesView(outer.data(), outer.size())};
+  std::vector<Scalar> weights(seeds.size());
+  for (Scalar& w : weights) {
+    w = Scalar::Random(stream);
+  }
+  return weights;
+}
+
+void MsmCheck::Reserve(size_t terms) {
+  points_.reserve(terms);
+  scalars_.reserve(terms);
 }
 
 void MsmCheck::Add(const Point& p, const Scalar& s) {

@@ -31,10 +31,6 @@ using WeightSeed = std::array<uint8_t, 32>;
 // One outer weight per seed, from a transcript over all of them.
 std::vector<Scalar> OuterWeights(std::span<const WeightSeed> seeds);
 
-// MultiScalarMul split into `workers` chunks run with ParallelFor.
-Point ParallelMsm(std::span<const Point> points,
-                  std::span<const Scalar> scalars, size_t workers);
-
 // The accumulated equation g·G == Σ scalars[i]·points[i].
 class MsmCheck {
  public:
@@ -45,7 +41,12 @@ class MsmCheck {
   // object. `p` must stay alive and unchanged until Holds returns.
   void AddShared(const Point& p, const Scalar& s);
 
-  // BaseMul(g) == ParallelMsm(points, scalars, workers).
+  // Room for `terms` Add/AddShared terms, so a caller that knows its term
+  // count grows the vectors once.
+  void Reserve(size_t terms);
+
+  // BaseMul(g) == Σ scalars[i]·points[i], the MSM split into `workers`
+  // chunks run with ParallelFor.
   bool Holds(size_t workers = 1) const;
 
  private:

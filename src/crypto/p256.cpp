@@ -98,7 +98,7 @@ struct Naf {
   int count = 0;
 };
 
-// Point::Mul and MulPairs: width 5, so 8 odd multiples and ~43 additions
+// Point::Mul: width 5, so 8 odd multiples and ~43 additions
 // per 256-bit scalar (width 4 would need 4 multiples and ~51 additions;
 // width 6, 16 multiples for ~37).
 using MulNaf = Naf<5>;
@@ -369,55 +369,6 @@ Point Point::Mul(const Scalar& k) const {
     return acc + (MulNaf::Negative(code) ? m.Neg() : m);
   };
   return RunNafs(std::span(&naf, 1), add);
-}
-
-void MulPairs(std::span<const Point> bases, std::span<const Scalar> a,
-              std::span<const Scalar> b, std::span<Point> out_a,
-              std::span<Point> out_b) {
-  const size_t n = bases.size();
-  ATOM_CHECK(a.size() == n && b.size() == n && out_a.size() == n &&
-             out_b.size() == n);
-  // Each product splits its scalar at bit 128: k·P = lo·P + hi·Q with
-  // Q = 2^128·P. The 128 doublings that make Q serve both products, and
-  // each product's Horner run then needs 128 doublings instead of 256:
-  // 384 per base instead of 512. A base's rows hold the odd multiples of
-  // P, then those of Q; an identity base keeps identity rows, which
-  // BatchNormalize skips.
-  constexpr size_t kEntries = MulNaf::kEntries;
-  constexpr size_t kRow = 2 * kEntries;
-  std::vector<Point> jac(n * kRow);
-  for (size_t i = 0; i < n; i++) {
-    if (bases[i].IsInfinity()) {
-      continue;
-    }
-    Point q = bases[i];
-    for (int d = 0; d < 128; d++) {
-      q = q.Double();
-    }
-    OddMultiples(bases[i], jac.data() + i * kRow, kEntries);
-    OddMultiples(q, jac.data() + i * kRow + kEntries, kEntries);
-  }
-  std::vector<Point::Affine> table(jac.size());
-  Point::BatchNormalize(jac, table.data());
-  for (size_t i = 0; i < n; i++) {
-    const Point::Affine* row = table.data() + i * kRow;
-    auto mul = [&](const Scalar& k) {
-      if (bases[i].IsInfinity() || k.IsZero()) {
-        return Point::Infinity();
-      }
-      const U256 e = k.PlainValue();
-      MulNaf halves[2] = {MulNaf(U256::FromLimbs(e.v[0], e.v[1], 0, 0)),
-                          MulNaf(U256::FromLimbs(e.v[2], e.v[3], 0, 0))};
-      auto add = [row](const Point& acc, size_t t, int code) {
-        const Point::Affine& m = row[t * kEntries + MulNaf::Entry(code)];
-        return Point::AddMixed(acc, m.x,
-                               MulNaf::Negative(code) ? fp::Neg(m.y) : m.y);
-      };
-      return RunNafs(std::span<MulNaf>(halves), add);
-    };
-    out_a[i] = mul(a[i]);
-    out_b[i] = mul(b[i]);
-  }
 }
 
 Point Point::AddMixed(const Point& jacobian, const U256& x, const U256& y) {

@@ -18,11 +18,8 @@
 //     Point::Mul rebuilds an 8-entry odd-multiple table per call; build a
 //     FixedBaseTable whenever the same base is multiplied more than ~14
 //     times.
-//   - Point::Mul / MulPairs: width-5 NAF over the odd multiples P..15P,
-//     ~43 additions and ~255 doublings per product. MulPairs makes two
-//     products per base from one affine table of P and of 2^128·P (mixed
-//     adds, 384 doublings per base instead of 512), all of a call's
-//     tables normalized with one shared inversion.
+//   - Point::Mul: width-5 NAF over the odd multiples P..15P, ~43
+//     additions and ~255 doublings per product.
 //   - MultiScalarMul: interleaved width-4 NAF (Straus) over one shared run
 //     of doublings below kPippengerMinPoints terms (intake batches: Schnorr
 //     spans, EncProof vectors), Pippenger with signed digits from there (a
@@ -34,8 +31,10 @@
 //     trick) instead of one ~255-squaring inversion chain per point.
 //
 // None of this is constant time: table lookups and additions depend on the
-// scalar's digits. docs/architecture.md lists the call sites that pass a
-// secret scalar through these paths.
+// scalar's digits. Use it for public scalars. A hop's secret-scalar
+// products run on the fixed-schedule lane kernel instead
+// (src/crypto/lanes.h); docs/architecture.md lists the one-off sites that
+// still pass a secret scalar through these paths.
 #ifndef SRC_CRYPTO_P256_H_
 #define SRC_CRYPTO_P256_H_
 
@@ -110,7 +109,7 @@ class Point {
   // Variable-base scalar multiplication: width-5 NAF digits (odd, in
   // [-15, 15]) over the 8 Jacobian odd multiples P, 3P, ..., 15P, rebuilt
   // on every call; ~2.8k field mul/sqr. If the base repeats, use a
-  // FixedBaseTable; for two products by one base, MulPairs.
+  // FixedBaseTable.
   Point Mul(const Scalar& k) const;
   // Fixed-base multiplication by the generator (precomputed affine table).
   static Point BaseMul(const Scalar& k);
@@ -144,21 +143,19 @@ class Point {
   // Constructs from affine coordinates in plain form (checked on-curve).
   static std::optional<Point> FromAffine(const U256& x, const U256& y);
 
- private:
-  friend class FixedBaseTable;
-  friend Point StrausMsm(std::span<const Point> points,
-                         std::span<const Scalar> scalars);
-  friend Point PippengerMsm(std::span<const Point> points,
-                            std::span<const Scalar> scalars);
-  friend void MulPairs(std::span<const Point> bases, std::span<const Scalar> a,
-                       std::span<const Scalar> b, std::span<Point> out_a,
-                       std::span<Point> out_b);
-
   // Affine point (Montgomery-form x, y), never the identity: the entry type
   // of every precomputed table.
   struct Affine {
     U256 x, y;
   };
+
+ private:
+  friend class FixedBaseTable;
+  friend struct LaneAccess;
+  friend Point StrausMsm(std::span<const Point> points,
+                         std::span<const Scalar> scalars);
+  friend Point PippengerMsm(std::span<const Point> points,
+                            std::span<const Scalar> scalars);
 
   // Mixed-coordinate addition jacobian + (x, y): with the second point's
   // z == 1 the add costs 11 field mul/sqr instead of 16.
@@ -178,6 +175,8 @@ class Point {
 // negated for a negative digit: ~43 mixed additions and zero doublings.
 // Available for any base that repeats (group/entry/trustee public keys,
 // rerandomization bases), and behind Point::BaseMul for the generator.
+// The lane kernel's fixed-base entry point (src/crypto/lanes.h) reads the
+// same rows with a masked scan, so one table serves both.
 //
 // Build cost is ~1,400 point adds plus one batched inversion (31.2k field
 // mul/sqr, about eleven generic Point::Mul calls); each table Mul (454)
@@ -191,30 +190,19 @@ class FixedBaseTable {
   const Point& base() const { return base_; }
 
   // base * k. Identity base or zero scalar yields the identity, matching
-  // Point::Mul exactly on every input.
+  // Point::Mul exactly on every input. Variable time in k.
   Point Mul(const Scalar& k) const;
 
- private:
   static constexpr int kWindowBits = 6;
   static constexpr int kWindows = 43;  // ceil(257 / 6): room for the carry
   static constexpr int kEntries = 1 << (kWindowBits - 1);
 
+ private:
+  friend struct LaneAccess;
+
   Point base_;
   Point::Affine table_[kWindows][kEntries];
 };
-
-// out_a[i] = bases[i]·a[i] and out_b[i] = bases[i]·b[i], equal to two
-// Point::Mul calls per base: a NIZK ReEnc step's decryption share x·Y and
-// proof nonce product kx·Y. Each scalar splits at bit 128, k·P =
-// lo·P + hi·Q with Q = 2^128·P, so the 128 doublings that make Q serve
-// both products and each product's Horner run takes 128. The odd
-// multiples of P and Q (width-5 NAF digits) are built once per base and
-// normalized to affine with one inversion for the whole call, so every
-// addition is a mixed add. ~20% below two Point::Mul calls per product.
-// Variable time in every scalar.
-void MulPairs(std::span<const Point> bases, std::span<const Scalar> a,
-              std::span<const Scalar> b, std::span<Point> out_a,
-              std::span<Point> out_b);
 
 // Concatenated 33-byte encodings of `points` — byte-identical to calling
 // Encode() per point, but pays one field inversion for the whole batch

@@ -2,6 +2,7 @@
 
 #include <mutex>
 
+#include "src/crypto/lanes.h"
 #include "src/crypto/msm_check.h"
 #include "src/crypto/transcript.h"
 #include "src/util/parallel.h"
@@ -154,10 +155,11 @@ std::vector<uint32_t> RandomPermutation(size_t n, Rng& rng) {
 
 namespace {
 
-// Past ~14 multiplications by the same base, building a FixedBaseTable is
-// cheaper than the generic Muls it replaces: the build costs ~31.2k field
-// mul/sqr (about eleven ~2.8k-op wNAF Muls), and each table Mul (~450)
-// saves ~2.4k. 16 adds slack for the estimate.
+// From ~16 multiplications by the same base, building a FixedBaseTable
+// (~31.2k field mul/sqr, about a millisecond) is cheaper than the
+// portable variable-base lane products it replaces, each ~5x a fixed-base
+// one. On IFMA, where a variable-base lane costs ~20 us, the build pays
+// from ~50; the hop's shuffles use the group's cached table either way.
 constexpr size_t kTableBuildThreshold = 16;
 
 // Shared body: `pk_table` may be null (generic multiplication).
@@ -181,14 +183,23 @@ CiphertextBatch ShuffleBatchImpl(const Point& pk,
     }
   }
 
+  // Every rerandomization's r·G and r·pk, in (message, component) order,
+  // on the lane kernel.
+  std::vector<Scalar> flat;
+  flat.reserve(n * l);
+  for (const std::vector<Scalar>& row : rands) {
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  std::vector<Point> on_g(n * l), on_pk(n * l);
+  FixedBaseMul(Point::GeneratorTable(), flat, on_g, workers);
+  SameBaseMul(pk, pk_table, flat, on_pk, workers);
   CiphertextBatch output(n, ElGamalCiphertextVec(l));
   ParallelFor(workers, n, [&](size_t i) {
     for (size_t c = 0; c < l; c++) {
       const ElGamalCiphertext& in = input[perm[i]][c];
-      const Scalar& r = rands[i][c];
       ElGamalCiphertext& out = output[i][c];
-      out.r = in.r + Point::BaseMul(r);
-      out.c = in.c + (pk_table != nullptr ? pk_table->Mul(r) : pk.Mul(r));
+      out.r = in.r + on_g[i * l + c];
+      out.c = in.c + on_pk[i * l + c];
       out.y = Point::Infinity();
     }
   });
@@ -356,9 +367,10 @@ ShuffleResult ShuffleAndProveImpl(const Point& pk,
   }
   ShuffleProof& proof = result.proof;
   proof.perm_commit.resize(n);
-  ParallelFor(workers, n, [&](size_t j) {
-    proof.perm_commit[j] = Point::BaseMul(cr[j]) + hs[inv[j]];
-  });
+  FixedBaseMul(Point::GeneratorTable(), cr, proof.perm_commit, workers);
+  for (size_t j = 0; j < n; j++) {
+    proof.perm_commit[j] = proof.perm_commit[j] + hs[inv[j]];
+  }
 
   // Fiat-Shamir round 1: derive u[j].
   Transcript transcript = StatementTranscript(
@@ -385,10 +397,15 @@ ShuffleResult ShuffleAndProveImpl(const Point& pk,
   }
   const FixedBaseTable& chain_base = ChainBaseTable();
   proof.chain_commit.resize(n);
-  ParallelFor(workers, n, [&](size_t i) {
-    proof.chain_commit[i] =
-        Point::BaseMul(chain_r[i]) + chain_base.Mul(chain_u[i]);
-  });
+  {
+    std::vector<Point> on_h(n);
+    FixedBaseMul(Point::GeneratorTable(), chain_r, proof.chain_commit,
+                 workers);
+    FixedBaseMul(chain_base, chain_u, on_h, workers);
+    for (size_t i = 0; i < n; i++) {
+      proof.chain_commit[i] = proof.chain_commit[i] + on_h[i];
+    }
+  }
 
   // Aggregate witnesses.
   Scalar r_bar = Scalar::Zero();   // Σ r[j]
@@ -418,37 +435,51 @@ ShuffleResult ShuffleAndProveImpl(const Point& pk,
     w_prime[i] = Scalar::Random(rng);
   }
 
-  proof.t1 = Point::BaseMul(w1);
-  proof.t2 = Point::BaseMul(w2);
-  proof.t3 = Point::BaseMul(w3) + ParallelMsm(hs, w_prime, workers);
-  proof.t4a.resize(l);
-  proof.t4b.resize(l);
-  {
-    // Per component: t4a = Σ ω'[i]·ẽ[i].r - ω4·G, t4b likewise with .c / pk.
-    std::vector<Point> col(n);
-    for (size_t c = 0; c < l; c++) {
-      for (size_t i = 0; i < n; i++) {
-        col[i] = result.output[i][c].r;
-      }
-      proof.t4a[c] =
-          ParallelMsm(col, w_prime, workers) - Point::BaseMul(w4[c]);
-      for (size_t i = 0; i < n; i++) {
-        col[i] = result.output[i][c].c;
-      }
-      proof.t4b[c] = ParallelMsm(col, w_prime, workers) -
-                     (pk_table != nullptr ? pk_table->Mul(w4[c])
-                                          : pk.Mul(w4[c]));
-    }
-  }
+  // The sigma commitments' products, on the lane kernel:
+  //   - on G: w1, w2, w3, each ω4[c], and t̂[i]'s G scalar;
+  //   - on H: t̂[i]'s H scalar; on pk: each ω4[c];
+  //   - the 1 + 2l MSMs over w': Σ w'[i]·H[i] for t3, and per component
+  //     Σ w'[i]·ẽ[i].r and Σ w'[i]·ẽ[i].c for t4a, t4b.
   // t̂[i] = ŵ[i]·G + w'[i]·ĉ[i-1]
   //      = (ŵ[i] + w'[i]·R[i-1])·G + (w'[i]·U[i-1])·H, with U[-1] = 1.
+  std::vector<Scalar> on_g = {w1, w2, w3};
+  on_g.insert(on_g.end(), w4.begin(), w4.end());
+  std::vector<Scalar> on_h(n);
+  for (size_t i = 0; i < n; i++) {
+    on_g.push_back(i == 0 ? w_hat[0] : w_hat[i] + w_prime[i] * chain_r[i - 1]);
+    on_h[i] = i == 0 ? w_prime[0] : w_prime[i] * chain_u[i - 1];
+  }
+  std::vector<Point> g_products(on_g.size()), h_products(n), pk_products(l);
+  FixedBaseMul(Point::GeneratorTable(), on_g, g_products, workers);
+  FixedBaseMul(chain_base, on_h, h_products, workers);
+  SameBaseMul(pk, pk_table, w4, pk_products, workers);
+  std::vector<Point> msm_bases(hs);
+  msm_bases.reserve((1 + 2 * l) * n);
+  for (size_t c = 0; c < l; c++) {
+    for (size_t i = 0; i < n; i++) {
+      msm_bases.push_back(result.output[i][c].r);
+    }
+    for (size_t i = 0; i < n; i++) {
+      msm_bases.push_back(result.output[i][c].c);
+    }
+  }
+  std::vector<Point> msms(1 + 2 * l);
+  SharedDigitMsm(msm_bases, w_prime, msms, workers);
+
+  proof.t1 = g_products[0];
+  proof.t2 = g_products[1];
+  proof.t3 = g_products[2] + msms[0];
+  proof.t4a.resize(l);
+  proof.t4b.resize(l);
+  for (size_t c = 0; c < l; c++) {
+    // t4a = Σ ω'[i]·ẽ[i].r - ω4·G, t4b likewise with .c / pk.
+    proof.t4a[c] = msms[1 + 2 * c] - g_products[3 + c];
+    proof.t4b[c] = msms[2 + 2 * c] - pk_products[c];
+  }
   proof.t_hat.resize(n);
-  ParallelFor(workers, n, [&](size_t i) {
-    const Scalar g =
-        i == 0 ? w_hat[0] : w_hat[i] + w_prime[i] * chain_r[i - 1];
-    const Scalar h = i == 0 ? w_prime[0] : w_prime[i] * chain_u[i - 1];
-    proof.t_hat[i] = Point::BaseMul(g) + chain_base.Mul(h);
-  });
+  for (size_t i = 0; i < n; i++) {
+    proof.t_hat[i] = g_products[3 + l + i] + h_products[i];
+  }
 
   // Fiat-Shamir round 2: the main challenge.
   AppendCommitments(transcript, proof);
@@ -555,6 +586,13 @@ std::optional<ShuffleChainCheck> ShuffleChainCheck::Prepare(
   return chain;
 }
 
+size_t ShuffleChainCheck::MaxTerms() const {
+  // Per proof: t1..t3, t4a/t4b, and perm_commit, t_hat and chain_commit per
+  // message, plus each input and output component's r and c; then H, pk
+  // and the H[i] once.
+  return proofs_.size() * (3 + 2 * l_ + 3 * n_ + 4 * l_ * n_) + 2 + n_;
+}
+
 void ShuffleChainCheck::AddTo(std::span<const Scalar> outer,
                               MsmCheck& check) const {
   ATOM_CHECK(outer.size() == proofs_.size());
@@ -654,6 +692,7 @@ bool VerifyShuffleChain(const Point& pk,
     return false;
   }
   MsmCheck check;
+  check.Reserve(chain->MaxTerms());
   chain->AddTo(OuterWeights(chain->seeds()), check);
   return check.Holds(workers);
 }

@@ -136,6 +136,8 @@ class ShuffleChainCheck {
 
   std::span<const WeightSeed> seeds() const { return seeds_; }
   void AddTo(std::span<const Scalar> outer, MsmCheck& check) const;
+  // The most terms AddTo adds, for MsmCheck::Reserve.
+  size_t MaxTerms() const;
 
  private:
   ShuffleChainCheck() = default;

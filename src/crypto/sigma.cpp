@@ -1,5 +1,6 @@
 #include "src/crypto/sigma.h"
 
+#include "src/crypto/lanes.h"
 #include "src/crypto/msm_check.h"
 #include "src/crypto/transcript.h"
 #include "src/util/serde.h"
@@ -246,19 +247,15 @@ std::optional<ReEncProof> ReEncProof::Decode(BytesView bytes) {
   return proof;
 }
 
-ReEncProof CommitReEncProof(const ReEncWitness& witness, const Point& kx_y,
-                            const Point* next_pk,
-                            const FixedBaseTable* next_table) {
-  ATOM_CHECK(next_table == nullptr ||
-             (next_pk != nullptr && next_table->base() == *next_pk));
+ReEncProof CommitReEncProof(const Point& kx_g, const Point& kr_g,
+                            const Point& kx_y, const Point* kr_n) {
   ReEncProof proof;
-  proof.a1 = Point::BaseMul(witness.kx);
-  proof.a2 = Point::BaseMul(witness.kr);
+  proof.a1 = kx_g;
+  proof.a2 = kr_g;
   // a3 commits to the c-relation: -kx*Y (+ kr*next_pk).
   proof.a3 = kx_y.Neg();
-  if (next_pk != nullptr) {
-    proof.a3 = proof.a3 + (next_table != nullptr ? next_table->Mul(witness.kr)
-                                                 : next_pk->Mul(witness.kr));
+  if (kr_n != nullptr) {
+    proof.a3 = proof.a3 + *kr_n;
   }
   return proof;
 }
@@ -288,8 +285,23 @@ ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
   witness.rewrap = rewrap_randomness;
   witness.kx = Scalar::Random(rng);
   witness.kr = Scalar::Random(rng);
-  const ReEncProof commitments = CommitReEncProof(
-      witness, NormalizeInput(input).y.Mul(witness.kx), next_pk, next_table);
+  ATOM_CHECK(next_table == nullptr || next_pk != nullptr);
+  // The products through the lane kernel, as ReEncStep makes them.
+  const Scalar on_g[] = {witness.kx, witness.kr};
+  Point g_products[2];
+  FixedBaseMul(Point::GeneratorTable(), on_g, g_products);
+  const Point y = NormalizeInput(input).y;
+  Point kx_y, kr_n;
+  const std::span<const Scalar> kx_column[] = {std::span(&witness.kx, 1)};
+  const std::span<Point> kx_out[] = {std::span(&kx_y, 1)};
+  VariableBaseMul(std::span(&y, 1), kx_column, kx_out);
+  if (next_pk != nullptr) {
+    SameBaseMul(*next_pk, next_table, std::span(&witness.kr, 1),
+                std::span(&kr_n, 1));
+  }
+  const ReEncProof commitments =
+      CommitReEncProof(g_products[0], g_products[1], kx_y,
+                       next_pk != nullptr ? &kr_n : nullptr);
   const ReEncClaim claim{next_pk, input, output, commitments};
   return CompleteReEncProofs(server_sk, server_pk, std::span(&claim, 1),
                              std::span(&witness, 1))[0];
@@ -339,6 +351,16 @@ std::optional<ReEncChainCheck> ReEncChainCheck::Prepare(
   return chain;
 }
 
+size_t ReEncChainCheck::MaxTerms() const {
+  // Per claim: a1..a3, the r and c differences, Y and next_pk; per step the
+  // server key.
+  size_t terms = 0;
+  for (const std::span<const ReEncClaim>& step : steps_) {
+    terms += 7 * step.size() + 1;
+  }
+  return terms;
+}
+
 void ReEncChainCheck::AddTo(std::span<const Scalar> outer,
                             MsmCheck& check) const {
   ATOM_CHECK(outer.size() == steps_.size());
@@ -386,6 +408,7 @@ bool VerifyReEncChain(std::span<const Point> server_pks,
     return false;
   }
   MsmCheck check;
+  check.Reserve(chain->MaxTerms());
   chain->AddTo(OuterWeights(chain->seeds()), check);
   return check.Holds(workers);
 }

@@ -111,19 +111,17 @@ struct ReEncWitness {
 };
 
 // The prover, in the two parts a server's reencryption step runs
-// (ReEncStep, src/core/group_runtime.h): the commitments of each proof
-// inside the step's parallel loop, beside the decryption share x·Y that
-// MulPairs computes from the same table of Y as kx·Y, then every
-// challenge and response of the step at once.
+// (ReEncStep, src/core/group_runtime.h): the commitments of each proof from
+// products the step computes for all its components at once on the lane
+// kernel (src/crypto/lanes.h), beside the decryption share x·Y that comes
+// from the same table of Y as kx·Y, then every challenge and response of
+// the step at once.
 //
-// CommitReEncProof: a1 = kx·G, a2 = kr·G and a3 = kr·N - kx_y, where
-// kx_y = kx·Y for the normalized input's Y and N = next_pk (no term at
-// the exit layer). `next_table`, when given, must be N's FixedBaseTable;
-// it replaces the multiplication by N (same output bytes). zx, zr are
-// left for CompleteReEncProofs.
-ReEncProof CommitReEncProof(const ReEncWitness& witness, const Point& kx_y,
-                            const Point* next_pk,
-                            const FixedBaseTable* next_table = nullptr);
+// CommitReEncProof: a1 = kx·G, a2 = kr·G and a3 = kr·N - kx·Y, where Y is
+// the normalized input's and N = next_pk (kr_n is null at the exit layer,
+// where a3 has no N term). zx, zr are left for CompleteReEncProofs.
+ReEncProof CommitReEncProof(const Point& kx_g, const Point& kr_g,
+                            const Point& kx_y, const Point* kr_n);
 
 // Completes claims[i].proof, committed with witnesses[i]: the challenges of
 // all claims from one EncodePoints over their transcripts, then
@@ -135,7 +133,9 @@ std::vector<ReEncProof> CompleteReEncProofs(
 
 // The one-claim step: draws kx then kr from `rng` and proves that `output`
 // is ReEnc of `input` (as received; the Y normalization Y ← R, R ← identity
-// is recomputed by prover and verifier alike).
+// is recomputed by prover and verifier alike). `next_table`, when given,
+// must be N's FixedBaseTable; it replaces a variable-base kr·N (same proof
+// bytes).
 ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
                           const Point* next_pk, const ElGamalCiphertext& input,
                           const ElGamalCiphertext& output,
@@ -178,6 +178,8 @@ class ReEncChainCheck {
 
   std::span<const WeightSeed> seeds() const { return seeds_; }
   void AddTo(std::span<const Scalar> outer, MsmCheck& check) const;
+  // The most terms AddTo adds, for MsmCheck::Reserve.
+  size_t MaxTerms() const;
 
  private:
   ReEncChainCheck() = default;

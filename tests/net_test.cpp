@@ -15,9 +15,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -1609,6 +1611,60 @@ TEST(MeshBackpressure, OverloadedPeerQueueDropsToAbortNotBlock) {
 
   driver.Stop();
   a.Stop();
+  b.Stop();
+}
+
+// WanProfile's bandwidth term: over a loopback link, a frame of B bytes
+// (its body plus the one-byte LinkMsg tag) sent to a peer whose profile
+// has bytes_per_ms = r arrives no sooner than delay + B / r ms after the
+// send starts, and bytes_per_ms = 0 adds nothing to the delay.
+TEST(MeshWan, BandwidthTermDelaysEachFrameBySize) {
+  Rng rng(uint64_t{0xbacb});
+  KemKeypair driver_key = KemKeyGen(rng);
+  KemKeypair b_key = KemKeyGen(rng);
+  TcpPeerMesh driver(TcpPeerMesh::Role::kDriver, kMeshDriverId, driver_key);
+  TcpPeerMesh b(TcpPeerMesh::Role::kServer, 9, b_key);
+  ASSERT_TRUE(b.Listen(0));
+  b.Start();
+  b.AddPeerKey(kMeshDriverId, driver_key.pk);
+  driver.SetRoster({MeshPeer{9, "127.0.0.1", b.listen_port(), b_key.pk}});
+  std::mutex mu;
+  std::condition_variable arrived;
+  size_t count = 0;
+  std::chrono::steady_clock::time_point last;
+  b.OnControl([&](uint32_t, LinkFrame) {
+    std::lock_guard<std::mutex> lock(mu);
+    count++;
+    last = std::chrono::steady_clock::now();
+    arrived.notify_all();
+  });
+  // Send time to arrival time of one frame of `body_bytes` + 1 bytes.
+  auto time_one = [&](size_t body_bytes) {
+    std::unique_lock<std::mutex> lock(mu);
+    const size_t want = count + 1;
+    lock.unlock();
+    const auto t0 = std::chrono::steady_clock::now();
+    const Bytes body(body_bytes, 0x5a);
+    EXPECT_TRUE(driver.SendFrame(9, LinkMsg::kRoundDone, BytesView(body)));
+    lock.lock();
+    EXPECT_TRUE(arrived.wait_for(lock, 10s, [&] { return count >= want; }));
+    return last - t0;
+  };
+  time_one(8);  // dial the link outside the timed sends
+
+  // 10 ms delay, and 20,001 B at 100 B/ms: 200 ms of serialization.
+  driver.set_peer_profile(9, WanProfile{10ms, 100});
+  EXPECT_GE(time_one(20'000), 210ms);
+  // A frame under 100 B pays the delay only (integer milliseconds).
+  EXPECT_GE(time_one(50), 10ms);
+  // bytes_per_ms = 0 is unlimited bandwidth: the same 20,001 B frame pays
+  // the 10 ms delay and none of the 200 ms.
+  driver.set_peer_profile(9, WanProfile{10ms, 0});
+  const auto unlimited = time_one(20'000);
+  EXPECT_GE(unlimited, 10ms);
+  EXPECT_LT(unlimited, 210ms);
+
+  driver.Stop();
   b.Stop();
 }
 

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "src/crypto/lanes.h"
 #include "src/crypto/mont.h"
 #include "src/crypto/p256.h"
 #include "src/util/hex.h"
@@ -439,23 +440,48 @@ TEST(P256, MsmCancellingAndRepeatedTerms) {
 
 // ------------------------------------------------ variable-base kernels --
 
-// Point::Mul (width-5 NAF over Jacobian odd multiples) and MulPairs (each
-// scalar split at bit 128, over affine tables of P and 2^128·P) against
-// two oracles that share no code with them: the discrete-log oracle
-// (base = a·G, so base·k must be BaseMul(a·k), a FixedBaseTable product)
-// and a one-term MultiScalarMul (Straus, width 4).
+// The lane kernel's backends: portable always, IFMA where the CPU has it.
+std::vector<const LaneBackend*> LaneBackends() {
+  std::vector<const LaneBackend*> out{&PortableLanes()};
+  if (IfmaLanes() != nullptr) {
+    out.push_back(IfmaLanes());
+  }
+  return out;
+}
+
+// Every backend's outputs, encoded: the backends must agree byte for byte.
+void ExpectBackendsAgree(const std::vector<Bytes>& encoded) {
+  for (size_t i = 1; i < encoded.size(); i++) {
+    EXPECT_EQ(encoded[i], encoded[0]);
+  }
+}
+
+// Point::Mul (width-5 NAF over Jacobian odd multiples) and the lane
+// kernel's variable-base entry point (each scalar made odd and split at bit
+// 128, over affine tables of P and 2^128·P) against two oracles that share
+// no code with them: the discrete-log oracle (base = a·G, so base·k must be
+// BaseMul(a·k), a FixedBaseTable product) and a one-term MultiScalarMul
+// (Straus, width 4). The lane call has two columns, k shared and k + 1.
 void ExpectVariableBaseMatchesOracles(const Scalar& a, const Scalar& k) {
   const Point base = Point::BaseMul(a);
   const Point expect = Point::BaseMul(a * k);
   EXPECT_EQ(base.Mul(k), expect);
   EXPECT_EQ(MultiScalarMul(std::vector<Point>{base}, std::vector<Scalar>{k}),
             expect);
-  Point out_a, out_b;
   const Scalar other = k + Scalar::One();
-  MulPairs(std::span(&base, 1), std::span(&k, 1), std::span(&other, 1),
-           std::span(&out_a, 1), std::span(&out_b, 1));
-  EXPECT_EQ(out_a, expect);
-  EXPECT_EQ(out_b, Point::BaseMul(a * other));
+  std::vector<Bytes> encoded;
+  for (const LaneBackend* backend : LaneBackends()) {
+    Point out_a, out_b;
+    const std::vector<std::span<const Scalar>> columns = {
+        std::span(&k, 1), std::span(&other, 1)};
+    const std::vector<std::span<Point>> outs = {std::span(&out_a, 1),
+                                                std::span(&out_b, 1)};
+    backend->variable_base(std::span(&base, 1), columns, outs);
+    EXPECT_EQ(out_a, expect) << backend->name;
+    EXPECT_EQ(out_b, Point::BaseMul(a * other)) << backend->name;
+    encoded.push_back(EncodePoints(std::vector<Point>{out_a, out_b}));
+  }
+  ExpectBackendsAgree(encoded);
 }
 
 // 2^k for k <= 255 (below n, so the scalar's plain value is 2^k).
@@ -466,8 +492,10 @@ Scalar PowerOfTwo(int k) { return WindowPattern(1, 1, k) + Scalar::One(); }
 // 2^256 - 2^251 + 2^250 - 1 (five top bits, then a low all-ones run) and
 // 2^255 - 1 (every window all ones). Every window 17 recodes to digits
 // -15 with a carry each; every window 16 is the largest digit without one.
-// Where MulPairs splits: 2^128 - 1 (the low half's NAF carries into bit
-// 128), 2^128 (a zero low half) and 2^127 (a zero high half).
+// Where the lane kernel splits: 2^128 - 1 (the low half's NAF carries into
+// bit 128), 2^128 (a zero low half), 2^127 (a zero high half) and 2^128 + 1
+// (an even high half). 6, 30, n - 6 and n - 30 are the products whose last
+// lane-kernel addition meets acc = ±(entry).
 TEST(P256, WnafMulEdgeScalars) {
   Rng rng(46u);
   const Scalar minus_one = Scalar::Zero() - Scalar::One();
@@ -486,6 +514,11 @@ TEST(P256, WnafMulEdgeScalars) {
       WindowPattern(1, 1, 128),
       PowerOfTwo(128),
       PowerOfTwo(127),
+      PowerOfTwo(128) + Scalar::One(),
+      Scalar::FromU64(6),
+      Scalar::FromU64(30),
+      minus_one - Scalar::FromU64(5),
+      minus_one - Scalar::FromU64(29),
   };
   for (const Scalar& k : scalars) {
     for (int i = 0; i < 4; i++) {
@@ -507,10 +540,11 @@ TEST(P256, WnafMulRandomPairs) {
   }
 }
 
-// One MulPairs call over many bases shares one inversion across all their
-// tables; identity bases and zero scalars anywhere in the spans yield the
-// identity without disturbing their neighbours.
-TEST(P256, MulPairsBatchWithIdentitiesAndZeros) {
+// One variable-base lane call over many bases (several 8-lane chunks)
+// shares one inversion per chunk across all their tables; identity bases
+// and zero scalars anywhere in the spans yield the identity without
+// disturbing their neighbours.
+TEST(P256, LaneVariableBaseBatchWithIdentitiesAndZeros) {
   Rng rng(48u);
   constexpr size_t kN = 40;
   std::vector<Scalar> logs(kN), a(kN), b(kN);
@@ -523,22 +557,132 @@ TEST(P256, MulPairsBatchWithIdentitiesAndZeros) {
            : i % 4 == 0 ? a[i]
                         : Scalar::Random(rng);
   }
-  std::vector<Point> out_a(kN), out_b(kN);
-  MulPairs(bases, a, b, out_a, out_b);
-  for (size_t i = 0; i < kN; i++) {
-    EXPECT_EQ(out_a[i], Point::BaseMul(logs[i] * a[i])) << i;
-    EXPECT_EQ(out_b[i], Point::BaseMul(logs[i] * b[i])) << i;
-    EXPECT_EQ(out_a[i], bases[i].Mul(a[i])) << i;
+  const Scalar shared = Scalar::Random(rng);
+  std::vector<Bytes> encoded;
+  for (const LaneBackend* backend : LaneBackends()) {
+    std::vector<Point> out_a(kN), out_b(kN), out_s(kN);
+    const std::vector<std::span<const Scalar>> columns = {
+        a, b, std::span(&shared, 1)};
+    const std::vector<std::span<Point>> outs = {out_a, out_b, out_s};
+    backend->variable_base(bases, columns, outs);
+    for (size_t i = 0; i < kN; i++) {
+      EXPECT_EQ(out_a[i], Point::BaseMul(logs[i] * a[i])) << i;
+      EXPECT_EQ(out_b[i], Point::BaseMul(logs[i] * b[i])) << i;
+      EXPECT_EQ(out_s[i], Point::BaseMul(logs[i] * shared)) << i;
+      EXPECT_EQ(out_a[i], bases[i].Mul(a[i])) << i;
+    }
+    encoded.push_back(EncodePoints(out_a));
+    const std::vector<Point> none;
+    const std::vector<Scalar> no_scalars;
+    const std::vector<std::span<const Scalar>> empty_columns = {no_scalars};
+    const std::vector<std::span<Point>> empty_outs = {std::span<Point>()};
+    backend->variable_base(none, empty_columns, empty_outs);
   }
-  std::vector<Point> none;
-  std::vector<Scalar> no_scalars;
-  MulPairs(none, no_scalars, no_scalars, none, none);
-  const std::vector<Point> identities(3);
-  std::vector<Point> out(3, Point::Generator()), out2(3, Point::Generator());
-  MulPairs(identities, std::span(a).first(3), std::span(b).first(3), out,
-           out2);
-  for (size_t i = 0; i < 3; i++) {
-    EXPECT_TRUE(out[i].IsInfinity() && out2[i].IsInfinity());
+  ExpectBackendsAgree(encoded);
+  // The dispatching entry point, split across workers, agrees.
+  std::vector<Point> out(kN);
+  const std::span<const Scalar> columns[] = {a};
+  const std::span<Point> outs[] = {out};
+  VariableBaseMul(bases, columns, outs, 3);
+  EXPECT_EQ(EncodePoints(out), encoded[0]);
+}
+
+// The fixed-base entry point against the discrete-log oracle on the
+// generator's table and on a table of a·G, at the edge scalars of the
+// table recoding (digits of 32, carries into the top window, zero
+// windows) and 1,000 seeded scalars, in calls of 1..9 lanes.
+TEST(P256, LaneFixedBaseMatchesOracle) {
+  Rng rng(49u);
+  const Scalar minus_one = Scalar::Zero() - Scalar::One();
+  std::vector<Scalar> scalars = {
+      Scalar::Zero(),        Scalar::One(),
+      Scalar::FromU64(32),   Scalar::FromU64(33),
+      minus_one,             minus_one - Scalar::One(),
+      PowerOfTwo(255),       PowerOfTwo(252),
+      PowerOfTwo(128),       WindowPattern(1, 1, 128),
+      WindowPattern(6, 32, 42), WindowPattern(6, 33, 42),
+      WindowPattern(6, 63, 42), WindowPattern(6, 31, 42),
+  };
+  while (scalars.size() < 1014) {
+    scalars.push_back(Scalar::Random(rng));
+  }
+  const Scalar log = Scalar::Random(rng);
+  const FixedBaseTable table(Point::BaseMul(log));
+  const FixedBaseTable identity_table(Point::Infinity());
+  std::vector<Bytes> encoded;
+  for (const LaneBackend* backend : LaneBackends()) {
+    std::vector<Point> on_g(scalars.size()), on_t(scalars.size());
+    for (size_t at = 0, lanes = 1; at < scalars.size();
+         at += lanes, lanes = lanes % 9 + 1) {
+      lanes = std::min(lanes, scalars.size() - at);
+      backend->fixed_base(Point::GeneratorTable(),
+                          std::span(scalars).subspan(at, lanes),
+                          std::span(on_g).subspan(at, lanes));
+      backend->fixed_base(table, std::span(scalars).subspan(at, lanes),
+                          std::span(on_t).subspan(at, lanes));
+    }
+    for (size_t i = 0; i < scalars.size(); i++) {
+      ASSERT_EQ(on_g[i], Point::BaseMul(scalars[i])) << backend->name << i;
+      ASSERT_EQ(on_t[i], Point::BaseMul(log * scalars[i]))
+          << backend->name << i;
+    }
+    std::vector<Point> none(3, Point::Generator());
+    backend->fixed_base(identity_table, std::span(scalars).first(3), none);
+    for (const Point& p : none) {
+      EXPECT_TRUE(p.IsInfinity());
+    }
+    encoded.push_back(EncodePoints(on_t));
+  }
+  ExpectBackendsAgree(encoded);
+}
+
+// The shared-digit MSM entry point against MultiScalarMul and the
+// discrete-log oracle: 1..11 lanes of n = 1..9 terms, with identity
+// bases, zero and edge scalars, repeated and negated bases (the additions
+// that meet acc = ±entry), all in one call.
+TEST(P256, LaneSharedDigitMsmMatchesOracles) {
+  Rng rng(50u);
+  const Scalar minus_one = Scalar::Zero() - Scalar::One();
+  const Scalar edges[] = {Scalar::Zero(), Scalar::One(), minus_one,
+                          Scalar::FromU64(2), PowerOfTwo(128),
+                          WindowPattern(5, 17, 51)};
+  for (size_t n = 1; n <= 9; n++) {
+    const size_t lanes = (n * 5) % 11 + 1;
+    std::vector<Scalar> scalars(n);
+    for (size_t t = 0; t < n; t++) {
+      scalars[t] = t % 3 == 1 ? edges[(n + t) % 6] : Scalar::Random(rng);
+    }
+    std::vector<Scalar> logs(lanes * n);
+    std::vector<Point> bases(lanes * n);
+    for (size_t m = 0; m < lanes; m++) {
+      for (size_t t = 0; t < n; t++) {
+        Scalar& log = logs[m * n + t];
+        switch ((m + 2 * t) % 7) {
+          case 0: log = Scalar::Zero(); break;                       // identity
+          case 1: log = t > 0 ? logs[m * n] : Scalar::One(); break;  // repeat
+          case 2: log = t > 0 ? logs[m * n].Neg() : minus_one; break;
+          default: log = Scalar::Random(rng);
+        }
+        bases[m * n + t] = log.IsZero() ? Point::Infinity()
+                                        : Point::BaseMul(log);
+      }
+    }
+    std::vector<Bytes> encoded;
+    for (const LaneBackend* backend : LaneBackends()) {
+      std::vector<Point> out(lanes);
+      backend->msm(bases, scalars, out);
+      for (size_t m = 0; m < lanes; m++) {
+        Scalar expect = Scalar::Zero();
+        for (size_t t = 0; t < n; t++) {
+          expect = expect + logs[m * n + t] * scalars[t];
+        }
+        const std::span<const Point> row(bases.data() + m * n, n);
+        EXPECT_EQ(out[m], Point::BaseMul(expect)) << backend->name << n << m;
+        EXPECT_EQ(out[m], MultiScalarMul(row, scalars)) << backend->name;
+      }
+      encoded.push_back(EncodePoints(out));
+    }
+    ExpectBackendsAgree(encoded);
   }
 }
 
