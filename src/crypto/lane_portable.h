@@ -27,11 +27,8 @@
 #define SRC_CRYPTO_LANE_PORTABLE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <utility>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 #include "src/crypto/fp256.h"
 #include "src/crypto/p256.h"
@@ -70,8 +67,7 @@ struct PortableField {
   static void Store(const Elem& e, U256* p) { p[0] = e; }
 
   // Both scans OR every entry in under its mask (exactly one matches a
-  // nonzero idx in ScanShared, and one always matches in ScanLane): on
-  // x86-64 with SSE2 (the baseline), two 128-bit ops per half coordinate.
+  // nonzero idx in ScanShared, and one always matches in ScanLane).
   static void ScanShared(const Point::Affine* row, int count, Idx idx,
                          Elem* x, Elem* y) {
     Scan(count, idx, 1, x, y,
@@ -88,39 +84,31 @@ struct PortableField {
   template <typename Entry>
   static void Scan(int count, Idx idx, int first, Elem* x, Elem* y,
                    Entry entry) {
-#if defined(__SSE2__)
-    const __m128i want = _mm_set1_epi32(static_cast<int>(idx));
-    const __m128i one = _mm_set1_epi32(1);
-    __m128i j = _mm_set1_epi32(first);
-    __m128i a[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
-                    _mm_setzero_si128(), _mm_setzero_si128()};
-    for (int e = 0; e < count; e++, j = _mm_add_epi32(j, one)) {
-      const __m128i m = _mm_cmpeq_epi32(j, want);
+    // Two-word vectors (GCC/Clang vector extensions): the compiler emits
+    // 128-bit ops where the target has them (SSE2 on x86-64, NEON) and
+    // word ops elsewhere. On a 4-vCPU Xeon (gcc 12) a portable fixed-base
+    // product took ~14 us this way and 16-27 us with word-at-a-time
+    // loops; the scan is ~20% of it even so. The index compare runs in
+    // 32-bit lanes, which every such target compares natively.
+    using Words = uint64_t __attribute__((vector_size(16)));
+    using Index = uint32_t __attribute__((vector_size(16)));
+    const auto want = static_cast<uint32_t>(idx);
+    const auto start = static_cast<uint32_t>(first);
+    const Index wants = {want, want, want, want}, ones = {1, 1, 1, 1};
+    Index j = {start, start, start, start};
+    Words acc[4] = {};
+    for (int e = 0; e < count; e++, j += ones) {
+      const Words m = reinterpret_cast<Words>(j == wants);
       const auto [ex, ey] = entry(e);
-      const auto* px = reinterpret_cast<const __m128i*>(ex->v);
-      const auto* py = reinterpret_cast<const __m128i*>(ey->v);
-      a[0] = _mm_or_si128(a[0], _mm_and_si128(_mm_loadu_si128(px), m));
-      a[1] = _mm_or_si128(a[1], _mm_and_si128(_mm_loadu_si128(px + 1), m));
-      a[2] = _mm_or_si128(a[2], _mm_and_si128(_mm_loadu_si128(py), m));
-      a[3] = _mm_or_si128(a[3], _mm_and_si128(_mm_loadu_si128(py + 1), m));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(x->v), a[0]);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(x->v + 2), a[1]);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(y->v), a[2]);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(y->v + 2), a[3]);
-#else
-    uint64_t a[8] = {};
-    for (int e = 0; e < count; e++) {
-      const Mask m = IdxEq(idx, e + first);
-      const auto [ex, ey] = entry(e);
+      Words v[4];
+      std::memcpy(v, ex->v, sizeof(ex->v));
+      std::memcpy(v + 2, ey->v, sizeof(ey->v));
       for (int k = 0; k < 4; k++) {
-        a[k] |= ex->v[k] & m;
-        a[4 + k] |= ey->v[k] & m;
+        acc[k] |= v[k] & m;
       }
     }
-    *x = U256{{a[0], a[1], a[2], a[3]}};
-    *y = U256{{a[4], a[5], a[6], a[7]}};
-#endif
+    std::memcpy(x->v, acc, sizeof(x->v));
+    std::memcpy(y->v, acc + 2, sizeof(y->v));
   }
 };
 

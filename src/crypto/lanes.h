@@ -50,6 +50,14 @@ struct LaneBackend {
                         std::span<const std::span<Point>> outs);
   // out[m] = Σ_t scalars[t] · bases[m·n + t] with n = scalars.size(): several
   // MSMs over one scalar vector, whose digits every lane shares.
+  // Precondition: nobody who chose a base knows a relation between it and
+  // the public offset R = HashToPoint("atom/lanes/msm-offset") that the
+  // accumulator starts from, so no raw attacker input as a base. The
+  // additions skip the P = Q case on that ground; a first base equal to R
+  // under an odd scalar, or to -R under an even one, meets it in the first
+  // window and the result is wrong
+  // (P256.LaneMsmBaseRelatedToOffsetIsOutsideContract). Hash-derived
+  // generators and points the caller rerandomized itself qualify.
   void (*msm)(std::span<const Point> bases, std::span<const Scalar> scalars,
               std::span<Point> out);
 };
@@ -72,6 +80,7 @@ void VariableBaseMul(std::span<const Point> bases,
                      std::span<const std::span<const Scalar>> columns,
                      std::span<const std::span<Point>> outs,
                      size_t workers = 1);
+// Same precondition as LaneBackend::msm: no base related to R by anyone.
 void SharedDigitMsm(std::span<const Point> bases,
                     std::span<const Scalar> scalars, std::span<Point> out,
                     size_t workers = 1);

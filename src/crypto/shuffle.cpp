@@ -463,6 +463,9 @@ ShuffleResult ShuffleAndProveImpl(const Point& pk,
       msm_bases.push_back(result.output[i][c].c);
     }
   }
+  // The bases are hash-derived generators and this prover's own freshly
+  // rerandomized outputs: nobody knows a relation between them and the
+  // kernel's offset point, as SharedDigitMsm requires.
   std::vector<Point> msms(1 + 2 * l);
   SharedDigitMsm(msm_bases, w_prime, msms, workers);
 

@@ -2,6 +2,7 @@
 // group-law properties, MSM, encoding, hash-to-point, message embedding.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/crypto/lanes.h"
@@ -683,6 +684,30 @@ TEST(P256, LaneSharedDigitMsmMatchesOracles) {
       encoded.push_back(EncodePoints(out));
     }
     ExpectBackendsAgree(encoded);
+  }
+}
+
+// The MSM entry point's precondition at work: its accumulator starts at the
+// public offset R, and its additions do not handle acc = entry. A base equal
+// to R under scalar 1 (top digit +1), or to -R under n - 1 (made odd as 1,
+// the digits negated), meets that case in the first window, and the result
+// is wrong. Callers must not pass bases anyone could relate to R; this test
+// pins that the contract, not the kernel, rules them out.
+TEST(P256, LaneMsmBaseRelatedToOffsetIsOutsideContract) {
+  const Point r = HashToPoint(BytesView(ToBytes("atom/lanes/msm-offset")));
+  const Scalar minus_one = Scalar::Zero() - Scalar::One();
+  const Point other = Point::BaseMul(Scalar::FromU64(5));
+  for (const LaneBackend* backend : LaneBackends()) {
+    for (const auto& [base, k] :
+         {std::pair(r, Scalar::One()), std::pair(r.Neg(), minus_one)}) {
+      const std::vector<Point> bases = {base};
+      Point out;
+      backend->msm(bases, std::span(&k, 1), std::span(&out, 1));
+      EXPECT_FALSE(out == r) << backend->name;
+      // An unrelated base through the same call shape is exact.
+      backend->msm(std::span(&other, 1), std::span(&k, 1), std::span(&out, 1));
+      EXPECT_EQ(out, other.Mul(k)) << backend->name;
+    }
   }
 }
 
