@@ -16,7 +16,8 @@
 // verifying them one at a time, when one chained check of a NIZK hop's
 // 2k proofs costs no less than checking its steps one by one, or when the
 // CPU has AVX-512 IFMA and the IFMA lane kernel is not cheaper per product
-// than the portable one on every lane row.
+// than the portable one on every lane row, or its pippenger not faster
+// than the portable one at every MSM row from its crossover up.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -501,13 +502,17 @@ bool MeasureLanes(BenchJson& json, bool smoke) {
   return ok;
 }
 
-// MSM rows at n = 2, 4, ..., 2048: the Straus and Pippenger kernels and
-// MultiScalarMul itself (labelled with the kernel it dispatched to), plus a
-// naive sum of Point::Mul up to n = 64. Every size alternates with the
-// others for `rounds` rounds and keeps its fastest, so a burst of host
-// noise cannot land on one row only. These rows are where p256.cpp's
-// kPippengerMinPoints comes from.
-void MeasureMsm(BenchJson& json, bool smoke) {
+// MSM rows at n = 2 ... 2048: StrausMsm, each lane backend's pippenger
+// and MultiScalarMul itself (labelled with the kernel it dispatched to),
+// plus a naive sum of Point::Mul up to n = 64. Every size alternates with
+// the others for `rounds` rounds and keeps its fastest, so a burst of host
+// noise cannot land on one row only. These rows are where lanes.cpp's
+// per-backend crossovers come from; each backend's measured crossover (the
+// smallest row from which its pippenger beats Straus at every larger row)
+// is printed beside the constant. Returns false when the CPU has IFMA and
+// the IFMA pippenger is not faster than the portable one at every row from
+// kPippengerMinIfma up.
+bool MeasureMsm(BenchJson& json, bool smoke) {
   Rng rng(uint64_t{0x7ab1e6});
   constexpr size_t kMaxN = 2048;
   constexpr size_t kMaxNaiveN = 64;
@@ -518,14 +523,20 @@ void MeasureMsm(BenchJson& json, bool smoke) {
     points.push_back(table.Mul(Scalar::Random(rng)));  // Jacobian, z != 1
     scalars.push_back(Scalar::Random(rng));
   }
+  std::vector<const LaneBackend*> backends = {&PortableLanes()};
+  if (IfmaLanes() != nullptr) {
+    backends.push_back(IfmaLanes());
+  }
   struct Row {
     size_t n;
-    double straus_us = 1e30, pippenger_us = 1e30, msm_us = 1e30,
-           naive_us = 1e30;
+    double straus_us = 1e30, msm_us = 1e30, naive_us = 1e30;
+    std::vector<double> pippenger_us;  // per backend
   };
   std::vector<Row> rows;
-  for (size_t n = 2; n <= kMaxN; n *= 2) {
-    rows.push_back(Row{n});
+  for (size_t n : {2, 4, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512,
+                   768, 1024, 1536, 2048}) {
+    rows.push_back(
+        Row{n, 1e30, 1e30, 1e30, std::vector<double>(backends.size(), 1e30)});
   }
   const int rounds = smoke ? 3 : 7;
   for (int round = 0; round < rounds; round++) {
@@ -535,13 +546,17 @@ void MeasureMsm(BenchJson& json, bool smoke) {
       auto t0 = std::chrono::steady_clock::now();
       const Point straus = StrausMsm(ps, ss);
       row.straus_us = std::min(row.straus_us, 1e6 * SecondsSince(t0));
-      t0 = std::chrono::steady_clock::now();
-      const Point pippenger = PippengerMsm(ps, ss);
-      row.pippenger_us = std::min(row.pippenger_us, 1e6 * SecondsSince(t0));
+      for (size_t b = 0; b < backends.size(); b++) {
+        t0 = std::chrono::steady_clock::now();
+        const Point pippenger = backends[b]->pippenger(ps, ss);
+        row.pippenger_us[b] =
+            std::min(row.pippenger_us[b], 1e6 * SecondsSince(t0));
+        ATOM_CHECK(pippenger == straus);
+      }
       t0 = std::chrono::steady_clock::now();
       const Point msm = MultiScalarMul(ps, ss);
       row.msm_us = std::min(row.msm_us, 1e6 * SecondsSince(t0));
-      ATOM_CHECK(straus == pippenger && msm == straus);
+      ATOM_CHECK(msm == straus);
       if (row.n <= kMaxNaiveN) {
         t0 = std::chrono::steady_clock::now();
         Point naive = Point::Infinity();
@@ -553,29 +568,56 @@ void MeasureMsm(BenchJson& json, bool smoke) {
       }
     }
   }
+  const size_t active_min = ActiveLanes().pippenger_min_points;
+  bool ok = true;
   for (const Row& r : rows) {
-    const char* algorithm =
-        r.n < kPippengerMinPoints ? "straus" : "pippenger";
+    const char* algorithm = r.n < active_min ? "straus" : "pippenger";
     const double n = static_cast<double>(r.n);
-    std::printf("msm n=%-4zu %-9s %7.1f us/point (straus %.1f, pippenger "
-                "%.1f",
-                r.n, algorithm, r.msm_us / n, r.straus_us / n,
-                r.pippenger_us / n);
+    std::printf("msm n=%-4zu %-9s %7.1f us/point (straus %.1f", r.n,
+                algorithm, r.msm_us / n, r.straus_us / n);
     size_t row = json.Row();
     json.RowNum(row, "msm_n", n);
     json.RowStr(row, "algorithm", algorithm);
     json.RowNum(row, "msm_us", r.msm_us);
     json.RowNum(row, "msm_us_per_point", r.msm_us / n);
     json.RowNum(row, "straus_us", r.straus_us);
-    json.RowNum(row, "pippenger_us", r.pippenger_us);
+    for (size_t b = 0; b < backends.size(); b++) {
+      std::printf(", pippenger %s %.1f", backends[b]->name,
+                  r.pippenger_us[b] / n);
+      json.RowNum(row, std::string("pippenger_") + backends[b]->name + "_us",
+                  r.pippenger_us[b]);
+    }
     if (r.n <= kMaxNaiveN) {
       std::printf(", naive %.1f", r.naive_us / n);
       json.RowNum(row, "naive_us", r.naive_us);
     }
     std::printf(")\n");
+    if (backends.size() > 1 && r.n >= kPippengerMinIfma &&
+        r.pippenger_us[1] >= r.pippenger_us[0]) {
+      ok = false;
+      std::printf("FAIL: ifma pippenger %.1f us is not below portable %.1f "
+                  "us at n = %zu\n",
+                  r.pippenger_us[1], r.pippenger_us[0], r.n);
+    }
   }
-  json.Num("msm_pippenger_min_points",
-           static_cast<double>(kPippengerMinPoints));
+  const size_t constants[] = {kPippengerMinPortable, kPippengerMinIfma};
+  for (size_t b = 0; b < backends.size(); b++) {
+    size_t measured = 0;  // no row: Straus wins at the largest n
+    for (size_t i = rows.size(); i-- > 0;) {
+      if (rows[i].pippenger_us[b] >= rows[i].straus_us) {
+        break;
+      }
+      measured = rows[i].n;
+    }
+    std::printf("  %s pippenger_min_points = %zu (measured crossover: from "
+                "n = %zu)\n",
+                backends[b]->name, constants[b], measured);
+    json.Num(std::string("msm_pippenger_min_points_") + backends[b]->name,
+             static_cast<double>(constants[b]));
+    json.Num(std::string("msm_measured_crossover_") + backends[b]->name,
+             static_cast<double>(measured));
+  }
+  return ok;
 }
 
 // Intake verification at the span sizes the pump and the entry groups see:
@@ -879,7 +921,7 @@ int main(int argc, char** argv) {
     ok = MeasureField(json, smoke);
     MeasureHotPath(json, smoke);
     ok = MeasureLanes(json, smoke) && ok;
-    MeasureMsm(json, smoke);
+    ok = MeasureMsm(json, smoke) && ok;
     ok = MeasureIntakeVerify(json, smoke) && ok;
     ok = MeasureProofVerify(json, smoke) && ok;
     ok = MeasureHopVerify(json, smoke) && ok;

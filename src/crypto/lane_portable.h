@@ -17,6 +17,10 @@
 //   LoadIdx(p), LoadMask(p)    from kLanes bytes (a mask byte is 0 or 1)
 //   IdxEq(idx, j)              lanes whose index is j
 //   Load(p), Store(e, p)       from/to kLanes U256s
+//   Broadcast(v)               one U256 in every lane
+//   Gather(a, idx)             lane j of a[idx_j] in lane j
+//   Scatter(a, idx, m, e)      lane j of a[idx_j] = lane j of e, on the
+//                              lanes of m (variable time: Pippenger only)
 //   ScanShared(row, count, idx, x, y)
 //                              x, y = row[idx - 1] per lane (zero where
 //                              idx is 0), reading all `count` entries
@@ -65,6 +69,13 @@ struct PortableField {
   }
   static Elem Load(const U256* p) { return p[0]; }
   static void Store(const Elem& e, U256* p) { p[0] = e; }
+  static Elem Broadcast(const U256& v) { return v; }
+  static Elem Gather(const Elem* a, Idx idx) { return a[idx]; }
+  static void Scatter(Elem* a, Idx idx, Mask m, const Elem& e) {
+    if (m != 0) {
+      a[idx] = e;
+    }
+  }
 
   // Both scans OR every entry in under its mask (exactly one matches a
   // nonzero idx in ScanShared, and one always matches in ScanLane).

@@ -4,6 +4,8 @@
 #include <new>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "src/crypto/lane_portable.h"
 #include "src/util/check.h"
 #include "src/util/parallel.h"
@@ -19,8 +21,9 @@ namespace lane_portable {
 
 const LaneBackend& PortableLanes() {
   using Kernel = lane_portable::LaneKernel<PortableField>;
-  static const LaneBackend backend{"portable", Kernel::FixedBaseAll,
-                                   Kernel::VariableBaseAll, Kernel::MsmAll};
+  static const LaneBackend backend{
+      "portable",        Kernel::FixedBaseAll, Kernel::VariableBaseAll,
+      Kernel::MsmAll,    Kernel::Pippenger,    kPippengerMinPortable};
   return backend;
 }
 
@@ -38,6 +41,19 @@ const LaneBackend& ActiveLanes() {
 // 1.6-2.1 for the MSM and 2.2-3.1 for variable-base. A chunk of fewer
 // than 3 lanes stays portable.
 const size_t kLaneMinIfma = 3;
+
+// The Straus/Pippenger crossovers, in live MSM terms: where each
+// backend's pippenger starts to beat StrausMsm in the
+// bench_table3_primitives MSM rows. Portable: counted field mul/sqr per
+// point, Straus costs 670-700 at every n from 64 up; Pippenger costs 861
+// at n = 64, 704 at 128, 684 at 149 and 591 at 256, so counts alone put
+// parity near 160, and timed it wins sooner. On a 4-vCPU Xeon with
+// avx512ifma (GCC 12, best of 15 alternating rounds, two runs, a busy
+// shared host), portable over Straus read 1.14-1.15 at n = 64, 0.94-1.07
+// at 96 and 0.95-0.99 at 128; IFMA over Straus read 1.13-1.18 at n = 8,
+// 0.90-0.96 at 12, 0.74-0.78 at 16 and 0.35-0.36 at 128.
+const size_t kPippengerMinPortable = 128;
+const size_t kPippengerMinIfma = 16;
 
 namespace {
 

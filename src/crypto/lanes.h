@@ -1,8 +1,10 @@
-// Secret-scalar products on a fixed schedule, run several lanes at a time.
+// Secret-scalar products on a fixed schedule, run several lanes at a time,
+// and the public-scalar Pippenger MSM on the same lanes.
 //
 // One lockstep kernel (src/crypto/lane_kernel.inc) computes every product
-// of a secret scalar on a hop's hot path. It is written once, generic over
-// a field-lane backend, and compiled twice:
+// of a secret scalar on a hop's hot path, and every MSM of MultiScalarMul
+// from its Straus crossover up (a NIZK hop's proof check). It is written
+// once, generic over a field-lane backend, and compiled twice:
 //   - portable: the fp256 field, one lane per vector. The oracle, and the
 //     backend of every host without AVX-512 IFMA.
 //   - ifma: an 8-lane radix-2^52 field on AVX-512 IFMA, compiled with
@@ -12,16 +14,21 @@
 // AVX512IFMA and the OS has enabled the opmask and ZMM state (XCR0), and the
 // portable backend everywhere else. There is no setting.
 //
-// The schedule does not depend on any scalar or base: regular signed
-// recodings with a fixed digit count (odd digits for the variable-base and
-// MSM entry points, zero digits handled by a masked select for fixed-base),
-// every table read is a masked scan of the whole row, and the exceptional
-// additions (an identity accumulator, P = -Q, P = Q) are resolved by masked
-// selects. tests/lanes_test.cpp checks this with a recording backend.
+// Four entry points. Three take secret scalars, and their schedule does
+// not depend on any scalar or base: regular signed recodings with a fixed
+// digit count (odd digits for the variable-base and MSM entry points, zero
+// digits handled by a masked select for fixed-base), every table read is a
+// masked scan of the whole row, and the exceptional additions (an identity
+// accumulator, P = -Q, P = Q) are resolved by masked selects.
+// tests/lanes_test.cpp checks this with a recording backend. Each splits
+// its lanes into 8-lane chunks under ParallelFor, and a chunk with fewer
+// than kLaneMinIfma lanes runs on the portable backend (cheaper than a
+// mostly idle 8-lane vector).
 //
-// Three entry points; each splits its lanes into 8-lane chunks under
-// ParallelFor, and a chunk with fewer than kLaneMinIfma lanes runs on the
-// portable backend (cheaper than a mostly idle 8-lane vector).
+// The fourth, pippenger, is the only variable-time one: its lanes are the
+// windows of one MSM, and which buckets it touches follows the digits. It
+// is for public scalars only (verification equations), and complete for
+// any bases, attacker-chosen ones included. MultiScalarMul calls it.
 #ifndef SRC_CRYPTO_LANES_H_
 #define SRC_CRYPTO_LANES_H_
 
@@ -60,6 +67,15 @@ struct LaneBackend {
   // generators and points the caller rerandomized itself qualify.
   void (*msm)(std::span<const Point> bases, std::span<const Scalar> scalars,
               std::span<Point> out);
+  // Σ scalars[t]·points[t] by Pippenger's buckets, lane j of each pass
+  // running one window. Variable time: public scalars only. Complete:
+  // identity points, zero scalars, repeated and cancelling bases, any
+  // base at all.
+  Point (*pippenger)(std::span<const Point> points,
+                     std::span<const Scalar> scalars);
+  // MultiScalarMul runs pippenger from this many live terms (nonzero
+  // scalar, non-identity point), StrausMsm below.
+  size_t pippenger_min_points;
 };
 
 const LaneBackend& PortableLanes();
@@ -71,6 +87,10 @@ const LaneBackend& ActiveLanes();
 // Chunks with fewer lanes run on the portable backend (derived in
 // lanes.cpp from bench_table3_primitives' per-product rows).
 extern const size_t kLaneMinIfma;
+// Each backend's pippenger_min_points (derived in lanes.cpp from
+// bench_table3_primitives' MSM rows).
+extern const size_t kPippengerMinPortable;
+extern const size_t kPippengerMinIfma;
 
 // The dispatching entry points the hop uses: same contracts as
 // LaneBackend, split across `workers`.
@@ -106,6 +126,9 @@ struct LaneAccess {
   }
   static const Point::Affine* Row(const FixedBaseTable& table, int window) {
     return table.table_[window];
+  }
+  static void BatchNormalize(std::span<const Point> in, Point::Affine* out) {
+    Point::BatchNormalize(in, out);
   }
 };
 

@@ -28,6 +28,8 @@
 #include <new>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "src/util/check.h"
 
 namespace atom {
@@ -280,6 +282,31 @@ struct IfmaField {
       *y = Select(m, ty[j], *y);
     }
   }
+
+  // Word offsets of lane j's limb 0 in a[idx_j]: element b starts 40
+  // words into a per b, and lane j is word j of each limb vector.
+  ATOM_LANE_FN static __m512i Slots(const Idx& idx) {
+    static_assert(sizeof(Elem) == 40 * sizeof(uint64_t));
+    const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    return _mm512_add_epi64(
+        _mm512_add_epi64(_mm512_slli_epi64(idx, 5), _mm512_slli_epi64(idx, 3)),
+        lane);
+  }
+  ATOM_LANE_FN static Elem Gather(const Elem* a, const Idx& idx) {
+    const __m512i at = Slots(idx);
+    Elem e;
+    for (int i = 0; i < 5; i++) {
+      e.l[i] = _mm512_i64gather_epi64(at, a->l + i, 8);
+    }
+    return e;
+  }
+  ATOM_LANE_FN static void Scatter(Elem* a, const Idx& idx, Mask m,
+                                   const Elem& e) {
+    const __m512i at = Slots(idx);
+    for (int i = 0; i < 5; i++) {
+      _mm512_mask_i64scatter_epi64(a->l + i, m, at, e.l[i], 8);
+    }
+  }
 };
 
 #include "src/crypto/lane_kernel.inc"
@@ -306,8 +333,9 @@ bool CpuHasIfma() {
 
 const LaneBackend* IfmaLanes() {
   using Kernel = lane_ifma::LaneKernel<lane_ifma::IfmaField>;
-  static const LaneBackend backend{"ifma", Kernel::FixedBaseAll,
-                                   Kernel::VariableBaseAll, Kernel::MsmAll};
+  static const LaneBackend backend{
+      "ifma",         Kernel::FixedBaseAll, Kernel::VariableBaseAll,
+      Kernel::MsmAll, Kernel::Pippenger,    kPippengerMinIfma};
   static const bool available = lane_ifma::CpuHasIfma();
   return available ? &backend : nullptr;
 }

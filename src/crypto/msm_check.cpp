@@ -1,36 +1,8 @@
 #include "src/crypto/msm_check.h"
 
 #include "src/crypto/transcript.h"
-#include "src/util/parallel.h"
 
 namespace atom {
-namespace {
-
-// MultiScalarMul split into `workers` chunks run with ParallelFor.
-Point ParallelMsm(std::span<const Point> points,
-                  std::span<const Scalar> scalars, size_t workers) {
-  if (workers <= 1 || points.size() < 64) {
-    return MultiScalarMul(points, scalars);
-  }
-  size_t chunks = workers;
-  size_t chunk_size = (points.size() + chunks - 1) / chunks;
-  std::vector<Point> partial(chunks, Point::Infinity());
-  ParallelFor(workers, chunks, [&](size_t w) {
-    size_t lo = w * chunk_size;
-    size_t hi = std::min(points.size(), lo + chunk_size);
-    if (lo < hi) {
-      partial[w] = MultiScalarMul(points.subspan(lo, hi - lo),
-                                  scalars.subspan(lo, hi - lo));
-    }
-  });
-  Point acc = Point::Infinity();
-  for (const Point& p : partial) {
-    acc = acc + p;
-  }
-  return acc;
-}
-
-}  // namespace
 
 std::vector<Scalar> OuterWeights(std::span<const WeightSeed> seeds) {
   Transcript t("atom/proof-chain-weights/v1");
@@ -67,7 +39,7 @@ void MsmCheck::AddShared(const Point& p, const Scalar& s) {
 }
 
 bool MsmCheck::Holds(size_t workers) const {
-  return Point::BaseMul(g_) == ParallelMsm(points_, scalars_, workers);
+  return Point::BaseMul(g_) == MultiScalarMul(points_, scalars_, workers);
 }
 
 }  // namespace atom

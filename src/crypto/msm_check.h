@@ -45,8 +45,8 @@ class MsmCheck {
   // count grows the vectors once.
   void Reserve(size_t terms);
 
-  // BaseMul(g) == Σ scalars[i]·points[i], the MSM split into `workers`
-  // chunks run with ParallelFor.
+  // BaseMul(g) == Σ scalars[i]·points[i], the MSM run by MultiScalarMul
+  // on `workers` threads.
   bool Holds(size_t workers = 1) const;
 
  private:

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/crypto/lanes.h"
 #include "src/crypto/sha256.h"
+#include "src/util/parallel.h"
 #include "src/util/serde.h"
 
 namespace atom {
@@ -585,18 +587,6 @@ Bytes EncodePoints(std::span<const Point> points) {
   return out;
 }
 
-// The crossover: MultiScalarMul runs Straus below this many nonzero terms
-// and Pippenger from it. Counted field mul/sqr per point, Straus costs
-// 670-700 at every n from 64 up; Pippenger costs 861 at n = 64, 704 at
-// 128, 684 at 149 and 591 at 256, so counts alone put parity near 160.
-// Timed, Pippenger wins sooner (spreading the Straus adds over two to
-// four accumulators did not change that): the bench_table3_primitives
-// MSM rows (best of 7 alternating rounds, two runs, 4-vCPU x86-64,
-// GCC 12) read Straus 17.0-17.6 vs Pippenger 20.1-20.7 us/point at
-// n = 64, 17.1-17.3 vs 16.1-16.7 at n = 128 and 16.6-16.9 vs 13.7-13.8
-// at n = 256.
-const size_t kPippengerMinPoints = 128;
-
 namespace {
 
 // Straus: width-4 NAF digits (odd, in [-7, 7]), so each point needs the
@@ -645,89 +635,31 @@ Point StrausMsm(std::span<const Point> points,
   return RunNafs(std::span(nafs), add);
 }
 
-// Pippenger: signed c-bit window digits in [-(2^(c-1) - 1), 2^(c-1)]
-// index 2^(c-1) buckets; a negative digit adds the negated point. Windows
-// run low to high so each point's carry is computed as it is consumed;
-// the window sums are then combined top down with c doublings apiece.
-Point PippengerMsm(std::span<const Point> points,
-                   std::span<const Scalar> scalars) {
-  ATOM_CHECK(points.size() == scalars.size());
-  const size_t n = points.size();
-  std::vector<Point::Affine> affine(n);
-  Point::BatchNormalize(points, affine.data());
-  std::vector<U256> plain(n);  // stays zero for a dropped term: no digits
-  size_t live = 0;
-  for (size_t i = 0; i < n; i++) {
-    if (!points[i].IsInfinity() && !scalars[i].IsZero()) {
-      plain[i] = scalars[i].PlainValue();
-      live++;
-    }
-  }
-  if (live == 0) {
-    return Point::Infinity();
-  }
-
-  // Window width by field-op count: ceil(257 / c) windows, each paying
-  // one 11-op mixed add per point and a 2^(c-1)-bucket running-sum sweep
-  // of two 16-op full adds per bucket.
-  const double m = static_cast<double>(live);
-  int c = 4;
-  auto cost = [&](int w) {
-    return static_cast<double>((257 + w - 1) / w) *
-           (11.0 * m + 16.0 * static_cast<double>(1 << w));
-  };
-  for (int w = 5; w <= 12; w++) {
-    if (cost(w) < cost(c)) {
-      c = w;
-    }
-  }
-  const int num_windows = (257 + c - 1) / c;
-  const int half = 1 << (c - 1);
-
-  std::vector<uint8_t> carry(n, 0);
-  std::vector<Point> buckets(static_cast<size_t>(half));
-  std::vector<Point> window_sums(static_cast<size_t>(num_windows));
-  for (int w = 0; w < num_windows; w++) {
-    std::fill(buckets.begin(), buckets.end(), Point::Infinity());
-    for (size_t i = 0; i < n; i++) {
-      int digit = Bits(plain[i], w * c, c) + carry[i];
-      carry[i] = digit > half ? 1 : 0;
-      digit -= carry[i] << c;
-      const Point::Affine& a = affine[i];
-      if (digit > 0) {
-        buckets[digit - 1] = Point::AddMixed(buckets[digit - 1], a.x, a.y);
-      } else if (digit < 0) {
-        buckets[-digit - 1] =
-            Point::AddMixed(buckets[-digit - 1], a.x, fp::Neg(a.y));
-      }
-    }
-    // Running-sum trick: sum_d d * bucket[d].
-    Point running = Point::Infinity();
-    Point sum = Point::Infinity();
-    for (size_t d = buckets.size(); d > 0; d--) {
-      running = running + buckets[d - 1];
-      sum = sum + running;
-    }
-    window_sums[static_cast<size_t>(w)] = sum;
-  }
-  Point result = Point::Infinity();
-  for (int w = num_windows - 1; w >= 0; w--) {
-    for (int i = 0; i < c; i++) {
-      result = result.Double();
-    }
-    result = result + window_sums[static_cast<size_t>(w)];
-  }
-  return result;
-}
 Point MultiScalarMul(std::span<const Point> points,
-                     std::span<const Scalar> scalars) {
+                     std::span<const Scalar> scalars, size_t workers) {
   ATOM_CHECK(points.size() == scalars.size());
+  if (workers > 1 && points.size() >= 64) {
+    const size_t chunk = (points.size() + workers - 1) / workers;
+    std::vector<Point> partial(workers);
+    ParallelFor(workers, workers, [&](size_t w) {
+      const size_t lo = std::min(points.size(), w * chunk);
+      const size_t hi = std::min(points.size(), lo + chunk);
+      partial[w] = MultiScalarMul(points.subspan(lo, hi - lo),
+                                  scalars.subspan(lo, hi - lo));
+    });
+    Point sum = Point::Infinity();
+    for (const Point& p : partial) {
+      sum = sum + p;
+    }
+    return sum;
+  }
   size_t live = 0;
   for (size_t i = 0; i < points.size(); i++) {
     live += !points[i].IsInfinity() && !scalars[i].IsZero() ? 1 : 0;
   }
-  return live < kPippengerMinPoints ? StrausMsm(points, scalars)
-                                    : PippengerMsm(points, scalars);
+  const LaneBackend& lanes = ActiveLanes();
+  return live < lanes.pippenger_min_points ? StrausMsm(points, scalars)
+                                           : lanes.pippenger(points, scalars);
 }
 
 // ---------------------------------------------------- derived generators --

@@ -21,11 +21,12 @@
 //   - Point::Mul: width-5 NAF over the odd multiples P..15P, ~43
 //     additions and ~255 doublings per product.
 //   - MultiScalarMul: interleaved width-4 NAF (Straus) over one shared run
-//     of doublings below kPippengerMinPoints terms (intake batches: Schnorr
-//     spans, EncProof vectors), Pippenger with signed digits from there (a
-//     hop's shuffle and re-encryption proof batches). Both normalize their
-//     inputs to affine with batched inversions so every per-point addition
-//     is a mixed add.
+//     of doublings below the active lane backend's pippenger_min_points
+//     terms (intake batches: Schnorr spans, EncProof vectors), the lane
+//     kernel's window-parallel Pippenger from there (a hop's shuffle and
+//     re-encryption proof checks; src/crypto/lanes.h). Both normalize
+//     their inputs to affine with batched inversions so every per-point
+//     addition is a mixed add.
 //   - Point::BatchToAffine / EncodePoints: batch affine normalization and
 //     SEC1 encoding with ONE field inversion per batch (Montgomery's
 //     trick) instead of one ~255-squaring inversion chain per point.
@@ -154,8 +155,6 @@ class Point {
   friend struct LaneAccess;
   friend Point StrausMsm(std::span<const Point> points,
                          std::span<const Scalar> scalars);
-  friend Point PippengerMsm(std::span<const Point> points,
-                            std::span<const Scalar> scalars);
 
   // Mixed-coordinate addition jacobian + (x, y): with the second point's
   // z == 1 the add costs 11 field mul/sqr instead of 16.
@@ -209,27 +208,22 @@ class FixedBaseTable {
 // instead of one per point.
 Bytes EncodePoints(std::span<const Point> points);
 
-// Sum of scalars[i] * points[i]. Identity points and zero scalars are
-// dropped first; below kPippengerMinPoints remaining terms this runs
-// StrausMsm, from there PippengerMsm. Variable time in every scalar.
+// Sum of scalars[i] * points[i]. Below the active lane backend's
+// pippenger_min_points terms that are not dropped (identity point or zero
+// scalar) this runs StrausMsm, from there the backend's pippenger
+// (src/crypto/lanes.h). With workers > 1 the terms are split into that
+// many chunks run with ParallelFor, each dispatched on its own. Variable
+// time in every scalar.
 Point MultiScalarMul(std::span<const Point> points,
-                     std::span<const Scalar> scalars);
+                     std::span<const Scalar> scalars, size_t workers = 1);
 
-// The crossover between the two kernels (see its derivation in p256.cpp).
-extern const size_t kPippengerMinPoints;
-
-// The two kernels behind MultiScalarMul, exposed so tests can cross-check
-// each at every size and bench_table3_primitives can time both on either
-// side of the crossover. Same contract as MultiScalarMul.
-//   - StrausMsm: each point's odd multiples 1, 3, 5, 7 (affine, one shared
-//     inversion per 32 points), width-4 NAF digits, one shared run of 256
-//     doublings: ~51 mixed adds per point.
-//   - PippengerMsm: signed c-bit digits into 2^(c-1) buckets per window,
-//     affine inputs with mixed bucket adds, c chosen per n by a field-op
-//     cost model.
+// The kernel below the crossover, exposed so tests can cross-check it at
+// every size and bench_table3_primitives can time it on either side of
+// the crossover. Same contract as MultiScalarMul: each point's odd
+// multiples 1, 3, 5, 7 (affine, one shared inversion per 32 points),
+// width-4 NAF digits, one shared run of 256 doublings: ~51 mixed adds per
+// point.
 Point StrausMsm(std::span<const Point> points, std::span<const Scalar> scalars);
-Point PippengerMsm(std::span<const Point> points,
-                   std::span<const Scalar> scalars);
 
 // Deterministic nothing-up-my-sleeve point: try-and-increment over
 // SHA-256(label || counter). Nobody knows its discrete log w.r.t. any other

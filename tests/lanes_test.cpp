@@ -12,6 +12,8 @@
 #include <new>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "src/crypto/lane_portable.h"
 #include "src/crypto/lanes.h"
 #include "src/util/check.h"

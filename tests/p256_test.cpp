@@ -328,6 +328,9 @@ Scalar WindowPattern(int window_bits, uint64_t value, int windows) {
   return Scalar::FromBytes(BytesView(bytes.data(), bytes.size())).value();
 }
 
+// 2^k for k <= 255 (below n, so the scalar's plain value is 2^k).
+Scalar PowerOfTwo(int k) { return WindowPattern(1, 1, k) + Scalar::One(); }
+
 MsmCase MakeMsmCase(size_t n, Rng& rng) {
   const Scalar minus_one = Scalar::Zero() - Scalar::One();
   const Scalar all_ones = WindowPattern(1, 1, 252);
@@ -374,23 +377,40 @@ MsmCase MakeMsmCase(size_t n, Rng& rng) {
   return c;
 }
 
-TEST(P256, MsmKernelsMatchDiscreteLogSumAtEverySize) {
-  Rng rng(19u);
+// An MSM kernel under test: MultiScalarMul, StrausMsm or a lane backend's
+// pippenger.
+using MsmKernel = Point (*)(std::span<const Point>, std::span<const Scalar>);
+
+Point DispatchedMsm(std::span<const Point> points,
+                    std::span<const Scalar> scalars) {
+  return MultiScalarMul(points, scalars);
+}
+
+// 0..64 and larger sizes on both sides of each backend's crossover.
+std::vector<size_t> MsmSizes() {
   std::vector<size_t> sizes;
   for (size_t n = 0; n <= 64; n++) {
     sizes.push_back(n);
   }
   for (size_t n : {size_t{100}, size_t{139}, size_t{149}, size_t{255},
-                   size_t{256}, size_t{257}, kPippengerMinPoints - 1,
-                   kPippengerMinPoints, kPippengerMinPoints + 1,
-                   size_t{1024}, size_t{2048}}) {
+                   size_t{256}, size_t{257}, size_t{1024}, size_t{2048}}) {
     sizes.push_back(n);
   }
-  for (size_t n : sizes) {
+  for (size_t min : {kPippengerMinPortable, kPippengerMinIfma}) {
+    sizes.insert(sizes.end(), {min - 1, min, min + 1});
+  }
+  return sizes;
+}
+
+// Every kernel against the discrete-log sum of MakeMsmCase at every size.
+void ExpectMsmMatchesDiscreteLogSums(std::initializer_list<MsmKernel> kernels,
+                                     const char* name) {
+  Rng rng(19u);
+  for (size_t n : MsmSizes()) {
     const MsmCase c = MakeMsmCase(n, rng);
-    EXPECT_EQ(MultiScalarMul(c.points, c.scalars), c.expect) << "n=" << n;
-    EXPECT_EQ(StrausMsm(c.points, c.scalars), c.expect) << "n=" << n;
-    EXPECT_EQ(PippengerMsm(c.points, c.scalars), c.expect) << "n=" << n;
+    for (MsmKernel msm : kernels) {
+      EXPECT_EQ(msm(c.points, c.scalars), c.expect) << name << " n=" << n;
+    }
     if (n <= 64) {
       Point naive = Point::Infinity();
       for (size_t i = 0; i < n; i++) {
@@ -401,42 +421,173 @@ TEST(P256, MsmKernelsMatchDiscreteLogSumAtEverySize) {
   }
 }
 
-TEST(P256, MsmCancellingAndRepeatedTerms) {
+void ExpectCancellingAndRepeatedTerms(MsmKernel msm, const char* name) {
   Rng rng(20u);
   const Point p = Point::BaseMul(Scalar::Random(rng));
   const Point q = Point::BaseMul(Scalar::Random(rng));
   const Scalar s = Scalar::Random(rng);
   const Scalar t = Scalar::Random(rng);
-  using Kernel = Point (*)(std::span<const Point>, std::span<const Scalar>);
-  for (Kernel msm : {Kernel{&MultiScalarMul}, Kernel{&StrausMsm},
-                     Kernel{&PippengerMsm}}) {
-    // P and -P with one scalar: the accumulator (and every bucket) adds an
-    // entry to its own negation and must land on the identity.
-    EXPECT_TRUE(msm(std::vector<Point>{p, p.Neg()}, std::vector<Scalar>{s, s})
-                    .IsInfinity());
-    // ...and keep going from there.
-    EXPECT_EQ(msm(std::vector<Point>{p, p.Neg(), q},
-                  std::vector<Scalar>{s, s, t}),
-              q.Mul(t));
-    // P twice with one scalar: an entry added to itself doubles.
-    EXPECT_EQ(msm(std::vector<Point>{p, p}, std::vector<Scalar>{s, s}),
-              p.Mul(s + s));
-    // 200 cancelling pairs: on both sides of the crossover.
+  // P and -P with one scalar: the accumulator (and every bucket) adds an
+  // entry to its own negation and must land on the identity.
+  EXPECT_TRUE(msm(std::vector<Point>{p, p.Neg()}, std::vector<Scalar>{s, s})
+                  .IsInfinity())
+      << name;
+  // ...and keep going from there.
+  EXPECT_EQ(
+      msm(std::vector<Point>{p, p.Neg(), q}, std::vector<Scalar>{s, s, t}),
+      q.Mul(t))
+      << name;
+  // P twice with one scalar: an entry added to itself doubles.
+  EXPECT_EQ(msm(std::vector<Point>{p, p}, std::vector<Scalar>{s, s}),
+            p.Mul(s + s))
+      << name;
+  // 200 cancelling pairs: on both sides of the crossover.
+  std::vector<Point> points;
+  std::vector<Scalar> scalars;
+  for (int i = 0; i < 200; i++) {
+    Point r = Point::BaseMul(Scalar::Random(rng));
+    Scalar k = Scalar::Random(rng);
+    points.insert(points.end(), {r, r.Neg()});
+    scalars.insert(scalars.end(), {k, k});
+  }
+  EXPECT_TRUE(msm(points, scalars).IsInfinity()) << name;
+  // Nothing but identities and zero scalars.
+  EXPECT_TRUE(msm(std::vector<Point>{Point::Infinity(), p},
+                  std::vector<Scalar>{s, Scalar::Zero()})
+                  .IsInfinity())
+      << name;
+  EXPECT_TRUE(msm({}, {}).IsInfinity()) << name;
+}
+
+// Inputs aimed at the window-parallel Pippenger (lane j of a pass runs one
+// window, buckets are per lane, additions complete), each checked against
+// its discrete-log sum: every base is log·G.
+void ExpectPippengerEdgeCases(MsmKernel msm, const char* name) {
+  Rng rng(21u);
+  const Scalar minus_one = Scalar::Zero() - Scalar::One();
+  struct Terms {
     std::vector<Point> points;
     std::vector<Scalar> scalars;
-    for (int i = 0; i < 200; i++) {
-      Point r = Point::BaseMul(Scalar::Random(rng));
-      Scalar k = Scalar::Random(rng);
-      points.insert(points.end(), {r, r.Neg()});
-      scalars.insert(scalars.end(), {k, k});
+    Scalar log;
+    void Add(const Scalar& base_log, const Scalar& s) {
+      points.push_back(base_log.IsZero() ? Point::Infinity()
+                                         : Point::BaseMul(base_log));
+      scalars.push_back(s);
+      log = log + base_log * s;
     }
-    EXPECT_TRUE(msm(points, scalars).IsInfinity());
-    // Nothing but identities and zero scalars.
-    EXPECT_TRUE(msm(std::vector<Point>{Point::Infinity(), p},
-                    std::vector<Scalar>{s, Scalar::Zero()})
-                    .IsInfinity());
-    EXPECT_TRUE(msm({}, {}).IsInfinity());
+    void Random(Rng& rng, size_t count) {
+      for (size_t i = 0; i < count; i++) {
+        Add(Scalar::Random(rng), Scalar::Random(rng));
+      }
+    }
+  };
+  auto expect = [&](const Terms& terms, const char* what) {
+    EXPECT_EQ(msm(terms.points, terms.scalars), Point::BaseMul(terms.log))
+        << name << ": " << what << ", n=" << terms.points.size();
+  };
+  for (size_t filler : {size_t{0}, size_t{300}}) {
+    // A repeated base whose scalars agree below bit 128 and differ above:
+    // its two digits meet in one bucket (the doubling) in the low windows
+    // and part in the high ones. Then the same with the second term's
+    // point negated: a bucket meets -P in the low windows.
+    for (bool negate : {false, true}) {
+      Terms terms;
+      for (int i = 0; i < 8; i++) {
+        const Scalar a = Scalar::Random(rng), s = Scalar::Random(rng);
+        terms.Add(a, s);
+        terms.Add(negate ? a.Neg() : a, s + PowerOfTwo(128 + 9 * i));
+      }
+      terms.Random(rng, filler);
+      expect(terms, negate ? "bucket meets -P" : "bucket meets P");
+    }
+    // The same base under 5 and 4: buckets 4 and 3 of window 0 both hold
+    // P, so the running sum equals the next bucket (a doubling in the
+    // reduction); under 2 alone, the running sum meets an empty bucket and
+    // the window sum equals it (the other doubling).
+    {
+      Terms terms;
+      const Scalar a = Scalar::Random(rng);
+      terms.Add(a, Scalar::FromU64(5));
+      terms.Add(a, Scalar::FromU64(4));
+      terms.Random(rng, filler);
+      expect(terms, "running sum equals the next bucket");
+      Terms two;
+      two.Add(a, Scalar::FromU64(2));
+      two.Random(rng, filler);
+      expect(two, "window sum equals the running sum");
+    }
+    // Top-heavy scalars (n - 1, 2^255, 2^252 - 1): the top windows, in a
+    // last pass whose other lanes idle, hold digits and carries.
+    {
+      Terms terms;
+      for (const Scalar& s :
+           {minus_one, PowerOfTwo(255), WindowPattern(1, 1, 252)}) {
+        terms.Add(Scalar::Random(rng), s);
+      }
+      terms.Random(rng, filler);
+      expect(terms, "top windows");
+    }
   }
+  // Every window width the cost model can pick, each with idle lanes in
+  // its last pass on the IFMA backend (ceil(257 / c) is not a multiple of
+  // 8 for c = 4..8), each with an edge scalar at the top.
+  for (size_t n : {size_t{1}, size_t{16}, size_t{90}, size_t{400},
+                   size_t{1500}}) {
+    Terms terms;
+    terms.Add(Scalar::Random(rng), minus_one);
+    terms.Random(rng, n - 1);
+    expect(terms, "window width");
+  }
+  // Identity points and zero scalars above every crossover: interleaved
+  // with live terms, and alone.
+  {
+    Terms terms;
+    for (int i = 0; i < 400; i++) {
+      switch (i % 4) {
+        case 0: terms.Add(Scalar::Zero(), Scalar::Random(rng)); break;
+        case 1: terms.Add(Scalar::Random(rng), Scalar::Zero()); break;
+        default: terms.Random(rng, 1);
+      }
+    }
+    expect(terms, "identities and zero scalars among live terms");
+    Terms dead;
+    for (int i = 0; i < 400; i++) {
+      dead.Add(i % 2 == 0 ? Scalar::Zero() : Scalar::Random(rng),
+               i % 2 == 0 ? Scalar::Random(rng) : Scalar::Zero());
+    }
+    expect(dead, "only identities and zero scalars");
+  }
+}
+
+TEST(P256, MsmKernelsMatchDiscreteLogSumAtEverySize) {
+  ExpectMsmMatchesDiscreteLogSums(
+      {&DispatchedMsm, &StrausMsm, PortableLanes().pippenger}, "portable");
+}
+
+TEST(P256, MsmCancellingAndRepeatedTerms) {
+  for (MsmKernel msm :
+       {MsmKernel{&DispatchedMsm}, MsmKernel{&StrausMsm},
+        PortableLanes().pippenger}) {
+    ExpectCancellingAndRepeatedTerms(msm, "portable");
+  }
+}
+
+TEST(P256, PippengerEdgeCasesPortable) {
+  ExpectPippengerEdgeCases(PortableLanes().pippenger, "portable");
+  ExpectPippengerEdgeCases(&DispatchedMsm, "MultiScalarMul");
+}
+
+// The IFMA backend's pippenger through the same cases, where the CPU has
+// AVX-512 IFMA.
+TEST(P256, PippengerCasesIfma) {
+  if (IfmaLanes() == nullptr) {
+    GTEST_SKIP() << "no AVX-512 IFMA on this CPU or build: the IFMA "
+                    "pippenger did not run (the portable one did)";
+  }
+  const MsmKernel msm = IfmaLanes()->pippenger;
+  ExpectMsmMatchesDiscreteLogSums({msm}, "ifma");
+  ExpectCancellingAndRepeatedTerms(msm, "ifma");
+  ExpectPippengerEdgeCases(msm, "ifma");
 }
 
 // ------------------------------------------------ variable-base kernels --
@@ -484,9 +635,6 @@ void ExpectVariableBaseMatchesOracles(const Scalar& a, const Scalar& k) {
   }
   ExpectBackendsAgree(encoded);
 }
-
-// 2^k for k <= 255 (below n, so the scalar's plain value is 2^k).
-Scalar PowerOfTwo(int k) { return WindowPattern(1, 1, k) + Scalar::One(); }
 
 // 0, 1, 2, n - 1, n - 2 and 2^255. n - 1 and n - 2 have their top 32 bits
 // set, so their width-5 NAF carries into a digit at bit 256; so do
