@@ -1,11 +1,9 @@
 // Dependency-scheduled round execution (§4.7 throughput mode, executed for
 // real instead of estimated).
 //
-// The old driver ran the permutation network layer by layer behind a global
-// barrier: no group could start layer ℓ+1 until every group finished layer
-// ℓ, and a new round could not enter the network until the previous one
-// exited. The RoundEngine replaces the barrier with a DAG of per-group hop
-// tasks on the shared ThreadPool:
+// The RoundEngine runs the permutation network as a DAG of per-group hop
+// tasks on the shared ThreadPool, with no barrier between layers or
+// rounds:
 //
 //   * hop (round r, layer ℓ, group g) becomes runnable as soon as all of
 //     its inbound sub-batches from layer ℓ-1 have arrived — groups in the
@@ -23,12 +21,13 @@
 //     r overlaps the mixing of rounds r+1… instead of running serially on
 //     the caller after the DAG drains.
 //
-// A MaliciousAction that trips a hop marks only its own round aborted; the
-// round's remaining hops drain as cheap no-ops (empty batches) and other
-// in-flight rounds are untouched. Every hop draws its randomness from a
-// private ChaCha20 DRBG key-separated from the round's 256-bit root key,
-// so no Rng is shared across threads and a (spec, seed) pair replays
-// deterministically.
+// Each task runs a stage function the mesh fleet shares
+// (src/core/dataflow.h). A MaliciousAction that trips a hop marks only its
+// own round aborted; the round's remaining hops drain as cheap no-ops
+// (empty batches) and other in-flight rounds are untouched. Every hop draws its
+// randomness from a private ChaCha20 DRBG key-separated from the round's
+// 256-bit root key, so no Rng is shared across threads and a (spec, seed)
+// pair replays deterministically.
 #ifndef SRC_CORE_ENGINE_H_
 #define SRC_CORE_ENGINE_H_
 
@@ -43,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/dataflow.h"
 #include "src/core/exit.h"
 #include "src/core/group_runtime.h"
 #include "src/topology/permnet.h"
@@ -116,6 +116,10 @@ struct EngineRoundResult {
   // abort state); `exits` stays empty because the engine consumed them.
   RoundResult round;
 };
+
+// The RoundPlan both executors run `round` by; a malformed spec is a
+// caller bug (ATOM_CHECK).
+RoundPlan PlanEngineRound(const EngineRound& round);
 
 class RoundEngine {
  public:

@@ -4,7 +4,9 @@
 #include <set>
 
 #include "src/core/group_runtime.h"
+#include "src/crypto/kem.h"
 #include "src/crypto/sha256.h"
+#include "src/util/parallel.h"
 
 namespace atom {
 
@@ -12,8 +14,7 @@ ExitSort SortTrapExits(uint32_t self_gid, const CiphertextBatch& batch,
                        const MessageLayout& layout, size_t num_groups) {
   const size_t G = num_groups;
   ExitSort sort;
-  sort.traps_for.resize(G);
-  sort.inner_for.resize(G);
+  sort.for_dst.resize(G);
 
   auto points = ExitPlaintexts(batch);
   if (!points.has_value()) {
@@ -25,7 +26,7 @@ ExitSort SortTrapExits(uint32_t self_gid, const CiphertextBatch& batch,
     if (!bytes.has_value()) {
       // An undecodable exit message counts as a failed check for the
       // group that holds it: report and abort via the trustees.
-      sort.traps_for[self_gid].push_back(Bytes{0xff});  // matches nothing
+      sort.for_dst[self_gid].traps.push_back(Bytes{0xff});  // matches nothing
       continue;
     }
     if (IsDummy(BytesView(*bytes))) {
@@ -34,9 +35,9 @@ ExitSort SortTrapExits(uint32_t self_gid, const CiphertextBatch& batch,
     auto trap = ParseTrap(BytesView(*bytes));
     if (trap.has_value()) {
       if (trap->gid < G) {
-        sort.traps_for[trap->gid].push_back(*bytes);
+        sort.for_dst[trap->gid].traps.push_back(*bytes);
       } else {
-        sort.traps_for[self_gid].push_back(Bytes{0xff});
+        sort.for_dst[self_gid].traps.push_back(Bytes{0xff});
       }
       continue;
     }
@@ -47,9 +48,9 @@ ExitSort SortTrapExits(uint32_t self_gid, const CiphertextBatch& batch,
       uint32_t dst = static_cast<uint32_t>(digest[0] | (digest[1] << 8) |
                                            (digest[2] << 16)) %
                      static_cast<uint32_t>(G);
-      sort.inner_for[dst].push_back(*inner);
+      sort.for_dst[dst].inner.push_back(*inner);
     } else {
-      sort.traps_for[self_gid].push_back(Bytes{0xff});
+      sort.for_dst[self_gid].traps.push_back(Bytes{0xff});
     }
   }
   return sort;
@@ -80,16 +81,29 @@ NizkExitDecode DecodeNizkExits(const CiphertextBatch& batch,
   return out;
 }
 
-void GatherExitBuckets(std::span<ExitSort> sorted, uint32_t dst,
-                       std::vector<Bytes>* traps, std::vector<Bytes>* inner) {
-  for (ExitSort& sort : sorted) {
-    for (Bytes& trap : sort.traps_for[dst]) {
-      traps->push_back(std::move(trap));
+ExitBucket GatherExitBuckets(std::span<ExitBucket> from_src) {
+  ExitBucket all;
+  for (ExitBucket& bucket : from_src) {
+    for (Bytes& trap : bucket.traps) {
+      all.traps.push_back(std::move(trap));
     }
-    for (Bytes& ct : sort.inner_for[dst]) {
-      inner->push_back(std::move(ct));
+    for (Bytes& ct : bucket.inner) {
+      all.inner.push_back(std::move(ct));
     }
   }
+  return all;
+}
+
+void GatherExitBuckets(std::span<ExitSort> sorted, uint32_t dst,
+                       std::vector<Bytes>* traps, std::vector<Bytes>* inner) {
+  std::vector<ExitBucket> from_src;
+  from_src.reserve(sorted.size());
+  for (ExitSort& sort : sorted) {
+    from_src.push_back(std::move(sort.for_dst[dst]));
+  }
+  ExitBucket all = GatherExitBuckets(from_src);
+  *traps = std::move(all.traps);
+  *inner = std::move(all.inner);
 }
 
 GroupReport CheckExitGroup(
@@ -126,6 +140,48 @@ GroupReport CheckExitGroup(
   }
   report.inner_ok = inner_ok;
   return report;
+}
+
+RoundResult FinalizeExits(Variant variant, const Trustees* trustees,
+                          std::span<const GroupReport> reports,
+                          std::span<std::vector<Bytes>> per_group,
+                          size_t workers) {
+  RoundResult out;
+  if (variant == Variant::kNizk) {
+    for (std::vector<Bytes>& plaintexts : per_group) {
+      for (Bytes& p : plaintexts) {
+        out.plaintexts.push_back(std::move(p));
+      }
+    }
+    return out;
+  }
+  for (const GroupReport& report : reports) {
+    out.traps_seen += report.num_traps;
+    out.inner_seen += report.num_inner;
+  }
+  auto round_secret = trustees->MaybeReleaseKey(reports);
+  if (!round_secret.has_value()) {
+    out.aborted = true;
+    out.abort_reason =
+        "trustees refused to release the round key (trap check failed)";
+    return out;
+  }
+  std::vector<const Bytes*> flat;
+  for (const std::vector<Bytes>& inner : per_group) {
+    for (const Bytes& ct : inner) {
+      flat.push_back(&ct);
+    }
+  }
+  std::vector<std::optional<Bytes>> decrypted(flat.size());
+  ParallelFor(workers, flat.size(), [&](size_t i) {
+    decrypted[i] = KemDecrypt(*round_secret, BytesView(*flat[i]));
+  });
+  for (auto& msg : decrypted) {
+    if (msg.has_value()) {
+      out.plaintexts.push_back(std::move(*msg));
+    }
+  }
+  return out;
 }
 
 }  // namespace atom

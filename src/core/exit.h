@@ -1,6 +1,6 @@
 // Exit-phase building blocks (§4.4), shared by the engine's exit-layer
 // tasks (src/core/engine.h) and the mesh fleet's exit stages
-// (src/net/node_process.h).
+// (src/net/node_process.h, src/net/round_driver.h).
 //
 // The exit phase splits into three stages that map one-to-one onto hop
 // tasks in the engine's DAG:
@@ -46,15 +46,20 @@ struct RoundResult {
   uint64_t inner_seen = 0;
 };
 
+// One source group's exit traffic for one destination group.
+struct ExitBucket {
+  std::vector<Bytes> traps;
+  std::vector<Bytes> inner;
+};
+
 // One exit group's locally sorted view of its own exit batch (stage 1).
 struct ExitSort {
   bool ok = true;  // false: a point in the batch failed extraction
-  // Destination-indexed buckets, each sized num_groups. A trap that names
-  // an out-of-range group, an undecodable plaintext, or an unparseable
+  // Destination-indexed buckets, sized num_groups. A trap that names an
+  // out-of-range group, an undecodable plaintext, or an unparseable
   // payload becomes a sentinel trap for the sorting group itself — it
   // matches no commitment, so the check fails and the round aborts.
-  std::vector<std::vector<Bytes>> traps_for;
-  std::vector<std::vector<Bytes>> inner_for;
+  std::vector<ExitBucket> for_dst;
 };
 
 // Trap variant stage 1: decode group `self_gid`'s exit batch (dummies
@@ -72,10 +77,12 @@ struct NizkExitDecode {
 NizkExitDecode DecodeNizkExits(const CiphertextBatch& batch,
                                const MessageLayout& layout);
 
-// Flattens every source group's buckets for destination `dst` in
-// ascending source order, moving the entries into `traps`/`inner`. Both
-// executors route through this one function: the byte-identical plaintext
-// order the equivalence suite pins depends on this gather order.
+// Flattens one destination's buckets, one per source group in ascending
+// source order, moving the entries out. Both executors route through this
+// one function: the byte-identical plaintext order the equivalence suite
+// pins depends on this gather order.
+ExitBucket GatherExitBuckets(std::span<ExitBucket> from_src);
+// The same, over every source's ExitSort: fills `traps`/`inner` for `dst`.
 void GatherExitBuckets(std::span<ExitSort> sorted, uint32_t dst,
                        std::vector<Bytes>* traps, std::vector<Bytes>* inner);
 
@@ -85,6 +92,15 @@ void GatherExitBuckets(std::span<ExitSort> sorted, uint32_t dst,
 GroupReport CheckExitGroup(uint32_t gid, std::span<const Bytes> traps,
                            std::span<const Bytes> inner,
                            std::span<const std::array<uint8_t, 32>> commitments);
+
+// Stage 3. `per_group[g]` is group g's decoded plaintexts (NIZK: they are
+// concatenated in gid order) or gathered inner ciphertexts (trap: decrypted
+// on `workers` threads in gather order once the trustees release the key
+// on `reports`; a refusal aborts the result). Moves out of per_group.
+RoundResult FinalizeExits(Variant variant, const Trustees* trustees,
+                          std::span<const GroupReport> reports,
+                          std::span<std::vector<Bytes>> per_group,
+                          size_t workers);
 
 }  // namespace atom
 

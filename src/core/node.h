@@ -52,9 +52,7 @@ struct NodeMsg {
     // Distributed pipelined rounds (src/net/round_driver.h): a server
     // hosting a topology group executes whole engine hops, so overlapping
     // rounds flow between processes as round-tagged envelopes.
-    kHopBatch,      // one sub-batch for hop (layer=chain_pos, gid); when
-                    // chain_pos == num_layers it is the exit batch routed
-                    // to the driver (no native exit plan)
+    kHopBatch,      // one sub-batch for hop (layer=chain_pos, gid)
     kExitBuckets,   // exit sort output: src group prev_pos's trap/inner
                     // buckets destined for group gid's §4.4 check
     kExitReport,    // dest group gid's GroupReport + gathered inner cts

@@ -390,19 +390,20 @@ Bytes EncodeBeginRound(uint64_t seq, uint64_t round_id,
     w.U8(0);
     return w.Take();
   }
+  const RoundPlan& plan = spec->plan;
   w.U8(1);
-  w.U8(spec->variant);
-  w.U32(spec->layers);
-  w.U32(spec->width);
-  w.U32(spec->hop_workers);
+  w.U8(static_cast<uint8_t>(plan.variant));
+  w.U32(static_cast<uint32_t>(plan.layers));
+  w.U32(static_cast<uint32_t>(plan.width));
+  w.U32(static_cast<uint32_t>(plan.hop_workers));
   // Delta/bitmap-compressed: the square network's complete-bipartite rows
   // would otherwise cost 4 bytes per edge, O(G²) per layer boundary.
-  w.Raw(BytesView(EncodeAdjacency(spec->adjacency, spec->width)));
+  w.Raw(BytesView(
+      EncodeAdjacency(plan.successors, static_cast<uint32_t>(plan.width))));
   PutU32Vec(w, spec->hosts);
-  for (const Point& pk : spec->group_pks) {
+  for (const Point& pk : plan.group_pks) {
     PutPoint(w, pk);
   }
-  w.U8(spec->native_exit ? 1 : 0);
   w.U32(spec->plaintext_len);
   w.U32(spec->padded_len);
   w.U32(spec->num_points);
@@ -445,37 +446,35 @@ std::optional<BeginRoundMsg> DecodeBeginRound(BytesView bytes) {
       *width > kMaxGroups || *hop_workers == 0) {
     return std::nullopt;
   }
-  spec.variant = *variant;
-  spec.layers = *layers;
-  spec.width = *width;
-  spec.hop_workers = *hop_workers;
   // Compressed adjacency (shared decode loop with DecodeAdjacency):
   // reject-before-allocation against tiny hostile frames, neighbour
   // bounds validated per list.
-  if (!GetAdjacency(r, spec.layers - 1, spec.width, &spec.adjacency)) {
+  AdjacencyTable successors;
+  if (!GetAdjacency(r, *layers - 1, *width, &successors)) {
     return std::nullopt;
   }
-  if (!GetU32Vec(r, &spec.hosts) || spec.hosts.size() != spec.width) {
+  if (!GetU32Vec(r, &spec.hosts) || spec.hosts.size() != *width) {
     return std::nullopt;
   }
-  for (uint32_t g = 0; g < spec.width; g++) {
+  std::vector<Point> group_pks;
+  for (uint32_t g = 0; g < *width; g++) {
     auto pk = GetPoint(r);
     if (!pk) {
       return std::nullopt;
     }
-    spec.group_pks.push_back(*pk);
+    group_pks.push_back(*pk);
   }
-  auto native = r.U8();
+  spec.plan = PlanRound(static_cast<Variant>(*variant), *hop_workers,
+                        std::move(successors), std::move(group_pks));
   auto plaintext_len = r.U32();
   auto padded_len = r.U32();
   auto num_points = r.U32();
   auto num_commit_groups = r.U32();
-  if (!native || *native > 1 || !plaintext_len || !padded_len ||
+  if (!plaintext_len || !padded_len ||
       !num_points || !num_commit_groups ||
-      *num_commit_groups > kMaxGroups) {
+      *num_commit_groups != *width) {
     return std::nullopt;
   }
-  spec.native_exit = *native == 1;
   spec.plaintext_len = *plaintext_len;
   spec.padded_len = *padded_len;
   spec.num_points = *num_points;

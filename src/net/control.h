@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/dataflow.h"
 #include "src/core/node.h"
 #include "src/obs/metrics.h"
 #include "src/util/bytes.h"
@@ -74,9 +75,6 @@ struct JoinGroupMsg {
 };
 std::optional<JoinGroupMsg> DecodeJoinGroup(BytesView bytes);
 
-// adjacency[layer][gid] -> that group's neighbour list in layer+1.
-using AdjacencyTable = std::vector<std::vector<std::vector<uint32_t>>>;
-
 // Compressed adjacency codec for kBeginRound. The naive encoding is a
 // 4-byte word per edge — O(G²) per layer boundary for the square network
 // (complete bipartite layers), which dominates the spec for wide
@@ -98,25 +96,19 @@ std::optional<AdjacencyTable> DecodeAdjacency(BytesView bytes,
                                               uint32_t width);
 
 // The wire form of one pipelined engine round's execution plan: everything
-// a hosting server needs to run its groups' hops and exit checks without
+// a hosting server needs to run its groups' hops and exit stages without
 // any global barrier. Shipped inside kBeginRound; absent for chain rounds
 // (AtomNode message traffic), which only need the root key.
 struct WireRoundSpec {
-  uint8_t variant = 0;       // static_cast<uint8_t>(Variant)
-  uint32_t layers = 0;       // mixing iterations T
-  uint32_t width = 0;        // groups per layer
-  uint32_t hop_workers = 1;  // intra-hop ParallelFor width (determinism:
-                             // must match the reference engine's)
-  // adjacency[layer][gid] -> neighbour gids in layer+1 (layers-1 entries;
-  // the last layer is the exit). Travels delta/bitmap-compressed (see
-  // EncodeAdjacency above).
-  AdjacencyTable adjacency;
+  // The engine's RoundPlan (src/core/dataflow.h). Its variant, shape,
+  // hop-worker width, successor lists (delta/bitmap-compressed, see
+  // EncodeAdjacency above) and group keys travel; the decoder rebuilds the
+  // predecessor lists, so a plan no executor could run arrives with
+  // RoundPlan::error set and the receiver refuses the round.
+  RoundPlan plan;
   std::vector<uint32_t> hosts;   // width: server id executing each group
-  std::vector<Point> group_pks;  // width: each group's threshold key
-  // Exit plan (engine-native exit). When false the exit batches route
-  // back to the driver raw.
-  bool native_exit = false;
-  uint32_t plaintext_len = 0;  // MessageLayout, flattened
+  // The exit plan's MessageLayout, flattened.
+  uint32_t plaintext_len = 0;
   uint32_t padded_len = 0;
   uint32_t num_points = 0;
   // Trap variant: THIS round's per-entry-group trap commitments, so the

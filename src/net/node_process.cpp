@@ -1,7 +1,5 @@
 #include "src/net/node_process.h"
 
-#include <algorithm>
-#include <exception>
 #include <string>
 #include <utility>
 
@@ -14,14 +12,6 @@ namespace {
 // Tombstones kept per server: late frames for a retired round are dropped
 // silently instead of re-opening state or spamming the driver.
 constexpr size_t kMaxTombstones = 256;
-
-MessageLayout SpecLayout(const WireRoundSpec& spec) {
-  MessageLayout layout;
-  layout.plaintext_len = spec.plaintext_len;
-  layout.padded_len = spec.padded_len;
-  layout.num_points = spec.num_points;
-  return layout;
-}
 
 }  // namespace
 
@@ -178,7 +168,13 @@ void NodeProcess::HandleControl(uint32_t peer_id, LinkFrame frame) {
 }
 
 void NodeProcess::BeginRound(uint32_t peer_id, BeginRoundMsg msg) {
-  bool overloaded = false;
+  // Why the round cannot open here, if it cannot: a plan no executor could
+  // run (a sink before the exit layer, a hop nothing feeds, a repeated
+  // edge), or the lane bound.
+  std::string refused;
+  if (msg.spec.has_value() && !msg.spec->plan.error.empty()) {
+    refused = "round plan refused: " + msg.spec->plan.error;
+  }
   {
     std::lock_guard<std::mutex> lock(rounds_mu_);
     if (active_.contains(msg.round_id) ||
@@ -189,15 +185,20 @@ void NodeProcess::BeginRound(uint32_t peer_id, BeginRoundMsg msg) {
       return;
     }
     Lane* lane = nullptr;
-    if (!free_lanes_.empty()) {
-      lane = free_lanes_.back();
-      free_lanes_.pop_back();
-    } else if (lanes_.size() < max_rounds_) {
-      lanes_.push_back(std::make_unique<Lane>(pool_));
-      lane = lanes_.back().get();
+    if (refused.empty()) {
+      if (!free_lanes_.empty()) {
+        lane = free_lanes_.back();
+        free_lanes_.pop_back();
+      } else if (lanes_.size() < max_rounds_) {
+        lanes_.push_back(std::make_unique<Lane>(pool_));
+        lane = lanes_.back().get();
+      } else {
+        refused = "too many concurrent rounds (bound " +
+                  std::to_string(max_rounds_) + ")";
+      }
     }
     if (lane == nullptr) {
-      overloaded = true;
+      RetireLocked(msg.round_id);  // its traffic is dropped from now on
     } else {
       auto ctx = std::make_shared<RoundCtx>();
       ctx->round_id = msg.round_id;
@@ -210,17 +211,19 @@ void NodeProcess::BeginRound(uint32_t peer_id, BeginRoundMsg msg) {
   // Ack in every case — the round's fate travels as a round-tagged abort,
   // not as a control-plane stall.
   Ack(peer_id, msg.seq);
-  if (overloaded) {
-    mesh_.SendAbortToDriver(
-        msg.round_id, 0,
-        "server " + std::to_string(server_id_) +
-            ": too many concurrent rounds (bound " +
-            std::to_string(max_rounds_) + ")");
+  if (!refused.empty()) {
+    mesh_.SendAbortToDriver(msg.round_id, 0,
+                            "server " + std::to_string(server_id_) + ": " +
+                                refused);
   }
 }
 
 void NodeProcess::FinishRound(uint64_t round_id) {
   std::lock_guard<std::mutex> lock(rounds_mu_);
+  RetireLocked(round_id);
+}
+
+void NodeProcess::RetireLocked(uint64_t round_id) {
   auto it = active_.find(round_id);
   if (it != active_.end()) {
     Lane* lane = it->second;
@@ -282,13 +285,20 @@ void NodeProcess::HandleEnvelope(Envelope envelope) {
 }
 
 void NodeProcess::Process(const std::shared_ptr<RoundCtx>& ctx, NodeMsg msg) {
-  try {
+  const uint32_t gid = msg.gid;
+  auto threw = RunCatching("handler", [&] {
     switch (msg.type) {
       case NodeMsg::Type::kHopBatch:
       case NodeMsg::Type::kExitBuckets:
         // Engine rounds are all-or-nothing (one DAG): once aborted or
         // evicted, remaining engine traffic for the round is dead work.
         if (ctx->aborted.load(std::memory_order_acquire)) {
+          return;
+        }
+        if (!ctx->spec.has_value()) {
+          AbortRound(ctx, gid,
+                     "server " + std::to_string(server_id_) +
+                         ": engine traffic for a round with no engine spec");
           return;
         }
         if (msg.type == NodeMsg::Type::kHopBatch) {
@@ -304,10 +314,9 @@ void NodeProcess::Process(const std::shared_ptr<RoundCtx>& ctx, NodeMsg msg) {
         ProcessChain(ctx, std::move(msg));
         break;
     }
-  } catch (const std::exception& e) {
-    AbortRound(ctx, msg.gid, std::string("handler threw: ") + e.what());
-  } catch (...) {
-    AbortRound(ctx, msg.gid, "handler threw a non-standard exception");
+  });
+  if (threw) {
+    AbortRound(ctx, gid, std::move(*threw));
   }
 }
 
@@ -335,17 +344,12 @@ void NodeProcess::ProcessChain(const std::shared_ptr<RoundCtx>& ctx,
 
 void NodeProcess::ProcessHop(const std::shared_ptr<RoundCtx>& ctx,
                              NodeMsg msg) {
-  if (!ctx->spec.has_value()) {
-    AbortRound(ctx, msg.gid,
-               "server " + std::to_string(server_id_) +
-                   ": hop batch for a round with no engine spec");
-    return;
-  }
   const WireRoundSpec& spec = *ctx->spec;
+  const RoundPlan& plan = spec.plan;
   const size_t layer = msg.chain_pos;
   const uint32_t gid = msg.gid;
   const uint32_t src = msg.prev_pos;
-  if (layer >= spec.layers || gid >= spec.width ||
+  if (layer >= plan.layers || gid >= plan.width ||
       spec.hosts[gid] != server_id_) {
     AbortRound(ctx, gid,
                "server " + std::to_string(server_id_) +
@@ -361,131 +365,75 @@ void NodeProcess::ProcessHop(const std::shared_ptr<RoundCtx>& ctx,
     return;
   }
 
-  const uint64_t hop_key = layer * spec.width + gid;
-  auto [it, fresh] = ctx->hops.try_emplace(hop_key);
-  HopAssembly& hop = it->second;
-  if (fresh) {
-    if (layer == 0) {
-      hop.preds = {kMeshDriverId};  // the driver injects the entry batch
-    } else {
-      for (uint32_t p = 0; p < spec.width; p++) {
-        const auto& neighbors = spec.adjacency[layer - 1][p];
-        if (std::find(neighbors.begin(), neighbors.end(), gid) !=
-            neighbors.end()) {
-          hop.preds.push_back(p);  // ascending by construction
-        }
-      }
-    }
-    hop.inbound.resize(hop.preds.size());
-    hop.got.assign(hop.preds.size(), false);
-  }
+  // The driver injects the entry batch into layer 0's single slot; later
+  // layers take one slot per predecessor, in the plan's ascending order.
   size_t slot = 0;
   if (layer > 0) {
-    auto pos = std::lower_bound(hop.preds.begin(), hop.preds.end(), src);
-    if (pos == hop.preds.end() || *pos != src) {
+    std::optional<size_t> pred_slot = plan.Slot(layer, gid, src);
+    if (!pred_slot.has_value()) {
       AbortRound(ctx, gid,
                  "hop batch from non-predecessor group " +
                      std::to_string(src));
       return;
     }
-    slot = static_cast<size_t>(pos - hop.preds.begin());
+    slot = *pred_slot;
   }
-  if (hop.got[slot]) {
+  const uint64_t hop_key = layer * plan.width + gid;
+  const size_t slots = layer == 0 ? 1 : plan.preds[hop_key].size();
+  auto& hop = ctx->hops[hop_key];
+  if (!hop.Put(slots, slot, std::move(msg.batch))) {
     AbortRound(ctx, gid,
                "duplicate hop batch from group " + std::to_string(src));
     return;
   }
-  hop.got[slot] = true;
-  hop.inbound[slot] = std::move(msg.batch);
-  if (++hop.arrived < hop.preds.size()) {
+  if (hop.arrived < slots) {
     return;
   }
-
-  // All predecessors delivered: run the hop exactly like the engine —
-  // inbound concatenated in ascending predecessor order, randomness from
-  // the round root key-separated by hop index.
-  CiphertextBatch input;
-  size_t total = 0;
-  for (const CiphertextBatch& b : hop.inbound) {
-    total += b.size();
-  }
-  input.reserve(total);
-  for (CiphertextBatch& b : hop.inbound) {
-    for (auto& vec : b) {
-      input.push_back(std::move(vec));
-    }
-  }
+  std::vector<CiphertextBatch> inbound = std::move(hop.slots);
   ctx->hops.erase(hop_key);
-  if (!input.empty() && !IsShuffleInput(input)) {
-    // Ragged vectors or a set Y: a peer's fault, never this process's.
-    AbortRound(ctx, gid,
-               "group " + std::to_string(gid) + " layer " +
-                   std::to_string(layer) + ": malformed hop batch");
+
+  std::span<const uint32_t> next = plan.Successors(layer, gid);
+  std::vector<std::shared_ptr<const FixedBaseTable>> next_tables(next.size());
+  {
+    std::lock_guard<std::mutex> lock(tables_mu_);
+    for (size_t b = 0; b < next.size(); b++) {
+      auto cached = neighbour_tables_.find(next[b]);
+      if (cached != neighbour_tables_.end() &&
+          cached->second->base() == plan.group_pks[next[b]]) {
+        next_tables[b] = cached->second;
+      }
+    }
+  }
+  HopResult result = RunRoundHop(plan, ctx->root, *runtime, layer, gid,
+                                 std::move(inbound), next_tables, nullptr,
+                                 ctx->round_id);
+  {
+    std::lock_guard<std::mutex> lock(tables_mu_);
+    for (size_t b = 0; b < next.size(); b++) {
+      if (next_tables[b] != nullptr) {
+        neighbour_tables_[next[b]] = next_tables[b];
+      }
+    }
+  }
+  if (result.aborted) {
+    AbortRound(ctx, gid, std::move(result.abort_reason));
     return;
   }
 
-  const bool last = (layer + 1 == spec.layers);
-  std::vector<uint32_t> neighbors;
-  if (!last) {
-    neighbors = spec.adjacency[layer][gid];
-  }
-  std::vector<CiphertextBatch> out(last ? 1 : neighbors.size());
-  if (!input.empty()) {
-    std::vector<Point> next_pks;
-    next_pks.reserve(neighbors.size());
-    for (uint32_t n : neighbors) {
-      next_pks.push_back(spec.group_pks[n]);
-    }
-    std::vector<std::shared_ptr<const FixedBaseTable>> next_tables(
-        neighbors.size());
-    {
-      std::lock_guard<std::mutex> lock(tables_mu_);
-      for (size_t b = 0; b < neighbors.size(); b++) {
-        auto it = neighbour_tables_.find(neighbors[b]);
-        if (it != neighbour_tables_.end() &&
-            it->second->base() == next_pks[b]) {
-          next_tables[b] = it->second;
-        }
-      }
-    }
-    std::array<uint8_t, 32> key = DeriveSubKey(ctx->root, hop_key);
-    Rng rng(BytesView(key.data(), key.size()));
-    HopResult hop_result = runtime->RunHop(
-        input, next_pks, static_cast<Variant>(spec.variant), rng,
-        spec.hop_workers, nullptr, next_tables);
-    {
-      std::lock_guard<std::mutex> lock(tables_mu_);
-      for (size_t b = 0; b < neighbors.size(); b++) {
-        if (next_tables[b] != nullptr) {
-          neighbour_tables_[neighbors[b]] = next_tables[b];
-        }
-      }
-    }
-    if (hop_result.aborted) {
-      AbortRound(ctx, gid,
-                 "group " + std::to_string(gid) + " layer " +
-                     std::to_string(layer) + ": " +
-                     hop_result.abort_reason);
-      return;
-    }
-    ATOM_CHECK(hop_result.batches.size() == out.size());
-    out = std::move(hop_result.batches);
-  }
-
-  if (last) {
-    ProcessExitLayer(ctx, gid, std::move(out[0]));
+  if (next.empty()) {
+    ProcessExitLayer(ctx, gid, std::move(result.batches[0]));
     return;
   }
   std::vector<std::pair<uint32_t, NodeMsg>> sends;
-  sends.reserve(neighbors.size());
-  for (size_t b = 0; b < neighbors.size(); b++) {
-    NodeMsg next;
-    next.type = NodeMsg::Type::kHopBatch;
-    next.gid = neighbors[b];
-    next.chain_pos = static_cast<uint32_t>(layer + 1);
-    next.prev_pos = gid;
-    next.batch = std::move(out[b]);
-    sends.emplace_back(spec.hosts[neighbors[b]], std::move(next));
+  sends.reserve(next.size());
+  for (size_t b = 0; b < next.size(); b++) {
+    NodeMsg out;
+    out.type = NodeMsg::Type::kHopBatch;
+    out.gid = next[b];
+    out.chain_pos = static_cast<uint32_t>(layer + 1);
+    out.prev_pos = gid;
+    out.batch = std::move(result.batches[b]);
+    sends.emplace_back(spec.hosts[next[b]], std::move(out));
   }
   FanOut(ctx, std::move(sends));
 }
@@ -494,36 +442,25 @@ void NodeProcess::ProcessExitLayer(const std::shared_ptr<RoundCtx>& ctx,
                                    uint32_t gid,
                                    CiphertextBatch exit_batch) {
   const WireRoundSpec& spec = *ctx->spec;
-  if (!spec.native_exit) {
-    // No exit plan: the fully stripped batch routes back to the driver
-    // raw (layer == spec.layers marks it as an exit batch).
-    NodeMsg msg;
-    msg.type = NodeMsg::Type::kHopBatch;
-    msg.gid = gid;
-    msg.chain_pos = spec.layers;
-    msg.prev_pos = gid;
-    msg.batch = std::move(exit_batch);
-    Deliver(ctx, Envelope{kMeshDriverId, std::move(msg), ctx->round_id});
-    return;
-  }
-  MessageLayout layout = SpecLayout(spec);
-  if (static_cast<Variant>(spec.variant) == Variant::kTrap) {
-    ExitSort sort = SortTrapExits(gid, exit_batch, layout, spec.width);
+  const MessageLayout layout{spec.plaintext_len, spec.padded_len,
+                             spec.num_points};
+  if (spec.plan.variant == Variant::kTrap) {
+    ExitSort sort = SortTrapExits(gid, exit_batch, layout, spec.plan.width);
     if (!sort.ok) {
       AbortRound(ctx, gid, "exit batch not fully decrypted");
       return;
     }
     // §4.4 stage 2 is per destination group: ship each destination its
-    // buckets so its host checks them against this round's commitments.
+    // bucket so its host checks it against this round's commitments.
     std::vector<std::pair<uint32_t, NodeMsg>> sends;
-    sends.reserve(spec.width);
-    for (uint32_t d = 0; d < spec.width; d++) {
+    sends.reserve(spec.plan.width);
+    for (uint32_t d = 0; d < spec.plan.width; d++) {
       NodeMsg msg;
       msg.type = NodeMsg::Type::kExitBuckets;
       msg.gid = d;
       msg.prev_pos = gid;
-      msg.exit_traps = std::move(sort.traps_for[d]);
-      msg.exit_inner = std::move(sort.inner_for[d]);
+      msg.exit_traps = std::move(sort.for_dst[d].traps);
+      msg.exit_inner = std::move(sort.for_dst[d].inner);
       sends.emplace_back(spec.hosts[d], std::move(msg));
     }
     FanOut(ctx, std::move(sends));
@@ -543,58 +480,35 @@ void NodeProcess::ProcessExitLayer(const std::shared_ptr<RoundCtx>& ctx,
 
 void NodeProcess::ProcessExitBuckets(const std::shared_ptr<RoundCtx>& ctx,
                                      NodeMsg msg) {
-  if (!ctx->spec.has_value()) {
-    AbortRound(ctx, msg.gid, "exit buckets for a round with no engine spec");
-    return;
-  }
   const WireRoundSpec& spec = *ctx->spec;
   const uint32_t dst = msg.gid;
   const uint32_t src = msg.prev_pos;
-  if (dst >= spec.width || src >= spec.width ||
-      spec.hosts[dst] != server_id_ || !spec.native_exit ||
-      spec.commitments.size() != spec.width) {
+  const size_t width = spec.plan.width;
+  if (dst >= width || src >= width || spec.hosts[dst] != server_id_ ||
+      spec.plan.variant != Variant::kTrap) {
     AbortRound(ctx, dst, "misrouted exit buckets");
     return;
   }
-  auto [it, fresh] = ctx->exits.try_emplace(dst);
-  ExitAssembly& exit = it->second;
-  if (fresh) {
-    exit.traps.resize(spec.width);
-    exit.inner.resize(spec.width);
-    exit.got.assign(spec.width, false);
-  }
-  if (exit.got[src]) {
+  auto& exit = ctx->exits[dst];
+  if (!exit.Put(width, src,
+                {std::move(msg.exit_traps), std::move(msg.exit_inner)})) {
     AbortRound(ctx, dst,
                "duplicate exit buckets from group " + std::to_string(src));
     return;
   }
-  exit.got[src] = true;
-  exit.traps[src] = std::move(msg.exit_traps);
-  exit.inner[src] = std::move(msg.exit_inner);
-  if (++exit.arrived < spec.width) {
+  if (exit.arrived < width) {
     return;
   }
 
-  // Every source delivered: flatten in ascending source order (the
-  // GatherExitBuckets order the byte-identical plaintext sequence depends
-  // on) and run this destination's checks.
-  std::vector<Bytes> traps, inner;
-  for (uint32_t s = 0; s < spec.width; s++) {
-    for (Bytes& t : exit.traps[s]) {
-      traps.push_back(std::move(t));
-    }
-    for (Bytes& i : exit.inner[s]) {
-      inner.push_back(std::move(i));
-    }
-  }
+  // Every source delivered: this destination's checks.
+  ExitBucket all = GatherExitBuckets(exit.slots);
   ctx->exits.erase(dst);
-  GroupReport report =
-      CheckExitGroup(dst, traps, inner, spec.commitments[dst]);
   NodeMsg out;
   out.type = NodeMsg::Type::kExitReport;
   out.gid = dst;
-  out.report = report;
-  out.exit_inner = std::move(inner);
+  out.report = CheckExitGroup(dst, all.traps, all.inner,
+                              spec.commitments[dst]);
+  out.exit_inner = std::move(all.inner);
   Deliver(ctx, Envelope{kMeshDriverId, std::move(out), ctx->round_id});
 }
 

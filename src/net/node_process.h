@@ -21,25 +21,24 @@
 //    so a seeded chain run replays byte-for-byte (tests/chain_harness.h
 //    is the serial in-process oracle for it).
 //
-//  * Engine rounds (kBeginRound carrying a WireRoundSpec) execute whole
+//  * Engine rounds (kBeginRound carrying a WireRoundSpec) run whole
 //    group hops for the groups this process hosts (kHostGroup installs the
-//    DKG material): inbound kHopBatch sub-batches assemble per
-//    (layer, gid) slot exactly like the RoundEngine's hop DAG, the hop
-//    runs GroupRuntime::RunHop with a DRBG key-separated from the round's
-//    root by layer*width+gid — the engine's derivation — and the exit
-//    phase runs distributed: this host sorts its exit batches
-//    (SortTrapExits), ships per-destination buckets (kExitBuckets) to the
-//    destination groups' hosts, checks arrivals against the round's trap
-//    commitments (CheckExitGroup), and reports to the driver
-//    (kExitReport). A seeded engine round therefore produces
-//    byte-identical results over the mesh and in process.
+//    DKG material) through the RoundEngine's own stage functions
+//    (src/core/dataflow.h, exit.h): a full set of kHopBatch sub-batches
+//    runs RunRoundHop, and the exit runs distributed — this host sorts its
+//    exit batches, ships per-destination buckets (kExitBuckets) to the
+//    destination groups' hosts, gathers and checks arrivals, and reports
+//    to the driver (kExitReport; NIZK: kExitPlain). A seeded engine round
+//    therefore produces byte-identical results over the mesh and in
+//    process.
 //
 // Every control message is acked only after it has been applied, which
 // gives the driver a cross-link ordering fence. Failures never hang the
-// deployment: an unreachable next-hop peer, a malformed frame, a batch of
-// the wrong shape, a missing group runtime, or a throwing handler all
-// surface to the driver as a round-tagged kAbort envelope, and the process
-// goes on serving later rounds.
+// deployment: an unreachable next-hop peer, a malformed frame, an
+// unrunnable plan, a batch of the wrong shape or sender, a missing group
+// runtime, or a throwing handler all surface to the driver as a
+// round-tagged kAbort envelope, and the process goes on serving later
+// rounds.
 #ifndef SRC_NET_NODE_PROCESS_H_
 #define SRC_NET_NODE_PROCESS_H_
 
@@ -55,6 +54,8 @@
 #include <set>
 #include <vector>
 
+#include "src/core/dataflow.h"
+#include "src/core/exit.h"
 #include "src/core/group_runtime.h"
 #include "src/net/mesh.h"
 #include "src/util/parallel.h"
@@ -110,21 +111,27 @@ class NodeProcess {
   void SetFaultPlan(std::shared_ptr<FaultPlan> plan);
 
  private:
-  // Inbound sub-batches for one hop, assembled per predecessor slot in
-  // ascending gid order — the RoundEngine's HopNode, reconstructed from
-  // round-tagged wire traffic.
-  struct HopAssembly {
-    std::vector<uint32_t> preds;
-    std::vector<CiphertextBatch> inbound;
+  // A hop's sub-batches (one slot per predecessor, in plan order) or a
+  // destination group's §4.4 buckets (one per source), off the wire.
+  template <typename T>
+  struct Arrivals {
+    std::vector<T> slots;
     std::vector<bool> got;
     size_t arrived = 0;
-  };
-  // One destination group's §4.4 inputs: every source group's buckets.
-  struct ExitAssembly {
-    std::vector<std::vector<Bytes>> traps;
-    std::vector<std::vector<Bytes>> inner;
-    std::vector<bool> got;
-    size_t arrived = 0;
+    // Fills `slot` of `n`; false when that slot already arrived.
+    bool Put(size_t n, size_t slot, T value) {
+      if (got.empty()) {
+        slots.resize(n);
+        got.assign(n, false);
+      }
+      if (got[slot]) {
+        return false;
+      }
+      got[slot] = true;
+      slots[slot] = std::move(value);
+      arrived++;
+      return true;
+    }
   };
   // Everything one round owns on this server. Created by kBeginRound,
   // dropped on kRoundDone; tasks capture it by shared_ptr so a stale task
@@ -134,8 +141,9 @@ class NodeProcess {
     std::array<uint8_t, 32> root{};
     uint64_t delivered = 0;  // chain-protocol DRBG counter
     std::optional<WireRoundSpec> spec;  // engine rounds only
-    std::map<uint64_t, HopAssembly> hops;  // key: layer * width + gid
-    std::map<uint32_t, ExitAssembly> exits;  // key: dest gid hosted here
+    // key: layer * width + gid
+    std::map<uint64_t, Arrivals<CiphertextBatch>> hops;
+    std::map<uint32_t, Arrivals<ExitBucket>> exits;  // key: dest gid
     std::atomic<bool> aborted{false};
   };
   // A serial execution lane. The SerialExecutor outlives the rounds that
@@ -151,6 +159,9 @@ class NodeProcess {
   void HandleEnvelope(Envelope envelope);  // reader thread -> round lane
   void BeginRound(uint32_t peer_id, BeginRoundMsg msg);
   void FinishRound(uint64_t round_id);
+  // Frees the round's lane (if any) and tombstones its id. Needs
+  // rounds_mu_.
+  void RetireLocked(uint64_t round_id);
 
   // Lane tasks (serial per round, on the shared pool).
   void Process(const std::shared_ptr<RoundCtx>& ctx, NodeMsg msg);

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/core/wire.h"
-#include "src/crypto/kem.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -85,62 +84,30 @@ size_t DistributedRoundDriver::InFlight() const {
 }
 
 uint64_t DistributedRoundDriver::Submit(EngineRound round) {
-  ATOM_CHECK(round.topology != nullptr);
   ATOM_CHECK_MSG(round.faults.empty(),
                  "fault injection is in-process only; over the wire a "
                  "fault is a hostile server");
-  const size_t layers = round.topology->NumLayers();
-  const size_t width = round.topology->Width();
-  ATOM_CHECK_MSG(layers >= 1 && width >= 1,
-                 "topology must have at least one layer and one vertex");
-  ATOM_CHECK_MSG(hosts_.size() == width, "need one host per topology group");
-  ATOM_CHECK_MSG(round.groups.size() == width,
-                 "need one GroupRuntime per topology vertex");
-  ATOM_CHECK_MSG(round.entry.size() == width,
-                 "need one entry batch per topology vertex");
-
-  // The wire form of this round's plan, mirroring RoundEngine::Submit's
-  // DAG construction (same adjacency, same hop indexing).
+  ATOM_CHECK_MSG(round.exit.has_value(),
+                 "a fleet round needs an exit plan (Round::TakeEngineRound)");
+  // The engine's plan, checked by the same function; its wire form adds
+  // hosts, layout and commitments.
   WireRoundSpec spec;
-  spec.variant = static_cast<uint8_t>(round.variant);
-  spec.layers = static_cast<uint32_t>(layers);
-  spec.width = static_cast<uint32_t>(width);
-  spec.hop_workers = static_cast<uint32_t>(
-      round.hop_workers < 1 ? 1 : round.hop_workers);
-  spec.adjacency.resize(layers - 1);
-  for (size_t layer = 0; layer + 1 < layers; layer++) {
-    spec.adjacency[layer].resize(width);
-    for (uint32_t g = 0; g < width; g++) {
-      spec.adjacency[layer][g] = round.topology->Neighbors(layer, g);
-    }
-  }
+  spec.plan = PlanEngineRound(round);
+  const size_t width = spec.plan.width;
+  ATOM_CHECK_MSG(hosts_.size() == width, "need one host per topology group");
   spec.hosts = hosts_;
-  for (uint32_t g = 0; g < width; g++) {
-    ATOM_CHECK(round.groups[g] != nullptr);
-    spec.group_pks.push_back(round.groups[g]->pk());
-  }
+  spec.plaintext_len = static_cast<uint32_t>(round.exit->layout.plaintext_len);
+  spec.padded_len = static_cast<uint32_t>(round.exit->layout.padded_len);
+  spec.num_points = static_cast<uint32_t>(round.exit->layout.num_points);
   // Commitments are the bulk of the spec (one hash per message per entry
   // group), and each host only ever checks its own groups' sets — so the
   // base spec ships empty sets and each host's kBeginRound carries just
   // the groups it hosts (moved, not copied: every gid has one host).
   std::vector<std::vector<std::array<uint8_t, 32>>> all_commitments;
-  spec.commitments.resize(width);
-  const Trustees* trustees = nullptr;
-  if (round.exit.has_value()) {
-    spec.native_exit = true;
-    spec.plaintext_len =
-        static_cast<uint32_t>(round.exit->layout.plaintext_len);
-    spec.padded_len = static_cast<uint32_t>(round.exit->layout.padded_len);
-    spec.num_points = static_cast<uint32_t>(round.exit->layout.num_points);
-    if (round.variant == Variant::kTrap) {
-      trustees = round.exit->trustees;
-      ATOM_CHECK_MSG(trustees != nullptr,
-                     "trap exit plan needs a trustee group");
-      ATOM_CHECK_MSG(round.exit->commitments.size() == width,
-                     "need one commitment set per entry group");
-      all_commitments = std::move(round.exit->commitments);
-    }
+  if (round.variant == Variant::kTrap) {  // checked: one set per group
+    all_commitments = std::move(round.exit->commitments);
   }
+  spec.commitments.resize(width);
 
   const uint64_t round_id = mesh_->AllocateRoundId();
   DriverMetrics::Get().rounds->Add(1);
@@ -150,16 +117,12 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
     pending->submit_us = obs::Trace::NowUs();
   }
   pending->width = width;
-  pending->layers = layers;
   pending->variant = round.variant;
-  pending->hop_workers = spec.hop_workers;
-  pending->native_exit = spec.native_exit;
-  pending->trustees = trustees;
-  pending->exits.resize(width);
-  pending->exits_got.assign(width, false);
+  pending->hop_workers = spec.plan.hop_workers;
+  pending->trustees = round.exit->trustees;
   pending->reports.resize(width);
-  pending->inner.resize(width);
-  pending->plains.resize(width);
+  pending->per_group.resize(width);
+  pending->got.assign(width, false);
   {
     std::lock_guard<std::mutex> lock(mu_);
     pending->deadline = std::chrono::steady_clock::now() + round_timeout_;
@@ -258,33 +221,22 @@ void DistributedRoundDriver::HandleEnvelope(Envelope envelope) {
       AbortLocked(round, "round " + std::to_string(round.round_id) + ": " +
                              msg.abort_reason);
       return;
-    case NodeMsg::Type::kHopBatch:
-      // chain_pos == layers marks a raw exit batch (no native exit plan).
-      if (!round.native_exit && msg.chain_pos == round.layers &&
-          msg.gid < round.width && !round.exits_got[msg.gid]) {
-        round.exits_got[msg.gid] = true;
-        round.exits[msg.gid] = std::move(msg.batch);
-        round.exits_seen++;
-        cv_.notify_all();
-      }
-      return;
     case NodeMsg::Type::kExitReport:
-      if (round.native_exit && round.variant == Variant::kTrap &&
-          msg.gid < round.width && !round.reports[msg.gid].has_value()) {
+    case NodeMsg::Type::kExitPlain: {
+      // Trap exits report per destination group; NIZK exits send their
+      // plaintexts. One slot per gid, first arrival wins.
+      const NodeMsg::Type want = round.variant == Variant::kTrap
+                                     ? NodeMsg::Type::kExitReport
+                                     : NodeMsg::Type::kExitPlain;
+      if (msg.type == want && msg.gid < round.width && !round.got[msg.gid]) {
+        round.got[msg.gid] = true;
         round.reports[msg.gid] = msg.report;
-        round.inner[msg.gid] = std::move(msg.exit_inner);
-        round.reports_seen++;
+        round.per_group[msg.gid] = std::move(msg.exit_inner);
+        round.seen++;
         cv_.notify_all();
       }
       return;
-    case NodeMsg::Type::kExitPlain:
-      if (round.native_exit && round.variant == Variant::kNizk &&
-          msg.gid < round.width && !round.plains[msg.gid].has_value()) {
-        round.plains[msg.gid] = std::move(msg.exit_inner);
-        round.plains_seen++;
-        cv_.notify_all();
-      }
-      return;
+    }
     default:
       return;  // legacy chain traffic is not ours
   }
@@ -310,65 +262,22 @@ void DistributedRoundDriver::HandlePeerDown(uint32_t peer_id) {
 
 EngineRoundResult DistributedRoundDriver::Finalize(PendingRound& round) {
   EngineRoundResult result;
-  if (round.aborted) {
-    result.aborted = true;
-    result.abort_reason = round.abort_reason;
-    if (round.native_exit) {
-      result.round.aborted = true;
-      result.round.abort_reason = round.abort_reason;
-    }
-    return result;
-  }
-  if (!round.native_exit) {
-    result.exits = std::move(round.exits);
-    return result;
-  }
   RoundResult& out = result.round;
-  if (round.variant == Variant::kNizk) {
-    for (size_t g = 0; g < round.width; g++) {
-      for (Bytes& p : *round.plains[g]) {
-        out.plaintexts.push_back(std::move(p));
-      }
-    }
-    return result;
-  }
-  // Trap finalize, mirroring RoundEngine::ExecuteExitFinalize: reports in
-  // ascending gid order, trustee decision, then pooled KEM decryption of
-  // the gathered inner ciphertexts in the same flatten order.
-  std::vector<GroupReport> reports;
-  reports.reserve(round.width);
-  for (size_t g = 0; g < round.width; g++) {
-    reports.push_back(*round.reports[g]);
-    out.traps_seen += reports.back().num_traps;
-    out.inner_seen += reports.back().num_inner;
-  }
-  auto round_secret = round.trustees->MaybeReleaseKey(reports);
-  if (!round_secret.has_value()) {
+  if (round.aborted) {
     out.aborted = true;
-    // Round-scoped like every other driver abort: finalize runs on the
-    // Wait caller's thread, but the failure is still one round's.
-    out.abort_reason =
-        "round " + std::to_string(round.round_id) +
-        ": trustees refused to release the round key (trap check failed)";
-    result.aborted = true;
-    result.abort_reason = out.abort_reason;
-    return result;
-  }
-  std::vector<const Bytes*> flat;
-  for (size_t g = 0; g < round.width; g++) {
-    for (const Bytes& ct : round.inner[g]) {
-      flat.push_back(&ct);
+    out.abort_reason = round.abort_reason;
+  } else {
+    out = FinalizeExits(round.variant, round.trustees, round.reports,
+                        round.per_group, round.hop_workers);
+    if (out.aborted) {
+      // Round-scoped like every other driver abort: finalize runs on the
+      // Wait caller's thread, but the failure is still one round's.
+      out.abort_reason =
+          "round " + std::to_string(round.round_id) + ": " + out.abort_reason;
     }
   }
-  std::vector<std::optional<Bytes>> decrypted(flat.size());
-  ParallelFor(round.hop_workers, flat.size(), [&](size_t i) {
-    decrypted[i] = KemDecrypt(*round_secret, BytesView(*flat[i]));
-  });
-  for (auto& msg : decrypted) {
-    if (msg.has_value()) {
-      out.plaintexts.push_back(std::move(*msg));
-    }
-  }
+  result.aborted = out.aborted;
+  result.abort_reason = out.abort_reason;
   return result;
 }
 

@@ -14,16 +14,15 @@
 // round by queueing kRoundDone on the mesh's sender lanes, so neither
 // call waits on the wire once per host.
 //
-// Execution is split exactly along the engine's task boundaries:
+// Execution is split along the engine's task boundaries, each stage
+// running the src/core function the engine runs:
 //
 //   * mixing hops and the exit sort/check stages run on the hosting
-//     servers (see src/net/node_process.h), with hop randomness derived
-//     from the round root by hop index — the engine's derivation — so a
-//     seeded round produces byte-identical results on either executor;
-//   * the finalize stage (trustee decision + inner-ciphertext KEM
-//     decryption, or NIZK plaintext concatenation) runs here, on the
-//     Wait caller's thread, from the servers' kExitReport/kExitPlain
-//     messages gathered in ascending group order.
+//     servers (see src/net/node_process.h), so a seeded round produces
+//     byte-identical results on either executor;
+//   * the finalize stage (FinalizeExits) runs here, on the Wait caller's
+//     thread, from the servers' kExitReport/kExitPlain messages gathered
+//     in ascending group order.
 //
 // Failures are per-round, never per-deployment: a peer that dies, a hop
 // that trips, or a round that exceeds its deadline aborts THAT round with
@@ -66,8 +65,9 @@ class DistributedRoundDriver {
   // Ships the round to the fleet and starts it. Mirrors
   // RoundEngine::Submit: entry batches are moved out of the spec, the
   // ticket is waited on once, and several submitted rounds overlap in
-  // flight. spec.faults must be empty (fault injection is a test-side
-  // concern; over the wire a fault is a hostile server). Never blocks on
+  // flight. The spec must carry an ExitPlan, and spec.faults must be
+  // empty (fault injection is a test-side concern; over the wire a fault
+  // is a hostile server). Never blocks on
   // mixing — only on one round trip, the slowest host's kBeginRound ack.
   // A host that does not ack aborts this round only, with a reason that
   // names every such host.
@@ -88,22 +88,18 @@ class DistributedRoundDriver {
   struct PendingRound {
     uint64_t round_id = 0;
     size_t width = 0;
-    size_t layers = 0;
     Variant variant = Variant::kTrap;
     size_t hop_workers = 1;
-    bool native_exit = false;
     const Trustees* trustees = nullptr;
     std::chrono::steady_clock::time_point deadline;
 
-    // Collected per-gid slots (ascending-gid finalize order).
-    std::vector<CiphertextBatch> exits;           // no exit plan
-    std::vector<bool> exits_got;
-    size_t exits_seen = 0;
-    std::vector<std::optional<GroupReport>> reports;  // trap exit plan
-    std::vector<std::vector<Bytes>> inner;
-    size_t reports_seen = 0;
-    std::vector<std::optional<std::vector<Bytes>>> plains;  // nizk plan
-    size_t plains_seen = 0;
+    // FinalizeExits' inputs, one slot per gid: each exit group's
+    // kExitPlain plaintexts (NIZK), or each destination group's
+    // kExitReport and gathered inner ciphertexts (trap).
+    std::vector<GroupReport> reports;
+    std::vector<std::vector<Bytes>> per_group;
+    std::vector<bool> got;
+    size_t seen = 0;
 
     bool aborted = false;
     std::string abort_reason;  // first abort wins
@@ -111,16 +107,7 @@ class DistributedRoundDriver {
     // otherwise) so Wait can emit the round's full driver-side lifetime.
     int64_t submit_us = -1;
 
-    bool Complete() const {
-      if (aborted) {
-        return true;
-      }
-      if (!native_exit) {
-        return exits_seen >= width;
-      }
-      return variant == Variant::kTrap ? reports_seen >= width
-                                       : plains_seen >= width;
-    }
+    bool Complete() const { return aborted || seen >= width; }
   };
 
   void HandleEnvelope(Envelope envelope);

@@ -352,14 +352,9 @@ std::vector<Target> BuildTargets(Rng& rng) {
   {
     std::array<uint8_t, 32> root{};
     WireRoundSpec spec;
-    spec.variant = 1;
-    spec.layers = 2;
-    spec.width = 2;
-    spec.hop_workers = 2;
-    spec.adjacency = {{{0, 1}, {0, 1}}};
+    spec.plan = PlanRound(Variant::kNizk, 2, {{{0, 1}, {0, 1}}},
+                          {Point::Generator(), Point::Generator()});
     spec.hosts = {1, 2};
-    spec.group_pks = {Point::Generator(), Point::Generator()};
-    spec.native_exit = true;
     spec.plaintext_len = 64;
     spec.padded_len = 66;
     spec.num_points = 3;

@@ -780,9 +780,11 @@ struct PipelinedDeployment {
   // actually forms kEnvelopeBundle frames.
   // wire_delay > 0 emulates a uniform WAN: every server's frames to every
   // peer (servers and driver) sleep that long before hitting the socket.
+  // `configure` runs on every NodeProcess before it starts (tamper hooks).
   bool Build(Round& round, Variant variant, size_t max_rounds = 8,
              std::chrono::milliseconds wire_delay = {},
-             size_t groups_per_host = 1) {
+             size_t groups_per_host = 1,
+             const std::function<void(NodeProcess&)>& configure = {}) {
     size_t width = round.NumGroups();
     size_t num_hosts = (width + groups_per_host - 1) / groups_per_host;
     for (uint32_t g = 0; g < width; g++) {
@@ -797,6 +799,9 @@ struct PipelinedDeployment {
         for (uint32_t peer = 1; peer <= num_hosts; peer++) {
           proc->set_peer_profile(peer, WanProfile{wire_delay, 0});
         }
+      }
+      if (configure) {
+        configure(*proc);
       }
       if (!proc->Listen(0)) {
         return false;
@@ -1217,17 +1222,191 @@ TEST(DistributedPipeline, PeerKilledMidBundleAbortsNotHangs) {
   }
 }
 
+// A kBeginRound whose adjacency no executor could run is refused when the
+// round opens: the hosting servers abort that round with a reason naming
+// themselves, drop its traffic, and run the next round. `adjacency` is the
+// spec's one layer boundary at width 2.
+void ExpectUnrunnablePlanRefused(const AdjacencyTable& adjacency,
+                                 const std::string& want) {
+  PipelinedFixture fx(Variant::kTrap);
+  EngineRound hostile = fx.TakeSpec(4);
+  EngineRound next = fx.TakeSpec(4);
+
+  PipelinedDeployment dep;
+  ASSERT_TRUE(dep.Build(*fx.round, Variant::kTrap));
+  std::mutex mu;
+  std::vector<Envelope> aborts;
+  dep.mesh.OnDriverEnvelope([&](Envelope envelope) {
+    if (envelope.msg.type == NodeMsg::Type::kAbort) {
+      std::lock_guard<std::mutex> lock(mu);
+      aborts.push_back(std::move(envelope));
+    }
+  });
+
+  WireRoundSpec spec;
+  spec.plan = PlanRound(Variant::kTrap, 1, adjacency,
+                        {fx.round->group(0).pk(), fx.round->group(1).pk()});
+  ASSERT_NE(spec.plan.error, "");
+  spec.hosts = dep.hosts;
+  spec.plaintext_len = static_cast<uint32_t>(fx.round->layout().plaintext_len);
+  spec.padded_len = static_cast<uint32_t>(fx.round->layout().padded_len);
+  spec.num_points = static_cast<uint32_t>(fx.round->layout().num_points);
+  spec.commitments.resize(2);
+  const uint64_t round_id = dep.mesh.AllocateRoundId();
+  std::vector<TcpPeerMesh::BeginRoundTarget> targets;
+  for (uint32_t host : dep.hosts) {
+    targets.push_back({host, &spec});
+  }
+  ASSERT_TRUE(dep.mesh.BeginRound(round_id, hostile.seed, targets).empty());
+  // Group 0's entry batch: at layer 0 its hop would run toward no
+  // successor if the round had opened.
+  NodeMsg entry;
+  entry.type = NodeMsg::Type::kHopBatch;
+  entry.gid = 0;
+  entry.batch = std::move(hostile.entry[0]);
+  ASSERT_TRUE(dep.mesh.SendFrameAsync(
+      dep.hosts[0], LinkMsg::kEnvelope,
+      EncodeEnvelope(Envelope{dep.hosts[0], std::move(entry), round_id}),
+      round_id, 0));
+  ASSERT_TRUE(WaitUntil([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return aborts.size() >= dep.hosts.size();
+  })) << "no round-scoped abort for an unrunnable plan";
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const Envelope& abort : aborts) {
+      EXPECT_EQ(abort.round_id, round_id);
+      EXPECT_NE(abort.msg.abort_reason.find("round plan refused: " + want),
+                std::string::npos)
+          << abort.msg.abort_reason;
+      EXPECT_EQ(abort.msg.abort_reason.rfind("server ", 0), 0u)
+          << abort.msg.abort_reason;
+    }
+  }
+  dep.mesh.BroadcastRoundDone(round_id, dep.hosts);
+  dep.mesh.OnDriverEnvelope(nullptr);
+
+  DistributedRoundDriver driver(&dep.mesh, dep.hosts);
+  driver.set_round_timeout(60s);
+  RoundResult good = driver.Wait(driver.Submit(std::move(next))).round;
+  EXPECT_FALSE(good.aborted) << good.abort_reason;
+  EXPECT_EQ(good.plaintexts.size(), 4u);
+  dep.StopAll();
+}
+
+TEST(DistributedPipeline, SinkBeforeTheExitLayerIsRefusedAtBeginRound) {
+  // Group 0 at layer 0 has no successor: a count of zero and an all-zero
+  // bitmap both decode to this empty list.
+  ExpectUnrunnablePlanRefused({{{}, {0, 1}}},
+                              "group 0 layer 0 has no outbound edges");
+}
+
+TEST(DistributedPipeline, HopWithNoInboundEdgeIsRefusedAtBeginRound) {
+  // Nothing feeds group 1 at layer 1, so its hop could never run.
+  ExpectUnrunnablePlanRefused({{{0}, {0}}},
+                              "group 1 layer 1 has no inbound edges");
+}
+
+// Host 1 (group 0) rewrites its outbound envelopes of round kBadRound with
+// `tamper`: the fault must abort that round alone with a reason containing
+// `want`, and the next round must complete.
+void ExpectArrivalFaultIsRoundScoped(std::function<void(NodeMsg&)> tamper,
+                                     const std::string& want) {
+  constexpr uint64_t kBadRound = 500;
+  PipelinedFixture fx(Variant::kTrap);
+  EngineRound hostile = fx.TakeSpec(4);
+  EngineRound next = fx.TakeSpec(4);
+
+  PipelinedDeployment dep;
+  ASSERT_TRUE(dep.Build(
+      *fx.round, Variant::kTrap, /*max_rounds=*/8, /*wire_delay=*/{},
+      /*groups_per_host=*/1, [&](NodeProcess& proc) {
+        if (proc.server_id() == 1) {
+          proc.SetOutboundTamper([tamper](Envelope& envelope) {
+            if (envelope.round_id == kBadRound) {
+              tamper(envelope.msg);
+            }
+          });
+        }
+      }));
+  dep.mesh.set_next_round_id(kBadRound);
+  DistributedRoundDriver driver(&dep.mesh, dep.hosts);
+  driver.set_round_timeout(60s);
+  const uint64_t ticket = driver.Submit(std::move(hostile));
+  ASSERT_EQ(ticket, kBadRound);
+  RoundResult bad = driver.Wait(ticket).round;
+  EXPECT_TRUE(bad.aborted);
+  EXPECT_EQ(bad.abort_reason.rfind("round " + std::to_string(ticket) + ": ",
+                                   0),
+            0u)
+      << bad.abort_reason;
+  EXPECT_NE(bad.abort_reason.find(want), std::string::npos)
+      << bad.abort_reason;
+  RoundResult good = driver.Wait(driver.Submit(std::move(next))).round;
+  EXPECT_FALSE(good.aborted) << good.abort_reason;
+  EXPECT_EQ(good.plaintexts.size(), 4u);
+  dep.StopAll();
+}
+
+TEST(DistributedPipeline, SecondHopBatchFromOnePredecessorAbortsTheRound) {
+  // Group 0's layer-1 batches claim to come from group 1, which also
+  // delivers its own: each destination sees group 1 twice.
+  ExpectArrivalFaultIsRoundScoped(
+      [](NodeMsg& msg) {
+        if (msg.type == NodeMsg::Type::kHopBatch && msg.chain_pos == 1) {
+          msg.prev_pos = 1;
+        }
+      },
+      "duplicate hop batch from group 1");
+}
+
+TEST(DistributedPipeline, HopBatchFromANonPredecessorAbortsTheRound) {
+  ExpectArrivalFaultIsRoundScoped(
+      [](NodeMsg& msg) {
+        if (msg.type == NodeMsg::Type::kHopBatch && msg.chain_pos == 1) {
+          msg.prev_pos = 7;
+        }
+      },
+      "hop batch from non-predecessor group 7");
+}
+
+TEST(DistributedPipeline, RepeatedExitBucketsAbortTheRound) {
+  ExpectArrivalFaultIsRoundScoped(
+      [](NodeMsg& msg) {
+        if (msg.type == NodeMsg::Type::kExitBuckets) {
+          msg.prev_pos = 1;
+        }
+      },
+      "duplicate exit buckets from group 1");
+}
+
+TEST(DistributedPipeline, MisroutedExitBucketsAbortTheRound) {
+  // Group 1's bucket reaches group 1's host labelled for group 0, which
+  // that host does not serve.
+  ExpectArrivalFaultIsRoundScoped(
+      [](NodeMsg& msg) {
+        if (msg.type == NodeMsg::Type::kExitBuckets && msg.gid == 1) {
+          msg.gid = 0;
+        }
+      },
+      "misrouted exit buckets");
+}
+
 // The golden rounds (tests/golden_round.h) executed by a mesh fleet, one
 // NodeProcess per topology group, must reproduce the digests the
 // in-process engine recorded.
-RoundResult RunOnMesh(Round& round, std::span<const Round::Evil> evils,
-                      Rng& rng) {
+// A nonzero `round_id` pins the id the fleet runs the round under.
+RoundResult RunOnMeshAs(uint64_t round_id, Round& round,
+                        std::span<const Round::Evil> evils, Rng& rng) {
   EXPECT_TRUE(evils.empty()) << "fault injection is in-process only";
   RoundResult result;
   PipelinedDeployment dep;
   if (!dep.Build(round, round.variant())) {
     ADD_FAILURE() << "mesh deployment failed to start";
     return result;
+  }
+  if (round_id != 0) {
+    dep.mesh.set_next_round_id(round_id);
   }
   {
     DistributedRoundDriver driver(&dep.mesh, dep.hosts);
@@ -1246,12 +1425,42 @@ TEST_P(GoldenMesh, MatchesRecordedDigest) {
   auto submit = [](Round& round, size_t, const auto& sub) {
     return golden::SubmitInProcess(round, sub);
   };
-  golden::ExpectRecorded(c.name, golden::RoundDigest(c, submit, RunOnMesh));
+  auto run = [](Round& round, std::span<const Round::Evil> evils, Rng& rng) {
+    return RunOnMeshAs(0, round, evils, rng);
+  };
+  golden::ExpectRecorded(c.name, golden::RoundDigest(c, submit, run));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeded, GoldenMesh,
                          ::testing::ValuesIn(golden::kHonestCases),
                          golden::CaseName);
+
+TEST(GoldenMeshAbort, TrapCheatingUserMatchesTheEngine) {
+  // A user whose trap commitment matches nothing: the trustees refuse the
+  // key on both executors, through the same finalize. The fleet reports
+  // the same accounting and the engine's reason, scoped to its round.
+  const golden::Case& c = golden::kAbortCases[2];
+  ASSERT_STREQ(c.name, "TrapCheatingUser");
+  auto submit = [](Round& round, size_t, const auto& sub) {
+    return golden::SubmitInProcess(round, sub);
+  };
+  RoundResult engine, mesh;
+  golden::RoundDigest(c, submit, [&](Round& round, auto evils, Rng& rng) {
+    return engine = golden::RunInEngine(round, evils, rng);
+  });
+  constexpr uint64_t kRoundId = 41;
+  golden::RoundDigest(c, submit, [&](Round& round, auto evils, Rng& rng) {
+    return mesh = RunOnMeshAs(kRoundId, round, evils, rng);
+  });
+  ASSERT_TRUE(engine.aborted);
+  ASSERT_TRUE(mesh.aborted);
+  EXPECT_EQ(mesh.abort_reason,
+            "round " + std::to_string(kRoundId) + ": " + engine.abort_reason);
+  EXPECT_EQ(mesh.plaintexts, engine.plaintexts);
+  EXPECT_EQ(mesh.traps_seen, engine.traps_seen);
+  EXPECT_EQ(mesh.inner_seen, engine.inner_seen);
+  EXPECT_GT(engine.traps_seen, 0u);
+}
 
 TEST(MeshRoster, SetRosterDropsLinksWhoseEntryChanged) {
   // A live link to a peer whose roster entry changed must be dropped so
@@ -1437,20 +1646,48 @@ TEST(DistributedPipelineFaults, SigkilledPeerAbortsInFlightRoundsOnly) {
   }
 }
 
+TEST(DistributedPipelineFaults, HostingServersCountTheirHops) {
+  // A forked atom_server runs its groups' hops through the same hop step
+  // as the engine, so its own registry counts them: after one round of
+  // two layers, each host has run at least its group's two hops.
+  signal(SIGPIPE, SIG_IGN);
+  PipelinedFixture fx(Variant::kTrap);
+  EngineRound spec = fx.TakeSpec(4);
+
+  Rng key_rng(uint64_t{0x40b5});
+  KemKeypair driver_key = KemKeyGen(key_rng);
+  KemKeypair key1 = KemKeyGen(key_rng);
+  KemKeypair key2 = KemKeyGen(key_rng);
+  ChildServer server1, server2;
+  ASSERT_TRUE(server1.Spawn(1, key1.sk, driver_key.pk));
+  ASSERT_TRUE(server2.Spawn(2, key2.sk, driver_key.pk));
+
+  TcpPeerMesh mesh(TcpPeerMesh::Role::kDriver, kMeshDriverId, driver_key);
+  mesh.SetRoster({MeshPeer{1, "127.0.0.1", server1.port, key1.pk},
+                  MeshPeer{2, "127.0.0.1", server2.port, key2.pk}});
+  ASSERT_TRUE(mesh.ConnectAndPushRoster());
+  ASSERT_TRUE(mesh.SendHostGroup(1, 0, fx.round->group(0).dkg()));
+  ASSERT_TRUE(mesh.SendHostGroup(2, 1, fx.round->group(1).dkg()));
+  {
+    DistributedRoundDriver driver(&mesh, {1, 2});
+    driver.set_round_timeout(30s);
+    EngineRoundResult result = driver.Wait(driver.Submit(std::move(spec)));
+    ASSERT_FALSE(result.aborted) << result.abort_reason;
+    for (uint32_t host : {1u, 2u}) {
+      std::optional<obs::MetricsSnapshot> snapshot =
+          mesh.FetchMetricsSnapshot(host);
+      ASSERT_TRUE(snapshot.has_value()) << "server " << host;
+      auto hops = snapshot->counters.find("atom_engine_hops_total");
+      ASSERT_NE(hops, snapshot->counters.end()) << "server " << host;
+      EXPECT_GE(hops->second, 2u) << "server " << host;
+    }
+    mesh.Stop();  // join readers before the driver dies
+  }
+}
+
 #endif  // ATOM_SERVER_BINARY
 
 // --------------------------------------------------- adjacency compression
-
-AdjacencyTable TableFor(const Topology& topology) {
-  AdjacencyTable adjacency(topology.NumLayers() - 1);
-  for (size_t layer = 0; layer + 1 < topology.NumLayers(); layer++) {
-    adjacency[layer].resize(topology.Width());
-    for (uint32_t g = 0; g < topology.Width(); g++) {
-      adjacency[layer][g] = topology.Neighbors(layer, g);
-    }
-  }
-  return adjacency;
-}
 
 TEST(AdjacencyWire, DeltaBitmapRoundTripAtG64) {
   // The square network at G=64: complete bipartite layers, the O(G²)
@@ -1459,7 +1696,7 @@ TEST(AdjacencyWire, DeltaBitmapRoundTripAtG64) {
   // bytes/edge encoding.
   constexpr uint32_t kG = 64;
   SquareTopology square(kG, 4);
-  AdjacencyTable adjacency = TableFor(square);
+  AdjacencyTable adjacency = TopologyAdjacency(square);
   Bytes enc = EncodeAdjacency(adjacency, kG);
   auto dec = DecodeAdjacency(BytesView(enc), 3, kG);
   ASSERT_TRUE(dec.has_value());
@@ -1472,7 +1709,7 @@ TEST(AdjacencyWire, DeltaBitmapRoundTripAtG64) {
   // The butterfly's neighbour lists are short and non-monotone
   // ({v, v XOR bit}): the zigzag-delta mode must preserve order exactly.
   ButterflyTopology butterfly(6, 2);
-  AdjacencyTable badj = TableFor(butterfly);
+  AdjacencyTable badj = TopologyAdjacency(butterfly);
   Bytes benc = EncodeAdjacency(badj, kG);
   auto bdec = DecodeAdjacency(
       BytesView(benc), static_cast<uint32_t>(butterfly.NumLayers() - 1), kG);
@@ -1482,7 +1719,7 @@ TEST(AdjacencyWire, DeltaBitmapRoundTripAtG64) {
 
 TEST(AdjacencyWire, RejectsTruncationJunkAndOutOfRangeNeighbors) {
   SquareTopology square(8, 3);
-  AdjacencyTable adjacency = TableFor(square);
+  AdjacencyTable adjacency = TopologyAdjacency(square);
   Bytes enc = EncodeAdjacency(adjacency, 8);
   ASSERT_TRUE(DecodeAdjacency(BytesView(enc), 2, 8).has_value());
   for (size_t len = 0; len < enc.size(); len++) {
@@ -1522,17 +1759,14 @@ TEST(AdjacencyWire, BeginRoundSpecRoundTripsCompressed) {
   // survive encode -> decode -> re-encode byte-identically.
   Rng rng(uint64_t{0xad70});
   WireRoundSpec spec;
-  spec.variant = 0;
-  spec.layers = 3;
-  spec.width = 4;
-  spec.hop_workers = 2;
-  SquareTopology square(4, 3);
-  spec.adjacency = TableFor(square);
-  spec.hosts = {1, 2, 1, 2};
+  std::vector<Point> group_pks;
   for (uint32_t g = 0; g < 4; g++) {
-    spec.group_pks.push_back(Point::BaseMul(Scalar::Random(rng)));
+    group_pks.push_back(Point::BaseMul(Scalar::Random(rng)));
   }
-  spec.native_exit = true;
+  SquareTopology square(4, 3);
+  spec.plan = PlanRound(Variant::kTrap, 2, TopologyAdjacency(square),
+                        std::move(group_pks));
+  spec.hosts = {1, 2, 1, 2};
   spec.plaintext_len = 32;
   spec.padded_len = 34;
   spec.num_points = 2;
@@ -1547,7 +1781,9 @@ TEST(AdjacencyWire, BeginRoundSpecRoundTripsCompressed) {
   ASSERT_TRUE(dec.has_value());
   ASSERT_TRUE(dec->spec.has_value());
   EXPECT_EQ(dec->round_id, 77u);
-  EXPECT_EQ(dec->spec->adjacency, spec.adjacency);
+  EXPECT_EQ(dec->spec->plan.successors, spec.plan.successors);
+  EXPECT_EQ(dec->spec->plan.preds, spec.plan.preds);
+  EXPECT_EQ(dec->spec->plan.group_pks, spec.plan.group_pks);
   EXPECT_EQ(dec->spec->hosts, spec.hosts);
   EXPECT_EQ(dec->spec->commitments, spec.commitments);
   EXPECT_EQ(EncodeBeginRound(9, 77, dec->root_key, &*dec->spec), enc);
