@@ -17,7 +17,9 @@
 // 2k proofs costs no less than checking its steps one by one, or when the
 // CPU has AVX-512 IFMA and the IFMA lane kernel is not cheaper per product
 // than the portable one on every lane row, or its pippenger not faster
-// than the portable one at every MSM row from its crossover up.
+// than the portable one at every MSM row from its crossover up, or when
+// the CPU has SHA-NI and the dispatched SHA-256 compression is not cheaper
+// per block than the portable one.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -32,8 +34,10 @@
 #include "src/crypto/lanes.h"
 #include "src/crypto/mont.h"
 #include "src/crypto/schnorr.h"
+#include "src/crypto/sha256.h"
 #include "src/crypto/shuffle.h"
 #include "src/crypto/sigma.h"
+#include "src/crypto/transcript.h"
 #include "src/util/rng.h"
 
 namespace atom {
@@ -264,6 +268,113 @@ bool MeasureField(BenchJson& json, bool smoke) {
   if (!ok) {
     std::printf("FAIL: field Mul speedup %.2fx below the %.1fx gate\n",
                 mul_speedup, kFieldMulGate);
+  }
+  return ok;
+}
+
+// Leaf rows under a NIZK hop, in the order the hop's CPU descends to them:
+//   - the IFMA field's Mul and Sqr, ns per 8-lane product over four
+//     independent chains (throughput, not latency), where the CPU has it;
+//   - SHA-256 ns per 64-byte block through the portable compression and
+//     the one Sha256 dispatches to (SHA-NI where CPUID reports it);
+//   - one ReEnc proof's Fiat-Shamir challenge as sigma.cpp derives it: 11
+//     labelled point encodings and a u64 appended, then the challenge.
+// Each row keeps its fastest of `rounds` alternating rounds. Returns false
+// where the CPU has SHA-NI and the dispatched compression is not cheaper
+// per block than the portable one.
+bool MeasureLeaves(BenchJson& json, bool smoke) {
+  using Clock = std::chrono::steady_clock;
+  const int rounds = smoke ? 7 : 15;
+  Rng rng(uint64_t{0x1eaf});
+
+  if (IfmaLanes() != nullptr) {
+    std::vector<U256> x(32), b(8);
+    for (U256& e : x) {
+      e = fp256::ToMont(Scalar::Random(rng).PlainValue());
+    }
+    for (U256& e : b) {
+      e = fp256::ToMont(Scalar::Random(rng).PlainValue());
+    }
+    const int reps = smoke ? (1 << 13) : (1 << 16);
+    double mul_ns = 1e30, sqr_ns = 1e30;
+    for (int round = 0; round < rounds; round++) {
+      for (auto [op, best] : {std::pair(LaneFieldOp::kMul, &mul_ns),
+                              std::pair(LaneFieldOp::kSqr, &sqr_ns)}) {
+        const auto t0 = Clock::now();
+        IfmaFieldRun(op, x, b, reps);
+        *best = std::min(*best, 1e9 * SecondsSince(t0) / (4.0 * reps));
+      }
+    }
+    std::printf("ifma field: Mul %.1f ns, Sqr %.1f ns per 8 lanes\n", mul_ns,
+                sqr_ns);
+    json.Num("ifma_mul_ns_per_8_lanes", mul_ns);
+    json.Num("ifma_sqr_ns_per_8_lanes", sqr_ns);
+  } else {
+    std::printf("ifma field: this CPU has no AVX-512 IFMA\n");
+  }
+
+  constexpr size_t kBlocks = 64;
+  const Bytes data = rng.NextBytes(kBlocks * Sha256::kBlockSize);
+  const size_t sha_reps = smoke ? 64 : 512;
+  const Sha256::CompressFn dispatched = Sha256::CompressActive();
+  double portable_ns = 1e30, dispatched_ns = 1e30;
+  uint32_t state[8] = {};
+  for (int round = 0; round < rounds; round++) {
+    for (auto [compress, best] :
+         {std::pair(Sha256::CompressFn{Sha256::CompressPortable}, &portable_ns),
+          std::pair(dispatched, &dispatched_ns)}) {
+      const auto t0 = Clock::now();
+      for (size_t i = 0; i < sha_reps; i++) {
+        compress(state, data.data(), kBlocks);
+      }
+      *best = std::min(*best, 1e9 * SecondsSince(t0) /
+                                  static_cast<double>(sha_reps * kBlocks));
+    }
+  }
+  benchmark::DoNotOptimize(state);
+  const bool sha_ni = Sha256::CompressShaNi() != nullptr;
+  std::printf("sha256 per block: portable %.0f ns, dispatched (%s) %.0f ns "
+              "-> %.1fx\n",
+              portable_ns, sha_ni ? "sha-ni" : "portable", dispatched_ns,
+              portable_ns / dispatched_ns);
+  json.Str("sha256_dispatched", sha_ni ? "sha-ni" : "portable");
+  json.Num("sha256_portable_ns_per_block", portable_ns);
+  json.Num("sha256_dispatched_ns_per_block", dispatched_ns);
+
+  static constexpr std::string_view kLabels[11] = {
+      "server_pk", "next_pk", "in.r", "in.c", "in.y", "out.r",
+      "out.c",     "out.y",   "a1",   "a2",   "a3"};
+  std::vector<Point> points;
+  for (size_t i = 0; i < std::size(kLabels); i++) {
+    points.push_back(Point::BaseMul(Scalar::Random(rng)));
+  }
+  const Bytes encoded = EncodePoints(points);
+  const size_t challenge_reps = smoke ? 2048 : 16384;
+  double challenge_us = 1e30;
+  for (int round = 0; round < rounds; round++) {
+    const auto t0 = Clock::now();
+    for (size_t r = 0; r < challenge_reps; r++) {
+      Transcript t("atom/reenc-proof/v1");
+      for (size_t i = 0; i < std::size(kLabels); i++) {
+        t.AppendBytes(kLabels[i], EncodedPoint(encoded, i));
+        if (i == 1) {
+          t.AppendU64("has_next", 1);
+        }
+      }
+      Scalar e = t.ChallengeScalar("e");
+      benchmark::DoNotOptimize(e);
+    }
+    challenge_us = std::min(challenge_us, 1e6 * SecondsSince(t0) /
+                                              static_cast<double>(challenge_reps));
+  }
+  std::printf("reenc transcript challenge: %.2f us\n", challenge_us);
+  json.Num("reenc_challenge_us", challenge_us);
+
+  const bool ok = !sha_ni || dispatched_ns < portable_ns;
+  if (!ok) {
+    std::printf("FAIL: sha-ni compression %.0f ns/block is not below the "
+                "portable %.0f ns/block\n",
+                dispatched_ns, portable_ns);
   }
   return ok;
 }
@@ -919,6 +1030,7 @@ int main(int argc, char** argv) {
     BenchJson json("bench_table3_primitives");
     json.Bool("smoke", smoke);
     ok = MeasureField(json, smoke);
+    ok = MeasureLeaves(json, smoke) && ok;
     MeasureHotPath(json, smoke);
     ok = MeasureLanes(json, smoke) && ok;
     ok = MeasureMsm(json, smoke) && ok;

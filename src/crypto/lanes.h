@@ -110,6 +110,15 @@ void SameBaseMul(const Point& base, const FixedBaseTable* table,
                  std::span<const Scalar> scalars, std::span<Point> out,
                  size_t workers = 1);
 
+// The IFMA backend's field ops, for tests and benches: for each of the
+// four 8-lane vectors c of x (x.size() == 32), x[c] = op(x[c], b) `reps`
+// times over (Sqr and Neg ignore b, b.size() == 8). Elements are fp256
+// Montgomery form, fully reduced. Returns false, leaving x alone, where
+// IfmaLanes() is null.
+enum class LaneFieldOp { kMul, kSqr, kAdd, kSub, kNeg };
+bool IfmaFieldRun(LaneFieldOp op, std::span<U256> x, std::span<const U256> b,
+                  int reps);
+
 // The kernel's view of Point and FixedBaseTable internals.
 struct LaneAccess {
   static void Jacobian(const Point& p, U256* x, U256* y, U256* z) {

@@ -5,12 +5,14 @@
 // fp256's Montgomery domain (x·2^256 mod p), so a lane's limbs are just the
 // fp256 integer repacked and FixedBaseTable rows serve both backends.
 //
-// Mul is a Montgomery product with R = 2^260 (five 52-bit rounds; -p^-1 is
-// 1 mod 2^52, so each round's quotient is the low limb itself) of a and
-// 16·b: a·16b·2^-260 = a·b·2^-256. 16·b < 16p < 2^260 fits the five limbs,
-// and a·16b < p·2^260 keeps the result below 2p, so one masked subtraction
-// of p reduces it. Add and Sub propagate carries limb to limb and correct
-// by ±p under a mask.
+// Mul is a Montgomery product with R = 2^260 of a and 16·b:
+// a·16b·2^-260 = a·b·2^-256. 16·b < 16p < 2^260 fits the five limbs, and
+// a·16b < p·2^260 keeps the result below 2p, so one masked subtraction of
+// p reduces it. The full 10-limb product comes first, then five reduction
+// rounds that use p's special form (Redc): 50 madds for the product and
+// 10 for the reduction. Sqr computes 16a² from the 15 distinct limb
+// products (30 madds) into the same reduction. Add and Sub propagate
+// carries limb to limb and correct by ±p under a mask.
 //
 // Everything with vector code carries the target attribute below and lives
 // in this file's own namespace: no -m flag, and no shared inline function
@@ -156,6 +158,38 @@ struct IfmaField {
     return e;
   }
 
+  // t·2^-260 mod p for a 10-limb t with limbs below 2^61, returned below
+  // 2p for t < p·2^260 and then reduced. Five rounds, each with quotient
+  // q = t_i mod 2^52 (-p^-1 is 1 mod 2^52), add q·p and drop limb i. p's
+  // special form, p = 2^256 - 2^224 + 2^192 + 2^96 - 1, leaves one limb
+  // product per round: t_i - q carries t_i >> 52 up; q·2^96 is q·2^44 one
+  // limb up and q·2^192 is q·2^36 three limbs up, each split at 52 bits
+  // by shifts; only q·p_4 takes a madd52lo/hi pair. A round adds less
+  // than 2^53 to any limb, so the limbs stay below 2^62.
+  ATOM_LANE_FN static Elem Redc(__m512i t[10]) {
+    const __m512i m = M52();
+    for (int i = 0; i < 5; i++) {
+      const __m512i q = _mm512_and_si512(t[i], m);
+      t[i + 1] = _mm512_add_epi64(
+          t[i + 1],
+          _mm512_add_epi64(_mm512_srli_epi64(t[i], 52),
+                           _mm512_and_si512(_mm512_slli_epi64(q, 44), m)));
+      t[i + 2] = _mm512_add_epi64(t[i + 2], _mm512_srli_epi64(q, 8));
+      t[i + 3] = _mm512_add_epi64(
+          t[i + 3], _mm512_and_si512(_mm512_slli_epi64(q, 36), m));
+      t[i + 4] = _mm512_madd52lo_epu64(
+          _mm512_add_epi64(t[i + 4], _mm512_srli_epi64(q, 16)), q, P(4));
+      t[i + 5] = _mm512_madd52hi_epu64(t[i + 5], q, P(4));
+    }
+    Carry(t + 5);
+    return CondSubP(t + 5);
+  }
+
+  // a·16b reduced: the 5×5 limb products summed by column, low halves in
+  // column i + j and high halves in i + j + 1, in separate accumulators.
+  // A column sums at most 10 halves below 2^52. Every loop here has a
+  // constant trip count, so the compiler unrolls it and keeps the columns
+  // in registers.
   ATOM_LANE_FN static Elem Mul(const Elem& a, const Elem& b) {
     const __m512i m = M52();
     // 16·b: b shifted four bits up across the limbs.
@@ -168,32 +202,61 @@ struct IfmaField {
           m);
     }
     const __m512i zero = _mm512_setzero_si512();
-    __m512i t[6] = {zero, zero, zero, zero, zero, zero};
-    for (int i = 0; i < 5; i++) {
-      const __m512i ai = a.l[i];
-      for (int j = 0; j < 5; j++) {
-        t[j] = _mm512_madd52lo_epu64(t[j], ai, b16[j]);
-        t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], ai, b16[j]);
-      }
-      const __m512i q = _mm512_and_si512(t[0], m);
-      for (int j = 0; j < 5; j++) {
-        if (j == 2) {
-          continue;  // p's limb 2 is zero
-        }
-        t[j] = _mm512_madd52lo_epu64(t[j], q, P(j));
-        t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], q, P(j));
-      }
-      // t[0] is now a multiple of 2^52: shift the accumulator one limb.
-      t[1] = _mm512_add_epi64(t[1], _mm512_srli_epi64(t[0], 52));
-      for (int j = 0; j < 5; j++) {
-        t[j] = t[j + 1];
-      }
-      t[5] = zero;
+    __m512i lo[9], hi[9];
+    for (int k = 0; k < 9; k++) {
+      lo[k] = zero;
+      hi[k] = zero;
     }
-    Carry(t);
-    return CondSubP(t);
+    for (int i = 0; i < 5; i++) {
+      for (int j = 0; j < 5; j++) {
+        lo[i + j] = _mm512_madd52lo_epu64(lo[i + j], a.l[i], b16[j]);
+        hi[i + j] = _mm512_madd52hi_epu64(hi[i + j], a.l[i], b16[j]);
+      }
+    }
+    __m512i t[10];
+    t[0] = lo[0];
+    for (int k = 1; k < 9; k++) {
+      t[k] = _mm512_add_epi64(lo[k], hi[k - 1]);
+    }
+    t[9] = hi[8];
+    return Redc(t);
   }
-  ATOM_LANE_FN static Elem Sqr(const Elem& a) { return Mul(a, a); }
+
+  // 16a² reduced from the 15 distinct limb products: the cross products
+  // a_i·a_j (i < j) summed by column and doubled, the squares a_i² added
+  // in, and the column sums scaled by 16 (16a² < 16p² < p·2^260). A
+  // column's doubled cross sum is below 2^55, so the scaled sum stays
+  // below 2^60.
+  ATOM_LANE_FN static Elem Sqr(const Elem& a) {
+    const __m512i zero = _mm512_setzero_si512();
+    __m512i lo[9], hi[9];
+    for (int k = 0; k < 9; k++) {
+      lo[k] = zero;
+      hi[k] = zero;
+    }
+    for (int i = 0; i < 5; i++) {
+      for (int j = 0; j < 5; j++) {
+        if (j > i) {
+          lo[i + j] = _mm512_madd52lo_epu64(lo[i + j], a.l[i], a.l[j]);
+          hi[i + j] = _mm512_madd52hi_epu64(hi[i + j], a.l[i], a.l[j]);
+        }
+      }
+    }
+    __m512i t[10];
+    t[0] = zero;
+    for (int k = 1; k < 9; k++) {
+      t[k] = _mm512_slli_epi64(_mm512_add_epi64(lo[k], hi[k - 1]), 1);
+    }
+    t[9] = zero;
+    for (int i = 0; i < 5; i++) {
+      t[2 * i] = _mm512_madd52lo_epu64(t[2 * i], a.l[i], a.l[i]);
+      t[2 * i + 1] = _mm512_madd52hi_epu64(t[2 * i + 1], a.l[i], a.l[i]);
+    }
+    for (auto& limb : t) {
+      limb = _mm512_slli_epi64(limb, 4);
+    }
+    return Redc(t);
+  }
 
   ATOM_LANE_FN static Elem Add(const Elem& a, const Elem& b) {
     __m512i t[5];
@@ -310,7 +373,6 @@ struct IfmaField {
 };
 
 #include "src/crypto/lane_kernel.inc"
-#undef ATOM_LANE_FN
 
 // AVX512F and AVX512IFMA in CPUID leaf 7, and XCR0 showing the OS saves
 // the SSE, AVX, opmask and both ZMM state components.
@@ -329,7 +391,63 @@ bool CpuHasIfma() {
   return (xcr0_lo & kZmmState) == kZmmState;
 }
 
+template <LaneFieldOp kOp>
+ATOM_LANE_FN void RunField(U256* x, const U256* bp, int reps) {
+  using F = IfmaField;
+  const F::Elem b = F::Load(bp);
+  F::Elem v[4];
+  for (int c = 0; c < 4; c++) {
+    v[c] = F::Load(x + 8 * c);
+  }
+  for (int r = 0; r < reps; r++) {
+    for (auto& e : v) {
+      if constexpr (kOp == LaneFieldOp::kMul) {
+        e = F::Mul(e, b);
+      } else if constexpr (kOp == LaneFieldOp::kSqr) {
+        e = F::Sqr(e);
+      } else if constexpr (kOp == LaneFieldOp::kAdd) {
+        e = F::Add(e, b);
+      } else if constexpr (kOp == LaneFieldOp::kSub) {
+        e = F::Sub(e, b);
+      } else {
+        e = F::Neg(e);
+      }
+    }
+  }
+  for (int c = 0; c < 4; c++) {
+    F::Store(v[c], x + 8 * c);
+  }
+}
+#undef ATOM_LANE_FN
+
 }  // namespace lane_ifma
+
+bool IfmaFieldRun(LaneFieldOp op, std::span<U256> x, std::span<const U256> b,
+                  int reps) {
+  ATOM_CHECK(x.size() == 32 && b.size() == 8);
+  if (IfmaLanes() == nullptr) {
+    return false;
+  }
+  using lane_ifma::RunField;
+  switch (op) {
+    case LaneFieldOp::kMul:
+      RunField<LaneFieldOp::kMul>(x.data(), b.data(), reps);
+      break;
+    case LaneFieldOp::kSqr:
+      RunField<LaneFieldOp::kSqr>(x.data(), b.data(), reps);
+      break;
+    case LaneFieldOp::kAdd:
+      RunField<LaneFieldOp::kAdd>(x.data(), b.data(), reps);
+      break;
+    case LaneFieldOp::kSub:
+      RunField<LaneFieldOp::kSub>(x.data(), b.data(), reps);
+      break;
+    case LaneFieldOp::kNeg:
+      RunField<LaneFieldOp::kNeg>(x.data(), b.data(), reps);
+      break;
+  }
+  return true;
+}
 
 const LaneBackend* IfmaLanes() {
   using Kernel = lane_ifma::LaneKernel<lane_ifma::IfmaField>;
@@ -343,6 +461,12 @@ const LaneBackend* IfmaLanes() {
 #else
 
 const LaneBackend* IfmaLanes() { return nullptr; }
+
+bool IfmaFieldRun(LaneFieldOp, std::span<U256> x, std::span<const U256> b,
+                  int) {
+  ATOM_CHECK(x.size() == 32 && b.size() == 8);
+  return false;
+}
 
 #endif
 

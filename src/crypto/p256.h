@@ -208,6 +208,11 @@ class FixedBaseTable {
 // instead of one per point.
 Bytes EncodePoints(std::span<const Point> points);
 
+// Point i's 33 bytes in EncodePoints' output.
+inline BytesView EncodedPoint(BytesView encoded, size_t i) {
+  return encoded.subspan(i * Point::kEncodedSize, Point::kEncodedSize);
+}
+
 // Sum of scalars[i] * points[i]. Below the active lane backend's
 // pippenger_min_points terms that are not dropped (identity point or zero
 // scalar) this runs StrausMsm, from there the backend's pippenger

@@ -1,16 +1,27 @@
 #include "src/crypto/schnorr.h"
 
+#include <vector>
+
 #include "src/crypto/transcript.h"
 
 namespace atom {
 namespace {
 
-Scalar Challenge(const Point& commit, const Point& pk, BytesView message) {
+// The challenge over the encodings of the commitment and the key.
+Scalar Challenge(BytesView commit, BytesView pk, BytesView message) {
   Transcript t("atom/schnorr/v1");
-  t.AppendPoint("commit", commit);
-  t.AppendPoint("pk", pk);
+  t.AppendBytes("commit", commit);
+  t.AppendBytes("pk", pk);
   t.AppendBytes("msg", message);
   return t.ChallengeScalar("e");
+}
+
+// One signature's challenge, its two points encoded by one EncodePoints
+// call (one inversion).
+Scalar Challenge(const Point& commit, const Point& pk, BytesView message) {
+  const Bytes encoded = EncodePoints(std::vector<Point>{commit, pk});
+  return Challenge(EncodedPoint(encoded, 0), EncodedPoint(encoded, 1),
+                   message);
 }
 
 }  // namespace
@@ -73,32 +84,38 @@ bool SchnorrVerifyBatch(std::span<const Point> pks,
 
   // Derandomized batch coefficients γ_i from a hash of the whole statement
   // (every key, message, and signature), mirroring VerifyEncProofBatch.
+  // pk_i at 2i and R_i at 2i + 1: one EncodePoints call serves this
+  // transcript and every signature's challenge, and the MSM below.
+  std::vector<Point> points;
+  points.reserve(2 * n);
+  for (size_t i = 0; i < n; i++) {
+    points.push_back(pks[i]);
+    points.push_back(sigs[i].commit);
+  }
+  const Bytes encoded = EncodePoints(points);
   Transcript t("atom/schnorr-batch/v1");
   t.AppendU64("n", n);
   for (size_t i = 0; i < n; i++) {
-    t.AppendPoint("pk", pks[i]);
+    t.AppendBytes("pk", EncodedPoint(encoded, 2 * i));
     t.AppendBytes("msg", messages[i]);
-    t.AppendPoint("commit", sigs[i].commit);
+    t.AppendBytes("commit", EncodedPoint(encoded, 2 * i + 1));
     t.AppendScalar("s", sigs[i].response);
   }
   auto seed = t.ChallengeBytes("gamma-seed");
   Rng stream{BytesView(seed.data(), seed.size())};
 
   // Per-signature equation: s_i·G == R_i + e_i·pk_i. Random-combined:
-  //   (Σ γ_i·s_i)·G == Σ γ_i·R_i + Σ (γ_i·e_i)·pk_i.
+  //   (Σ γ_i·s_i)·G == Σ (γ_i·e_i)·pk_i + Σ γ_i·R_i.
   Scalar lhs_scalar = Scalar::Zero();
-  std::vector<Point> points;
   std::vector<Scalar> scalars;
-  points.reserve(2 * n);
   scalars.reserve(2 * n);
   for (size_t i = 0; i < n; i++) {
     Scalar gamma = Scalar::Random(stream);
-    Scalar e = Challenge(sigs[i].commit, pks[i], messages[i]);
+    Scalar e = Challenge(EncodedPoint(encoded, 2 * i + 1),
+                         EncodedPoint(encoded, 2 * i), messages[i]);
     lhs_scalar = lhs_scalar + gamma * sigs[i].response;
-    points.push_back(sigs[i].commit);
-    scalars.push_back(gamma);
-    points.push_back(pks[i]);
     scalars.push_back(gamma * e);
+    scalars.push_back(gamma);
   }
   Point rhs = MultiScalarMul(points, scalars);
   return Point::BaseMul(lhs_scalar) == rhs;

@@ -1,5 +1,8 @@
 #include "src/crypto/sigma.h"
 
+#include <iterator>
+#include <string_view>
+
 #include "src/crypto/lanes.h"
 #include "src/crypto/msm_check.h"
 #include "src/crypto/transcript.h"
@@ -8,15 +11,40 @@
 namespace atom {
 namespace {
 
-Scalar EncChallenge(const Point& pk, uint32_t gid, const ElGamalCiphertext& ct,
-                    const Point& commit) {
+// The points an EncProof statement adds after pk, in transcript order.
+constexpr std::string_view kEncStatementLabels[] = {"ct.r", "ct.c", "ct.y",
+                                                    "commit"};
+constexpr size_t kEncStatementPoints = std::size(kEncStatementLabels);
+
+// pk, then each proof's ct.r, ct.c, ct.y and commitment, encoded by one
+// EncodePoints call: the whole vector pays one inversion. Transcripts
+// append these bytes, which are those of appending each point on its own.
+Bytes EncodeEncStatements(const Point& pk,
+                          std::span<const ElGamalCiphertext> cts,
+                          std::span<const Point> commits) {
+  std::vector<Point> points;
+  points.reserve(1 + kEncStatementPoints * cts.size());
+  points.push_back(pk);
+  for (size_t i = 0; i < cts.size(); i++) {
+    points.insert(points.end(), {cts[i].r, cts[i].c, cts[i].y, commits[i]});
+  }
+  return EncodePoints(points);
+}
+
+// Appends statement i of EncodeEncStatements' output, labelled.
+void AppendEncStatement(Transcript& t, BytesView encoded, size_t i) {
+  for (size_t j = 0; j < kEncStatementPoints; j++) {
+    t.AppendBytes(kEncStatementLabels[j],
+                  EncodedPoint(encoded, 1 + i * kEncStatementPoints + j));
+  }
+}
+
+// Proof i's challenge, from EncodeEncStatements' output.
+Scalar EncChallenge(BytesView encoded, uint32_t gid, size_t i) {
   Transcript t("atom/enc-proof/v1");
-  t.AppendPoint("pk", pk);
+  t.AppendBytes("pk", EncodedPoint(encoded, 0));
   t.AppendU64("gid", gid);
-  t.AppendPoint("ct.r", ct.r);
-  t.AppendPoint("ct.c", ct.c);
-  t.AppendPoint("ct.y", ct.y);
-  t.AppendPoint("commit", commit);
+  AppendEncStatement(t, encoded, i);
   return t.ChallengeScalar("t");
 }
 
@@ -53,8 +81,7 @@ Scalar ReEncChallenge(BytesView encoded, bool has_next) {
       "out.c",     "out.y",   "a1",   "a2",   "a3"};
   Transcript t("atom/reenc-proof/v1");
   for (size_t i = 0; i < kReEncTranscriptPoints; i++) {
-    t.AppendBytes(kLabels[i], encoded.subspan(i * Point::kEncodedSize,
-                                              Point::kEncodedSize));
+    t.AppendBytes(kLabels[i], EncodedPoint(encoded, i));
     if (i == 1) {
       t.AppendU64("has_next", has_next ? 1 : 0);
     }
@@ -111,17 +138,14 @@ std::optional<EncProof> EncProof::Decode(BytesView bytes) {
 EncProof MakeEncProof(const Point& pk, uint32_t gid,
                       const ElGamalCiphertext& ct, const Scalar& randomness,
                       Rng& rng) {
-  Scalar s = Scalar::Random(rng);
-  EncProof proof;
-  proof.commit = Point::BaseMul(s);
-  Scalar t = EncChallenge(pk, gid, ct, proof.commit);
-  proof.u = s + t * randomness;
-  return proof;
+  return MakeEncProofVec(pk, gid, {ct}, std::span(&randomness, 1), rng)[0];
 }
 
 bool VerifyEncProof(const Point& pk, uint32_t gid,
                     const ElGamalCiphertext& ct, const EncProof& proof) {
-  Scalar t = EncChallenge(pk, gid, ct, proof.commit);
+  const Bytes encoded =
+      EncodeEncStatements(pk, std::span(&ct, 1), std::span(&proof.commit, 1));
+  Scalar t = EncChallenge(encoded, gid, 0);
   // g^u == commit * R^t.
   return Point::BaseMul(proof.u) == proof.commit + ct.r.Mul(t);
 }
@@ -131,10 +155,20 @@ std::vector<EncProof> MakeEncProofVec(const Point& pk, uint32_t gid,
                                       std::span<const Scalar> randomness,
                                       Rng& rng) {
   ATOM_CHECK(cts.size() == randomness.size());
+  std::vector<Scalar> nonces;
+  std::vector<Point> commits;
+  nonces.reserve(cts.size());
+  commits.reserve(cts.size());
+  for (size_t i = 0; i < cts.size(); i++) {
+    nonces.push_back(Scalar::Random(rng));
+    commits.push_back(Point::BaseMul(nonces.back()));
+  }
+  const Bytes encoded = EncodeEncStatements(pk, cts, commits);
   std::vector<EncProof> out;
   out.reserve(cts.size());
   for (size_t i = 0; i < cts.size(); i++) {
-    out.push_back(MakeEncProof(pk, gid, cts[i], randomness[i], rng));
+    out.push_back(EncProof{
+        commits[i], nonces[i] + EncChallenge(encoded, gid, i) * randomness[i]});
   }
   return out;
 }
@@ -146,9 +180,10 @@ bool VerifyEncProofVec(const Point& pk, uint32_t gid,
     return false;
   }
   // From two proofs up the batch test (one BaseMul plus one Straus MSM
-  // over 2n points) costs no more than n BaseMul + Mul pairs: the
-  // bench_table3_primitives intake rows read 113-117 us per proof either
-  // way at 2 components, 99-103 vs 113-117 at 3 and 88-91 vs 113-117 at 5.
+  // over 2n points, one inversion for every transcript) costs less than n
+  // BaseMul + Mul pairs: the bench_table3_primitives intake rows read
+  // 88-118 us per proof against 111-142 at 2 components, 73-94 against
+  // 110-139 at 3 and 60-78 against 108-137 at 5 (4-vCPU Xeon, gcc 12).
   if (cts.size() >= 2) {
     return VerifyEncProofBatch(pk, gid, cts, proofs);
   }
@@ -171,14 +206,18 @@ bool VerifyEncProofBatch(const Point& pk, uint32_t gid,
   // Derandomized batch coefficients: γ_i from a hash of the whole
   // statement, so no coefficient can be predicted before the proofs are
   // fixed.
+  // One EncodePoints serves this transcript and every proof's challenge.
+  std::vector<Point> commits;
+  commits.reserve(n);
+  for (const EncProof& proof : proofs) {
+    commits.push_back(proof.commit);
+  }
+  const Bytes encoded = EncodeEncStatements(pk, cts, commits);
   Transcript t("atom/enc-proof-batch/v1");
-  t.AppendPoint("pk", pk);
+  t.AppendBytes("pk", EncodedPoint(encoded, 0));
   t.AppendU64("gid", gid);
   for (size_t i = 0; i < n; i++) {
-    t.AppendPoint("ct.r", cts[i].r);
-    t.AppendPoint("ct.c", cts[i].c);
-    t.AppendPoint("ct.y", cts[i].y);
-    t.AppendPoint("commit", proofs[i].commit);
+    AppendEncStatement(t, encoded, i);
     t.AppendScalar("u", proofs[i].u);
   }
   auto seed = t.ChallengeBytes("gamma-seed");
@@ -193,7 +232,7 @@ bool VerifyEncProofBatch(const Point& pk, uint32_t gid,
   scalars.reserve(2 * n);
   for (size_t i = 0; i < n; i++) {
     Scalar gamma = Scalar::Random(stream);
-    Scalar challenge = EncChallenge(pk, gid, cts[i], proofs[i].commit);
+    Scalar challenge = EncChallenge(encoded, gid, i);
     lhs_scalar = lhs_scalar + gamma * proofs[i].u;
     points.push_back(proofs[i].commit);
     scalars.push_back(gamma);

@@ -1,18 +1,34 @@
 #include "src/crypto/transcript.h"
 
-#include "src/crypto/sha256.h"
+#include "src/util/serde.h"
 
 namespace atom {
+namespace {
+
+BytesView LabelBytes(std::string_view label) {
+  return BytesView(reinterpret_cast<const uint8_t*>(label.data()),
+                   label.size());
+}
+
+// Hashes `data` as ByteWriter::Var writes it: a little-endian u32 length,
+// then the bytes.
+void UpdateVar(Sha256& hash, BytesView data) {
+  const auto n = static_cast<uint32_t>(data.size());
+  const uint8_t prefix[4] = {
+      static_cast<uint8_t>(n), static_cast<uint8_t>(n >> 8),
+      static_cast<uint8_t>(n >> 16), static_cast<uint8_t>(n >> 24)};
+  hash.Update(BytesView(prefix, sizeof(prefix))).Update(data);
+}
+
+}  // namespace
 
 Transcript::Transcript(std::string_view label) {
-  buf_.Var(BytesView(reinterpret_cast<const uint8_t*>(label.data()),
-                     label.size()));
+  UpdateVar(hash_, LabelBytes(label));
 }
 
 void Transcript::AppendBytes(std::string_view label, BytesView data) {
-  buf_.Var(BytesView(reinterpret_cast<const uint8_t*>(label.data()),
-                     label.size()));
-  buf_.Var(data);
+  UpdateVar(hash_, LabelBytes(label));
+  UpdateVar(hash_, data);
 }
 
 void Transcript::AppendU64(std::string_view label, uint64_t v) {
@@ -36,13 +52,9 @@ Scalar Transcript::ChallengeScalar(std::string_view label) {
 }
 
 std::array<uint8_t, 32> Transcript::ChallengeBytes(std::string_view label) {
-  ByteWriter domain;
-  domain.Var(BytesView(reinterpret_cast<const uint8_t*>(label.data()),
-                       label.size()));
-  auto digest = Sha256()
-                    .Update(BytesView(buf_.bytes()))
-                    .Update(BytesView(domain.bytes()))
-                    .Finish();
+  Sha256 domain = hash_;
+  UpdateVar(domain, LabelBytes(label));
+  auto digest = domain.Finish();
   // Fold the challenge back in so later challenges depend on earlier ones.
   AppendBytes("challenge", BytesView(digest.data(), digest.size()));
   return digest;

@@ -2,13 +2,18 @@
 // protocol messages from which non-interactive challenges are derived.
 // All NIZKs in src/crypto derive their challenges through this class, which
 // makes domain separation and statement binding uniform and auditable.
+//
+// The transcript is the byte string of every label and message appended,
+// each length-prefixed (ByteWriter::Var), hashed as it grows: a challenge
+// finishes a copy of the running SHA-256 with its own label appended, so
+// no byte is hashed twice.
 #ifndef SRC_CRYPTO_TRANSCRIPT_H_
 #define SRC_CRYPTO_TRANSCRIPT_H_
 
 #include <string_view>
 
 #include "src/crypto/p256.h"
-#include "src/util/serde.h"
+#include "src/crypto/sha256.h"
 
 namespace atom {
 
@@ -30,7 +35,7 @@ class Transcript {
   std::array<uint8_t, 32> ChallengeBytes(std::string_view label);
 
  private:
-  ByteWriter buf_;
+  Sha256 hash_;
 };
 
 }  // namespace atom

@@ -18,7 +18,7 @@ namespace atom {
 
 struct CostModel {
   // Seconds per operation, single-threaded, one 32-byte component.
-  double enc = 0;                 // ElGamal Enc
+  double enc = 0;                 // ElGamal Enc on the key's FixedBaseTable
   double reenc = 0;               // out-of-order ReEnc
   double shuffle_per_msg = 0;     // rerandomize+permute, per component
   double enc_prove = 0, enc_verify = 0;
@@ -37,7 +37,8 @@ struct CostModel {
   double trap_parallel_fraction = 0.995;
   double nizk_parallel_fraction = 0.95;
 
-  // Times the real implementations (batch of `batch` messages).
+  // Times the real implementations (batch of `batch` messages), each
+  // primitive as the best of 5 timed calls after an untimed warm-up.
   static CostModel Measure(Rng& rng, size_t batch = 64);
 
   // The paper's Table 3 (c4.xlarge, Go prototype), for comparison.

@@ -2,13 +2,16 @@
 // against the generic Montgomery field over the same prime, which serves
 // as the oracle: both must agree bit for bit on every operation, because
 // point coordinates, encodings and transcripts are computed from these
-// exact limbs.
+// exact limbs. The lane kernel's 8-lane IFMA field (src/crypto/lanes_ifma.cpp)
+// is checked against fp256 the same way, lane by lane, where the CPU has it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <vector>
 
 #include "src/crypto/fp256.h"
+#include "src/crypto/lanes.h"
 #include "src/crypto/mont.h"
 #include "src/util/rng.h"
 
@@ -229,6 +232,113 @@ TEST(FieldP256, BatchInvMatchesOracle) {
     fp256::BatchInv(fast);
     for (size_t i = 0; i < n; i++) {
       ASSERT_EQ(fast[i], Oracle().Inv(values[i]));
+    }
+  }
+}
+
+// The IFMA field's edge operands: EdgeElements, 2^256 - p - 1 (R mod p
+// minus one), and values whose radix-2^52 limbs are all ones on every
+// subset of the five limbs, reduced below p.
+std::vector<U256> IfmaEdgeElements() {
+  std::vector<U256> out = EdgeElements();
+  U256 r_minus_one;
+  U256Sub(&r_minus_one, fp256::kOne, U256::FromU64(1));
+  out.push_back(r_minus_one);
+  for (int mask = 1; mask < 32; mask++) {
+    U256 v;
+    for (int limb = 0; limb < 5; limb++) {
+      if ((mask >> limb & 1) == 0) {
+        continue;
+      }
+      // Bits 52·limb .. 52·limb + 51, cut at bit 256.
+      for (int bit = 52 * limb; bit < std::min(256, 52 * limb + 52); bit++) {
+        v.v[bit / 64] |= uint64_t{1} << (bit % 64);
+      }
+    }
+    out.push_back(Oracle().Reduce(v));
+  }
+  return out;
+}
+
+U256 FieldOp(LaneFieldOp op, const U256& a, const U256& b) {
+  switch (op) {
+    case LaneFieldOp::kMul:
+      return fp256::Mul(a, b);
+    case LaneFieldOp::kSqr:
+      return fp256::Sqr(a);
+    case LaneFieldOp::kAdd:
+      return fp256::Add(a, b);
+    case LaneFieldOp::kSub:
+      return fp256::Sub(a, b);
+    case LaneFieldOp::kNeg:
+      return fp256::Neg(a);
+  }
+  return U256::Zero();
+}
+
+constexpr LaneFieldOp kLaneOps[] = {LaneFieldOp::kMul, LaneFieldOp::kSqr,
+                                    LaneFieldOp::kAdd, LaneFieldOp::kSub,
+                                    LaneFieldOp::kNeg};
+
+// Runs `op` `reps` times over the 32 lanes of x against b on the IFMA
+// field (lane i against b[i % 8]) and on fp256, and compares every lane.
+void ExpectIfmaLanesMatch(LaneFieldOp op, const std::vector<U256>& x,
+                          const std::vector<U256>& b, int reps) {
+  std::vector<U256> got = x;
+  ASSERT_TRUE(IfmaFieldRun(op, got, b, reps));
+  for (size_t i = 0; i < x.size(); i++) {
+    U256 want = x[i];
+    for (int r = 0; r < reps; r++) {
+      want = FieldOp(op, want, b[i % 8]);
+    }
+    ASSERT_EQ(got[i], want) << "op " << static_cast<int>(op) << " lane " << i
+                            << " reps " << reps;
+  }
+}
+
+TEST(IfmaField, EdgeOperandsMatchFp256LaneByLane) {
+  if (IfmaLanes() == nullptr) {
+    GTEST_SKIP() << "this CPU has no AVX-512 IFMA; the portable field runs "
+                    "alone here";
+  }
+  const std::vector<U256> edges = IfmaEdgeElements();
+  const size_t n = edges.size();
+  // Every (a, b) pair of edges: a over 32 lanes, b over 8.
+  for (size_t a0 = 0; a0 < n; a0 += 32) {
+    std::vector<U256> x(32);
+    for (size_t i = 0; i < 32; i++) {
+      x[i] = edges[(a0 + i) % n];
+    }
+    for (size_t b0 = 0; b0 < n; b0++) {
+      std::vector<U256> b(8);
+      for (size_t j = 0; j < 8; j++) {
+        b[j] = edges[(b0 + j) % n];
+      }
+      for (LaneFieldOp op : kLaneOps) {
+        ExpectIfmaLanesMatch(op, x, b, 1);
+      }
+    }
+  }
+}
+
+TEST(IfmaField, RandomVectorsMatchFp256LaneByLane) {
+  if (IfmaLanes() == nullptr) {
+    GTEST_SKIP() << "this CPU has no AVX-512 IFMA; the portable field runs "
+                    "alone here";
+  }
+  Rng rng(uint64_t{0x1f3a52});
+  constexpr int kVectors = 100000;
+  for (int v = 0; v < kVectors; v += 4) {
+    std::vector<U256> x(32), b(8);
+    for (U256& e : x) {
+      e = RandomElement(rng);
+    }
+    for (U256& e : b) {
+      e = RandomElement(rng);
+    }
+    for (LaneFieldOp op : kLaneOps) {
+      // Chained runs too: a result fed back in must be fully reduced.
+      ExpectIfmaLanesMatch(op, x, b, v % 64 == 0 ? 5 : 1);
     }
   }
 }

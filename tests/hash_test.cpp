@@ -1,14 +1,21 @@
 // Known-answer and behavioural tests for the hash / symmetric-crypto layer:
-// SHA-256, SHA3-256, ChaCha20, Poly1305, ChaCha20-Poly1305 AEAD.
+// SHA-256 (both compression functions), the Fiat-Shamir transcript over it,
+// SHA3-256, ChaCha20, Poly1305, ChaCha20-Poly1305 AEAD.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "src/crypto/aead.h"
 #include "src/crypto/chacha20.h"
 #include "src/crypto/keccak.h"
 #include "src/crypto/poly1305.h"
 #include "src/crypto/sha256.h"
+#include "src/crypto/transcript.h"
 #include "src/util/chacha_core.h"
 #include "src/util/hex.h"
+#include "src/util/rng.h"
 
 namespace atom {
 namespace {
@@ -57,6 +64,116 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
   ctx.Update(BytesView(input.data() + off, input.size() - off));
   EXPECT_EQ(ctx.Finish(), oneshot);
+}
+
+// The FIPS 180-4 examples (and the million-'a' vector) through each
+// compression function, called directly.
+void ExpectFipsVectors(Sha256::CompressFn compress) {
+  struct Vector {
+    std::string input;
+    const char* digest;
+  };
+  const Vector vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklm"
+       "nopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const Vector& v : vectors) {
+    Sha256 ctx(compress);
+    ctx.Update(BytesView(ToBytes(v.input)));
+    EXPECT_EQ(DigestHex(ctx.Finish()), v.digest) << v.input.size() << " bytes";
+  }
+}
+
+// Hashes `input` through `compress`, fed in the pieces `splits` cuts.
+std::array<uint8_t, 32> HashInPieces(Sha256::CompressFn compress,
+                                     const Bytes& input,
+                                     const std::vector<size_t>& splits) {
+  Sha256 ctx(compress);
+  size_t off = 0;
+  for (size_t cut : splits) {
+    ctx.Update(BytesView(input.data() + off, cut - off));
+    off = cut;
+  }
+  ctx.Update(BytesView(input.data() + off, input.size() - off));
+  return ctx.Finish();
+}
+
+TEST(Sha256, PortableCompressionMatchesFipsVectors) {
+  ExpectFipsVectors(Sha256::CompressPortable);
+}
+
+TEST(Sha256, ShaNiCompressionMatchesFipsVectors) {
+  if (Sha256::CompressShaNi() == nullptr) {
+    GTEST_SKIP() << "this CPU has no SHA extensions; only the portable "
+                    "compression runs here";
+  }
+  ExpectFipsVectors(Sha256::CompressShaNi());
+}
+
+TEST(Sha256, ShaNiMatchesPortableOnRandomLengthsAndSplits) {
+  if (Sha256::CompressShaNi() == nullptr) {
+    GTEST_SKIP() << "this CPU has no SHA extensions; only the portable "
+                    "compression runs here";
+  }
+  Rng rng(uint64_t{0x5a256});
+  for (size_t len = 0; len <= 1000; len++) {
+    const Bytes input = rng.NextBytes(len);
+    std::vector<size_t> splits;
+    const size_t pieces = rng.NextBelow(5);
+    for (size_t i = 0; i < pieces; i++) {
+      splits.push_back(rng.NextBelow(len + 1));
+    }
+    std::sort(splits.begin(), splits.end());
+    const auto portable = HashInPieces(Sha256::CompressPortable, input, {});
+    ASSERT_EQ(HashInPieces(Sha256::CompressPortable, input, splits), portable)
+        << len << " bytes";
+    ASSERT_EQ(HashInPieces(Sha256::CompressShaNi(), input, splits), portable)
+        << len << " bytes";
+  }
+}
+
+TEST(Sha256, DefaultContextUsesTheActiveCompression) {
+  const Bytes input(300, 0x5c);
+  EXPECT_EQ(Sha256::Hash(BytesView(input)),
+            HashInPieces(Sha256::CompressPortable, input, {}));
+  EXPECT_EQ(Sha256::CompressActive(), Sha256::CompressShaNi() != nullptr
+                                          ? Sha256::CompressShaNi()
+                                          : Sha256::CompressPortable);
+}
+
+// The challenges of a seeded transcript that appends every kind of item,
+// some across block boundaries, with challenges folded back in between.
+// The values were recorded when a transcript still re-hashed its whole
+// buffer for every challenge; hashing incrementally must not move a byte.
+TEST(Transcript, SeededChallengeBytesArePinned) {
+  Rng rng(2501u);
+  Transcript t("atom/test/transcript-pin/v1");
+  std::vector<std::string> challenges;
+  for (int round = 0; round < 6; round++) {
+    t.AppendU64("round", static_cast<uint64_t>(round));
+    t.AppendPoint("p", Point::BaseMul(Scalar::Random(rng)));
+    t.AppendPoint("inf", Point::Infinity());
+    t.AppendScalar("s", Scalar::Random(rng));
+    Bytes blob = rng.NextBytes(static_cast<size_t>(rng.NextBelow(200)));
+    t.AppendBytes("blob", BytesView(blob));
+    challenges.push_back(DigestHex(t.ChallengeBytes("bytes")));
+    challenges.push_back(DigestHex(t.ChallengeScalar("scalar").ToBytes()));
+  }
+  challenges.push_back(DigestHex(t.ChallengeBytes("last")));
+  EXPECT_EQ(challenges.front(),
+            "617aed6b8e47ac6d5b8cc660c658bedfc66bbae05f2774619358bf3d0a444ccf");
+  EXPECT_EQ(challenges[1],
+            "a40b4202adc2a693c94b5488a7e1b19d58ef48ecee5a3a733966f44dd69be2a1");
+  EXPECT_EQ(challenges.back(),
+            "44ad4beca485a2e1f23d44fe9c6e798850fa015817dd562d33ae679282c6cc86");
 }
 
 TEST(Sha3, Empty) {
