@@ -38,7 +38,7 @@ namespace atom {
 enum class FaultAction : uint8_t {
   kNone = 0,
   kDrop = 1,       // frame silently discarded; the sender believes it left
-  kDelay = 2,      // frame held for the plan's delay before the socket
+  kDelay = 2,      // the plan's delay added to the frame's propagation
   kDuplicate = 3,  // frame sent twice (both genuinely sealed)
   kTruncate = 4,   // sealed record truncated -> receiver AEAD reject
   kCorrupt = 5,    // one bit of the sealed record flipped -> same
@@ -75,8 +75,10 @@ class FaultPlan {
   }
   double drop_rate() const { return drop_rate_; }
 
-  // Straggler: every outbound frame from this participant sleeps this
-  // long before hitting the socket (on top of any per-frame kDelay).
+  // Straggler: every outbound frame from this participant occupies its
+  // link this long before its propagation starts, one frame after another
+  // per link (on top of any per-frame kDelay). The mesh folds it into the
+  // frame's due time; no thread sleeps on it.
   void set_stall(std::chrono::milliseconds stall) { stall_ = stall; }
   std::chrono::milliseconds stall() const { return stall_; }
 

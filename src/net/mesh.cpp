@@ -215,7 +215,9 @@ void TcpPeerMesh::Stop() {
     // Wait for every sender-lane drain to retire before tearing links
     // down: a drain still running past this point would touch freed mesh
     // state. The links are already shut, so in-flight writes fail fast,
-    // and a drain observing stopping_ abandons its queue immediately.
+    // and a drain observing stopping_ abandons its queue immediately. A
+    // timed drain retires at its head frame's due time, so this waits at
+    // most the largest pending delay.
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] {
       for (const auto& [id, lane] : lanes_) {
@@ -320,6 +322,8 @@ std::shared_ptr<SecureLink> TcpPeerMesh::EnsureLink(uint32_t peer_id) {
   }
   for (int attempt = 0; attempt < attempts; attempt++) {
     if (attempt > 0) {
+      // Redial backoff, slept on the lane's drain task: the one sleep left
+      // in the mesh, until dialing moves onto a non-blocking event loop.
       std::this_thread::sleep_for(std::chrono::milliseconds(40 * attempt));
     }
     {
@@ -343,192 +347,165 @@ std::shared_ptr<SecureLink> TcpPeerMesh::EnsureLink(uint32_t peer_id) {
   return nullptr;
 }
 
-bool TcpPeerMesh::SendFrame(uint32_t peer_id, LinkMsg type, BytesView body) {
-  const size_t cost = body.size() + 1;  // + the LinkMsg tag byte
-  std::chrono::milliseconds delay{0};
-  std::shared_ptr<FaultPlan> plan;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // WAN emulation: the peer's one-way delay plus a serialization term,
-    // frame_bytes / bandwidth.
-    auto wan = wan_.find(peer_id);
-    if (wan != wan_.end()) {
-      delay = wan->second.delay;
-      if (wan->second.bytes_per_ms > 0) {
-        delay += std::chrono::milliseconds(cost / wan->second.bytes_per_ms);
-      }
-    }
-    plan = fault_plan_;
-    size_t& pending = send_pending_[peer_id];
-    // Per-peer backpressure: senders serialize on the link's write lock,
-    // so `pending` is exactly the bytes queued behind the in-flight frame
-    // (plus that frame). One frame is always admitted when the queue is
-    // empty; past the bound the frame is DROPPED — the caller's failure
-    // conversion turns that into a round-scoped abort instead of an
-    // unbounded pile of blocked threads on a stalled WAN peer.
-    if (pending > 0 && pending + cost > send_queue_bound_) {
-      drops_->Add(1);
-      return false;
-    }
-    pending += cost;
-  }
-  bool sent = false;
-  FaultDecision fault;
-  if (plan != nullptr) {
-    if (plan->stall().count() > 0) {
-      plan->CountStalled();
-      std::this_thread::sleep_for(plan->stall());  // straggler emulation
-    }
-    fault = plan->NextDecision(FaultPlan::StreamKey(self_id_, peer_id));
-    if (fault.action == FaultAction::kDelay) {
-      std::this_thread::sleep_for(fault.delay);
-    }
-  }
-  if (delay.count() > 0) {
-    std::this_thread::sleep_for(delay);  // WAN emulation (benches only)
-  }
-  if (fault.action == FaultAction::kDrop) {
-    // Silent loss: the caller believes the frame left, exactly like a
-    // frame lost past the NIC. The failure surfaces downstream (missed
-    // ack -> control timeout, missing sub-batch -> round timeout), which
-    // is the abort-or-complete path the scenarios assert.
-    std::lock_guard<std::mutex> lock(mu_);
-    send_pending_[peer_id] -= cost;
-    return true;
-  }
-  auto link = EnsureLink(peer_id);
-  if (link != nullptr) {
-    const Bytes packed = PackLinkFrame(type, body);
-    if (fault.action == FaultAction::kTruncate ||
-        fault.action == FaultAction::kCorrupt) {
-      // Seal, then damage the record: the receiver's AEAD rejects it and
-      // kills the link — on-the-wire corruption, not a protocol message.
-      sent = link->SendMutated(
-          BytesView(packed), [&fault](Bytes& record) {
-            FaultPlan::Mutate(fault, record);
-          });
-    } else if (link->Send(BytesView(packed))) {
-      sent = true;
-      if (fault.action == FaultAction::kDuplicate) {
-        link->Send(BytesView(packed));  // both genuinely sealed
-      }
-    } else {
-      // The persistent link died under us (peer restarted / unplugged):
-      // reconnect-on-failure means one redial before giving up.
-      link = EnsureLink(peer_id);
-      sent = link != nullptr && link->Send(BytesView(packed));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    send_pending_[peer_id] -= cost;
-    if (sent) {
-      LaneCounters& obs = LaneFor(peer_id).obs;
-      obs.bytes_sent->Add(cost);
-      obs.frames_sent->Add(1);
-    }
-  }
-  return sent;
-}
-
-bool TcpPeerMesh::SendFrameAsync(uint32_t peer_id, LinkMsg type, Bytes body,
-                                 uint64_t round_id, uint32_t gid,
-                                 uint32_t envelope_count) {
+bool TcpPeerMesh::SendFrame(uint32_t peer_id, LinkMsg type, Bytes body,
+                            uint64_t round_id, uint32_t gid,
+                            uint32_t envelope_count) {
   return EnqueueFrame(peer_id, QueuedFrame{type, std::move(body), round_id,
                                            gid, envelope_count});
 }
 
 bool TcpPeerMesh::EnqueueFrame(uint32_t peer_id, QueuedFrame frame) {
   const size_t cost = frame.body.size() + 1;  // + the LinkMsg tag byte
-  ThreadPool* pool;
+  const Clock::time_point now = Clock::now();
+  Clock::time_point due;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       return false;
     }
     SenderLane& lane = LaneFor(peer_id);
-    // Byte-accounted admission, shared with the synchronous path's
-    // in-flight bytes: a giant bundle consumes exactly its size of the
-    // budget. One frame is always admitted when nothing is pending —
-    // drop-to-abort past the bound, never block.
-    const size_t pending = lane.queued_bytes + send_pending_[peer_id];
-    if (pending > 0 && pending + cost > send_queue_bound_) {
+    // Byte-accounted admission: a giant bundle consumes exactly its size
+    // of the budget, and frames waiting for their due time count. One
+    // frame is always admitted to an empty lane — drop-to-abort past the
+    // bound, never block.
+    if (lane.queued_bytes > 0 && lane.queued_bytes + cost > send_queue_bound_) {
       drops_->Add(1);
       return false;
     }
+    // The due time. Serial per link: the straggler stall and the bandwidth
+    // term occupy the link one frame after another. In parallel: the WAN
+    // propagation delay and the fault plan's delay, which frames in flight
+    // overlap.
+    std::chrono::milliseconds serial{0};
+    std::chrono::milliseconds propagation{0};
+    if (fault_plan_ != nullptr) {
+      if (fault_plan_->stall().count() > 0) {
+        fault_plan_->CountStalled();
+        serial += fault_plan_->stall();
+      }
+      frame.fault =
+          fault_plan_->NextDecision(FaultPlan::StreamKey(self_id_, peer_id));
+      if (frame.fault.action == FaultAction::kDelay) {
+        propagation += frame.fault.delay;
+      }
+    }
+    auto wan = wan_.find(peer_id);
+    if (wan != wan_.end()) {
+      propagation += wan->second.delay;
+      if (wan->second.bytes_per_ms > 0) {
+        serial += std::chrono::milliseconds(cost / wan->second.bytes_per_ms);
+      }
+    }
+    lane.busy_until = std::max(lane.busy_until, now) + serial;
+    if (frame.fault.action == FaultAction::kDrop) {
+      // Silent loss past the NIC: the caller believes the frame left. The
+      // failure surfaces downstream (missed ack -> control timeout,
+      // missing sub-batch -> round timeout), which is the
+      // abort-or-complete path the scenarios assert.
+      return true;
+    }
+    frame.due = lane.busy_until + propagation;
+    if (!lane.queue.empty()) {
+      frame.due = std::max(frame.due, lane.queue.back().due);  // FIFO
+    }
+    due = frame.due;
     lane.queue.push_back(std::move(frame));
     lane.queued_bytes += cost;
     lane.obs.queue_depth_peak->UpdateMax(
         static_cast<int64_t>(lane.queued_bytes));
     if (lane.draining) {
-      return true;  // the running drain will pick this frame up
+      return true;  // the running or timed drain will pick this frame up
     }
     lane.draining = true;
-    pool = sender_pool_ != nullptr ? sender_pool_ : &ThreadPool::Shared();
   }
-  pool->Submit([this, peer_id] { DrainSenderLane(peer_id); },
-               kTransportDrainWeight);
+  // A frame with no delay is due already and its drain is ready at once.
+  ThreadPool::Shared().Submit([this, peer_id] { DrainSenderLane(peer_id); },
+                              kTransportDrainWeight, due);
   return true;
 }
 
 void TcpPeerMesh::DrainSenderLane(uint32_t peer_id) {
-  QueuedFrame frame;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    SenderLane& lane = lanes_[peer_id];
-    if (lane.queue.empty() || stopping_) {
-      // Queued frames are abandoned on Stop: the links are dying anyway
-      // and Stop() waits on this flag before tearing them down.
-      lane.draining = false;
-      cv_.notify_all();
+  for (;;) {
+    QueuedFrame frame;
+    Clock::time_point release{};
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      SenderLane& lane = lanes_[peer_id];
+      if (lane.queue.empty() || stopping_) {
+        // Queued frames are abandoned on Stop: the links are dying anyway
+        // and Stop() waits on this flag before tearing them down.
+        lane.draining = false;
+        cv_.notify_all();
+        return;
+      }
+      if (lane.queue.front().due > Clock::now()) {
+        release = lane.queue.front().due;  // the lane stays draining
+      } else {
+        frame = std::move(lane.queue.front());
+        lane.queue.pop_front();
+      }
+    }
+    if (release != Clock::time_point{}) {
+      ThreadPool::Shared().Submit(
+          [this, peer_id] { DrainSenderLane(peer_id); },
+          kTransportDrainWeight, release);
       return;
     }
-    frame = std::move(lane.queue.front());
-    lane.queue.pop_front();
-    lane.queued_bytes -= frame.body.size() + 1;
-  }
-  // The socket write (and any emulated WAN sleep) happens here, on the
-  // drain task — the producer is already sealing the next frame.
-  bool sent;
-  {
-    obs::TraceSpan span("transport_lane", "net", frame.round_id, "peer",
-                        peer_id, "bytes", frame.body.size() + 1);
-    sent = SendFrame(peer_id, frame.type, BytesView(frame.body));
-  }
-  if (!sent) {
-    // Converted before the lane is marked idle: once draining clears,
-    // Stop() may tear the mesh down, so no mesh state may be touched
-    // after the idle transition below. A control frame's waiter names
-    // the peer itself; a lost kRoundDone needs nothing, since a peer the
-    // driver cannot reach keeps no round state worth retiring.
-    if (frame.ack_seq != 0) {
-      ResolveAck(frame.ack_seq, AckState::kLost);
-    } else if (frame.type == LinkMsg::kEnvelope ||
-               frame.type == LinkMsg::kEnvelopeBundle) {
-      ConvertAsyncSendFailure(peer_id, frame.round_id, frame.gid);
+    const bool sent = WriteFrame(peer_id, frame);
+    if (!sent) {
+      // Converted while the lane is still draining: once draining clears,
+      // Stop() may tear the mesh down. A control frame's waiter names the
+      // peer itself; a lost kRoundDone, ack or metrics reply needs
+      // nothing, since a peer that cannot be reached keeps no round state
+      // worth retiring and waits on nothing from us.
+      if (frame.ack_seq != 0) {
+        ResolveAck(frame.ack_seq, AckState::kLost);
+      } else if (frame.type == LinkMsg::kEnvelope ||
+                 frame.type == LinkMsg::kEnvelopeBundle) {
+        ConvertSendFailure(peer_id, frame.round_id, frame.gid);
+      }
     }
-  }
-  ThreadPool* pool = nullptr;
-  {
     std::lock_guard<std::mutex> lock(mu_);
     SenderLane& lane = LaneFor(peer_id);
-    if (sent && frame.type == LinkMsg::kEnvelopeBundle) {
-      lane.obs.bundles_sent->Add(1);
-      lane.obs.envelopes_bundled->Add(frame.envelopes);
-    }
-    if (lane.queue.empty() || stopping_) {
-      lane.draining = false;
-      cv_.notify_all();
-    } else {
-      // Yield between frames: re-queue instead of looping, so a deep lane
-      // cannot monopolize a pool thread through emulated-WAN sleeps.
-      pool = sender_pool_ != nullptr ? sender_pool_ : &ThreadPool::Shared();
+    lane.queued_bytes -= frame.body.size() + 1;
+    if (sent) {
+      lane.obs.bytes_sent->Add(frame.body.size() + 1);
+      lane.obs.frames_sent->Add(1);
+      if (frame.type == LinkMsg::kEnvelopeBundle) {
+        lane.obs.bundles_sent->Add(1);
+        lane.obs.envelopes_bundled->Add(frame.envelopes);
+      }
     }
   }
-  if (pool != nullptr) {
-    pool->Submit([this, peer_id] { DrainSenderLane(peer_id); },
-                 kTransportDrainWeight);
+}
+
+bool TcpPeerMesh::WriteFrame(uint32_t peer_id, const QueuedFrame& frame) {
+  obs::TraceSpan span("transport_lane", "net", frame.round_id, "peer",
+                      peer_id, "bytes", frame.body.size() + 1);
+  auto link = EnsureLink(peer_id);
+  if (link == nullptr) {
+    return false;
   }
+  const Bytes packed = PackLinkFrame(frame.type, BytesView(frame.body));
+  const FaultDecision& fault = frame.fault;
+  if (fault.action == FaultAction::kTruncate ||
+      fault.action == FaultAction::kCorrupt) {
+    // Seal, then damage the record: the receiver's AEAD rejects it and
+    // kills the link — on-the-wire corruption, not a protocol message.
+    return link->SendMutated(BytesView(packed), [&fault](Bytes& record) {
+      FaultPlan::Mutate(fault, record);
+    });
+  }
+  if (link->Send(BytesView(packed))) {
+    if (fault.action == FaultAction::kDuplicate) {
+      link->Send(BytesView(packed));  // both genuinely sealed
+    }
+    return true;
+  }
+  // The persistent link died under us (peer restarted / unplugged):
+  // reconnect-on-failure means one redial before giving up.
+  link = EnsureLink(peer_id);
+  return link != nullptr && link->Send(BytesView(packed));
 }
 
 TcpPeerMesh::SenderLane& TcpPeerMesh::LaneFor(uint32_t peer_id) {
@@ -551,8 +528,8 @@ TcpPeerMesh::SenderLane& TcpPeerMesh::LaneFor(uint32_t peer_id) {
   return lane;
 }
 
-void TcpPeerMesh::ConvertAsyncSendFailure(uint32_t peer_id,
-                                          uint64_t round_id, uint32_t gid) {
+void TcpPeerMesh::ConvertSendFailure(uint32_t peer_id, uint64_t round_id,
+                                     uint32_t gid) {
   std::string reason = "transport: server " + std::to_string(self_id_) +
                        " could not reach server " + std::to_string(peer_id);
   if (role_ == Role::kServer) {
@@ -596,8 +573,8 @@ void TcpPeerMesh::SendEnvelopes(std::vector<Envelope> envelopes) {
                      : EncodeEnvelopeBundle(envelopes);
     LinkMsg type = envelopes.size() == 1 ? LinkMsg::kEnvelope
                                          : LinkMsg::kEnvelopeBundle;
-    if (SendFrameAsync(dest, type, std::move(body), round_id, gid,
-                       static_cast<uint32_t>(envelopes.size()))) {
+    if (SendFrame(dest, type, std::move(body), round_id, gid,
+                  static_cast<uint32_t>(envelopes.size()))) {
       return;
     }
   }
@@ -669,13 +646,17 @@ void TcpPeerMesh::HandleFrame(uint32_t peer_id, LinkFrame frame) {
     return;
   }
   if (frame.type == LinkMsg::kMetricsSnapshot && role_ == Role::kDriver) {
-    // A server's telemetry reply; requests only ever travel driver ->
-    // server, so on this side the frame is unambiguous.
+    // A server's telemetry reply, which acks its request (requests only
+    // travel driver -> server); a reply past its waiter is dropped.
     auto reply = DecodeMetricsReply(BytesView(frame.body));
     if (reply) {
       std::lock_guard<std::mutex> lock(mu_);
-      metrics_replies_[reply->seq] = std::move(reply->snapshot);
-      cv_.notify_all();
+      auto it = awaited_acks_.find(reply->seq);
+      if (it != awaited_acks_.end() && it->second == AckState::kPending) {
+        metrics_replies_[reply->seq] = std::move(reply->snapshot);
+        it->second = AckState::kAcked;
+        cv_.notify_all();
+      }
     }
     return;
   }
@@ -780,8 +761,8 @@ void TcpPeerMesh::SendAbortToDriver(uint64_t round_id, uint32_t gid,
                                     std::string reason) {
   Envelope envelope{self_id_, TransportAbort(gid, std::move(reason)),
                     round_id};
-  SendFrame(kMeshDriverId, LinkMsg::kEnvelope,
-            BytesView(EncodeEnvelope(envelope)));
+  SendFrame(kMeshDriverId, LinkMsg::kEnvelope, EncodeEnvelope(envelope),
+            round_id, gid);
 }
 
 uint64_t TcpPeerMesh::NextSeq() {
@@ -878,18 +859,14 @@ std::optional<obs::MetricsSnapshot> TcpPeerMesh::FetchMetricsSnapshot(
     uint32_t peer_id) {
   ATOM_CHECK_MSG(role_ == Role::kDriver,
                  "metrics snapshots are pulled by the driver");
-  uint64_t seq = NextSeq();
-  Bytes body = EncodeMetricsRequest(seq);
-  if (!SendFrame(peer_id, LinkMsg::kMetricsSnapshot, BytesView(body))) {
+  const uint64_t seq = NextSeq();
+  if (!SendControlAwaitAcks({ControlFrame{peer_id, LinkMsg::kMetricsSnapshot,
+                                          seq, EncodeMetricsRequest(seq)}})
+           .empty()) {
     return std::nullopt;
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!cv_.wait_for(lock, control_timeout_,
-                    [&] { return metrics_replies_.contains(seq); })) {
-    return std::nullopt;
-  }
-  auto node = metrics_replies_.extract(seq);
-  return std::move(node.mapped());
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::move(metrics_replies_.extract(seq).mapped());
 }
 
 uint64_t TcpPeerMesh::AllocateRoundId() {
@@ -957,8 +934,8 @@ void TcpPeerMesh::Send(Envelope envelope) {
     // below produces the round-scoped abort naming both endpoints.
     plan->CountSevered();
   } else {
-    Bytes body = EncodeEnvelope(envelope);
-    if (SendFrame(dest, LinkMsg::kEnvelope, BytesView(body))) {
+    if (SendFrame(dest, LinkMsg::kEnvelope, EncodeEnvelope(envelope),
+                  envelope.round_id, envelope.msg.gid)) {
       return;
     }
   }
@@ -1016,9 +993,8 @@ bool TcpPeerMesh::Run(Rng& rng) {
     for (Envelope& envelope : to_send) {
       seeds++;
       envelope.round_id = round_id;
-      Bytes body = EncodeEnvelope(envelope);
       if (!SendFrame(envelope.to_server, LinkMsg::kEnvelope,
-                     BytesView(body))) {
+                     EncodeEnvelope(envelope), round_id, envelope.msg.gid)) {
         SynthesizeAbort(envelope.msg.gid,
                         "transport: send to server " +
                             std::to_string(envelope.to_server) + " failed");
@@ -1101,16 +1077,8 @@ void TcpPeerMesh::set_peer_profile(uint32_t peer_id, WanProfile profile) {
   wan_[peer_id] = profile;
 }
 
-void TcpPeerMesh::set_sender_pool(ThreadPool* pool) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sender_pool_ = pool;
-}
-
 MeshTransportStats TcpPeerMesh::Stats() const {
-  // Reconstructed from the registry-backed counters, which are the single
-  // source of truth since the observability plane landed; the public
-  // snapshot shape (and the scenario report JSON built from it) is
-  // unchanged.
+  // Read from the registry-backed counters, the single source of truth.
   std::lock_guard<std::mutex> lock(mu_);
   MeshTransportStats out;
   for (const auto& [id, lane] : lanes_) {

@@ -20,9 +20,11 @@
 //    serves the destination id; a failed send is converted into an abort
 //    notice to the driver.
 //
-// Reader threads (one per link, plus the accept loop) only move bytes and
-// fire callbacks; all protocol work happens on the shared ThreadPool via
-// the receiver's SerialExecutor, one serial queue per server.
+// Every outbound frame, control or data, rides its peer's sender lane
+// (SendFrame), which the shared ThreadPool drains. Reader threads (one per
+// link, plus the accept loop) only move bytes and fire callbacks; all
+// protocol work happens on the shared ThreadPool via the receiver's
+// SerialExecutor, one serial queue per server.
 #ifndef SRC_NET_MESH_H_
 #define SRC_NET_MESH_H_
 
@@ -45,30 +47,31 @@
 
 namespace atom {
 
-class ThreadPool;
-
-// Emulated WAN shape for one peer link (netem-style). `delay` models the
-// one-way propagation latency paid per frame; `bytes_per_ms` models link
-// bandwidth as serialization time (frame_bytes / bytes_per_ms added on
-// top of the delay; 0 = unlimited). A per-peer matrix of these gives
-// Figure 10/11-shaped multi-region runs on loopback: intra-region links
-// get a small delay, cross-region links a large one.
+// Emulated WAN shape for one peer link. `delay` is the one-way propagation
+// latency: every frame arrives that long after it leaves, and the frames
+// in flight on a link overlap their delays, as on a real pipe.
+// `bytes_per_ms` is link bandwidth (0 = unlimited): a frame of B bytes
+// occupies the link for B / bytes_per_ms ms, one frame after another,
+// before its propagation starts. A per-peer matrix of these gives Figure
+// 10/11-shaped multi-region runs on loopback: intra-region links get a
+// small delay, cross-region links a large one.
 struct WanProfile {
   std::chrono::milliseconds delay{0};
   size_t bytes_per_ms = 0;
 };
 
 // Point-in-time transport counters for one peer link. bytes/frames count
-// everything that reached the socket (control and data plane, both the
-// synchronous path and the sender lane); bundles/envelopes_bundled count
-// only kEnvelopeBundle frames, so bundle fill = envelopes_bundled /
-// bundles_sent.
+// every frame the sender lane wrote to the socket (control and data
+// plane); bundles/envelopes_bundled count only kEnvelopeBundle frames, so
+// bundle fill = envelopes_bundled / bundles_sent. queue_depth_peak is the
+// most bytes the lane ever held: frames waiting for their due time plus
+// the one being written.
 struct PeerTransportStats {
   uint64_t bytes_sent = 0;
   uint64_t frames_sent = 0;
   uint64_t bundles_sent = 0;
   uint64_t envelopes_bundled = 0;
-  size_t queue_depth_peak = 0;  // max bytes ever queued on the sender lane
+  size_t queue_depth_peak = 0;
 };
 
 // Snapshot of every peer's transport counters (TcpPeerMesh::Stats()).
@@ -137,28 +140,21 @@ class TcpPeerMesh {
   // pipelined driver uses it to synthesize per-round aborts.
   void OnPeerDown(std::function<void(uint32_t peer_id)> fn);
 
-  // Sends one frame to a peer, reusing the persistent link or (re)dialing
-  // from the roster on failure. False when the peer is unreachable or the
-  // peer's send queue is over its bound (see set_send_queue_bound) — the
-  // caller's existing failure conversion turns either into an abort.
-  bool SendFrame(uint32_t peer_id, LinkMsg type, BytesView body);
-
-  // Asynchronous data-plane send: enqueues the frame on the peer's sender
-  // lane and returns immediately, so the caller's next EncodeEnvelope +
-  // AEAD seal overlaps this frame's socket write (the lane drains one
-  // frame at a time on the shared ThreadPool, preserving per-peer order).
-  // False when the lane's byte-accounted bound rejects the frame — the
-  // caller converts that to an abort, exactly like a false SendFrame. A
-  // failure discovered later, on the drain side, is converted internally
-  // for kEnvelope/kEnvelopeBundle frames: server role reports a
-  // round-scoped abort to the driver, driver role delivers a synthesized
-  // round-tagged abort to its own envelope sink. round_id/gid scope that
-  // conversion; envelope_count feeds the bundle fill counters (1 for a
-  // plain kEnvelope). The driver's control frames share the lane, so they
-  // keep their order relative to a round's data.
-  bool SendFrameAsync(uint32_t peer_id, LinkMsg type, Bytes body,
-                      uint64_t round_id, uint32_t gid,
-                      uint32_t envelope_count = 1);
+  // The one outbound path: queues the frame on the peer's sender lane and
+  // returns at once, so the caller's next encode + AEAD seal overlaps this
+  // frame's socket write. The lane's drain writes frames in call order,
+  // each at its due time (see set_peer_profile), reusing the persistent
+  // link or (re)dialing from the roster. False when the mesh is stopping
+  // or the lane's byte bound refuses the frame (see set_send_queue_bound);
+  // the caller converts that to an abort. A failure found later, at the
+  // write, is converted here for kEnvelope/kEnvelopeBundle frames: server
+  // role reports a round-scoped abort to the driver, driver role delivers
+  // a synthesized round-tagged abort to its own envelope sink. round_id and
+  // gid scope that conversion; envelope_count feeds the bundle fill
+  // counters (1 for a plain kEnvelope).
+  bool SendFrame(uint32_t peer_id, LinkMsg type, Bytes body,
+                 uint64_t round_id = 0, uint32_t gid = 0,
+                 uint32_t envelope_count = 1);
 
   // Server role, coalesced fan-out: ships every envelope a hop owes one
   // destination server as a single kEnvelopeBundle frame (plain kEnvelope
@@ -183,7 +179,8 @@ class TcpPeerMesh {
   // Driver side: pulls the peer process's frozen metrics registry over
   // the control plane (kMetricsSnapshot request/reply, bounded by the
   // control timeout). nullopt when the peer is unreachable, dead, or a
-  // pre-observability build. Merge the replies with the local registry's
+  // pre-observability build; a request the lane refuses or fails to send
+  // returns at once. Merge the replies with the local registry's
   // Snapshot() for the fleet-wide view.
   std::optional<obs::MetricsSnapshot> FetchMetricsSnapshot(uint32_t peer_id);
 
@@ -255,38 +252,36 @@ class TcpPeerMesh {
   void set_run_timeout(std::chrono::milliseconds timeout);
   void set_control_timeout(std::chrono::milliseconds timeout);
   void set_dial_attempts(int attempts);
-  // Backpressure bound for WAN deployments: caps the bytes queued behind
-  // one peer's in-flight frame (senders serialize on the link's write
-  // lock, so a slow or stalled peer otherwise accumulates blocked sender
-  // threads without limit). One frame is always admitted when the queue
-  // is empty; past the bound SendFrame fails immediately — drop-to-abort,
-  // never block-to-OOM — and the failure surfaces through the existing
-  // abort paths, scoped to the affected round. Default 64 MiB per peer.
+  // Backpressure bound for WAN deployments: caps the bytes one peer's
+  // sender lane holds, counting frames that wait for their due time and
+  // the one being written, so a slow, stalled or long-delay peer cannot
+  // pile up memory without limit. One frame is always admitted to an
+  // empty lane; past the bound SendFrame fails immediately —
+  // drop-to-abort, never block-to-OOM — and the failure surfaces through
+  // the existing abort paths, scoped to the affected round. Default
+  // 64 MiB per peer.
   void set_send_queue_bound(size_t bytes);
   // Frames dropped by the bound since construction (observability).
   size_t send_queue_drops() const;
-  // WAN emulation for benches and tests (netem-style): every outbound
-  // frame to `peer_id` sleeps for the profile's one-way delay plus its
-  // bandwidth term (see WanProfile) before hitting the socket. The
-  // sender's thread blocks, exactly like a saturated WAN send buffer
-  // would; concurrent rounds overlap these stalls, sequential rounds pay
-  // them serially. On the sender-lane path the sleep happens on the drain
-  // task, so the producer keeps sealing while the emulated wire is busy.
-  // A uniform WAN is one call per peer with the same profile; a
-  // latency/bandwidth matrix gives each peer its own.
+  // WAN emulation for benches and tests. At SendFrame each frame to
+  // `peer_id` gets a due time: the profile's bandwidth term is serial
+  // per link (it starts when the link finishes the frame ahead), the
+  // one-way delay is then added in parallel, so frames in flight overlap
+  // their delays (see WanProfile). No thread sleeps on a due time: the
+  // lane's drain asks the pool for one timed release at the head frame's
+  // due time. A uniform WAN is one call per peer with the same profile;
+  // a latency/bandwidth matrix gives each peer its own.
   void set_peer_profile(uint32_t peer_id, WanProfile profile);
-  // Pool that runs the sender-lane drains (default ThreadPool::Shared());
-  // a NodeProcess points this at its own pool so transport and protocol
-  // work share one set of threads. Set before traffic flows.
-  void set_sender_pool(ThreadPool* pool);
   // Snapshot of the per-peer transport counters.
   MeshTransportStats Stats() const;
   // Deterministic fault injection (scenario harness): every outbound
-  // frame consults the plan — drop/delay/duplicate pass through the
-  // normal send path, truncate/corrupt mutate the sealed record so the
-  // receiver's AEAD kills the link, a stall sleeps before every frame,
-  // and severed links fail round-scoped envelope sends exactly like an
-  // unreachable peer. nullptr (the default) disables injection.
+  // frame draws its decision at SendFrame, in per-link order. A drop
+  // discards the frame, a delay adds to its propagation like the WAN
+  // delay, a stall occupies the link before every frame like the
+  // bandwidth term, a duplicate is written twice, truncate/corrupt mutate
+  // the sealed record so the receiver's AEAD kills the link, and severed
+  // links fail round-scoped envelope sends exactly like an unreachable
+  // peer. nullptr (the default) disables injection.
   void SetFaultPlan(std::shared_ptr<FaultPlan> plan);
 
  private:
@@ -299,7 +294,7 @@ class TcpPeerMesh {
   std::optional<MeshPeer> LookupPeerAddress(uint32_t peer_id) const;
 
   // Returns a live link to the peer, dialing if needed (serialized by
-  // dial_mu_ so concurrent senders don't race duplicate connections).
+  // dial_mu_ so concurrent drains don't race duplicate connections).
   std::shared_ptr<SecureLink> EnsureLink(uint32_t peer_id);
   // Registers a link and spawns its reader thread. Keeps an existing live
   // link (the newcomer still gets served by its own reader).
@@ -313,14 +308,12 @@ class TcpPeerMesh {
   void DispatchEnvelope(Envelope envelope);
   void OnPeerGone(uint32_t peer_id);
 
-  // Sends the head of a peer's sender lane, then reschedules itself while
-  // frames remain. One drain task per lane at a time (per-peer order);
-  // yielding between frames keeps a long queue from monopolizing a pool
-  // thread during emulated-WAN sleeps.
+  // Writes every due frame at the head of a peer's sender lane, in order,
+  // then goes idle or asks the pool for one timed release at the head
+  // frame's due time. One drain task per lane at a time (per-peer order).
   void DrainSenderLane(uint32_t peer_id);
-  // Converts a drain-side send failure into the role's abort path.
-  void ConvertAsyncSendFailure(uint32_t peer_id, uint64_t round_id,
-                               uint32_t gid);
+  // Converts a failed socket write into the role's abort path.
+  void ConvertSendFailure(uint32_t peer_id, uint64_t round_id, uint32_t gid);
 
   // Appends a synthesized abort (driver role) and wakes Run. gid 0 when
   // the failing chain is unknown.
@@ -392,12 +385,12 @@ class TcpPeerMesh {
   std::shared_ptr<FaultPlan> fault_plan_;  // guarded by mu_
   int dial_attempts_ = 5;
   size_t send_queue_bound_ = size_t{1} << 26;  // 64 MiB per peer
-  std::map<uint32_t, size_t> send_pending_;    // queued + in-flight bytes
 
+  using Clock = std::chrono::steady_clock;
   // One outbound frame parked on a sender lane. round_id/gid scope the
-  // abort synthesized if an envelope frame's send fails once it is its
-  // turn; a control frame with a nonzero ack_seq reports the failure to
-  // its SendControlAwaitAcks waiter instead.
+  // abort synthesized if an envelope frame's write fails; a control frame
+  // with a nonzero ack_seq reports the failure to its SendControlAwaitAcks
+  // waiter instead. fault and due are set at enqueue.
   struct QueuedFrame {
     LinkMsg type = LinkMsg::kEnvelope;
     Bytes body;
@@ -405,11 +398,15 @@ class TcpPeerMesh {
     uint32_t gid = 0;
     uint32_t envelopes = 1;
     uint64_t ack_seq = 0;
+    FaultDecision fault;
+    Clock::time_point due;
   };
-  // Parks a frame on the peer's sender lane, starting a drain if none
-  // runs. False when the mesh is stopping or the lane's byte bound
-  // refuses the frame.
+  // Parks a frame on the peer's sender lane with its due time, starting a
+  // drain if none runs. False when the mesh is stopping or the lane's
+  // byte bound refuses the frame.
   bool EnqueueFrame(uint32_t peer_id, QueuedFrame frame);
+  // The lane drain's socket write of one frame, with its fault applied.
+  bool WriteFrame(uint32_t peer_id, const QueuedFrame& frame);
   // Records an awaited control frame's fate and wakes its waiter (no-op
   // for a seq nobody waits on). An ack always wins; kLost only settles a
   // pending frame.
@@ -426,13 +423,15 @@ class TcpPeerMesh {
     obs::Gauge* queue_depth_peak = nullptr;  // max bytes queued on the lane
   };
 
-  // Per-peer sender lane (guarded by mu_). queued_bytes shares the
-  // byte-accounted budget with send_pending_, so a giant bundle consumes
-  // exactly its size of the bound — it cannot hide behind a frame count.
+  // Per-peer sender lane (guarded by mu_). queued_bytes counts every
+  // frame not yet written, including the one being written, so a giant
+  // bundle consumes exactly its size of the bound — it cannot hide behind
+  // a frame count.
   struct SenderLane {
-    std::deque<QueuedFrame> queue;
+    std::deque<QueuedFrame> queue;  // due times never decrease
     size_t queued_bytes = 0;
-    bool draining = false;  // a drain task is scheduled or running
+    Clock::time_point busy_until;  // end of the link's serial occupancy
+    bool draining = false;  // a drain task is ready, timed or running
     LaneCounters obs;
   };
   // The peer's lane, its registry handles resolved on first use.
@@ -441,7 +440,6 @@ class TcpPeerMesh {
 
   std::map<uint32_t, SenderLane> lanes_;     // guarded by mu_
   std::map<uint32_t, WanProfile> wan_;       // guarded by mu_
-  ThreadPool* sender_pool_ = nullptr;        // guarded by mu_
   // Fulfilled kMetricsSnapshot replies by request seq (driver role,
   // guarded by mu_; FetchMetricsSnapshot extracts its own entry).
   std::map<uint64_t, obs::MetricsSnapshot> metrics_replies_;

@@ -17,17 +17,12 @@ constexpr size_t kMaxTombstones = 256;
 
 NodeProcess::NodeProcess(uint32_t server_id, Variant variant,
                          KemKeypair identity, const Point& driver_pk,
-                         size_t max_rounds, ThreadPool* pool)
+                         size_t max_rounds)
     : server_id_(server_id),
       max_rounds_(max_rounds < 1 ? 1 : max_rounds),
-      pool_(pool),
       node_(server_id, variant),
-      mesh_(TcpPeerMesh::Role::kServer, server_id, std::move(identity)),
-      node_serial_(pool) {
+      mesh_(TcpPeerMesh::Role::kServer, server_id, std::move(identity)) {
   mesh_.AddPeerKey(kMeshDriverId, driver_pk);
-  // Sender-lane drains share this server's pool, so sealing the next
-  // bundle and writing the current one interleave on one set of threads.
-  mesh_.set_sender_pool(pool);
   mesh_.OnControl(
       [this](uint32_t peer, LinkFrame frame) {
         HandleControl(peer, std::move(frame));
@@ -85,7 +80,7 @@ void NodeProcess::set_peer_profile(uint32_t peer_id, WanProfile profile) {
 }
 
 void NodeProcess::Ack(uint32_t peer_id, uint64_t seq) {
-  mesh_.SendFrame(peer_id, LinkMsg::kAck, BytesView(EncodeAck(seq)));
+  mesh_.SendFrame(peer_id, LinkMsg::kAck, EncodeAck(seq));
 }
 
 void NodeProcess::HandleControl(uint32_t peer_id, LinkFrame frame) {
@@ -148,17 +143,16 @@ void NodeProcess::HandleControl(uint32_t peer_id, LinkFrame frame) {
     }
     case LinkMsg::kMetricsSnapshot: {
       // Telemetry pull: freeze the process registry and ship it back.
-      // Runs on the control serial queue like every other reply, so it
-      // cannot block the reader thread on a slow link.
+      // Encoded on the control serial queue like every other reply, off
+      // the reader thread.
       auto seq = DecodeMetricsRequest(BytesView(frame.body));
       if (!seq) {
         return;
       }
       node_serial_.Submit([this, seq = *seq, peer_id] {
-        Bytes body = EncodeMetricsReply(
-            seq, obs::Registry::Global().Snapshot());
-        mesh_.SendFrame(peer_id, LinkMsg::kMetricsSnapshot,
-                        BytesView(body));
+        mesh_.SendFrame(
+            peer_id, LinkMsg::kMetricsSnapshot,
+            EncodeMetricsReply(seq, obs::Registry::Global().Snapshot()));
       });
       break;
     }
@@ -190,7 +184,7 @@ void NodeProcess::BeginRound(uint32_t peer_id, BeginRoundMsg msg) {
         lane = free_lanes_.back();
         free_lanes_.pop_back();
       } else if (lanes_.size() < max_rounds_) {
-        lanes_.push_back(std::make_unique<Lane>(pool_));
+        lanes_.push_back(std::make_unique<Lane>());
         lane = lanes_.back().get();
       } else {
         refused = "too many concurrent rounds (bound " +

@@ -68,12 +68,9 @@ class NodeProcess {
   // the roster advertises); `driver_pk` authenticates the driver before
   // any roster exists. `max_rounds` bounds concurrently open round lanes;
   // a kBeginRound past the bound is refused with a round-tagged abort.
-  // `pool` backs this server's serial lanes (null = the process-wide
-  // shared pool); benches hosting many "servers" in one process give each
-  // its own pool, mirroring the real one-pool-per-process deployment.
+  // Its serial lanes run on the process-wide shared pool.
   NodeProcess(uint32_t server_id, Variant variant, KemKeypair identity,
-              const Point& driver_pk, size_t max_rounds = 8,
-              ThreadPool* pool = nullptr);
+              const Point& driver_pk, size_t max_rounds = 8);
 
   // Forwards to the mesh's per-peer WAN emulation (see
   // TcpPeerMesh::set_peer_profile); benches shape a uniform WAN or a
@@ -150,7 +147,6 @@ class NodeProcess {
   // pass through it (lanes are pooled, not created per round), so lane
   // teardown never blocks a reader thread.
   struct Lane {
-    explicit Lane(ThreadPool* pool) : serial(pool) {}
     SerialExecutor serial;
     std::shared_ptr<RoundCtx> ctx;  // guarded by rounds_mu_
   };
@@ -188,7 +184,6 @@ class NodeProcess {
 
   const uint32_t server_id_;
   const size_t max_rounds_;
-  ThreadPool* const pool_;  // backs the lanes; null = shared pool
   AtomNode node_;
   TcpPeerMesh mesh_;
   // The only queue that touches node_ (JoinGroup + chain deliveries) and

@@ -187,8 +187,8 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
     const uint32_t gid = envelopes[0].msg.gid;
     const uint32_t count = static_cast<uint32_t>(envelopes.size());
     LinkMsg type = count == 1 ? LinkMsg::kEnvelope : LinkMsg::kEnvelopeBundle;
-    if (!mesh_->SendFrameAsync(host, type, std::move(bodies[i++]), round_id,
-                               gid, count)) {
+    if (!mesh_->SendFrame(host, type, std::move(bodies[i++]), round_id, gid,
+                          count)) {
       std::lock_guard<std::mutex> lock(mu_);
       AbortLocked(*pending, "round " + std::to_string(round_id) +
                                 ": entry send to server " +

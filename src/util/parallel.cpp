@@ -130,14 +130,36 @@ void ThreadPool::WorkerLoop() {
     QueuedTask task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return shutdown_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        return;  // shutdown with a drained queue
+      for (;;) {
+        // Timed releases whose time has come join the ready queue.
+        const auto now = std::chrono::steady_clock::now();
+        while (!timed_.empty() && timed_.begin()->first <= now) {
+          auto node = timed_.extract(timed_.begin());
+          tasks_.emplace(node.mapped().first, std::move(node.mapped().second));
+          metrics.queue_depth_peak->UpdateMax(
+              static_cast<int64_t>(tasks_.size()));
+        }
+        if (!tasks_.empty()) {
+          break;
+        }
+        if (!timed_.empty()) {
+          // A copy: another worker may promote and free that entry while
+          // this one waits.
+          const auto next_due = timed_.begin()->first;
+          cv_.wait_until(lock, next_due);
+        } else if (shutdown_) {
+          return;  // shutdown with nothing left to run
+        } else {
+          cv_.wait(lock);
+        }
       }
       auto it = tasks_.begin();  // highest weight, FIFO within a weight
       task = std::move(it->second);
       tasks_.erase(it);
       metrics.queue_depth->Set(static_cast<int64_t>(tasks_.size()));
+      if (!tasks_.empty()) {
+        cv_.notify_one();  // releases promoted together need more hands
+      }
     }
     if (task.enqueued != std::chrono::steady_clock::time_point{}) {
       // Sampled only when timing was enabled at submit; pure observation
@@ -151,13 +173,16 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task, int64_t weight) {
+void ThreadPool::Submit(std::function<void()> task, int64_t weight,
+                        std::chrono::steady_clock::time_point not_before) {
   PoolMetrics& metrics = PoolMetrics::Get();
+  const auto now = std::chrono::steady_clock::now();
+  const bool timed = not_before > now;
   QueuedTask queued;
   queued.fn = std::move(task);
   queued.weight_class = WeightClass(weight);
   if (obs::TimingEnabled()) {
-    queued.enqueued = std::chrono::steady_clock::now();
+    queued.enqueued = timed ? not_before : now;  // dwell counts from due
   }
   metrics.tasks[queued.weight_class]->Add(1);
   {
@@ -165,11 +190,16 @@ void ThreadPool::Submit(std::function<void()> task, int64_t weight) {
     // Accepted even during shutdown: the destructor drains the queue
     // before joining, so a task Submitted by a still-running task is
     // executed rather than aborting the process.
-    tasks_.emplace(weight, std::move(queued));
-    const auto depth = static_cast<int64_t>(tasks_.size());
-    metrics.queue_depth->Set(depth);
-    metrics.queue_depth_peak->UpdateMax(depth);
+    if (timed) {
+      timed_.emplace(not_before, std::make_pair(weight, std::move(queued)));
+    } else {
+      tasks_.emplace(weight, std::move(queued));
+      const auto depth = static_cast<int64_t>(tasks_.size());
+      metrics.queue_depth->Set(depth);
+      metrics.queue_depth_peak->UpdateMax(depth);
+    }
   }
+  // A new timed release may be due before the one idle workers wait for.
   cv_.notify_one();
 }
 

@@ -8,9 +8,7 @@
 // to the pool instead of processing it on the blocking read path.
 //
 // The paper's Figure 7 measures exactly what ParallelFor provides: how one
-// mixing iteration speeds up with core count. Before the engine refactor
-// every ParallelFor call spawned and joined fresh std::threads — pure churn
-// on the per-ciphertext hot path; now both intra-hop parallelism and
+// mixing iteration speeds up with core count. Intra-hop parallelism and
 // cross-group/cross-layer pipelining run on one shared set of threads, so
 // they compose instead of oversubscribing the machine.
 #ifndef SRC_UTIL_PARALLEL_H_
@@ -33,7 +31,8 @@ class ThreadPool {
  public:
   // Spawns `num_threads` persistent workers (at least one).
   explicit ThreadPool(size_t num_threads);
-  // Drains queued tasks, then joins the workers.
+  // Drains queued tasks, timed ones at their due time, then joins the
+  // workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -54,7 +53,13 @@ class ThreadPool {
   // drains above the crypto so sealed frames never wait behind queued
   // mixing work. Weights order only — a finite task set (the hop DAG is
   // one) cannot starve.
-  void Submit(std::function<void()> task, int64_t weight = 0);
+  //
+  // A `not_before` later than now makes the task a timed release: it joins
+  // the ready queue at that time, an idle worker waits for it (no thread is
+  // added), and its queue dwell counts from then. The TCP transport
+  // releases frames at their emulated due time this way.
+  void Submit(std::function<void()> task, int64_t weight = 0,
+              std::chrono::steady_clock::time_point not_before = {});
 
   // Runs fn(i) for i in [0, n) using up to `max_workers` threads. The
   // caller participates (claims iterations itself), so the region completes
@@ -88,6 +93,11 @@ class ThreadPool {
   // weights in insertion order, so this degenerates to the old FIFO deque
   // when every caller uses the default weight.
   std::multimap<int64_t, QueuedTask, std::greater<int64_t>> tasks_;
+  // Timed releases not yet due, by due time, with the weight each joins
+  // the ready queue under.
+  std::multimap<std::chrono::steady_clock::time_point,
+                std::pair<int64_t, QueuedTask>>
+      timed_;
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
 };

@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <csignal>
 #include <deque>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -657,7 +658,7 @@ TEST(TransportFaults, MalformedEnvelopeFrameBecomesAbort) {
   // A syntactically valid frame whose body is not a decodable envelope:
   // the server must report it instead of crashing or ignoring it.
   Bytes junk = {0xde, 0xad, 0xbe, 0xef};
-  ASSERT_TRUE(dep.driver.SendFrame(100, LinkMsg::kEnvelope, BytesView(junk)));
+  ASSERT_TRUE(dep.driver.SendFrame(100, LinkMsg::kEnvelope, junk));
   EXPECT_TRUE(WaitUntil([&] { return dep.driver.abort_count() > 0; }));
   EXPECT_NE(dep.driver.aborts()[0].abort_reason.find("malformed"),
             std::string::npos);
@@ -1264,7 +1265,7 @@ void ExpectUnrunnablePlanRefused(const AdjacencyTable& adjacency,
   entry.type = NodeMsg::Type::kHopBatch;
   entry.gid = 0;
   entry.batch = std::move(hostile.entry[0]);
-  ASSERT_TRUE(dep.mesh.SendFrameAsync(
+  ASSERT_TRUE(dep.mesh.SendFrame(
       dep.hosts[0], LinkMsg::kEnvelope,
       EncodeEnvelope(Envelope{dep.hosts[0], std::move(entry), round_id}),
       round_id, 0));
@@ -1477,18 +1478,18 @@ TEST(MeshRoster, SetRosterDropsLinksWhoseEntryChanged) {
   driver.set_dial_attempts(1);
   MeshPeer good{7, "127.0.0.1", server.port(), server_key.pk};
   driver.SetRoster({good});
-  Bytes probe = EncodeRoundDone(0xdead);
-  ASSERT_TRUE(driver.SendFrame(7, LinkMsg::kRoundDone, BytesView(probe)));
+  // A metrics pull is a round trip, so it shows whether a link carried it.
+  ASSERT_TRUE(driver.FetchMetricsSnapshot(7).has_value());
 
   // Same peer id, different port: the live link must not survive.
   MeshPeer moved = good;
   moved.port = 1;  // nothing listens there
   driver.SetRoster({moved});
-  EXPECT_FALSE(driver.SendFrame(7, LinkMsg::kRoundDone, BytesView(probe)));
+  EXPECT_FALSE(driver.FetchMetricsSnapshot(7).has_value());
 
   // Restoring the entry redials successfully.
   driver.SetRoster({good});
-  EXPECT_TRUE(driver.SendFrame(7, LinkMsg::kRoundDone, BytesView(probe)));
+  EXPECT_TRUE(driver.FetchMetricsSnapshot(7).has_value());
 
   driver.Stop();
   server.Stop();
@@ -1813,7 +1814,7 @@ TEST(MeshBackpressure, OverloadedPeerQueueDropsToAbortNotBlock) {
   a.SetRoster({MeshPeer{9, "127.0.0.1", b.listen_port(), b_key.pk}});
   // Dial driver->A once so A holds an upstream link for abort reports.
   Bytes probe = EncodeRoundDone(1);
-  ASSERT_TRUE(driver.SendFrame(8, LinkMsg::kRoundDone, BytesView(probe)));
+  ASSERT_TRUE(driver.SendFrame(8, LinkMsg::kRoundDone, probe));
 
   // Every A-side send stalls like a full WAN pipe.
   a.set_peer_profile(9, WanProfile{40ms, 0});
@@ -1881,7 +1882,7 @@ TEST(MeshWan, BandwidthTermDelaysEachFrameBySize) {
     lock.unlock();
     const auto t0 = std::chrono::steady_clock::now();
     const Bytes body(body_bytes, 0x5a);
-    EXPECT_TRUE(driver.SendFrame(9, LinkMsg::kRoundDone, BytesView(body)));
+    EXPECT_TRUE(driver.SendFrame(9, LinkMsg::kRoundDone, body));
     lock.lock();
     EXPECT_TRUE(arrived.wait_for(lock, 10s, [&] { return count >= want; }));
     return last - t0;
@@ -1900,8 +1901,128 @@ TEST(MeshWan, BandwidthTermDelaysEachFrameBySize) {
   EXPECT_GE(unlimited, 10ms);
   EXPECT_LT(unlimited, 210ms);
 
+  // Propagation overlaps: 8 frames sent back to back on a 40 ms link all
+  // arrive about 40 ms after the first send, not one per 40 ms.
+  driver.set_peer_profile(9, WanProfile{40ms, 0});
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    const size_t want = count + 8;
+    lock.unlock();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < 8; i++) {
+      EXPECT_TRUE(driver.SendFrame(9, LinkMsg::kRoundDone, Bytes(8, 0x5a)));
+    }
+    lock.lock();
+    EXPECT_TRUE(arrived.wait_for(lock, 10s, [&] { return count >= want; }));
+    EXPECT_GE(last - t0, 40ms);
+    EXPECT_LT(last - t0, 40ms + 150ms) << "frames paid the delay in turn";
+  }
+
   driver.Stop();
   b.Stop();
+}
+
+// A driver mesh whose rostered servers count the control frames they
+// receive; every link is dialed before the test's timed part.
+struct CountingServers {
+  Rng rng{uint64_t{0xbacc}};
+  KemKeypair driver_key = KemKeyGen(rng);
+  TcpPeerMesh driver{TcpPeerMesh::Role::kDriver, kMeshDriverId, driver_key};
+  std::atomic<size_t> arrived{0};
+  std::vector<std::unique_ptr<TcpPeerMesh>> servers;
+
+  explicit CountingServers(size_t n) {
+    std::vector<MeshPeer> roster;
+    for (uint32_t id = 1; id <= n; id++) {
+      KemKeypair key = KemKeyGen(rng);
+      auto server =
+          std::make_unique<TcpPeerMesh>(TcpPeerMesh::Role::kServer, id, key);
+      EXPECT_TRUE(server->Listen(0));
+      server->AddPeerKey(kMeshDriverId, driver_key.pk);
+      server->OnControl([this](uint32_t, LinkFrame) { arrived++; });
+      server->Start();
+      roster.push_back(MeshPeer{id, "127.0.0.1", server->listen_port(),
+                                key.pk});
+      servers.push_back(std::move(server));
+    }
+    driver.SetRoster(roster);
+    SendToEach(1);
+    EXPECT_TRUE(WaitUntil([&] { return arrived == n; }));
+  }
+  ~CountingServers() {
+    driver.Stop();
+    for (auto& server : servers) {
+      server->Stop();
+    }
+  }
+  void SendToEach(int frames) {
+    for (uint32_t id = 1; id <= servers.size(); id++) {
+      for (int i = 0; i < frames; i++) {
+        EXPECT_TRUE(driver.SendFrame(id, LinkMsg::kRoundDone,
+                                     EncodeRoundDone(i)));
+      }
+    }
+  }
+};
+
+TEST(MeshWan, DelayedFramesHoldNoPoolThread) {
+  // Long-delay frames in flight to more peers than the shared pool has
+  // threads: a task submitted to the pool still runs at once, because a
+  // frame waiting for its due time occupies no thread.
+  const size_t peers =
+      std::min<size_t>(ThreadPool::Shared().num_threads() + 1, 9);
+  CountingServers fleet(peers);
+  for (uint32_t id = 1; id <= peers; id++) {
+    fleet.driver.set_peer_profile(id, WanProfile{600ms, 0});
+  }
+  fleet.SendToEach(2);
+  std::this_thread::sleep_for(20ms);  // every lane's drain has run
+  auto ran = std::make_shared<std::promise<void>>();
+  ThreadPool::Shared().Submit([ran] { ran->set_value(); });
+  EXPECT_EQ(ran->get_future().wait_for(200ms), std::future_status::ready)
+      << "a pool thread waited out an emulated delay";
+  EXPECT_EQ(fleet.arrived.load(), peers) << "the delayed frames arrived early";
+  EXPECT_TRUE(WaitUntil([&] { return fleet.arrived == 3 * peers; }));
+}
+
+TEST(MeshWan, StopReturnsWithinTheLargestPendingDelay) {
+  // Stop abandons frames still waiting for their due time: it returns once
+  // each lane's timed release fires, and no drain touches the mesh after
+  // (the sanitizer builds catch a late one as a use after free).
+  CountingServers fleet(2);
+  fleet.driver.set_peer_profile(1, WanProfile{200ms, 0});
+  fleet.driver.set_peer_profile(2, WanProfile{400ms, 0});
+  fleet.SendToEach(3);
+  const auto start = std::chrono::steady_clock::now();
+  fleet.driver.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 400ms + 500ms);
+  EXPECT_EQ(fleet.arrived.load(), 2u) << "Stop sent abandoned frames";
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(fleet.arrived.load(), 2u);
+}
+
+TEST(MeshMetrics, PullFromAKilledServerReturnsAtOnce) {
+  // The request's failed write wakes the waiter instead of leaving it to
+  // the 20 s control timeout.
+  Rng rng(uint64_t{0xbacd});
+  KemKeypair driver_key = KemKeyGen(rng);
+  KemKeypair server_key = KemKeyGen(rng);
+  NodeProcess server(7, Variant::kTrap, server_key, driver_key.pk);
+  ASSERT_TRUE(server.Listen(0));
+  server.Start();
+  TcpPeerMesh driver(TcpPeerMesh::Role::kDriver, kMeshDriverId, driver_key);
+  driver.set_control_timeout(20s);
+  std::atomic<bool> down{false};
+  driver.OnPeerDown([&](uint32_t) { down.store(true); });
+  driver.SetRoster({MeshPeer{7, "127.0.0.1", server.port(), server_key.pk}});
+  ASSERT_TRUE(driver.FetchMetricsSnapshot(7).has_value());
+
+  server.Stop();
+  ASSERT_TRUE(WaitUntil([&] { return down.load(); }));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(driver.FetchMetricsSnapshot(7).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+  driver.Stop();
 }
 
 TEST(MeshBackpressure, AsyncLaneByteBudgetDropsToAbort) {
@@ -1926,7 +2047,7 @@ TEST(MeshBackpressure, AsyncLaneByteBudgetDropsToAbort) {
   driver.SetRoster({MeshPeer{8, "127.0.0.1", a.listen_port(), a_key.pk}});
   a.SetRoster({MeshPeer{9, "127.0.0.1", b.listen_port(), b_key.pk}});
   Bytes probe = EncodeRoundDone(1);
-  ASSERT_TRUE(driver.SendFrame(8, LinkMsg::kRoundDone, BytesView(probe)));
+  ASSERT_TRUE(driver.SendFrame(8, LinkMsg::kRoundDone, probe));
 
   // Lane drains stall like a full WAN pipe.
   a.set_peer_profile(9, WanProfile{40ms, 0});

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/util/bytes.h"
 #include "src/util/hex.h"
@@ -230,6 +234,114 @@ TEST(ThreadPoolTest, DedicatedPoolDrainsOnDestruction) {
     }
   }  // destructor drains the queue before joining
   EXPECT_EQ(count.load(), 16);
+}
+
+using Clock = std::chrono::steady_clock;
+
+TEST(ThreadPoolTimedRelease, NeverRunsBeforeItsDueTime) {
+  ThreadPool pool(2);
+  constexpr int kTasks = 8;
+  std::mutex mu;
+  std::vector<std::pair<Clock::time_point, Clock::time_point>> runs;
+  const Clock::time_point start = Clock::now();
+  const Clock::time_point first = start + std::chrono::milliseconds(200);
+  for (int t = 0; t < kTasks; t++) {
+    const Clock::time_point due = first + std::chrono::milliseconds(5 * t);
+    pool.Submit(
+        [&, due] {
+          std::lock_guard<std::mutex> lock(mu);
+          runs.emplace_back(due, Clock::now());
+        },
+        0, due);
+  }
+  // An untimed task is not held behind the timed ones.
+  std::atomic<bool> untimed{false};
+  pool.Submit([&] { untimed.store(true); });
+  while (!untimed.load()) {
+    std::this_thread::yield();
+  }
+  EXPECT_LT(Clock::now(), first)
+      << "the untimed task waited for the timed releases";
+  while (true) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (runs.size() == kTasks) {
+      break;
+    }
+  }
+  for (const auto& [due, ran] : runs) {
+    EXPECT_GE(ran, due);
+  }
+}
+
+TEST(ThreadPoolTimedRelease, WeightOrderHoldsAmongDueTasks) {
+  // One worker, held by a gate while timed tasks of several weights come
+  // due: once released it runs them highest weight first, FIFO within a
+  // weight, exactly like tasks submitted ready.
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool open = false;
+  std::vector<int> order;
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  const Clock::time_point due = Clock::now() + std::chrono::milliseconds(5);
+  const int64_t weights[] = {1, 7, 3, 7, 0};
+  for (int i = 0; i < 5; i++) {
+    pool.Submit(
+        [&, i] {
+          std::lock_guard<std::mutex> lock(mu);
+          order.push_back(i);
+        },
+        weights[i], due + std::chrono::microseconds(i));
+  }
+  pool.Submit(
+      [&] {
+        std::lock_guard<std::mutex> lock(mu);
+        order.push_back(5);
+      },
+      2);
+  std::this_thread::sleep_until(due + std::chrono::milliseconds(20));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+  }
+  cv.notify_all();
+  while (true) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (order.size() == 6) {
+      break;
+    }
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2, 5, 0, 4}));
+}
+
+TEST(ThreadPoolTimedRelease, ShutdownRunsPendingReleasesWithoutHanging) {
+  std::atomic<int> ran{0};
+  const Clock::time_point start = Clock::now();
+  const Clock::time_point due = start + std::chrono::milliseconds(50);
+  Clock::time_point ran_at;
+  {
+    ThreadPool pool(2);
+    pool.Submit(
+        [&] {
+          ran_at = Clock::now();
+          ran.fetch_add(1);
+        },
+        0, due);
+    pool.Submit([&] { ran.fetch_add(1); });
+  }  // the destructor waits for the release, then joins
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_GE(ran_at, due);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(5));
 }
 
 }  // namespace
